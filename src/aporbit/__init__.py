@@ -46,6 +46,7 @@ from .core import (
     CLAMP_BAND,
     GridSpec,
     GridState,
+    GridStates,
     OrbitSeries,
     Point,
     quantization_error,
@@ -72,6 +73,7 @@ from .maps import (
 from .orbit import (
     CensusReport,
     ChainResult,
+    Conflicts,
     TransitionTable,
     build_chain,
     build_transition_table,
@@ -82,7 +84,6 @@ from .orbit import (
     period_census,
     run_pipeline,
     shadow_periodicity,
-    try_detect_cycle,
 )
 from .spectral import (
     TrigForm,

@@ -38,12 +38,16 @@ def chain_error_bound(t: int, gamma: float, d: int, K: int) -> float:
 def chain_error_bound_closed(t: int, gamma: float, d: int, K: int) -> float:
     """Closed form (2(gamma - gamma^(1-t))/(gamma-1) + gamma^-t) * gamma^t * sqrt(d)/K.
 
-    Equals the raw sum for gamma != 1; kept for cross-checking.
+    Equals the raw sum for gamma != 1; kept for cross-checking.  Returns
+    inf, still a valid bound, when a power overflows the float range.
     """
     if gamma == 1.0:
         raise ValueError("closed form is singular at gamma = 1; use chain_error_bound")
-    C = 2.0 * (gamma - gamma ** (-t + 1)) / (gamma - 1.0) + gamma ** (-t)
-    return C * gamma ** t * math.sqrt(d) / K
+    try:
+        C = 2.0 * (gamma - gamma ** (-t + 1)) / (gamma - 1.0) + gamma ** (-t)
+        return C * gamma ** t * math.sqrt(d) / K
+    except OverflowError:
+        return math.inf
 
 
 def bounds_for_horizon(gamma: float, d: int, K: int, horizon: int) -> np.ndarray:
@@ -226,7 +230,7 @@ class ConditionReport:
 
     terms: tuple[float, ...]
     partial_sums: tuple[float, ...]
-    growth_ratios: tuple[float, ...]
+    growth_ratios: tuple[float | None, ...]
     budget: float
     below_budget: bool
     note: str = "condition not decidable from finitely many terms"
@@ -243,8 +247,13 @@ class ConditionReport:
 
 
 def condition_term(T_next: int, lcm_value: int, K: int, gamma: float) -> float:
-    """One ladder term: (2*T' + 2*lcm + 1) * gamma^(T' + lcm) / K."""
-    return (2.0 * T_next + 2.0 * lcm_value + 1.0) * gamma ** (T_next + lcm_value) / K
+    """One ladder term: (2*T' + 2*lcm + 1) * gamma^(T' + lcm) / K; inf when
+    the power overflows the float range."""
+    try:
+        power = gamma ** (T_next + lcm_value)
+    except OverflowError:
+        return math.inf
+    return (2.0 * T_next + 2.0 * lcm_value + 1.0) * power / K
 
 
 def check_convergence_condition(
@@ -256,9 +265,10 @@ def check_convergence_condition(
             condition_term(plan.T_prime[j + 1], plan.lcms[j], plan.Ks[j], gamma)
         )
     partial = list(np.cumsum(terms)) if terms else []
+    # A ratio with an infinite term is undefined: None (JSON null), not NaN.
     ratios = [
-        terms[j + 1] / terms[j] if terms[j] != 0 else math.inf
-        for j in range(len(terms) - 1)
+        None if math.isinf(a) or math.isinf(b) else b / a if a != 0 else math.inf
+        for a, b in zip(terms, terms[1:])
     ]
     below = all(s < budget for s in partial)
     return ConditionReport(

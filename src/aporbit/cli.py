@@ -28,6 +28,9 @@ EXIT_OK = 0
 EXIT_PIPELINE = 2
 EXIT_CONFIG = 3
 
+# Rows per block when a CSV is written from arrays.
+CSV_BLOCK = 4096
+
 
 def _json_default(value):
     if isinstance(value, np.bool_):
@@ -117,6 +120,16 @@ class _Out:
         return target
 
 
+def _array_rows(n: int, block):
+    """CSV rows [t, *block(a, b)[t - a]] for t = 0..n-1, where block(a, b)
+    returns the rows a..b-1 as a 2-d array.  Blocks pass through .tolist(),
+    so the values print as the shortest repr of Python floats."""
+    for a in range(0, n, CSV_BLOCK):
+        b = min(a + CSV_BLOCK, n)
+        for t, row in enumerate(block(a, b).tolist(), a):
+            yield [t, *row]
+
+
 def _resolved_config(args, keys) -> dict:
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
@@ -141,14 +154,8 @@ def cmd_run(args) -> int:
             + [f"ybar_{i+1}" for i in range(m.d)]
             + [f"ystar_{i+1}" for i in range(m.d)]
         )
-        rows = []
-        for t in range(horizon + 1):
-            rows.append(
-                [t]
-                + list(ys[t])
-                + list(shadow[t].decode_array())
-                + list(chain.value_at(t))
-            )
+        rows = _array_rows(horizon + 1, lambda a, b: np.hstack(
+            [ys[a:b], shadow[a:b].nodes(), chain.values(a, b - 1)]))
         out.write_csv("orbit.csv", header, rows)
     summary = chain.summary()
     summary["shadow_periodic"] = orbit.shadow_periodicity(shadow)
@@ -181,10 +188,8 @@ def cmd_verify(args) -> int:
     report = analysis.verify_error_bound(m, y0, args.K, args.horizon, lipschitz=lip)
     out.write_json("verify.json", report.to_json(), config)
     if not args.json_only:
-        rows = [
-            [t, report.actual[t], report.bound[t]]
-            for t in range(args.horizon + 1)
-        ]
+        rows = _array_rows(args.horizon + 1, lambda a, b: np.column_stack(
+            [report.actual[a:b], report.bound[a:b]]))
         out.write_csv("verify.csv", ["t", "actual", "bound"], rows)
     status = "pass" if report.passed else "VIOLATION"
     print(f"verify: {status} worst_ratio={report.worst_ratio:.3e} "

@@ -4,11 +4,16 @@ The grid on each axis has K+1 nodes a_k = 2k/K - 1 (k = 0..K), spacing 2/K.
 Quantization snaps each coordinate to the nearest node, resolving exact
 midpoints toward the larger node; the resulting l2 error never exceeds
 sqrt(d)/K.
+
+`Point` and `GridState` are the boundary types for single values.  Orbits
+and state sequences are stored as arrays: `OrbitSeries` holds an (H+1, d)
+float array, `GridStates` an (n, d) integer index array.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -122,29 +127,127 @@ class GridState:
         return list(self.indices)
 
 
-@dataclass(frozen=True)
+class GridStates(Sequence):
+    """A sequence of grid states stored as an (n, d) int64 index array.
+
+    The pipeline computes on `indices` and `codes()`; indexing yields
+    GridState objects (a slice yields GridStates).  Compares equal to
+    another GridStates on the same grid with the same indices, and to a
+    list or tuple of the same GridState objects.
+    """
+
+    def __init__(self, indices: np.ndarray, grid: GridSpec):
+        self.indices = indices
+        self.grid = grid
+
+    @classmethod
+    def of(cls, states, grid: GridSpec | None = None) -> GridStates:
+        """From GridState objects on one grid (`grid` is needed when empty)."""
+        states = list(states)
+        if grid is None:
+            if not states:
+                raise ValueError("an empty state sequence needs its grid")
+            grid = states[0].grid
+        if any(s.grid != grid for s in states):
+            raise ValueError("states of different grids in one sequence")
+        indices = np.array([s.indices for s in states], dtype=np.int64)
+        return cls(indices.reshape(len(states), grid.d), grid)
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return GridStates(self.indices[t], self.grid)
+        return GridState(self.indices[t].tolist(), self.grid)
+
+    def __eq__(self, other):
+        if isinstance(other, GridStates):
+            return self.grid == other.grid and np.array_equal(self.indices, other.indices)
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"GridStates(n={len(self)}, grid={self.grid})"
+
+    def nodes(self) -> np.ndarray:
+        """Decoded node coordinates, shape (n, d); equal to decode_array per state."""
+        return 2.0 * self.indices / self.grid.K - 1.0
+
+    def codes(self) -> np.ndarray:
+        """One int64 per state, equal exactly where the states are equal.
+
+        The mixed-radix code sum_i idx_i (K+1)^(d-1-i) when (K+1)^d fits in
+        int64; otherwise the rank of each index row among the distinct
+        rows, which is only comparable within this sequence.
+        """
+        if self.grid.state_count > 2 ** 63:
+            _, rank = np.unique(self.indices, axis=0, return_inverse=True)
+            return rank.reshape(-1).astype(np.int64)
+        radix = self.grid.K + 1
+        codes = self.indices[:, 0].copy()
+        for j in range(1, self.grid.d):
+            codes *= radix
+            codes += self.indices[:, j]
+        return codes
+
+
+class _PointRows(Sequence):
+    # The rows of an orbit array as Point objects, built on access.
+    def __init__(self, values: np.ndarray):
+        self._values = values
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return [Point(row) for row in self._values[t].tolist()]
+        return Point(self._values[t].tolist())
+
+
+@dataclass(frozen=True, eq=False)
 class OrbitSeries:
-    """Samples y(0)..y(H) of an orbit y(t+1) = map(y(t))."""
+    """Samples y(0)..y(H) of an orbit y(t+1) = map(y(t)).
+
+    Built from Point samples, or from an (H+1, d) float array that the
+    series takes over; either way the samples live in the read-only array
+    `values`, and `samples` views its rows as Points.
+    """
 
     d: int
     horizon: int
-    samples: tuple[Point, ...] = field(repr=False)
+    values: np.ndarray = field(repr=False)
 
     def __init__(self, samples):
-        samples = tuple(samples)
-        if not samples:
+        if isinstance(samples, np.ndarray):
+            values = np.asarray(samples, dtype=float)
+            if values.ndim != 2 or values.shape[1] < 1:
+                raise DimensionMismatch(f"orbit array of shape {values.shape}, need (H+1, d)")
+        else:
+            samples = tuple(samples)
+            d = samples[0].d if samples else 1
+            for p in samples:
+                if p.d != d:
+                    raise DimensionMismatch("orbit samples of mixed dimension")
+            values = np.array([p.coords for p in samples], dtype=float).reshape(-1, d)
+        if len(values) == 0:
             raise ValueError("an orbit needs at least the initial sample")
-        d = samples[0].d
-        for p in samples:
-            if p.d != d:
-                raise DimensionMismatch("orbit samples of mixed dimension")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "horizon", len(samples) - 1)
-        object.__setattr__(self, "samples", samples)
+        values.flags.writeable = False
+        object.__setattr__(self, "d", values.shape[1])
+        object.__setattr__(self, "horizon", len(values) - 1)
+        object.__setattr__(self, "values", values)
+
+    @property
+    def samples(self) -> Sequence:
+        return _PointRows(self.values)
 
     def as_array(self) -> np.ndarray:
-        """Shape (H+1, d)."""
-        return np.array([p.coords for p in self.samples], dtype=float)
+        """Shape (H+1, d), read-only."""
+        return self.values
 
 
 def _quantize_axis(c: float, g: GridSpec) -> int:
@@ -164,6 +267,31 @@ def _quantize_axis(c: float, g: GridSpec) -> int:
         kq = math.floor(uq)
         idx = kq + 1 if uq - kq >= Fraction(1, 2) else kq
     return min(max(idx, 0), K)
+
+
+def _quantize_rows(Y: np.ndarray, g: GridSpec) -> np.ndarray:
+    # _quantize_axis on every entry of Y, vectorized: the same float u and
+    # the same decision, with every entry that the scalar rule sends to
+    # rational arithmetic (|frac - 0.5| <= 1e-9, or NaN) sent there again.
+    K = g.K
+    u = Y + 1.0
+    u *= K
+    u /= 2.0
+    k = np.floor(u)
+    frac = u
+    frac -= k
+    near = np.abs(frac - 0.5)
+    slow = np.argwhere(~(near > 1e-9)).tolist()
+    del near
+    # before the cast below, so that a NaN raises as in the scalar rule
+    exact = [_quantize_axis(float(Y[r, j]), g) for r, j in slow]
+    idx = k.astype(np.int64)
+    del k
+    idx += frac > 0.5
+    np.clip(idx, 0, K, out=idx)
+    for (r, j), i in zip(slow, exact):
+        idx[r, j] = i
+    return idx
 
 
 def quantize(p: Point, g: GridSpec) -> GridState:

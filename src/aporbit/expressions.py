@@ -211,6 +211,12 @@ def to_source(node) -> str:
     raise TypeError(f"not an AST node: {node!r}")
 
 
+def _div(a, b):
+    if abs(b) < _DIV_FLOOR:
+        raise EvaluationError(f"division by near-zero denominator {b!r}")
+    return a / b
+
+
 def evaluate_ast(node, coords) -> float:
     """Evaluate an AST at the coordinate vector (indexing is 1-based)."""
     if isinstance(node, Num):
@@ -228,13 +234,48 @@ def evaluate_ast(node, coords) -> float:
             return a - b
         if node.op == "*":
             return a * b
-        if abs(b) < _DIV_FLOOR:
-            raise EvaluationError(f"division by near-zero denominator {b!r}")
-        return a / b
+        return _div(a, b)
     if isinstance(node, Call):
         fn = FUNCTIONS[node.func][1]
         return fn(*(evaluate_ast(a, coords) for a in node.args))
     raise TypeError(f"not an AST node: {node!r}")
+
+
+def _python_source(node) -> str:
+    # Fully parenthesized, so Python evaluates the operations in the
+    # tree's order; `inf` and `nan` print as names bound in _COMPILE_NAMES.
+    if isinstance(node, Num):
+        return repr(float(node.value))
+    if isinstance(node, Var):
+        return f"c[{int(node.index) - 1}]"
+    if isinstance(node, Neg):
+        return f"(-{_python_source(node.arg)})"
+    if isinstance(node, BinOp) and node.op in ("+", "-", "*", "/"):
+        lhs, rhs = _python_source(node.left), _python_source(node.right)
+        if node.op == "/":
+            return f"_div({lhs}, {rhs})"
+        return f"({lhs} {node.op} {rhs})"
+    if isinstance(node, Call) and node.func in FUNCTIONS:
+        return f"{node.func}({', '.join(_python_source(a) for a in node.args)})"
+    raise TypeError(f"not an AST node: {node!r}")
+
+
+_COMPILE_NAMES = {name: fn for name, (_, fn) in FUNCTIONS.items()}
+_COMPILE_NAMES.update(_div=_div, inf=math.inf, nan=math.nan)
+
+
+def compile_coords(nodes, passthrough: int = 0):
+    """One Python function of a coordinate tuple `c` returning the tuple
+    (node(c) for each node) + c[:passthrough].
+
+    Each node gives bit for bit what evaluate_ast gives, including the
+    EvaluationError on a near-zero denominator; the tree is walked once
+    here instead of on every call.
+    """
+    parts = [_python_source(n) for n in nodes]
+    parts += [f"c[{i}]" for i in range(passthrough)]
+    source = f"lambda c: ({', '.join(parts)},)"
+    return eval(source, {"__builtins__": {}, **_COMPILE_NAMES})
 
 
 def variables_used(node) -> set[int]:

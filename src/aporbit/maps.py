@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -58,6 +59,9 @@ class MapDefinition:
     kind "delay":   coords[0] -> expression(coords), rest shifted down.
     kind "expr":    each output coordinate is its own expression.
     kind "builtin": named map from BUILTIN_MAPS.
+
+    `step` maps a coordinate tuple to the raw output tuple, before any
+    range policing; it is built once, here, from the definition.
     """
 
     d: int
@@ -66,12 +70,42 @@ class MapDefinition:
     update: object | None = None
     exprs: tuple | None = None
     name: str | None = None
+    step: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 1:
             raise DimensionMismatch(f"dimension must be >= 1, got {self.d}")
         if self.kind not in ("ar", "delay", "expr", "builtin"):
             raise ValueError(f"unknown map kind {self.kind!r}")
+        object.__setattr__(self, "step", _build_step(self))
+
+    def __reduce__(self):
+        # pickled as its definition; the step is built again on loading
+        return (MapDefinition, (self.d, self.kind, self.coeffs, self.update, self.exprs, self.name))
+
+
+def _ar_step(coeffs, d):
+    shift = d - 1
+
+    def step(coords):
+        new0 = 0.0
+        for p_l, c in zip(coeffs, coords):
+            new0 += p_l * c
+        return (new0,) + tuple(coords[:shift])
+
+    return step
+
+
+def _build_step(m: MapDefinition) -> Callable:
+    if m.kind == "ar":
+        return _ar_step(m.coeffs, m.d)
+    if m.kind == "delay":
+        return expressions.compile_coords([m.update], passthrough=m.d - 1)
+    if m.kind == "expr":
+        return expressions.compile_coords(m.exprs)
+    if m.name not in BUILTIN_MAPS:
+        raise ValueError(f"unknown builtin map {m.name!r}")
+    return BUILTIN_MAPS[m.name]
 
 
 def ar_map(coeffs) -> MapDefinition:
@@ -97,26 +131,11 @@ def builtin_map(name: str, d: int) -> MapDefinition:
     return MapDefinition(d=d, kind="builtin", name=name)
 
 
-def _raw_output(m: MapDefinition, coords) -> tuple[float, ...]:
-    """Map output before any range policing."""
-    if m.kind == "ar":
-        new0 = 0.0
-        for p_l, c in zip(m.coeffs, coords):
-            new0 += p_l * c
-        return (new0,) + tuple(coords[: m.d - 1])
-    if m.kind == "delay":
-        new0 = expressions.evaluate_ast(m.update, coords)
-        return (new0,) + tuple(coords[: m.d - 1])
-    if m.kind == "expr":
-        return tuple(expressions.evaluate_ast(e, coords) for e in m.exprs)
-    return BUILTIN_MAPS[m.name](tuple(coords))
-
-
 def evaluate(m: MapDefinition, p: Point) -> Point:
     """Apply the map; raises RangeViolation if the image leaves the box."""
     if p.d != m.d:
         raise DimensionMismatch(f"point dimension {p.d} != map dimension {m.d}")
-    out = _raw_output(m, p.coords)
+    out = m.step(p.coords)
     overshoot = max(abs(c) for c in out) - 1.0
     if overshoot > CLAMP_BAND:
         raise RangeViolation(
@@ -178,9 +197,9 @@ def validate_range(m: MapDefinition, samples: int = 256, seed: int = 0) -> Range
     probes = _probe_points(m.d, samples, seed)
     worst = -math.inf
     worst_point = probes[0]
-    for row in probes:
+    for row in probes.tolist():
         try:
-            out = _raw_output(m, tuple(row))
+            out = m.step(tuple(row))
         except AporbitError:
             # Treat evaluation failure (e.g. division blow-up) as a
             # range failure at this probe.
@@ -264,8 +283,8 @@ def estimate_lipschitz(
         dist = float(np.linalg.norm(w - wp))
         if dist < 1e-6:
             continue
-        fw = np.array(_raw_output(m, tuple(w)))
-        fwp = np.array(_raw_output(m, tuple(wp)))
+        fw = np.array(m.step(tuple(w)))
+        fwp = np.array(m.step(tuple(wp)))
         ratio = float(np.linalg.norm(fw - fwp)) / dist
         gamma = max(gamma, ratio)
     return LipschitzEstimate(gamma=gamma, method="sampled", sample_count=samples)

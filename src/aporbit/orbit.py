@@ -10,18 +10,22 @@ are certified by first-visit cycle detection.
 from __future__ import annotations
 
 import statistics
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GridSpec, GridState, OrbitSeries, Point, quantize
+from .core import GridSpec, GridState, GridStates, OrbitSeries, Point, _quantize_rows
 from .errors import (
     DanglingState,
     DimensionMismatch,
     NoCycleWithinHorizon,
     RangeViolation,
 )
-from .maps import MapDefinition, _raw_output, ar_map, evaluate
+from .maps import MapDefinition, ar_map, evaluate
+
+# Conflicting observations kept as examples; the rest are only counted.
+CONFLICT_EXAMPLES = 5
 
 
 def generate_orbit(m: MapDefinition, y0: Point, horizon: int) -> OrbitSeries:
@@ -30,89 +34,118 @@ def generate_orbit(m: MapDefinition, y0: Point, horizon: int) -> OrbitSeries:
         raise DimensionMismatch(f"y0 dimension {y0.d} != map dimension {m.d}")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    samples = [y0]
-    current = y0
+    step = m.step
+    current = y0.coords
+    buf = array("d", current)
     for t in range(1, horizon + 1):
-        try:
-            current = evaluate(m, current)
-        except RangeViolation as exc:
-            raise RangeViolation(f"orbit left the box at t={t}: {exc}", t=t) from exc
-        samples.append(current)
-    return OrbitSeries(samples)
+        out = step(current)
+        if not max(map(abs, out)) <= 1.0:
+            # outside the box (or NaN): police and clamp exactly as evaluate() does
+            try:
+                out = evaluate(m, Point(current)).coords
+            except RangeViolation as exc:
+                raise RangeViolation(f"orbit left the box at t={t}: {exc}", t=t) from exc
+        buf.extend(out)
+        current = out
+    return OrbitSeries(np.frombuffer(buf).reshape(horizon + 1, m.d))
 
 
-def discretize_orbit(orbit, g: GridSpec) -> list[GridState]:
+def discretize_orbit(orbit, g: GridSpec) -> GridStates:
     """Quantize every orbit sample (accepts an OrbitSeries or a point list)."""
-    samples = orbit.samples if isinstance(orbit, OrbitSeries) else orbit
-    return [quantize(p, g) for p in samples]
+    if isinstance(orbit, OrbitSeries):
+        values = orbit.values
+    else:
+        points = list(orbit)
+        for p in points:
+            if p.d != g.d:
+                raise DimensionMismatch(f"point dimension {p.d} != grid dimension {g.d}")
+        values = np.array([p.coords for p in points], dtype=float).reshape(len(points), g.d)
+    if values.shape[1] != g.d:
+        raise DimensionMismatch(f"point dimension {values.shape[1]} != grid dimension {g.d}")
+    return GridStates(_quantize_rows(values, g), g)
 
 
-@dataclass
+@dataclass(frozen=True)
+class Conflicts:
+    """Later occurrences of a state whose successor disagrees with the
+    successor at its earliest occurrence: their number, and the first few
+    as (state, t, observed successor) in time order."""
+
+    count: int = 0
+    examples: tuple = ()
+
+    def __len__(self) -> int:
+        return self.count
+
+
+@dataclass(eq=False)
 class TransitionTable:
     """Observed next-state function over the visited grid states.
 
-    `states` lists, in first-seen order, every visited state that has an
-    outgoing observation; the successor of each state is fixed by its
-    earliest occurrence.  Later occurrences that disagree are recorded in
-    `conflicts` (the discretized dynamics is then not a function of the
-    state at this resolution).  A state first seen at the final shadow
-    position has no outgoing observation and is excluded from `states`.
+    Row n of `rows` (n < N) is the index vector of the n-th visited state
+    with an outgoing observation, in first-seen order; its successor, fixed
+    by its earliest occurrence, is row `succ[n]`.  Later occurrences that
+    disagree are counted in `conflicts` (the discretized dynamics is then
+    not a function of the state at this resolution).  A state first seen
+    at the final shadow position has no outgoing observation; it is row N,
+    and the dangling state when an earliest observation leads to it.
     """
 
-    states: tuple[GridState, ...]
-    successor: dict = field(repr=False)
-    first_seen: dict = field(repr=False)
-    conflicts: tuple = ()
+    grid: GridSpec
+    rows: np.ndarray = field(repr=False)
+    succ: np.ndarray = field(repr=False)
+    conflicts: Conflicts = Conflicts()
 
     @property
     def n_states(self) -> int:
-        return len(self.states)
+        return len(self.succ)
 
     @property
-    def index(self) -> dict:
-        return {s: n for n, s in enumerate(self.states)}
+    def states(self) -> GridStates:
+        return GridStates(self.rows[: self.n_states], self.grid)
+
+    @property
+    def successor(self) -> dict:
+        """The table as {state: successor state}."""
+        rows = GridStates(self.rows, self.grid)
+        return {rows[n]: rows[k] for n, k in enumerate(self.succ.tolist())}
 
     @property
     def dangling(self) -> GridState | None:
         """The successor state without an outgoing edge, if any."""
-        for s in self.successor.values():
-            if s not in self.successor:
-                return s
+        if np.any(self.succ == self.n_states):
+            return GridState(self.rows[self.n_states].tolist(), self.grid)
         return None
-
-    def next_index(self) -> dict:
-        """Index form n -> k(n); None marks an edge into the dangling state."""
-        idx = self.index
-        return {
-            idx[s]: idx.get(nxt) for s, nxt in self.successor.items()
-        }
 
 
 def build_transition_table(shadow) -> TransitionTable:
     """Extract the earliest-occurrence transition table from a shadow sequence."""
-    shadow = list(shadow)
+    if not isinstance(shadow, GridStates):
+        shadow = list(shadow)
     if len(shadow) < 2:
         raise ValueError("need at least two shadow states to observe a transition")
-    states = []
-    successor = {}
-    first_seen = {}
-    conflicts = []
-    last = len(shadow) - 1
-    for t, s in enumerate(shadow):
-        if s not in first_seen:
-            first_seen[s] = t
-        if t < last:
-            nxt = shadow[t + 1]
-            if s not in successor:
-                successor[s] = nxt
-                states.append(s)
-            elif successor[s] != nxt:
-                conflicts.append((s, t, nxt))
+    if not isinstance(shadow, GridStates):
+        shadow = GridStates.of(shadow)
+    codes = shadow.codes()
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # distinct states in first-seen order
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    row = rank[inverse]  # row of the state at each time
+    del inverse
+    # a state first seen at the final position sorts last and has no outgoing edge
+    n_states = len(order) - int(first[order[-1]] == len(codes) - 1)
+    succ = row[first[order[:n_states]] + 1]
+    mismatch = succ[row[:-1]] != row[1:]
+    del row
+    count = int(np.count_nonzero(mismatch))
+    times = np.flatnonzero(mismatch)[:CONFLICT_EXAMPLES].tolist() if count else []
+    conflicts = Conflicts(
+        count=count,
+        examples=tuple((shadow[t], t, shadow[t + 1]) for t in times),
+    )
     return TransitionTable(
-        states=tuple(states),
-        successor=successor,
-        first_seen=first_seen,
-        conflicts=tuple(conflicts),
+        grid=shadow.grid, rows=shadow.indices[first[order]], succ=succ, conflicts=conflicts
     )
 
 
@@ -122,33 +155,44 @@ class ChainResult:
 
     `seq` stores the distinct prefix up to the point where the cycle
     closes (length pre_period + period); any later value follows by
-    periodic extension, so the chain is evaluable at every t >= 0.
+    periodic extension, so the chain is evaluable at every t >= 0.  A
+    sequence of GridState objects is stored as GridStates.
     """
 
     grid: GridSpec
-    seq: tuple[GridState, ...] = field(repr=False)
+    seq: GridStates = field(repr=False)
     pre_period: int
     period: int
     horizon: int
     table: TransitionTable | None = field(default=None, repr=False)
 
-    def state_at(self, t: int) -> GridState:
+    def __post_init__(self):
+        if not isinstance(self.seq, GridStates):
+            self.seq = GridStates.of(self.seq, self.grid)
+        self._nodes = self.seq.nodes()
+
+    def _position(self, t: int) -> int:
         if t < 0:
             raise ValueError("t must be >= 0")
         if t < len(self.seq):
-            return self.seq[t]
-        return self.seq[self.pre_period + (t - self.pre_period) % self.period]
+            return t
+        return self.pre_period + (t - self.pre_period) % self.period
+
+    def state_at(self, t: int) -> GridState:
+        return self.seq[self._position(t)]
 
     def value_at(self, t: int) -> np.ndarray:
-        return self.state_at(t).decode_array()
+        return self._nodes[self._position(t)].copy()
 
     def values(self, t_start: int, t_end: int) -> np.ndarray:
         """Decoded chain values for t_start..t_end inclusive, shape (n, d)."""
-        return np.array([self.value_at(t) for t in range(t_start, t_end + 1)])
-
-    @property
-    def y_star(self) -> tuple[GridState, ...]:
-        return tuple(self.state_at(t) for t in range(self.horizon + 1))
+        if t_start < 0:
+            raise ValueError("t must be >= 0")
+        ts = np.arange(t_start, t_end + 1, dtype=np.int64)
+        T = self.pre_period
+        if t_end >= len(self.seq):
+            ts = np.where(ts < len(self.seq), ts, T + (ts - T) % self.period)
+        return self._nodes[ts]
 
     @property
     def d(self) -> int:
@@ -165,6 +209,19 @@ class ChainResult:
         }
 
 
+def _first_repeat(items):
+    # The one cycle walker: consume items up to the first repeated one and
+    # return (the distinct items in order, T, L), where T is the position
+    # of the repeat's first occurrence and L the distance; None if the
+    # items run out first.
+    first = {}
+    for t, s in enumerate(items):
+        if s in first:
+            return list(first), first[s], t - first[s]
+        first[s] = t
+    return None
+
+
 def build_chain(table: TransitionTable, initial: GridState, horizon: int) -> ChainResult:
     """Run the table from the initial state until its cycle closes.
 
@@ -172,31 +229,31 @@ def build_chain(table: TransitionTable, initial: GridState, horizon: int) -> Cha
     reaches a state with no outgoing observation, which is reported as
     DanglingState (possible under horizon truncation, never patched over).
     """
-    if initial not in table.successor:
+    n = table.n_states
+    hits = []
+    if initial.grid == table.grid:
+        hits = np.flatnonzero((table.rows[:n] == initial.indices).all(axis=1))
+    if not len(hits):
         raise ValueError("initial state has no outgoing observation in the table")
-    visit = {initial: 0}
-    seq = [initial]
-    current = initial
-    t = 0
-    while True:
-        nxt = table.successor.get(current)
-        if nxt is None:
-            raise DanglingState(
-                f"chain reached a state with no outgoing edge at t={t + 1}",
-                state=current,
-                t=t + 1,
-            )
-        t += 1
-        if nxt in visit:
-            pre_period = visit[nxt]
-            period = t - visit[nxt]
-            break
-        visit[nxt] = t
-        seq.append(nxt)
-        current = nxt
+    succ = table.succ.tolist()
+
+    def walk(row):
+        t = 0
+        while True:
+            yield row
+            t += 1
+            if row >= n:
+                raise DanglingState(
+                    f"chain reached a state with no outgoing edge at t={t}",
+                    state=table.dangling,
+                    t=t,
+                )
+            row = succ[row]
+
+    visited, pre_period, period = _first_repeat(walk(int(hits[0])))
     return ChainResult(
-        grid=initial.grid,
-        seq=tuple(seq),
+        grid=table.grid,
+        seq=GridStates(table.rows[visited], table.grid),
         pre_period=pre_period,
         period=period,
         horizon=horizon,
@@ -211,30 +268,19 @@ def detect_cycle(seq) -> tuple[int, int]:
     against the periodicity definition on the whole available window.
     """
     seq = list(seq)
-    first = {}
-    for t, s in enumerate(seq):
-        if s in first:
-            pre_period = first[s]
-            period = t - first[s]
-            for u in range(pre_period, len(seq) - period):
-                if seq[u + period] != seq[u]:
-                    raise NoCycleWithinHorizon(
-                        "window is inconsistent with the first-repeat cycle; "
-                        "sequence is not an iterated-function trace"
-                    )
-            return pre_period, period
-        first[s] = t
-    raise NoCycleWithinHorizon(
-        f"no state repeats within the {len(seq)}-step window"
-    )
-
-
-def try_detect_cycle(seq):
-    """detect_cycle, but None instead of an error when uncertifiable."""
-    try:
-        return detect_cycle(seq)
-    except NoCycleWithinHorizon:
-        return None
+    found = _first_repeat(seq)
+    if found is None:
+        raise NoCycleWithinHorizon(
+            f"no state repeats within the {len(seq)}-step window"
+        )
+    _, pre_period, period = found
+    for u in range(pre_period, len(seq) - period):
+        if seq[u + period] != seq[u]:
+            raise NoCycleWithinHorizon(
+                "window is inconsistent with the first-repeat cycle; "
+                "sequence is not an iterated-function trace"
+            )
+    return pre_period, period
 
 
 def shadow_periodicity(seq, max_window: int = 8192):
@@ -248,11 +294,12 @@ def shadow_periodicity(seq, max_window: int = 8192):
     reported T is then the earliest time within that suffix, an upper
     bound for the true pre-period.
     """
-    seq = list(seq)
-    offset = 0
-    if len(seq) > max_window:
-        offset = len(seq) - max_window
-        seq = seq[offset:]
+    if not isinstance(seq, GridStates):
+        seq = list(seq)
+    offset = max(0, len(seq) - max_window)
+    seq = seq[offset:]
+    if isinstance(seq, GridStates):
+        seq = seq.codes().tolist()
     n = len(seq)
     for L in range(1, n // 2 + 1):
         t = n - 1 - L
@@ -366,7 +413,7 @@ def _census_random_ar(d: int, K: int, rng, horizon: int) -> tuple[int, int] | No
     peak = float(np.max(np.abs(z0)))
     coords = tuple(z0)
     for _ in range(horizon):
-        coords = _raw_output(m, coords)
+        coords = m.step(coords)
         peak = max(peak, abs(coords[0]))
     if peak > 1.0:
         z0 = z0 / (2.0 * peak)

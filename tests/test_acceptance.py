@@ -220,7 +220,7 @@ def test_criterion_3_chain_periodicity_and_cycle_oracle():
         horizon = 3 * n
         chain = build_chain(table, shadow[0], horizon)
         T, L = chain.pre_period, chain.period
-        ys = chain.y_star
+        ys = [chain.state_at(t) for t in range(horizon + 1)]
         for t in range(T, horizon - L + 1):
             assert ys[t + L] == ys[t]
     # the same exhaustive check on pipeline-produced chains
@@ -232,7 +232,7 @@ def test_criterion_3_chain_periodicity_and_cycle_oracle():
                 m, y0, GridSpec(K=K, d=m.d), horizon
             )
             T, L = chain.pre_period, chain.period
-            ys = chain.y_star
+            ys = [chain.state_at(t) for t in range(horizon + 1)]
             for t in range(T, horizon - L + 1):
                 assert ys[t + L] == ys[t]
     # (b) detect_cycle vs brute-force first-repeat oracle, 1000 graphs

@@ -184,6 +184,18 @@ def test_condition_geometric_terms():
     assert report.partial_sums[-1] < 3.0
 
 
+def test_powers_beyond_float_range_give_inf():
+    assert condition_term(10, 2000, 64, 2.02) == math.inf
+    assert chain_error_bound_closed(2000, 2.02, 2, 64) == math.inf
+    # terms 6*2.02^3 and inf: no budget claim, and no NaN ratio
+    plan = build_ladder_plan([4, 8, 16], [0, 0, 0], [2, 3, 1000])
+    report = check_convergence_condition(plan, 2.02, budget=1e6)
+    assert math.isfinite(report.terms[0]) and report.terms[1] == math.inf
+    assert report.growth_ratios == (None,)
+    assert report.below_budget is False
+    assert report.to_json()["growth_ratios"] == [None]
+
+
 def test_condition_empty_ladder():
     plan = build_ladder_plan([4], [0], [1])
     report = check_convergence_condition(plan, 2.0, budget=1.0)

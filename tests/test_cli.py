@@ -98,6 +98,20 @@ def test_verify_pass(tmp_path, ar_contracting):
     assert len(rows) == 52
 
 
+def test_verify_bound_beyond_float_range(tmp_path):
+    # gamma ~ 2.02: gamma^t overflows a float past t ~ 1008, the bound is inf
+    out = tmp_path / "v"
+    code = main([
+        "verify", "--map", '{"kind":"ar","d":2,"p":[1.5297,-1.0]}',
+        "--y0", "0.9,0.688", "--K", "512", "--horizon", "1100", "--out", str(out),
+    ])
+    assert code == 0
+    report = read_json(out / "verify.json")
+    assert report["passed"] is True
+    rows = read_csv(out / "verify.csv")
+    assert rows[-1][0] == "1100" and rows[-1][2] == "inf"
+
+
 def test_ladder(tmp_path, ar_rotation):
     out = tmp_path / "l"
     code = main([

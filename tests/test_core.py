@@ -5,8 +5,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aporbit import GridSpec, GridState, OrbitSeries, Point, quantize, quantization_error
+from aporbit import (
+    GridSpec,
+    GridState,
+    GridStates,
+    OrbitSeries,
+    Point,
+    quantize,
+    quantization_error,
+)
+from aporbit.core import _quantize_axis, _quantize_rows
 from aporbit.errors import DimensionMismatch, OutOfRange
 
 
@@ -132,10 +143,67 @@ def test_per_axis_error_half_spacing():
         assert abs(c - node) <= 1.0 / K + 1e-15
 
 
+@st.composite
+def axis_values(draw, K):
+    """Coordinates near a tie of the K grid (a few ulps either side), at or
+    just inside the box edge (the clamp band), or anywhere in [-1, 1]."""
+    kind = draw(st.sampled_from(["tie", "edge", "any"]))
+    if kind == "tie":
+        c = (2 * draw(st.integers(0, K - 1)) + 1) / K - 1.0
+        toward = draw(st.sampled_from([-math.inf, math.inf]))
+        for _ in range(draw(st.integers(0, 4))):
+            c = math.nextafter(c, toward)
+    elif kind == "edge":
+        c = draw(st.sampled_from([-1.0, 1.0]))
+        c -= math.copysign(draw(st.floats(0.0, 1e-12)), c)
+    else:
+        c = draw(st.floats(-1.0, 1.0))
+    return min(max(c, -1.0), 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_vectorized_quantizer_matches_scalar(data):
+    K = data.draw(st.integers(1, 1000))
+    d = data.draw(st.integers(1, 3))
+    rows = data.draw(st.lists(st.lists(axis_values(K), min_size=d, max_size=d),
+                              min_size=1, max_size=8))
+    g = GridSpec(K=K, d=d)
+    want = [[_quantize_axis(c, g) for c in row] for row in rows]
+    assert _quantize_rows(np.array(rows), g).tolist() == want
+
+
+def test_vectorized_quantizer_nan_raises_like_scalar():
+    g = GridSpec(K=4, d=2)
+    with pytest.raises(ValueError):
+        _quantize_axis(math.nan, g)
+    with pytest.raises(ValueError):
+        _quantize_rows(np.array([[0.5, math.nan]]), g)
+
+
+def test_grid_states_codes_and_boundary():
+    g = GridSpec(K=3, d=2)
+    states = GridStates.of([GridState(iv, g) for iv in ([0, 1], [3, 3], [0, 1])])
+    assert states.codes().tolist() == [1, 15, 1]
+    assert states.nodes().tolist() == [[-1.0, -1.0 + 2.0 / 3], [1.0, 1.0], [-1.0, -1.0 + 2.0 / 3]]
+    assert states[1] == GridState([3, 3], g)
+    assert states[1:] == [GridState([3, 3], g), GridState([0, 1], g)]
+    assert states == GridStates(states.indices.copy(), g)
+    assert states != GridStates(states.indices, GridSpec(K=4, d=2))
+    # beyond int64 mixed-radix codes: ranks among the distinct rows
+    big = GridSpec(K=2 ** 40, d=2)
+    rows = np.array([[5, 2 ** 40], [0, 0], [5, 2 ** 40]], dtype=np.int64)
+    codes = GridStates(rows, big).codes()
+    assert codes[0] == codes[2] != codes[1]
+
+
 def test_orbit_series_validation():
     s = OrbitSeries([Point([0.0]), Point([0.5])])
     assert s.d == 1 and s.horizon == 1
     assert s.as_array().shape == (2, 1)
+    assert [p.coords for p in s.samples] == [(0.0,), (0.5,)]
+    with pytest.raises(ValueError):
+        s.as_array()[0, 0] = 1.0  # the samples are read-only
     with pytest.raises(ValueError):
         OrbitSeries([])
     with pytest.raises(DimensionMismatch):

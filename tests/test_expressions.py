@@ -1,8 +1,11 @@
 """Expression parser, printer round-trip and evaluation."""
 
 import math
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aporbit.expressions import (
     BinOp,
@@ -10,6 +13,7 @@ from aporbit.expressions import (
     Neg,
     Num,
     Var,
+    compile_coords,
     evaluate_ast,
     parse_expression,
     to_source,
@@ -146,6 +150,65 @@ def test_division_guard():
     assert evaluate_ast(ast, (1.0, 0.5)) == 2.0
     with pytest.raises(EvaluationError):
         evaluate_ast(ast, (1.0, 0.0))
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+def outcome(fn, coords):
+    """Bit patterns of the result, or the error type and message."""
+    try:
+        value = fn(coords)
+    except (ArithmeticError, ValueError, EvaluationError) as exc:
+        return type(exc), str(exc)
+    return [bits(v) for v in value] if isinstance(value, tuple) else bits(value)
+
+
+def ast_nodes(d):
+    leaves = st.one_of(
+        st.builds(Num, st.floats(-3.0, 3.0)),
+        st.builds(Num, st.sampled_from([0.0, 1e-301, 1e-299, 1e300])),
+        st.builds(Var, st.integers(1, d)),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.builds(Neg, children),
+            st.builds(BinOp, st.sampled_from("+-*/"), children, children),
+            st.builds(Call, st.sampled_from(["sin", "cos", "tanh", "abs"]), st.tuples(children)),
+            st.builds(Call, st.sampled_from(["min", "max"]), st.tuples(children, children)),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=24)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_compiled_matches_evaluate_ast(data):
+    d = data.draw(st.integers(1, 4))
+    nodes = data.draw(st.lists(ast_nodes(d), min_size=1, max_size=3))
+    coords = tuple(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+    compiled = compile_coords(nodes, passthrough=d - 1)
+    got = outcome(compiled, coords)
+    want = [outcome(lambda c, n=n: evaluate_ast(n, c), coords) for n in nodes]
+    errors = [w for w in want if isinstance(w, tuple)]
+    if errors:
+        assert got == errors[0]  # left to right: the first failing node raises
+    else:
+        assert got == want + [bits(c) for c in coords[: d - 1]]
+
+
+def test_compiled_division_guard():
+    step = compile_coords([parse_expression("x1 / (x2 - x2)", 2)])
+    with pytest.raises(EvaluationError, match="near-zero denominator 0.0"):
+        step((1.0, 0.5))
+    step = compile_coords([parse_expression("1 / x1", 1)])
+    with pytest.raises(EvaluationError):
+        step((1e-301,))
+    assert step((1e-299,)) == (1e299,)
+    # a literal that overflows to inf compiles to the same value
+    assert compile_coords([parse_expression("1e999 * x1", 1)])((-0.5,)) == (-math.inf,)
 
 
 def test_variables_used():

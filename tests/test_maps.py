@@ -1,5 +1,7 @@
 """Map kinds, range validation and Lipschitz estimation."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -138,3 +140,15 @@ def test_map_json_round_trip(tmp_path):
         data = map_to_json(m)
         again = map_from_json(data)
         assert again == m
+
+
+def test_map_pickles_and_rebuilds_its_step():
+    for m in (
+        ar_map([0.25, -0.5]),
+        delay_map("0.5*x1 / (1.5 + x2)", 2),
+        expression_map(["0.5*x1", "tanh(x2)"]),
+        builtin_map("tent", 2),
+    ):
+        again = pickle.loads(pickle.dumps(m))
+        assert again == m
+        assert again.step((0.3, -0.7)) == m.step((0.3, -0.7))

@@ -1,5 +1,7 @@
 """Orbit generation, transition tables, chains, cycle detection, census."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,10 +17,10 @@ from aporbit import (
     generate_orbit,
     period_census,
     run_pipeline,
-    try_detect_cycle,
 )
 from aporbit.errors import DanglingState, NoCycleWithinHorizon, RangeViolation
 from aporbit.maps import MapDefinition
+from aporbit.orbit import CONFLICT_EXAMPLES
 
 
 def states(g, *index_vectors):
@@ -63,9 +65,9 @@ def test_transition_table_simple():
     table = build_transition_table([A, B, A, B])
     assert table.states == (A, B)
     assert table.successor == {A: B, B: A}
-    assert table.conflicts == ()
+    assert len(table.conflicts) == 0
     assert table.dangling is None
-    assert table.next_index() == {0: 1, 1: 0}
+    assert table.succ.tolist() == [1, 0]
 
 
 def test_transition_table_conflict():
@@ -73,7 +75,8 @@ def test_transition_table_conflict():
     A, B, C = states(g, [0], [1], [2])
     table = build_transition_table([A, B, A, C])
     assert table.successor[A] == B  # first occurrence wins
-    assert table.conflicts == ((A, 2, C),)
+    assert len(table.conflicts) == 1
+    assert table.conflicts.examples == ((A, 2, C),)
     # C is first seen at the final position: no outgoing observation, so it
     # is excluded from states; the chain cannot reach it (only the
     # conflicted observation pointed there), hence nothing dangles.
@@ -84,16 +87,66 @@ def test_transition_table_conflict():
     assert table2.dangling == C
 
 
+def oracle_table(shadow):
+    """The per-state loop: the earliest occurrence fixes each successor."""
+    states, successor, conflicts = [], {}, []
+    for t in range(len(shadow) - 1):
+        s, nxt = shadow[t], shadow[t + 1]
+        if s not in successor:
+            successor[s] = nxt
+            states.append(s)
+        elif successor[s] != nxt:
+            conflicts.append((s, t, nxt))
+    dangling = next((s for s in successor.values() if s not in successor), None)
+    return states, successor, conflicts, dangling
+
+
+def test_transition_table_matches_loop_oracle():
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        g = GridSpec(K=int(rng.integers(1, 6)), d=int(rng.integers(1, 3)))
+        n = int(rng.integers(2, 60))
+        shadow = [GridState(rng.integers(0, g.K + 1, g.d), g) for _ in range(n)]
+        states, successor, conflicts, dangling = oracle_table(shadow)
+        table = build_transition_table(shadow)
+        assert list(table.states) == states
+        assert table.successor == successor
+        assert len(table.conflicts) == len(conflicts)
+        assert table.conflicts.examples == tuple(conflicts[:CONFLICT_EXAMPLES])
+        assert table.dangling == dangling
+
+
+def test_transition_table_counts_conflicts_keeps_first_examples():
+    g = GridSpec(K=4, d=1)
+    A, B, C = states(g, [0], [1], [2])
+    shadow = [A, B] + [A, C] * 8 + [A]
+    table = build_transition_table(shadow)
+    assert len(table.conflicts) == 8
+    assert table.conflicts.examples == tuple((A, t, C) for t in (2, 4, 6, 8, 10))
+
+
+def test_transition_table_beyond_int64_codes():
+    # (K+1)^d > 2^63: states are told apart by their rows, not by codes
+    g = GridSpec(K=2 ** 40, d=2)
+    A, B, C = states(g, [0, 2 ** 40], [2 ** 40, 0], [7, 7])
+    table = build_transition_table([A, B, C, B, C, B])
+    assert table.states == (A, B, C)
+    assert table.successor == {A: B, B: C, C: B}
+    chain = build_chain(table, A, 5)
+    assert (chain.pre_period, chain.period) == (1, 2)
+    assert list(chain.seq) == [A, B, C]
+
+
 def test_rotation_shadow_is_4cycle_at_K2():
     # The 4-cycle orbit lies exactly on the K=2 grid {-1,0,1}.
     m = ar_map([0.0, -1.0])
     g = GridSpec(K=2, d=2)
     orbit, shadow, table, chain = run_pipeline(m, Point([1.0, 0.0]), g, 8)
-    assert table.conflicts == ()
+    assert len(table.conflicts) == 0
     assert table.n_states == 4
     assert (chain.pre_period, chain.period) == (0, 4)
     # chain equals the shadow for as long as the shadow runs
-    assert chain.y_star == tuple(shadow)
+    assert [chain.state_at(t) for t in range(len(shadow))] == list(shadow)
 
 
 def test_rotation_shadow_at_K1_has_conflicts():
@@ -112,7 +165,7 @@ def test_build_chain_examples():
     table = build_transition_table([A, B, A, B])
     chain = build_chain(table, A, 7)
     assert (chain.pre_period, chain.period) == (0, 2)
-    assert [s.indices[0] for s in chain.y_star] == [0, 1, 0, 1, 0, 1, 0, 1]
+    assert [chain.state_at(t).indices[0] for t in range(8)] == [0, 1, 0, 1, 0, 1, 0, 1]
     table = build_transition_table([A, B, C, B, C])
     chain = build_chain(table, A, 5)
     assert (chain.pre_period, chain.period) == (1, 2)
@@ -138,7 +191,7 @@ def test_chain_periodicity_on_window():
     chain = build_chain(table, A, 20)
     T, L = chain.pre_period, chain.period
     assert (T, L) == (1, 3)
-    ys = chain.y_star
+    ys = [chain.state_at(t) for t in range(21)]
     for t in range(T, 20 - L + 1):
         assert ys[t + L] == ys[t]
 
@@ -148,8 +201,9 @@ def test_detect_cycle_examples():
     assert detect_cycle([9, 9, 9]) == (0, 1)
     with pytest.raises(NoCycleWithinHorizon):
         detect_cycle([1, 2, 3, 4])
-    assert try_detect_cycle([1, 2, 3]) is None
-    assert try_detect_cycle([1, 2, 1]) == (0, 2)
+    with pytest.raises(NoCycleWithinHorizon):
+        detect_cycle([1, 2, 3])
+    assert detect_cycle([1, 2, 1]) == (0, 2)
 
 
 def oracle_first_repeat(seq):
@@ -219,6 +273,18 @@ def test_pipeline_deterministic():
     assert a[3].seq == b[3].seq              # chains bit-identical
     assert (a[3].pre_period, a[3].period) == (b[3].pre_period, b[3].period)
     assert a[2].n_states <= g.state_count    # N <= (K+1)^d
+
+
+def test_pipeline_memory_per_sample():
+    # orbit, shadow, table and chain at 2*10^5 samples of a 2-d map
+    H = 200_000
+    tracemalloc.start()
+    try:
+        run_pipeline(ar_map([1.5297, -1.0]), Point([0.9, 0.688]), GridSpec(K=64, d=2), H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (H + 1) <= 150
 
 
 def test_census_report_stats():
