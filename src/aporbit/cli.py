@@ -120,12 +120,13 @@ class _Out:
         return target
 
 
-def _array_rows(n: int, block):
-    """CSV rows [t, *block(a, b)[t - a]] for t = 0..n-1, where block(a, b)
-    returns the rows a..b-1 as a 2-d array.  Blocks pass through .tolist(),
-    so the values print as the shortest repr of Python floats."""
-    for a in range(0, n, CSV_BLOCK):
-        b = min(a + CSV_BLOCK, n)
+def _array_rows(start: int, stop: int, block):
+    """CSV rows [t, *block(a, b)[t - a]] for t = start..stop-1, where
+    block(a, b) returns the rows for t = a..b-1 as a 2-d array.  Blocks
+    pass through .tolist(), so the values print as the shortest repr of
+    Python floats."""
+    for a in range(start, stop, CSV_BLOCK):
+        b = min(a + CSV_BLOCK, stop)
         for t, row in enumerate(block(a, b).tolist(), a):
             yield [t, *row]
 
@@ -154,7 +155,7 @@ def cmd_run(args) -> int:
             + [f"ybar_{i+1}" for i in range(m.d)]
             + [f"ystar_{i+1}" for i in range(m.d)]
         )
-        rows = _array_rows(horizon + 1, lambda a, b: np.hstack(
+        rows = _array_rows(0, horizon + 1, lambda a, b: np.hstack(
             [ys[a:b], shadow[a:b].nodes(), chain.values(a, b - 1)]))
         out.write_csv("orbit.csv", header, rows)
     summary = chain.summary()
@@ -163,10 +164,8 @@ def cmd_run(args) -> int:
     out.write_json("trig.json", form.to_json(), config)
     if args.emit_curve:
         T, L = chain.pre_period, chain.period
-        rows = [
-            [t] + list(spectral.eval_trig(form, t))
-            for t in range(T, T + 3 * L + 1)
-        ]
+        curve = spectral.eval_trig_range(form, T, T + 3 * L)
+        rows = _array_rows(T, T + 3 * L + 1, lambda a, b: curve[a - T : b - T])
         out.write_csv(
             "trig_curve.csv", ["t"] + [f"v_{i+1}" for i in range(m.d)], rows
         )
@@ -188,7 +187,7 @@ def cmd_verify(args) -> int:
     report = analysis.verify_error_bound(m, y0, args.K, args.horizon, lipschitz=lip)
     out.write_json("verify.json", report.to_json(), config)
     if not args.json_only:
-        rows = _array_rows(args.horizon + 1, lambda a, b: np.column_stack(
+        rows = _array_rows(0, args.horizon + 1, lambda a, b: np.column_stack(
             [report.actual[a:b], report.bound[a:b]]))
         out.write_csv("verify.csv", ["t", "actual", "bound"], rows)
     status = "pass" if report.passed else "VIOLATION"

@@ -42,53 +42,41 @@ class TrigForm:
         }
 
 
-def _reduced_angles(m: int, ts, L: int) -> np.ndarray:
-    # Angles 2 pi m t / L with the integer product reduced mod L first,
-    # so precision does not degrade for large t.
-    ts = np.asarray(ts, dtype=np.int64)
-    return 2.0 * np.pi * ((m * ts) % L) / L
-
-
 def fit_trig_samples(values: np.ndarray, pre_period: int, period: int) -> TrigForm:
     """Fit one period of samples values[u] = y(T+u), u = 0..L-1.
 
-    Direct O(L^2) Fourier summation; the phase shift by T is folded into
-    the coefficients exactly (integer modular reduction of m*T).
+    One real FFT over the period gives, in O(L log L), the cosine and
+    sine sums (2/L) sum_u y(T+u) cos|sin(2 pi m u / L) of every harmonic.
+    b_0 is the sample mean, and the Nyquist term (even L) has weight 1/L
+    and no sine part.  The phase shift by T is folded into the
+    coefficients exactly: the angle uses the integer (m*T) mod L.
     """
     values = np.asarray(values, dtype=float)
     L = period
     T = pre_period
     if values.ndim != 2 or values.shape[0] != L:
         raise ValueError(f"need samples of shape (L, d), got {values.shape}")
-    d = values.shape[1]
     M = L // 2
-    a = np.zeros((M + 1, d))
-    b = np.zeros((M + 1, d))
-    us = np.arange(L, dtype=np.int64)
-    for m in range(M + 1):
-        ang = _reduced_angles(m, us, L)
-        if m == 0:
-            alpha_c = values.mean(axis=0)
-            alpha_s = np.zeros(d)
-        elif 2 * m == L:
-            alpha_c = (np.cos(ang) @ values) / L  # cos(pi*u) = +/-1 exactly
-            alpha_s = np.zeros(d)
-        else:
-            alpha_c = (np.cos(ang) @ values) * (2.0 / L)
-            alpha_s = (np.sin(ang) @ values) * (2.0 / L)
-        # Fold the shift by T:  cos(th(t-T)) and sin(th(t-T)) expand into
-        # cos(th t), sin(th t) with a rotation by phi = 2 pi m T / L.
-        shift = (m * T) % L
-        if m == 0:
-            b[m] = alpha_c
-        elif 2 * m == L:
-            # For integer T the sine part vanishes; shift is 0 or L/2.
-            b[m] = alpha_c if shift == 0 else -alpha_c
-        else:
-            phi = 2.0 * np.pi * shift / L
-            c, s = np.cos(phi), np.sin(phi)
-            b[m] = alpha_c * c - alpha_s * s
-            a[m] = alpha_c * s + alpha_s * c
+    spectrum = np.fft.rfft(values, axis=0)  # sum_u y e^(-2 pi i m u / L)
+    alpha_c = spectrum.real * (2.0 / L)
+    alpha_s = -spectrum.imag * (2.0 / L)
+    alpha_c[0] = values.mean(axis=0)
+    alpha_s[0] = 0.0
+    nyquist = L % 2 == 0
+    if nyquist:
+        alpha_c[M] = spectrum[M].real / L
+        alpha_s[M] = 0.0
+    # Fold the shift by T:  cos(th(t-T)) and sin(th(t-T)) expand into
+    # cos(th t), sin(th t) with a rotation by phi = 2 pi m T / L.  For the
+    # zero and Nyquist terms the shift is 0 or L/2, so phi is 0 or pi.
+    shift = np.arange(M + 1, dtype=np.int64) * (T % L) % L
+    phi = (2.0 * np.pi * shift / L)[:, None]
+    c, s = np.cos(phi), np.sin(phi)
+    b = alpha_c * c - alpha_s * s
+    a = alpha_c * s + alpha_s * c
+    if nyquist:
+        a[M] = 0.0
+        b[M] = alpha_c[M] if shift[M] == 0 else -alpha_c[M]
     return TrigForm(period=L, phase_origin=T, harmonics=M, a=a, b=b)
 
 
@@ -105,19 +93,29 @@ def fit_trig(chain: ChainResult) -> TrigForm:
 
 def eval_trig(form: TrigForm, t: int) -> np.ndarray:
     """Evaluate the finite sum at integer t >= T; returns a length-d vector."""
-    if t < form.phase_origin:
-        raise BeforePhaseOrigin(
-            f"t={t} is before the phase origin T={form.phase_origin}"
-        )
-    L = form.period
-    ms = np.arange(form.harmonics + 1, dtype=np.int64)
-    ang = 2.0 * np.pi * ((ms * int(t)) % L) / L
-    return np.sin(ang) @ form.a + np.cos(ang) @ form.b
+    return eval_trig_range(form, t, t)[0]
 
 
 def eval_trig_range(form: TrigForm, t_start: int, t_end: int) -> np.ndarray:
-    """eval_trig over t_start..t_end inclusive, shape (n, d)."""
-    return np.array([eval_trig(form, t) for t in range(t_start, t_end + 1)])
+    """The finite sum at t = t_start..t_end inclusive (t_start >= T), shape (n, d).
+
+    One inverse real FFT of the coefficients gives the sum at t = 0..L-1,
+    which every other t reads back at t mod L: an exact integer reduction,
+    so precision does not degrade for large t.
+    """
+    if t_start < form.phase_origin:
+        raise BeforePhaseOrigin(
+            f"t={t_start} is before the phase origin T={form.phase_origin}"
+        )
+    L = form.period
+    # y(t) = sum_m b_m cos(th t) + a_m sin(th t) = irfft of X_m = (L/2)(b_m - i a_m),
+    # with weight L (not L/2) on the zero and Nyquist terms.
+    spectrum = (form.b - 1j * form.a) * (L / 2.0)
+    spectrum[0] = form.b[0] * L
+    if L % 2 == 0:
+        spectrum[L // 2] = form.b[L // 2] * L
+    one_period = np.fft.irfft(spectrum, n=L, axis=0)
+    return one_period[np.arange(t_start, t_end + 1, dtype=np.int64) % L]
 
 
 def parseval_gap(form: TrigForm, values: np.ndarray) -> float:

@@ -2,13 +2,17 @@
 
 import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from aporbit import (
+    ChainResult,
     GridSpec,
     GridState,
+    GridStates,
     Point,
     ar_map,
     build_chain,
@@ -26,7 +30,8 @@ from aporbit import (
     tail_convergence,
     verify_error_bound,
 )
-from aporbit.errors import NotPeriodic, Overflow
+from aporbit.analysis import SUP_BLOCK
+from aporbit.errors import DimensionMismatch, NotPeriodic, Overflow
 
 
 def test_bound_worked_values():
@@ -311,3 +316,72 @@ def test_sup_difference_requires_certificates():
     )
     with pytest.raises(NotPeriodic):
         sup_difference(fake, c, 0, 0)
+
+
+def stepwise_sup(chain_j, chain_jp1, T_prime_jp1):
+    """Oracle: the per-step walk over the inclusive lcm window."""
+    window = math.lcm(chain_j.period, chain_jp1.period)
+    sup = 0.0
+    for t in range(window + 1):
+        diff = chain_jp1.value_at(t + T_prime_jp1) - chain_j.value_at(t + T_prime_jp1)
+        sup = max(sup, float(np.linalg.norm(diff)))
+    return sup
+
+
+def random_chain(rng, K, d, pre_period, period):
+    g = GridSpec(K=K, d=d)
+    indices = rng.integers(0, K + 1, (pre_period + period, d)).astype(np.int64)
+    return ChainResult(grid=g, seq=GridStates(indices, g), pre_period=pre_period,
+                       period=period, horizon=pre_period + period)
+
+
+def aligned_pair(rng, K, d, L_j, L_jp1):
+    c_j = random_chain(rng, K, d, int(rng.integers(0, 6)), L_j)
+    c_jp1 = random_chain(rng, K, d, int(rng.integers(0, 6)), L_jp1)
+    T_j, T_jp1 = reselect_T([c_j.pre_period, c_jp1.pre_period], [L_j, L_jp1])
+    return c_j, c_jp1, T_j, T_jp1
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sup_difference_equals_stepwise_walk(d):
+    rng = np.random.default_rng(100 + d)
+    for _ in range(8):
+        L_j, L_jp1 = (int(x) for x in rng.integers(1, 101, 2))
+        assert math.lcm(L_j, L_jp1) <= 10 ** 4
+        K = int(rng.choice([3, 64, 1000]))
+        c_j, c_jp1, T_j, T_jp1 = aligned_pair(rng, K, d, L_j, L_jp1)
+        assert sup_difference(c_j, c_jp1, T_j, T_jp1) == stepwise_sup(c_j, c_jp1, T_jp1)
+
+
+def test_sup_difference_across_a_block_boundary():
+    rng = np.random.default_rng(257)
+    c_j, c_jp1, T_j, T_jp1 = aligned_pair(rng, 512, 2, 257, 263)
+    assert math.lcm(257, 263) == 67591 > SUP_BLOCK
+    assert sup_difference(c_j, c_jp1, T_j, T_jp1) == stepwise_sup(c_j, c_jp1, T_jp1)
+
+
+def test_sup_difference_dimension_mismatch():
+    rng = np.random.default_rng(3)
+    with pytest.raises(DimensionMismatch):
+        sup_difference(random_chain(rng, 4, 1, 0, 2), random_chain(rng, 4, 2, 0, 2), 0, 0)
+
+
+def test_sup_difference_long_window_time_and_memory():
+    # coprime periods: an lcm window of 1,005,973 steps
+    rng = np.random.default_rng(997)
+    c_j, c_jp1, T_j, T_jp1 = aligned_pair(rng, 4096, 3, 997, 1009)
+    start = time.perf_counter()
+    sup = sup_difference(c_j, c_jp1, T_j, T_jp1)
+    assert time.perf_counter() - start < 1.0
+    tracemalloc.start()
+    try:
+        assert sup_difference(c_j, c_jp1, T_j, T_jp1) == sup
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    # every pair of cycle positions meets in a coprime window
+    nodes_j = c_j.values(T_j, T_j + 996)
+    nodes_jp1 = c_jp1.values(T_jp1, T_jp1 + 1008)
+    pair = nodes_jp1[:, None, :] - nodes_j[None, :, :]
+    assert sup == pytest.approx(math.sqrt(np.max(np.sum(pair * pair, axis=2))), rel=1e-12)

@@ -309,3 +309,59 @@ def test_spec_from_roots_round_trip():
     for t in range(61):
         expected = 0.4 * 0.5 ** t + 0.3 * (-0.25) ** t
         assert z[t] == pytest.approx(expected, abs=1e-12)
+
+
+def remainder_bound_holds(spec, dec, horizon):
+    """Oracle: |z - ap| <= sum_j |a_j| t^k |mu_j|^t + 1e-9 for d <= t <= horizon."""
+    z = recursion(spec, horizon)
+    ap, _ = split(dec)
+    rest = dec.decay_terms + dec.transient_terms
+    for t in range(spec.d, horizon + 1):
+        allowed = sum(abs(term.coeff * term.basis_at(t)) for term in rest)
+        if abs(z[t] - ap(t)) > allowed + 1e-9:
+            return False
+    return True
+
+
+EXACT_REMAINDERS = pytest.mark.parametrize("roots, coeffs", [
+    # R(0) = 0.3 - 0.3 cancels, so |R(0)| rho^t bounds nothing
+    ([(0.5, 1), (-0.5, 1)], [0.3, -0.3]),
+    # t 0.9^t outgrows any C 0.9^t fitted at t = 0
+    ([(0.9, 2)], [0.1, 0.5]),
+    # the same remainder under a unit-circle pair
+    ([(1j, 1), (-1j, 1), (0.5, 1), (-0.5, 1)], [0.2, 0.2, 0.3, -0.3]),
+])
+
+
+@EXACT_REMAINDERS
+def test_exact_decomposition_meets_true_remainder_bound(roots, coeffs):
+    spec = spec_from_roots(roots, coeffs)
+    dec = solve_coefficients(spec)
+    assert verify_decomposition(spec, dec, horizon=200).closed_form_max_error <= 1e-12
+    assert remainder_bound_holds(spec, dec, 200)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known fault: convergence_ok tests |R(0)| rho^t, which is not a bound"))
+@EXACT_REMAINDERS
+def test_verify_decomposition_accepts_exact_remainders(roots, coeffs):
+    spec = spec_from_roots(roots, coeffs)
+    assert verify_decomposition(spec, solve_coefficients(spec), horizon=200).convergence_ok
+
+
+def test_verify_decomposition_flags_a_wrong_split():
+    # shrink the decaying coefficients: ap + R no longer reproduces z
+    spec = spec_from_roots([(1j, 1), (-1j, 1), (0.9, 2)], [0.2, 0.2, 0.1, 0.5])
+    dec = solve_coefficients(spec)
+    damped = type(dec)(
+        terms=tuple(
+            term if term.kind == "unit" else type(term)(
+                mu=term.mu, power=term.power, coeff=term.coeff / 2, kind=term.kind)
+            for term in dec.terms
+        ),
+        classification=dec.classification,
+        condition=dec.condition,
+        solve_residual=dec.solve_residual,
+    )
+    assert not remainder_bound_holds(spec, damped, 200)
+    assert not verify_decomposition(spec, damped, horizon=200).convergence_ok

@@ -65,12 +65,12 @@ GOLDEN = {
     'run_ar': {
         'chain.json': '1a078cae9106bca103b5a3969557db109f2e7b77f9fd3c1b59de77ef98aaf30e',
         'orbit.csv': '74dbab633f49e19f708025df55f38971ab212dd6d1156a6fc9846c4e0023d621',
-        'trig.json': '7f2f2b29997762ba2fbd2613ccb34666bab384d3608912b98d22a0c72050b54b',
+        'trig.json': '2eb5fbe456c5efd5489af0cfd0d1a151aac74b9bef526bcc6283cf2567e0a09b',
     },
     'run_builtin': {
         'chain.json': '7dbd52be99a9fe67ad2d1ceda36464ca2a5f15c1b00d4339f89e931bd6f5a5d5',
         'orbit.csv': '3fa46d9d56737f4648e35d5b5624f9ff528f2c4fe4219bac2959bc24155c4002',
-        'trig.json': '9cbd72b4f987537dd6cb5368885c8bca9fbc6fd1a8b3690363fbb55627e42990',
+        'trig.json': '9352b99292170dcb55e328879c60030e0e3d01474746fdfb697e2632247e5d91',
     },
     'run_conflicts': {
         'chain.json': '00cfcac8ebce1cd9f91c3d3d85f026c0e9fb0bd97dd3c627b90e2634f8f7e4d7',
@@ -80,23 +80,23 @@ GOLDEN = {
     'run_curve': {
         'chain.json': 'f9b098fd711d6146a125d6387908f8587ab89669c3e1426448cbb11afaba602b',
         'orbit.csv': '8ca9c5f75a9b18bc362738b0a66c8f5dd95ad803eb0c3cb35b85434afad2eb4c',
-        'trig.json': '543c7a0f6a1b232ecd37d6925954b766c1e5574cb8515656984f9596570bc9dd',
-        'trig_curve.csv': 'ac8d027dcc26b2762b04977b0609aa18b86db06601623fac7a02b55fe58dd2cf',
+        'trig.json': '3bd292d5fa48e1cf387a2ba3448d058484de5f014a5d0f73de93c3ae87189f34',
+        'trig_curve.csv': '3c691135f03aac2c32bc761af25fe14a58f9b21d87b9dc1aa59695aa2b90414c',
     },
     'run_delay': {
         'chain.json': '3b24bfa5da3beaf2b7b4d8a2bd676e547333407b297a685a58adb989637c8a44',
         'orbit.csv': '277d591982a52de1b579ff256c0af355c3aab1125c7278f7c5e93f4937e09dd2',
-        'trig.json': 'ca6eb1b024c26a90b27169041355c057f311be2d6ea91220e298aba136989100',
+        'trig.json': '32757627c4c1c35d112a6a43047d8dab164d254115df69082c60fed25736df06',
     },
     'run_expr': {
         'chain.json': '7c53f82c82c6a2b4ba585305f9b3b405ed4fb55179b203d05c3b763cbfd98025',
         'orbit.csv': 'ebeb9f629da561dd7f16a498a173f515c329a32f4d854d0df46abf96d5539189',
-        'trig.json': '698bb2032b834f798e7dc26745dfddd447dfd8a9ff720e5f3af2723d205135f6',
+        'trig.json': '36a2eced24ed791b94dd8eed997d628d9e77fa98684113bf6ecfc12cd748944b',
     },
     'run_long': {
         'chain.json': '3eba164cbe66023c101f6b302afd64b2c7e0951e638d672262597cf29ebaf43a',
         'orbit.csv': 'c73dec1487a135090fea9b6d36de9137d4c473cca53b0f590eb399e6f63c33e8',
-        'trig.json': 'a441e1fc8a08f9ff3f8f91ce45fc092685db2b000e39a97e21613fdb4d9cab9d',
+        'trig.json': 'd72a4f549313bc01ad6e23ac77885a3bfc132e922fa39ca3418369a46cfeaf18',
     },
     'run_tie': {
         'chain.json': 'a382828d541af9f403e7b7f8fcade3bcf71ca726d2dae8ed0bbe6cb3a5a77ec3',

@@ -1,5 +1,7 @@
 """Trigonometric representation of periodic chains."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,39 @@ from aporbit import (
     parseval_gap,
 )
 from aporbit.errors import BeforePhaseOrigin, NotPeriodic
+
+
+def direct_fit(values, T, L):
+    """Oracle: O(L^2) direct Fourier sums with the exact integer phase fold."""
+    values = np.asarray(values, dtype=float)
+    d = values.shape[1]
+    M = L // 2
+    a = np.zeros((M + 1, d))
+    b = np.zeros((M + 1, d))
+    us = np.arange(L, dtype=np.int64)
+    for m in range(M + 1):
+        ang = 2.0 * np.pi * ((m * us) % L) / L
+        if m == 0:
+            b[0] = values.mean(axis=0)
+            continue
+        alpha_c = np.cos(ang) @ values
+        if 2 * m == L:
+            b[m] = (alpha_c if (m * T) % L == 0 else -alpha_c) / L
+            continue
+        alpha_c = alpha_c * (2.0 / L)
+        alpha_s = (np.sin(ang) @ values) * (2.0 / L)
+        phi = 2.0 * np.pi * ((m * T) % L) / L
+        c, s = np.cos(phi), np.sin(phi)
+        b[m] = alpha_c * c - alpha_s * s
+        a[m] = alpha_c * s + alpha_s * c
+    return a, b
+
+
+def direct_eval(form, t):
+    """Oracle: the finite sum at one t, angles reduced mod L in integers."""
+    ms = np.arange(form.harmonics + 1, dtype=np.int64)
+    ang = 2.0 * np.pi * ((ms * t) % form.period) / form.period
+    return np.sin(ang) @ form.a + np.cos(ang) @ form.b
 
 
 def chain_from_indices(index_lists, K, horizon=None):
@@ -135,3 +170,58 @@ def test_nyquist_sine_is_zero_for_even_period():
             form = fit_trig_samples(values, T, L)
             assert np.all(form.a[L // 2] == 0.0)
             assert np.all(form.a[0] == 0.0)
+
+
+def random_cases(seed, count):
+    rng = np.random.default_rng(seed)
+    Ls = [1, 2, 3, 4, 511, 512] + [int(x) for x in rng.integers(1, 513, count)]
+    for L in Ls:
+        T = int(rng.integers(0, 3 * L + 1))
+        d = int(rng.integers(1, 4))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        yield L, T, rng.uniform(-scale, scale, (L, d))
+
+
+def test_fft_fit_matches_direct_sum():
+    for L, T, values in random_cases(31, 40):
+        form = fit_trig_samples(values, T, L)
+        a, b = direct_fit(values, T, L)
+        tol = 1e-12 * np.max(np.abs(values))
+        assert np.max(np.abs(form.a - a)) <= tol, (L, T)
+        assert np.max(np.abs(form.b - b)) <= tol, (L, T)
+        assert np.all(form.a[0] == 0.0)
+        if L % 2 == 0:
+            assert np.all(form.a[L // 2] == 0.0)
+
+
+def test_eval_trig_range_matches_direct_sum():
+    for L, T, values in random_cases(32, 40):
+        form = fit_trig_samples(values, T, L)
+        t_end = T + 3 * L
+        curve = eval_trig_range(form, T, t_end)
+        assert curve.shape == (3 * L + 1, values.shape[1])
+        oracle = np.array([direct_eval(form, t) for t in range(T, t_end + 1)])
+        tol = 1e-12 * np.max(np.abs(values))
+        assert np.max(np.abs(curve - oracle)) <= tol, (L, T)
+        for t in (T, T + L // 2, t_end):
+            assert np.array_equal(eval_trig(form, t), curve[t - T])
+
+
+def test_eval_trig_range_before_phase_origin():
+    form = fit_trig_samples(np.ones((3, 1)), 2, 3)
+    with pytest.raises(BeforePhaseOrigin):
+        eval_trig_range(form, 1, 5)
+
+
+def test_large_period_fit_and_curve_under_a_second():
+    rng = np.random.default_rng(40)
+    L, T = 10 ** 5, 17
+    values = rng.uniform(-1, 1, (L, 2))
+    start = time.perf_counter()
+    form = fit_trig_samples(values, T, L)
+    curve = eval_trig_range(form, T, T + 3 * L)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0
+    expected = values[np.arange(3 * L + 1) % L]
+    assert np.max(np.abs(curve - expected)) <= 1e-9
+    assert parseval_gap(form, values) <= 1e-9
