@@ -15,8 +15,6 @@ from .analysis import (
     TailReport,
     build_ladder_plan,
     bounds_for_horizon,
-    chain_error_bound,
-    chain_error_bound_closed,
     check_convergence_condition,
     condition_term,
     lcm_periods,
@@ -36,6 +34,7 @@ from .armodel import (
     char_coefficients,
     classify,
     coefficients_from_roots,
+    eval_terms,
     recursion,
     solve_coefficients,
     spec_from_roots,

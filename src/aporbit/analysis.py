@@ -22,39 +22,17 @@ _LCM_LIMIT = 2 ** 63 - 1
 SUP_BLOCK = 2 ** 16
 
 
-def chain_error_bound(t: int, gamma: float, d: int, K: int) -> float:
-    """Certified bound on |y*(t) - y(t)|:  (2 * sum_{s=1..t} gamma^s + 1) * sqrt(d)/K.
-
-    Computed by the raw geometric sum, which stays valid at gamma = 1
-    where the closed form is singular.
-    """
-    if t < 0 or K < 1 or d < 1 or gamma <= 0:
-        raise ValueError("need t >= 0, gamma > 0, d >= 1, K >= 1")
-    powsum = 0.0
-    term = 1.0
-    for _ in range(t):
-        term *= gamma
-        powsum += term
-    return (2.0 * powsum + 1.0) * math.sqrt(d) / K
-
-
-def chain_error_bound_closed(t: int, gamma: float, d: int, K: int) -> float:
-    """Closed form (2(gamma - gamma^(1-t))/(gamma-1) + gamma^-t) * gamma^t * sqrt(d)/K.
-
-    Equals the raw sum for gamma != 1; kept for cross-checking.  Returns
-    inf, still a valid bound, when a power overflows the float range.
-    """
-    if gamma == 1.0:
-        raise ValueError("closed form is singular at gamma = 1; use chain_error_bound")
-    try:
-        C = 2.0 * (gamma - gamma ** (-t + 1)) / (gamma - 1.0) + gamma ** (-t)
-        return C * gamma ** t * math.sqrt(d) / K
-    except OverflowError:
-        return math.inf
-
-
 def bounds_for_horizon(gamma: float, d: int, K: int, horizon: int) -> np.ndarray:
-    """chain_error_bound for t = 0..horizon, via the incremental raw sum."""
+    """Certified bounds on |y*(t) - y(t)| for t = 0..horizon:
+
+        (2 * sum_{s=1..t} gamma^s + 1) * sqrt(d)/K,
+
+    by the incremental raw geometric sum, which stays valid at gamma = 1
+    where the closed form is singular, and gives inf once it passes the
+    float range.  gamma = 0 is a constant map's Lipschitz constant.
+    """
+    if horizon < 0 or K < 1 or d < 1 or not gamma >= 0:
+        raise ValueError("need horizon >= 0, gamma >= 0, d >= 1, K >= 1")
     out = np.empty(horizon + 1)
     powsum = 0.0
     scale = math.sqrt(d) / K
@@ -79,9 +57,6 @@ class BoundReport:
     conflicts: int
     pre_period: int
     period: int
-    # Raw-sum vs closed-form cross-check: max relative gap over the
-    # horizon; None at gamma = 1, where the closed form is singular.
-    closed_form_gap: float | None = None
 
     @property
     def gamma_is_lower_bound(self) -> bool:
@@ -99,7 +74,6 @@ class BoundReport:
             "conflicts": self.conflicts,
             "T": self.pre_period,
             "L": self.period,
-            "closed_form_gap": self.closed_form_gap,
         }
         if self.gamma_is_lower_bound:
             out["caveat"] = (
@@ -131,15 +105,6 @@ def verify_error_bound(
     bound = bounds_for_horizon(lipschitz.gamma, m.d, K, horizon)
     ratios = actual / bound
     worst = float(np.max(ratios))
-    closed_gap = None
-    if lipschitz.gamma != 1.0:
-        gaps = []
-        for t in range(0, horizon + 1, max(1, horizon // 16)):
-            closed = chain_error_bound_closed(t, lipschitz.gamma, m.d, K)
-            if math.isfinite(closed) and math.isfinite(bound[t]):
-                gaps.append(abs(closed - bound[t]) / bound[t])
-        if gaps:
-            closed_gap = float(max(gaps))
     return BoundReport(
         K=K,
         d=m.d,
@@ -153,7 +118,6 @@ def verify_error_bound(
         conflicts=len(table.conflicts),
         pre_period=chain.pre_period,
         period=chain.period,
-        closed_form_gap=closed_gap,
     )
 
 

@@ -11,15 +11,19 @@ every root either strictly inside the unit circle or simple on it, which
 splits z into an almost periodic part (unit-circle terms, a finite sum of
 complex exponentials with real frequencies) plus a decaying remainder.
 
-Roots come from an Aberth-Ehrlich simultaneous iteration written here;
-multiplicities are recovered by clustering and verified through the
-derivative values at the polished representative.
+Roots are seeded by the companion-matrix eigenvalues (`np.roots`),
+polished by Newton's method, and grouped into multiple roots by
+clustering; a merge is accepted only when the polished representative
+passes the final residual test and its lower derivatives vanish.  One
+array evaluator, `eval_terms`, computes every sum of closed-form terms:
+the closed form itself, its almost periodic part and its remainder, the
+interpolation matrix of the coefficient solve, and the initial data of
+`spec_from_roots`.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +38,6 @@ from .errors import (
 
 UNIT_CIRCLE_TOL = 1e-9
 _RESIDUAL_TOL = 1e-12
-_MAX_ITER = 500
-_RESTARTS = 4
 _MERGE_RADIUS = 5e-3   # widest separation a multiple root's copies can show
 _FINAL_RADIUS = 1e-8   # reporting merge radius
 _DERIV_TOL = 1e-6      # relative derivative size accepted as "vanishes"
@@ -119,52 +121,6 @@ def _residual_scale(coeffs: np.ndarray, z: complex) -> float:
     return max(scale, 1.0)
 
 
-def _aberth(coeffs: np.ndarray, tol: float, rng) -> np.ndarray:
-    """Simultaneous root iteration for a monic complex polynomial."""
-    n = len(coeffs) - 1
-    if n == 0:
-        return np.array([], dtype=complex)
-    if n == 1:
-        return np.array([-coeffs[1] / coeffs[0]], dtype=complex)
-    deriv = _polyder(coeffs)
-    radius = 1.0 + max(abs(c) for c in coeffs[1:])
-    for attempt in range(_RESTARTS):
-        angles = 2.0 * np.pi * np.arange(n) / n + 0.4
-        z = 0.7 * radius * np.exp(1j * angles)
-        if attempt > 0:
-            z = z * (1.0 + 0.2 * rng.random(n)) * np.exp(1j * rng.random(n))
-        for _ in range(_MAX_ITER):
-            p = _polyval(coeffs, z)
-            scales = np.array([_residual_scale(coeffs, zi) for zi in z])
-            if np.all(np.abs(p) <= tol * scales):
-                return z
-            pd = _polyval(deriv, z)
-            pd = np.where(pd == 0, 1e-300, pd)
-            w = p / pd
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, 1.0)
-            near = np.abs(diff) < 1e-14
-            np.fill_diagonal(near, False)
-            if near.any():
-                z = z + 1e-10 * rng.standard_normal(n)
-                continue
-            s = (1.0 / diff).sum(axis=1) - 1.0  # subtract the diagonal 1/1
-            denom = 1.0 - w * s
-            denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
-            step = w / denom
-            z = z - step
-            if np.max(np.abs(step)) < 1e-16 * (1.0 + np.max(np.abs(z))):
-                break
-        p = _polyval(coeffs, z)
-        scales = np.array([_residual_scale(coeffs, zi) for zi in z])
-        if np.all(np.abs(p) <= tol * scales):
-            return z
-    raise RootFindingFailed(
-        f"residual tolerance {tol:g} unreachable within "
-        f"{_RESTARTS} restarts of {_MAX_ITER} iterations"
-    )
-
-
 def _newton_polish(coeffs: np.ndarray, z: complex, steps: int = 50) -> complex:
     deriv = _polyder(coeffs)
     for _ in range(steps):
@@ -192,23 +148,26 @@ def _try_multiple_root(coeffs: np.ndarray, center: complex, m: int):
 
     The (m-1)th derivative has a simple root at a true m-fold root, so
     Newton there reaches machine precision; all lower derivatives must
-    then vanish to rounding.  Returns the polished root or None.
+    then vanish to rounding.  The polynomial itself must meet the final
+    residual budget, so a merge of two distinct close roots, whose
+    midpoint only nearly vanishes, is rejected.  Returns the polished root
+    or None.
     """
     chain = _derivative_chain(coeffs, m - 1)
     rep = _newton_polish(chain[m - 1], center)
     ok = all(
         abs(complex(_polyval(chain[k], rep)))
-        <= _DERIV_TOL * _residual_scale(chain[k], rep)
+        <= (_RESIDUAL_TOL if k == 0 else _DERIV_TOL) * _residual_scale(chain[k], rep)
         for k in range(m)
     )
     return rep if ok else None
 
 
 def _cluster_and_polish(coeffs: np.ndarray, raw: np.ndarray) -> list[tuple[complex, int]]:
-    """Group raw iterates into verified (root, multiplicity) clusters.
+    """Group raw root estimates into verified (root, multiplicity) clusters.
 
-    An m-fold root leaves the solver with m copies spread over a radius
-    like (residual_tol)^(1/m), so no fixed radius separates true clusters
+    An m-fold root leaves the eigenvalue solver with m copies spread over a
+    radius like eps^(1/m), so no fixed radius separates true clusters
     from neighbors.  Instead, agglomerate: repeatedly take the closest
     pair of clusters within the merge radius and accept the merge only if
     the derivative test confirms a genuine multiple root; rejected pairs
@@ -329,8 +288,7 @@ def characteristic_roots(spec: ARSpec, tol: float = _RESIDUAL_TOL) -> RootSet:
     while len(coeffs) > 1 and coeffs[-1] == 0.0:
         coeffs = coeffs[:-1]
         zero_mult += 1
-    rng = np.random.default_rng(1234)
-    raw = _aberth(coeffs.astype(complex), tol, rng)
+    raw = np.roots(coeffs).astype(complex)
     clustered = _cluster_and_polish(coeffs.astype(complex), raw)
     clustered = _symmetrize_conjugates(clustered)
     clustered = [(complex(mu), m) for mu, m in clustered]
@@ -357,6 +315,24 @@ def classify(roots: RootSet, circle_tol: float = UNIT_CIRCLE_TOL) -> str:
     return "bounded"
 
 
+def eval_terms(coeff, mu, power, kind, t):
+    """sum_j coeff_j * t^power_j * mu_j^t at integer t, as complex.
+
+    `coeff`, `mu`, `power` and `kind` run over the terms (a scalar applies
+    to every term).  `t` is an int or an int array, negative values
+    allowed, and the result has its shape.  A term of kind "transient" (a
+    zero root) is 1 at t = power and 0 elsewhere; every other kind is the
+    power term.  A 2-d `coeff` sums each of its columns, so the identity
+    matrix gives the basis functions themselves.
+    """
+    t = np.asarray(t)[..., None]
+    power = np.asarray(power)
+    transient = np.asarray(kind) == "transient"
+    mu = np.where(transient, 1.0, np.asarray(mu, dtype=complex))
+    basis = np.where(transient, t == power, t.astype(float) ** power * mu ** t)
+    return basis @ np.asarray(coeff, dtype=complex)
+
+
 @dataclass(frozen=True)
 class Term:
     """One closed-form basis term a * t^power * mu^t.
@@ -371,11 +347,6 @@ class Term:
     coeff: complex
     kind: str
 
-    def basis_at(self, t: int) -> complex:
-        if self.kind == "transient":
-            return 1.0 + 0.0j if t == self.power else 0.0 + 0.0j
-        return (t ** self.power) * self.mu ** t
-
     def to_json(self):
         return {
             "mu_re": self.mu.real,
@@ -385,6 +356,14 @@ class Term:
             "coeff_im": self.coeff.imag,
             "kind": self.kind,
         }
+
+
+def _term_arrays(terms):
+    """(coeff, mu, power, kind) arrays of a sequence of Terms."""
+    return tuple(
+        np.array([getattr(term, name) for term in terms])
+        for name in ("coeff", "mu", "power", "kind")
+    )
 
 
 @dataclass(frozen=True)
@@ -411,14 +390,9 @@ class ARDecomposition:
         """Largest modulus among decaying roots (0 if none)."""
         return max((abs(t.mu) for t in self.decay_terms), default=0.0)
 
-    def evaluate(self, t: int) -> float:
-        total = 0.0 + 0.0j
-        for term in self.terms:
-            total += term.coeff * term.basis_at(t)
-        return float(total.real)
-
-    def evaluate_complex(self, t: int) -> complex:
-        return complex(sum(term.coeff * term.basis_at(t) for term in self.terms))
+    def evaluate(self, t):
+        """The closed form z(t) at an int or an int array t."""
+        return eval_terms(*_term_arrays(self.terms), t).real
 
     def to_json(self):
         return {
@@ -428,40 +402,6 @@ class ARDecomposition:
             "solve_residual": self.solve_residual,
             "decay_radius": self.decay_radius,
         }
-
-
-def _solve_full_pivot(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense complex solve by Gaussian elimination with full pivoting,
-    followed by one step of iterative refinement."""
-    n = A.shape[0]
-    M = A.astype(complex).copy()
-    rhs = b.astype(complex).copy()
-    col_perm = list(range(n))
-    for k in range(n):
-        sub = np.abs(M[k:, k:])
-        i_rel, j_rel = np.unravel_index(np.argmax(sub), sub.shape)
-        i, j = k + i_rel, k + j_rel
-        if M[i, j] == 0:
-            raise IllConditioned("singular interpolation matrix", math.inf)
-        M[[k, i], :] = M[[i, k], :]
-        rhs[[k, i]] = rhs[[i, k]]
-        M[:, [k, j]] = M[:, [j, k]]
-        col_perm[k], col_perm[j] = col_perm[j], col_perm[k]
-        factor = M[k + 1 :, k] / M[k, k]
-        M[k + 1 :, k:] -= np.outer(factor, M[k, k:])
-        rhs[k + 1 :] -= factor * rhs[k]
-    y = np.zeros(n, dtype=complex)
-    for k in range(n - 1, -1, -1):
-        y[k] = (rhs[k] - M[k, k + 1 :] @ y[k + 1 :]) / M[k, k]
-    x = np.zeros(n, dtype=complex)
-    for k, col in enumerate(col_perm):
-        x[col] = y[k]
-    # One refinement step against the original system.
-    r = b - A @ x
-    if np.max(np.abs(r)) > 0:
-        dx = np.linalg.solve(A, r)
-        x = x + dx
-    return x
 
 
 def _build_terms(roots: RootSet, circle_tol: float) -> list[Term]:
@@ -487,8 +427,8 @@ def solve_coefficients(
 
     Builds the confluent interpolation system over the basis functions
     t^k mu^t (Kronecker deltas for zero roots) at t = 0..d-1 and solves it
-    with full pivoting plus one refinement step.  Refuses unbounded specs
-    and systems with condition estimate above 1e12.
+    with LU (partial pivoting) plus one refinement step.  Refuses unbounded
+    specs and systems with condition estimate above 1e12.
     """
     if roots is None:
         roots = characteristic_roots(spec)
@@ -500,14 +440,13 @@ def solve_coefficients(
     d = spec.d
     terms = _build_terms(roots, circle_tol)
     z_head = recursion(spec, d - 1)
-    A = np.zeros((d, len(terms)), dtype=complex)
-    for t in range(d):
-        for j, term in enumerate(terms):
-            A[t, j] = term.basis_at(t)
+    _, mu, power, kind = _term_arrays(terms)
+    A = eval_terms(np.eye(len(terms)), mu, power, kind, np.arange(d))
     condition = float(np.linalg.cond(A))
     if condition > _COND_LIMIT:
         raise IllConditioned("confluent interpolation system", condition)
-    coeffs = _solve_full_pivot(A, z_head.astype(complex))
+    coeffs = np.linalg.solve(A, z_head)
+    coeffs = coeffs + np.linalg.solve(A, z_head - A @ coeffs)
     solve_residual = float(np.max(np.abs(A @ coeffs - z_head)))
 
     # Conjugate symmetry of the coefficients: a(mu_conj) = conj(a(mu)).
@@ -548,10 +487,8 @@ class AlmostPeriodicSum:
         self.coefficients = tuple(complex(c) for c in coefficients)
 
     def __call__(self, t):
-        total = 0.0 + 0.0j
-        for lam, c in zip(self.frequencies, self.coefficients):
-            total += c * cmath.exp(1j * lam * t)
-        return total.real
+        mu = np.exp(1j * np.array(self.frequencies))
+        return eval_terms(self.coefficients, mu, 0, "unit", t).real
 
     def to_json(self):
         return {
@@ -567,10 +504,7 @@ class DecayingRemainder:
         self.terms = tuple(terms)
 
     def __call__(self, t):
-        total = 0.0 + 0.0j
-        for term in self.terms:
-            total += term.coeff * term.basis_at(t)
-        return total.real
+        return eval_terms(*_term_arrays(self.terms), t).real
 
 
 def split(dec: ARDecomposition) -> tuple[AlmostPeriodicSum, DecayingRemainder]:
@@ -578,7 +512,8 @@ def split(dec: ARDecomposition) -> tuple[AlmostPeriodicSum, DecayingRemainder]:
 
     The almost periodic part collects the unit-circle terms as a real
     trigonometric sum with frequencies arg(mu); the remainder collects
-    everything that vanishes as t grows.
+    everything that vanishes as t grows.  Both evaluate at an int or an
+    int array t.
     """
     freqs = []
     coeffs = []
@@ -617,19 +552,14 @@ def verify_decomposition(
     Convergence fidelity: |z(t) - ap(t)| <= C rho^t for t >= d, with
     rho the largest decay modulus and C fitted at t = 0.
     """
+    ts = np.arange(horizon + 1)
     z = recursion(spec, horizon)
-    closed = np.array([dec.evaluate(t) for t in range(horizon + 1)])
-    closed_err = float(np.max(np.abs(z - closed)))
+    closed_err = float(np.max(np.abs(z - dec.evaluate(ts))))
     ap, rest = split(dec)
     rho = dec.decay_radius
-    C = abs(rest(0))
-    ok = True
-    for t in range(spec.d, horizon + 1):
-        gap = abs(z[t] - ap(t))
-        allowed = C * rho ** t + 1e-9
-        if gap > allowed:
-            ok = False
-            break
+    C = float(abs(rest(0)))
+    late = ts[spec.d:]
+    ok = bool(np.all(np.abs(z[spec.d:] - ap(late)) <= C * rho ** late + 1e-9))
     return DecompositionReport(
         closed_form_max_error=closed_err,
         decay_radius=rho,
@@ -662,32 +592,17 @@ def spec_from_roots(roots, coefficients, scale_to_box: bool = True) -> ARSpec:
     the closed form at t = 0, -1, ..., -d+1 and, when requested, the
     coefficients are rescaled so the initial data fits in [-1,1].
     """
-    flat = []
-    for mu, m in roots:
-        flat.extend([mu] * m)
-    p = coefficients_from_roots(flat)
+    mu = np.array([complex(mu) for mu, m in roots for _ in range(m)])
+    power = [k for _, m in roots for k in range(m)]
+    p = coefficients_from_roots(mu)
     d = len(p)
-    basis = []
-    for mu, m in roots:
-        for k in range(m):
-            basis.append((complex(mu), k))
-    if len(coefficients) != len(basis):
+    if len(coefficients) != len(power):
         raise DimensionMismatch("one coefficient per (root, power) pair required")
-
-    def closed(t):
-        total = 0.0 + 0.0j
-        for (mu, k), a in zip(basis, coefficients):
-            if mu == 0:
-                total += a * (1.0 if t == k else 0.0)
-            else:
-                total += a * (t ** k) * mu ** t
-        return total.real
-
-    init = [closed(-t) for t in range(d)]
+    kind = np.where(mu == 0, "transient", "power")
+    init = eval_terms(coefficients, mu, power, kind, -np.arange(d)).real.tolist()
     if scale_to_box:
         peak = max(abs(v) for v in init)
         if peak > 1.0:
             factor = 1.0 / (peak * (1.0 + 1e-9))
-            coefficients = [a * factor for a in coefficients]
             init = [v * factor for v in init]
     return ARSpec(p=p, initial=init)

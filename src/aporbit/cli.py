@@ -237,10 +237,10 @@ def cmd_ar(args) -> int:
         payload["report"] = report.to_json()
         if not args.json_only:
             ap_part, rest = armodel.split(dec)
-            z = armodel.recursion(spec, args.horizon)
-            rows = [
-                [t, z[t], ap_part(t), rest(t)] for t in range(args.horizon + 1)
-            ]
+            ts = np.arange(args.horizon + 1)
+            curve = np.column_stack(
+                [armodel.recursion(spec, args.horizon), ap_part(ts), rest(ts)])
+            rows = _array_rows(0, args.horizon + 1, lambda a, b: curve[a:b])
             out.write_csv("ar_curve.csv", ["t", "z", "ap", "R"], rows)
     out.write_json("ar.json", payload, config)
     print(f"ar: d={spec.d} {verdict} roots="

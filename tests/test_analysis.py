@@ -19,8 +19,6 @@ from aporbit import (
     build_ladder_plan,
     build_transition_table,
     bounds_for_horizon,
-    chain_error_bound,
-    chain_error_bound_closed,
     check_convergence_condition,
     condition_term,
     expression_map,
@@ -34,38 +32,70 @@ from aporbit.analysis import SUP_BLOCK
 from aporbit.errors import DimensionMismatch, NotPeriodic, Overflow
 
 
+def chain_error_bound(t, gamma, d, K):
+    """Oracle: (2 * sum_{s=1..t} gamma^s + 1) * sqrt(d)/K by the raw sum."""
+    if t < 0 or K < 1 or d < 1 or gamma <= 0:
+        raise ValueError("need t >= 0, gamma > 0, d >= 1, K >= 1")
+    powsum = 0.0
+    term = 1.0
+    for _ in range(t):
+        term *= gamma
+        powsum += term
+    return (2.0 * powsum + 1.0) * math.sqrt(d) / K
+
+
+def chain_error_bound_closed(t, gamma, d, K):
+    """Oracle: (2(gamma - gamma^(1-t))/(gamma-1) + gamma^-t) * gamma^t * sqrt(d)/K,
+    the raw sum for gamma != 1; inf once a power overflows the float range."""
+    if gamma == 1.0:
+        raise ValueError("closed form is singular at gamma = 1")
+    try:
+        C = 2.0 * (gamma - gamma ** (-t + 1)) / (gamma - 1.0) + gamma ** (-t)
+        return C * gamma ** t * math.sqrt(d) / K
+    except OverflowError:
+        return math.inf
+
+
 def test_bound_worked_values():
     # t=0: the empty sum leaves the pure quantization term sqrt(d)/K
-    assert chain_error_bound(0, 3.7, 1, 4) == 0.25
+    assert bounds_for_horizon(3.7, 1, 4, 0).tolist() == [0.25]
     # gamma=2, t=3, d=1, K=1: 2*(2+4+8)+1 = 29, and the closed form agrees
-    assert chain_error_bound(3, 2.0, 1, 1) == 29.0
+    assert bounds_for_horizon(2.0, 1, 1, 3)[3] == 29.0
     assert chain_error_bound_closed(3, 2.0, 1, 1) == pytest.approx(29.0)
     # gamma=1 (closed form singular): raw sum gives (2*5+1)*2/10
-    assert chain_error_bound(5, 1.0, 4, 10) == pytest.approx(2.2)
+    assert bounds_for_horizon(1.0, 4, 10, 5)[5] == pytest.approx(2.2)
     with pytest.raises(ValueError):
         chain_error_bound_closed(5, 1.0, 4, 10)
+    # a constant map has Lipschitz constant 0: the bound is sqrt(d)/K
+    assert bounds_for_horizon(0.0, 4, 10, 3).tolist() == [0.2] * 4
+    for bad in ((1.5, 2, 8, -1), (-0.5, 2, 8, 5), (math.nan, 2, 8, 5),
+                (1.5, 0, 8, 5), (1.5, 2, 0, 5)):
+        with pytest.raises(ValueError):
+            bounds_for_horizon(*bad)
 
 
 def test_bound_raw_vs_closed_agreement():
-    for gamma in (0.5, 1.1, 2.0, 3.0):
+    for gamma in (0.5, 0.9, 1.1, 2.0, 3.0):
+        arr = bounds_for_horizon(gamma, 2, 8, 60)
         for t in range(61):
-            raw = chain_error_bound(t, gamma, 2, 8)
             closed = chain_error_bound_closed(t, gamma, 2, 8)
-            assert abs(raw - closed) <= 1e-9 * closed
+            assert abs(arr[t] - closed) <= 1e-12 * closed
 
 
 def test_bound_monotonicity():
-    base = chain_error_bound(10, 1.5, 2, 8)
-    assert chain_error_bound(11, 1.5, 2, 8) >= base
-    assert chain_error_bound(10, 1.6, 2, 8) >= base
-    assert chain_error_bound(10, 1.5, 3, 8) >= base
-    assert chain_error_bound(10, 1.5, 2, 9) <= base
+    base = bounds_for_horizon(1.5, 2, 8, 11)
+    assert base[11] >= base[10]
+    assert np.all(np.diff(base) >= 0)
+    assert np.all(bounds_for_horizon(1.6, 2, 8, 11) >= base)
+    assert np.all(bounds_for_horizon(1.5, 3, 8, 11) >= base)
+    assert np.all(bounds_for_horizon(1.5, 2, 9, 11) <= base)
 
 
 def test_bounds_for_horizon_matches_scalar():
-    arr = bounds_for_horizon(1.3, 2, 4, 20)
-    for t in range(21):
-        assert arr[t] == pytest.approx(chain_error_bound(t, 1.3, 2, 4), rel=1e-14)
+    for gamma in (0.3, 1.0, 1.3, 2.0):
+        arr = bounds_for_horizon(gamma, 2, 4, 60)
+        for t in range(61):
+            assert arr[t] == pytest.approx(chain_error_bound(t, gamma, 2, 4), rel=1e-14)
 
 
 def test_verify_error_bound_contracting_ar():
@@ -75,13 +105,16 @@ def test_verify_error_bound_contracting_ar():
     assert report.gamma_method == "analytic"
     assert report.conflicts >= 0
     assert report.worst_ratio <= 1.0 + 1e-12
-    # the closed-form cross-check is emitted alongside for gamma != 1
-    assert report.closed_form_gap is not None
-    assert report.closed_form_gap <= 1e-12
-    at_one = verify_error_bound(
-        ar_map([0.0, -1.0]), Point([1.0, 0.0]), K=2, horizon=20
-    )
-    assert at_one.gamma == 1.0 and at_one.closed_form_gap is None
+    assert "closed_form_gap" not in report.to_json()
+    np.testing.assert_array_equal(report.bound, bounds_for_horizon(report.gamma, 1, 8, 50))
+
+
+def test_verify_error_bound_constant_map():
+    # a constant map has sampled gamma 0; the bound stays sqrt(d)/K
+    report = verify_error_bound(expression_map(["0.5"]), Point([0.3]), K=4, horizon=10)
+    assert report.gamma == 0.0
+    assert report.passed
+    assert report.bound.tolist() == [0.25] * 11
 
 
 def test_verify_error_bound_rotation_exact_at_K2():
@@ -192,6 +225,7 @@ def test_condition_geometric_terms():
 def test_powers_beyond_float_range_give_inf():
     assert condition_term(10, 2000, 64, 2.02) == math.inf
     assert chain_error_bound_closed(2000, 2.02, 2, 64) == math.inf
+    assert bounds_for_horizon(2.02, 2, 64, 2000)[-1] == math.inf
     # terms 6*2.02^3 and inf: no budget claim, and no NaN ratio
     plan = build_ladder_plan([4, 8, 16], [0, 0, 0], [2, 3, 1000])
     report = check_convergence_condition(plan, 2.02, budget=1e6)

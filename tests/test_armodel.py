@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aporbit import (
     ARSpec,
@@ -12,6 +13,7 @@ from aporbit import (
     char_coefficients,
     classify,
     coefficients_from_roots,
+    eval_terms,
     recursion,
     solve_coefficients,
     spec_from_roots,
@@ -26,6 +28,18 @@ def poly_at(coeffs, z):
     for c in coeffs:
         out = out * z + c
     return out
+
+
+def basis_oracle(mu, k, kind, t):
+    """t^k mu^t in Python complex arithmetic; a transient is 1 at t = k."""
+    if kind == "transient":
+        return 1.0 if t == k else 0.0
+    return t ** k * mu ** t
+
+
+def term_arrays(terms):
+    return ([x.coeff for x in terms], [x.mu for x in terms],
+            [x.power for x in terms], [x.kind for x in terms])
 
 
 def sorted_roots(rs):
@@ -203,9 +217,8 @@ def test_reality_of_closed_form():
         init = rng.uniform(-1, 1, d)
         spec = ARSpec(p=p, initial=init)
         dec = solve_coefficients(spec)
-        for t in range(0, 201, 7):
-            val = dec.evaluate_complex(t)
-            assert abs(val.imag) <= 1e-10
+        val = eval_terms(*term_arrays(dec.terms), np.arange(0, 201, 7))
+        assert np.max(np.abs(val.imag)) <= 1e-10
 
 
 def test_split_rotation():
@@ -317,7 +330,10 @@ def remainder_bound_holds(spec, dec, horizon):
     ap, _ = split(dec)
     rest = dec.decay_terms + dec.transient_terms
     for t in range(spec.d, horizon + 1):
-        allowed = sum(abs(term.coeff * term.basis_at(t)) for term in rest)
+        allowed = sum(
+            abs(term.coeff * basis_oracle(term.mu, term.power, term.kind, t))
+            for term in rest
+        )
         if abs(z[t] - ap(t)) > allowed + 1e-9:
             return False
     return True
@@ -365,3 +381,135 @@ def test_verify_decomposition_flags_a_wrong_split():
     )
     assert not remainder_bound_holds(spec, damped, 200)
     assert not verify_decomposition(spec, damped, horizon=200).convergence_ok
+
+
+# ------------------------------------------------------------ term evaluator
+
+COEFFS = st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0)
+ANGLES = st.floats(-math.pi, math.pi)
+TERMS = st.one_of(
+    st.tuples(st.just(0j), st.integers(0, 3), st.just("transient")),
+    st.tuples(ANGLES.map(lambda a: cmath.exp(1j * a)), st.integers(0, 3), st.just("unit")),
+    st.tuples(
+        st.builds(lambda r, a: r * cmath.exp(1j * a), st.floats(0.5, 1.5), ANGLES),
+        st.integers(0, 3),
+        st.just("decay"),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(TERMS, COEFFS), max_size=6),
+       st.lists(st.integers(-12, 500), min_size=1, max_size=8))
+def test_eval_terms_matches_per_term_oracle(terms, ts):
+    coeff = [a for _, a in terms]
+    mu, power, kind = ([term[i] for term, _ in terms] for i in range(3))
+    got = eval_terms(coeff, mu, power, kind, np.array(ts))
+    basis = eval_terms(np.eye(len(terms)), mu, power, kind, np.array(ts))
+    assert got.shape == (len(ts),) and basis.shape == (len(ts), len(terms))
+    for i, t in enumerate(ts):
+        each = [basis_oracle(m, k, c, t) for m, k, c in zip(mu, power, kind)]
+        parts = [a * b for a, b in zip(coeff, each)]
+        scale = sum(abs(x) for x in parts)
+        assert abs(got[i] - sum(parts)) <= 1e-12 * scale
+        assert abs(eval_terms(coeff, mu, power, kind, t) - sum(parts)) <= 1e-12 * scale
+        for j, want in enumerate(each):
+            assert abs(basis[i, j] - want) <= 1e-12 * abs(want)
+
+
+def test_array_calls_match_scalar_calls():
+    spec = spec_from_roots([(1j, 1), (-1j, 1), (0.5, 2), (0.0, 1)],
+                           [0.2, 0.2, 0.1, 0.5, 0.3])
+    dec = solve_coefficients(spec)
+    ap, rest = split(dec)
+    ts = np.arange(-3, 40)
+    for f in (dec.evaluate, ap, rest):
+        values = f(ts)
+        assert values.shape == ts.shape
+        for t, v in zip(ts.tolist(), values):
+            assert f(t) == pytest.approx(v, abs=1e-15)
+
+
+# --------------------------------------------------------------- root finder
+
+def test_close_distinct_roots_stay_simple():
+    # 0.5 and 0.502 lie within the merge radius, but their polished
+    # midpoint fails the final residual test, so the merge is rejected
+    p = coefficients_from_roots([0.5, 0.502, -0.3])
+    rs = characteristic_roots(ARSpec(p=p, initial=[0.5, 0.2, -0.1]))
+    roots = sorted_roots(rs)
+    assert [m for _, m in roots] == [1, 1, 1]
+    for (mu, _), want in zip(roots, [-0.3, 0.5, 0.502]):
+        assert abs(mu - want) <= 1e-12
+
+
+MULTIPLE_ROOTS = [
+    [(0.5, 2), (-0.3, 1)],
+    [(0.9, 2)],
+    [(0.7, 3)],
+    [(0.6, 2), (-0.6, 2)],
+    [(0.3, 4)],
+    [(0.5, 1), (0.502, 1), (-0.3, 1)],
+    [(1.0, 2)],
+    [(1j, 1), (-1j, 1), (0.5, 2), (0.0, 1)],
+]
+
+SMALL_JOBS_SHAPES = ((2, 1, False), (3, 0, False), (4, 1, False), (5, 2, False),
+                     (6, 0, False), (8, 2, True), (10, 3, True), (12, 3, True))
+
+
+def small_jobs_roots(rng, order, unit_pairs, unit_real):
+    """Simple roots shaped like the benchmark's small_jobs recurrences:
+    unit-circle pairs, -1 when `unit_real`, and real decaying roots
+    spread over [-0.8, 0.85]."""
+    phis = np.sort(rng.uniform(0.25, math.pi - 0.25, unit_pairs))
+    while unit_pairs > 1 and np.min(np.diff(phis)) < 0.3:
+        phis = np.sort(rng.uniform(0.25, math.pi - 0.25, unit_pairs))
+    roots = []
+    for phi in phis:
+        roots += [cmath.exp(1j * phi), cmath.exp(-1j * phi)]
+    if unit_real:
+        roots.append(-1.0 + 0j)
+    n = order - len(roots)
+    spread = np.linspace(-0.8, 0.85, n) + rng.uniform(-0.04, 0.04, n)
+    return roots + [complex(mu) for mu in spread]
+
+
+def root_corpus():
+    """[(mu, multiplicity), ...] per recurrence: the criterion 6 draws of
+    the acceptance suite, seeded small_jobs shapes and multiple roots."""
+    from test_acceptance import draw_disk_roots
+
+    corpus = []
+    rng = np.random.default_rng(99)
+    for d in (1, 2, 3, 4):
+        for _ in range(50):
+            corpus.append([(mu, 1) for mu in draw_disk_roots(rng, d)])
+            rng.uniform(-1, 1, d)  # criterion 6's initial data, kept for its stream
+    rng = np.random.default_rng(6)
+    for _ in range(5):
+        for shape in SMALL_JOBS_SHAPES:
+            corpus.append([(mu, 1) for mu in small_jobs_roots(rng, *shape)])
+    return corpus + MULTIPLE_ROOTS
+
+
+def test_roots_match_mpmath_at_50_digits():
+    mpmath = pytest.importorskip("mpmath")
+    for roots in root_corpus():
+        p = coefficients_from_roots([mu for mu, m in roots for _ in range(m)])
+        spec = ARSpec(p=p, initial=np.zeros(len(p)))
+        rs = characteristic_roots(spec)
+        with mpmath.workdps(50):
+            exact = mpmath.polyroots([float(c) for c in char_coefficients(spec)],
+                                     maxsteps=500, extraprec=200)
+        exact = [complex(r) for r in exact]
+        assert len(rs.roots) == len(roots), p
+        for mu, m in roots:
+            found, found_m = min(rs.roots, key=lambda rm: abs(rm[0] - mu))
+            assert found_m == m, (p, mu)
+            if m == 1:
+                err = min(abs(found - r) for r in exact)
+                assert err <= 1e-12 * max(1.0, abs(found)), (p, mu, err)
+        bounded = all(abs(mu) < 1 - 1e-9 or (abs(abs(mu) - 1) <= 1e-9 and m == 1)
+                      for mu, m in roots)
+        assert classify(rs) == ("bounded" if bounded else "unbounded"), p

@@ -3,7 +3,10 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from aporbit.cli import main
@@ -143,6 +146,18 @@ def test_ar_decomposition(tmp_path):
     assert len(rows) == 102
 
 
+def test_ar_close_distinct_roots(tmp_path):
+    # roots {0.5, 0.502, -0.3} lie within the root finder's merge radius
+    p = [float(-c) for c in np.poly([0.5, 0.502, -0.3])[1:]]
+    spec_path = tmp_path / "close.json"
+    spec_path.write_text(json.dumps({"p": p, "z0": [0.5, 0.2, -0.1]}))
+    out = tmp_path / "a"
+    assert main(["ar", "--spec", str(spec_path), "--out", str(out)]) == 0
+    report = read_json(out / "ar.json")
+    assert [r["multiplicity"] for r in report["roots"]["roots"]] == [1, 1, 1]
+    assert report["classification"] == "bounded"
+
+
 def test_ar_unbounded_reported(tmp_path):
     spec_path = tmp_path / "bad.json"
     spec_path.write_text(json.dumps({"p": [2.0, -1.0], "z0": [1.0, 0.0]}))
@@ -210,3 +225,36 @@ def test_bad_vector_is_config_error(tmp_path, ar_contracting):
         "--out", str(tmp_path / "o"),
     ])
     assert code == 3
+
+
+# Runs one CLI command and reports its exit code and the top-level
+# packages it imported.
+IMPORT_PROBE = """
+import json, sys
+before = set(sys.modules)
+from aporbit.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted({m.split('.')[0] for m in set(sys.modules) - before})]))
+"""
+
+
+@pytest.mark.parametrize("command", ["ar", "run"])
+def test_cli_imports_no_third_party_package_but_numpy(tmp_path, command):
+    from test_demos import src_env
+
+    if command == "ar":
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"p": [1.2, -0.85], "z0": [0.6, 0.3]}))
+        argv = ["ar", "--spec", str(spec)]
+    else:
+        argv = ["run", "--map", '{"kind": "ar", "d": 2, "p": [0.3, -0.9]}',
+                "--y0=0.6,0.2", "--K", "16", "--horizon", "200", "--emit-curve"]
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, *argv, "--out", str(tmp_path / "o")],
+        env=src_env(), capture_output=True, text=True, timeout=120,
+    )
+    code, loaded = json.loads(result.stdout.splitlines()[-1])
+    assert code == 0, result.stderr
+    assert "aporbit" in loaded and "numpy" in loaded
+    third_party = set(loaded) - set(sys.stdlib_module_names) - {"aporbit", "numpy"}
+    assert not third_party

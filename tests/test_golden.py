@@ -5,13 +5,16 @@ Each config runs one `aporbit` command and compares the sha256 of every
 file it writes with a digest recorded from the per-sample reference
 implementation.  The `"out"` line of a JSON artifact's config is dropped
 before hashing, because it names the temporary output directory.  Maps
-are given inline so that no other path reaches an artifact.
+are given inline; `ar` specs are written into the temporary directory
+and their `"spec"` line is dropped the same way, so that no other path
+reaches an artifact.
 
 An intended output change regenerates the table with
 `PYTHONPATH=src python tests/test_golden.py` and says so in CHANGES.md.
 """
 
 import hashlib
+import json
 import os
 import re
 import sys
@@ -52,9 +55,26 @@ CONFIGS = {
     "census_ar": ["census", "--d", "2", "--K", "5", "--n", "25", "--seed", "3",
                   "--generator", "random_ar"],
     "validate_expr": ["validate-map", "--map", EXPR, "--samples", "300", "--seed", "2"],
+    "ar_mixed": ["ar", "--horizon", "300"],
+    "ar_unbounded": ["ar"],
+}
+
+SPECS = {
+    # roots 0.3 +- 0.954i (unit circle), 0.6, -0.3 twice, and 0 (a transient)
+    "ar_mixed": {"p": [0.6, -0.73, -0.108, 0.2376, 0.054, 0.0],
+                 "z0": [0.5, -0.2, 0.1, 0.3, -0.4, 0.2]},
+    # a double root at 1: refused, so ar.json holds only roots and verdict
+    "ar_unbounded": {"p": [2.0, -1.0], "z0": [0.5, 0.0]},
 }
 
 GOLDEN = {
+    'ar_mixed': {
+        'ar.json': '04ee20759413b966197c7ae576347ff44e93c43d5a989aa8b1dd34c7d8421201',
+        'ar_curve.csv': '531c6c95824c0832db0747ad05f77bc1a368fd1ddc86933c7c630bd2ee39d06d',
+    },
+    'ar_unbounded': {
+        'ar.json': '29126148e41dafa494200afa275b721ba312e72ca7a4bee7a91b08ac9d2740b6',
+    },
     'census_ar': {
         'census.csv': '39baab8adcee48fb5767fdd2b43d7a4a688280436d3e13ea351dcf4706f49c8c',
         'census.json': 'd1104d30a21be3ba22e9719620cb690a01e136f25dde64cac69ec29a88324940',
@@ -108,29 +128,35 @@ GOLDEN = {
     },
     'verify_analytic': {
         'verify.csv': '2fcb30f2ef528293b8b95007fb982bee413b96fedb86d1abd6cbae96fc3ad7df',
-        'verify.json': '0124d726509ad68b1fa69c1fa0c75a3fb007800bac8ae96690dc850db4faf950',
+        'verify.json': 'fb54fde829c23b6d7bb11936fb34e254c377668d677b103063f4a6223594811a',
     },
     'verify_sampled': {
         'verify.csv': '27dc4033b6c7154bc73be203776f2a5852d0a91a2316e3e3396152ad77714533',
-        'verify.json': '78b39d809c904f86ee5a78d8f7a639ecdab2a11c4d827ba949bade02dd7ac644',
+        'verify.json': '97425d6c6c5be4bf4c6e7ea1d41bfa91ea39b3666d90a80c07c6f12b93aa4048',
     },
 }
 
 
 def digests(out_dir) -> dict:
-    """sha256 per artifact file, JSON `"out"` config line removed."""
+    """sha256 per artifact file, JSON `"out"` and `"spec"` config lines removed."""
     found = {}
     for name in sorted(os.listdir(out_dir)):
         with open(os.path.join(out_dir, name), "rb") as fh:
             data = fh.read()
         if name.endswith(".json"):
-            data = re.sub(rb'\n *"out": "[^"\n]*",?', b"", data)
+            data = re.sub(rb'\n *"(?:out|spec)": "[^"\n]*",?', b"", data)
         found[name] = hashlib.sha256(data).hexdigest()
     return found
 
 
 def produce(name, out_dir) -> dict:
-    assert main(CONFIGS[name] + ["--out", str(out_dir)]) == 0
+    argv = CONFIGS[name] + ["--out", str(out_dir)]
+    if name in SPECS:
+        spec = os.path.join(os.path.dirname(str(out_dir)), f"{name}.spec.json")
+        with open(spec, "w") as fh:
+            json.dump(SPECS[name], fh)
+        argv += ["--spec", spec]
+    assert main(argv) == 0
     return digests(out_dir)
 
 
