@@ -89,18 +89,21 @@ def _load_ar_spec(path: str) -> armodel.ARSpec:
 
 
 class _Out:
-    """Output directory guard: never overwrite without --force."""
+    """Output directory guard: never overwrite without --force.
 
-    def __init__(self, directory: str, force: bool):
+    A command names every artifact it will write when it makes the guard,
+    before any work, so a refusal leaves the directory as it was."""
+
+    def __init__(self, directory: str, force: bool, names):
         self.directory = directory
-        self.force = force
         os.makedirs(directory, exist_ok=True)
+        for name in names:
+            target = self.path(name)
+            if os.path.exists(target) and not force:
+                raise ConfigError(f"{target} exists; pass --force to overwrite")
 
     def path(self, name: str) -> str:
-        target = os.path.join(self.directory, name)
-        if os.path.exists(target) and not self.force:
-            raise ConfigError(f"{target} exists; pass --force to overwrite")
-        return target
+        return os.path.join(self.directory, name)
 
     def write_json(self, name: str, payload: dict, config: dict) -> str:
         target = self.path(name)
@@ -140,7 +143,9 @@ def cmd_run(args) -> int:
     y0 = Point(_parse_vector(args.y0))
     g = GridSpec(K=args.K, d=m.d)
     horizon = args.horizon if args.horizon is not None else orbit.default_horizon(g)
-    out = _Out(args.out, args.force)
+    out = _Out(args.out, args.force, ["chain.json", "trig.json"]
+               + ([] if args.json_only else ["orbit.csv"])
+               + (["trig_curve.csv"] if args.emit_curve else []))
     config = _resolved_config(args, ("map", "y0", "K", "horizon", "seed", "out"))
     config["horizon"] = horizon
 
@@ -159,6 +164,8 @@ def cmd_run(args) -> int:
             [ys[a:b], shadow[a:b].nodes(), chain.values(a, b - 1)]))
         out.write_csv("orbit.csv", header, rows)
     summary = chain.summary()
+    summary["N"] = table.n_states
+    summary["conflicts"] = len(table.conflicts)
     summary["shadow_periodic"] = orbit.shadow_periodicity(shadow)
     out.write_json("chain.json", summary, config)
     out.write_json("trig.json", form.to_json(), config)
@@ -177,7 +184,8 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     m = _load_map(args.map)
     y0 = Point(_parse_vector(args.y0))
-    out = _Out(args.out, args.force)
+    out = _Out(args.out, args.force,
+               ["verify.json"] + ([] if args.json_only else ["verify.csv"]))
     config = _resolved_config(
         args, ("map", "y0", "K", "horizon", "seed", "gamma_mode", "samples", "out")
     )
@@ -203,7 +211,7 @@ def cmd_ladder(args) -> int:
     Ks = _parse_int_list(args.Ks)
     if len(Ks) < 2:
         raise ConfigError("need at least two resolutions in --Ks")
-    out = _Out(args.out, args.force)
+    out = _Out(args.out, args.force, ["ladder.json"])
     config = _resolved_config(
         args, ("map", "y0", "Ks", "horizon", "seed", "budget", "tolerance", "out")
     )
@@ -225,7 +233,8 @@ def cmd_ladder(args) -> int:
 
 def cmd_ar(args) -> int:
     spec = _load_ar_spec(args.spec)
-    out = _Out(args.out, args.force)
+    out = _Out(args.out, args.force,
+               ["ar.json"] + ([] if args.json_only else ["ar_curve.csv"]))
     config = _resolved_config(args, ("spec", "horizon", "out"))
     roots = armodel.characteristic_roots(spec)
     verdict = armodel.classify(roots)
@@ -249,7 +258,8 @@ def cmd_ar(args) -> int:
 
 
 def cmd_census(args) -> int:
-    out = _Out(args.out, args.force)
+    out = _Out(args.out, args.force,
+               ["census.json"] + ([] if args.json_only else ["census.csv"]))
     config = _resolved_config(args, ("d", "K", "n", "seed", "generator", "out"))
     report = orbit.period_census(
         d=args.d,
@@ -270,7 +280,7 @@ def cmd_census(args) -> int:
 
 def cmd_validate_map(args) -> int:
     m = _load_map(args.map)
-    out = _Out(args.out, args.force)
+    out = _Out(args.out, args.force, ["validate.json"])
     config = _resolved_config(args, ("map", "samples", "seed", "out"))
     report = maps.validate_range(m, samples=args.samples, seed=args.seed)
     out.write_json("validate.json", report.to_json(), config)

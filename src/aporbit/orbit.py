@@ -1,10 +1,12 @@
 """Orbit generation, grid shadowing, transition tables and periodic chains.
 
 The pipeline: iterate a map to get an orbit, snap each sample to the grid
-(the "shadow"), record observed state transitions in a table, then run the
-table as a deterministic finite-state chain from the quantized initial
-state.  The chain is eventually periodic; its pre-period T and period L
-are certified by first-visit cycle detection.
+(the "shadow"), and record the observed state transitions in a table,
+where the earliest occurrence of a state fixes its successor.  The chain
+runs those earliest successors from the shadow's first state, so it is
+the shadow itself up to the first time a state repeats: with the repeat
+first seen at T and seen again at T + L, the chain is shadow[0..T+L-1],
+eventually periodic with pre-period T and period L.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ from .maps import MapDefinition, ar_map, evaluate
 
 # Conflicting observations kept as examples; the rest are only counted.
 CONFLICT_EXAMPLES = 5
+
+# Trailing shadow states examined by shadow_periodicity.
+SHADOW_WINDOW = 8192
 
 
 def generate_orbit(m: MapDefinition, y0: Point, horizon: int) -> OrbitSeries:
@@ -163,8 +168,6 @@ class ChainResult:
     seq: GridStates = field(repr=False)
     pre_period: int
     period: int
-    horizon: int
-    table: TransitionTable | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.seq, GridStates):
@@ -204,60 +207,47 @@ class ChainResult:
             "d": self.grid.d,
             "T": self.pre_period,
             "L": self.period,
-            "N": self.table.n_states if self.table is not None else None,
-            "conflicts": len(self.table.conflicts) if self.table is not None else None,
         }
 
 
 def _first_repeat(items):
     # The one cycle walker: consume items up to the first repeated one and
-    # return (the distinct items in order, T, L), where T is the position
-    # of the repeat's first occurrence and L the distance; None if the
-    # items run out first.
+    # return (T, L), where T is the position of the repeat's first
+    # occurrence and L the distance; None if the items run out first.
     first = {}
     for t, s in enumerate(items):
         if s in first:
-            return list(first), first[s], t - first[s]
+            return first[s], t - first[s]
         first[s] = t
     return None
 
 
-def build_chain(table: TransitionTable, initial: GridState, horizon: int) -> ChainResult:
-    """Run the table from the initial state until its cycle closes.
+def build_chain(shadow: GridStates) -> ChainResult:
+    """The chain of a shadow: the shadow up to its first repeated state.
 
-    Termination is guaranteed by the finite state count unless the walk
-    reaches a state with no outgoing observation, which is reported as
+    Running the earliest-occurrence transitions from shadow[0] retraces
+    the shadow as long as every state is new, and closes its cycle at the
+    first repeat: a state first seen at T and again at T + L gives
+    pre-period T, period L and the states shadow[0..T+L-1] (a copy, so the
+    chain does not keep the shadow alive).  A shadow without a repeat
+    ends in a state with no outgoing observation, reported as
     DanglingState (possible under horizon truncation, never patched over).
     """
-    n = table.n_states
-    hits = []
-    if initial.grid == table.grid:
-        hits = np.flatnonzero((table.rows[:n] == initial.indices).all(axis=1))
-    if not len(hits):
-        raise ValueError("initial state has no outgoing observation in the table")
-    succ = table.succ.tolist()
-
-    def walk(row):
-        t = 0
-        while True:
-            yield row
-            t += 1
-            if row >= n:
-                raise DanglingState(
-                    f"chain reached a state with no outgoing edge at t={t}",
-                    state=table.dangling,
-                    t=t,
-                )
-            row = succ[row]
-
-    visited, pre_period, period = _first_repeat(walk(int(hits[0])))
+    if not len(shadow):
+        raise ValueError("an empty shadow has no chain")
+    found = _first_repeat(row.tobytes() for row in shadow.indices)
+    if found is None:
+        raise DanglingState(
+            f"chain reached a state with no outgoing edge at t={len(shadow)}",
+            state=shadow[-1],
+            t=len(shadow),
+        )
+    pre_period, period = found
     return ChainResult(
-        grid=table.grid,
-        seq=GridStates(table.rows[visited], table.grid),
+        grid=shadow.grid,
+        seq=GridStates(shadow.indices[: pre_period + period].copy(), shadow.grid),
         pre_period=pre_period,
         period=period,
-        horizon=horizon,
-        table=table,
     )
 
 
@@ -273,7 +263,7 @@ def detect_cycle(seq) -> tuple[int, int]:
         raise NoCycleWithinHorizon(
             f"no state repeats within the {len(seq)}-step window"
         )
-    _, pre_period, period = found
+    pre_period, period = found
     for u in range(pre_period, len(seq) - period):
         if seq[u + period] != seq[u]:
             raise NoCycleWithinHorizon(
@@ -283,20 +273,20 @@ def detect_cycle(seq) -> tuple[int, int]:
     return pre_period, period
 
 
-def shadow_periodicity(seq, max_window: int = 8192):
+def shadow_periodicity(seq):
     """Minimal (T, L) consistent with eventual periodicity of the window.
 
     Shadows are not function traces (the true orbit can distinguish states
     the grid merges), so first-repeat detection does not apply; this scans
     periods directly and requires at least two full tail periods in view.
     Diagnostic only: a longer window could still refute the verdict.  Long
-    sequences are examined over their trailing `max_window` entries; the
+    sequences are examined over their trailing SHADOW_WINDOW entries; the
     reported T is then the earliest time within that suffix, an upper
     bound for the true pre-period.
     """
     if not isinstance(seq, GridStates):
         seq = list(seq)
-    offset = max(0, len(seq) - max_window)
+    offset = max(0, len(seq) - SHADOW_WINDOW)
     seq = seq[offset:]
     if isinstance(seq, GridStates):
         seq = seq.codes().tolist()
@@ -321,7 +311,7 @@ def run_pipeline(m: MapDefinition, y0: Point, g: GridSpec, horizon: int):
     orbit = generate_orbit(m, y0, horizon)
     shadow = discretize_orbit(orbit, g)
     table = build_transition_table(shadow)
-    chain = build_chain(table, shadow[0], horizon)
+    chain = build_chain(shadow)
     return orbit, shadow, table, chain
 
 
@@ -374,15 +364,12 @@ def _census_random_map(d: int, K: int, rng) -> tuple[int, int]:
             memo[s] = (int(rng.integers(0, K + 1)),) + s[:-1]
         return memo[s]
 
-    state = tuple(int(i) for i in rng.integers(0, K + 1, d))
-    visit = {state: 0}
-    t = 0
-    while True:
-        state = step(state)
-        t += 1
-        if state in visit:
-            return visit[state], t - visit[state]
-        visit[state] = t
+    def walk(state):
+        while True:
+            yield state
+            state = step(state)
+
+    return _first_repeat(walk(tuple(int(i) for i in rng.integers(0, K + 1, d))))
 
 
 def _random_stable_ar(d: int, rng, radius: float = 0.9):

@@ -14,11 +14,11 @@ from aporbit import (
     ARSpec,
     GridSpec,
     GridState,
+    GridStates,
     Point,
     ar_map,
     build_chain,
     build_ladder_plan,
-    build_transition_table,
     characteristic_roots,
     check_convergence_condition,
     classify,
@@ -216,9 +216,8 @@ def test_criterion_3_chain_periodicity_and_cycle_oracle():
         shadow = [GridState([int(rng.integers(0, n))], g)]
         for _ in range(3 * n):
             shadow.append(GridState([int(f[shadow[-1].indices[0]])], g))
-        table = build_transition_table(shadow)
         horizon = 3 * n
-        chain = build_chain(table, shadow[0], horizon)
+        chain = build_chain(GridStates.of(shadow))
         T, L = chain.pre_period, chain.period
         ys = [chain.state_at(t) for t in range(horizon + 1)]
         for t in range(T, horizon - L + 1):
@@ -275,7 +274,7 @@ def test_criterion_4_trig_representation():
         shadow = [GridState([int(rng.integers(0, n))], g)]
         for _ in range(3 * n):
             shadow.append(GridState([int(f[shadow[-1].indices[0]])], g))
-        chain = build_chain(build_transition_table(shadow), shadow[0], 3 * n)
+        chain = build_chain(GridStates.of(shadow))
         form = fit_trig(chain)
         T, L = chain.pre_period, chain.period
         for t in range(T, T + 3 * L + 1):

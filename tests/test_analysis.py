@@ -17,7 +17,6 @@ from aporbit import (
     ar_map,
     build_chain,
     build_ladder_plan,
-    build_transition_table,
     bounds_for_horizon,
     check_convergence_condition,
     condition_term,
@@ -242,11 +241,9 @@ def test_condition_empty_ladder():
     assert report.below_budget
 
 
-def chain_of_values(node_indices, K, horizon=64):
+def chain_of_values(node_indices, K):
     g = GridSpec(K=K, d=1)
-    shadow = [GridState([i], g) for i in node_indices]
-    table = build_transition_table(shadow)
-    return build_chain(table, shadow[0], horizon)
+    return build_chain(GridStates.of([GridState([i], g) for i in node_indices]))
 
 
 def test_sup_difference_identical_chains():
@@ -265,7 +262,6 @@ def hand_chain(index_cycle, K, pre_period=0):
         seq=seq,
         pre_period=pre_period,
         period=len(index_cycle) - pre_period,
-        horizon=4 * len(index_cycle),
     )
 
 
@@ -285,7 +281,7 @@ def test_sup_difference_enumerated():
 
 
 def test_sup_difference_shift_by_period_is_zero():
-    c = chain_of_values([3, 1, 3], K=4, horizon=64)
+    c = chain_of_values([3, 1, 3], K=4)
     assert c.period == 2
     assert sup_difference(c, c, 0, 2) == 0.0  # shift by one period
     with pytest.raises(ValueError):
@@ -345,9 +341,7 @@ def test_tail_convergence_contracting():
 
 def test_sup_difference_requires_certificates():
     c = chain_of_values([2, 0, 2], K=2)
-    fake = type(c)(
-        grid=c.grid, seq=c.seq, pre_period=0, period=0, horizon=c.horizon
-    )
+    fake = type(c)(grid=c.grid, seq=c.seq, pre_period=0, period=0)
     with pytest.raises(NotPeriodic):
         sup_difference(fake, c, 0, 0)
 
@@ -366,7 +360,7 @@ def random_chain(rng, K, d, pre_period, period):
     g = GridSpec(K=K, d=d)
     indices = rng.integers(0, K + 1, (pre_period + period, d)).astype(np.int64)
     return ChainResult(grid=g, seq=GridStates(indices, g), pre_period=pre_period,
-                       period=period, horizon=pre_period + period)
+                       period=period)
 
 
 def aligned_pair(rng, K, d, L_j, L_jp1):

@@ -85,6 +85,26 @@ def test_no_overwrite_without_force(tmp_path, ar_contracting):
     assert main(args + ["--force"]) == 0
 
 
+@pytest.mark.parametrize("command, stale", [
+    (["run", "--y0", "0.8", "--K", "4", "--horizon", "10"], "chain.json"),
+    (["run", "--y0", "0.8", "--K", "4", "--horizon", "10", "--emit-curve"],
+     "trig_curve.csv"),
+    (["verify", "--y0", "0.8", "--K", "4", "--horizon", "10"], "verify.csv"),
+    (["census", "--d", "1", "--K", "3", "--n", "5"], "census.csv"),
+])
+def test_refusal_writes_nothing(tmp_path, ar_contracting, command, stale):
+    # a stale artifact that the command would write last is found before
+    # any work, so no fresh artifact lands beside it
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / stale).write_text("stale\n")
+    if command[0] != "census":
+        command = command + ["--map", ar_contracting]
+    assert main(command + ["--out", str(out)]) == 3
+    assert os.listdir(out) == [stale]
+    assert (out / stale).read_text() == "stale\n"
+
+
 def test_verify_pass(tmp_path, ar_contracting):
     out = tmp_path / "v"
     code = main([

@@ -54,6 +54,8 @@ CONFIGS = {
                "--horizon", "300"],
     "census_ar": ["census", "--d", "2", "--K", "5", "--n", "25", "--seed", "3",
                   "--generator", "random_ar"],
+    # the default generator: a lazily drawn random map on the grid states
+    "census_map": ["census", "--d", "3", "--K", "4", "--n", "40", "--seed", "11"],
     "validate_expr": ["validate-map", "--map", EXPR, "--samples", "300", "--seed", "2"],
     "ar_mixed": ["ar", "--horizon", "300"],
     "ar_unbounded": ["ar"],
@@ -78,6 +80,10 @@ GOLDEN = {
     'census_ar': {
         'census.csv': '39baab8adcee48fb5767fdd2b43d7a4a688280436d3e13ea351dcf4706f49c8c',
         'census.json': 'd1104d30a21be3ba22e9719620cb690a01e136f25dde64cac69ec29a88324940',
+    },
+    'census_map': {
+        'census.csv': 'fdec8fedeb24edf4992cb72e8918baa082d40f1e1aa2a1907793dbfb2ef1ff2a',
+        'census.json': 'fe56b9c9e5c0f9f324274d2fa48f8c414a8668bccd55a7506613d6f4d7def02b',
     },
     'ladder': {
         'ladder.json': '37730c66028c9f8edc406341385f41a2ab2d4fdbc1d6145434fb357757f6a72d',

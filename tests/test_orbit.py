@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from aporbit import (
+    ChainResult,
     GridSpec,
     GridState,
+    GridStates,
     Point,
     ar_map,
     build_chain,
@@ -132,7 +134,7 @@ def test_transition_table_beyond_int64_codes():
     table = build_transition_table([A, B, C, B, C, B])
     assert table.states == (A, B, C)
     assert table.successor == {A: B, B: C, C: B}
-    chain = build_chain(table, A, 5)
+    chain = build_chain(GridStates.of([A, B, C, B, C, B]))
     assert (chain.pre_period, chain.period) == (1, 2)
     assert list(chain.seq) == [A, B, C]
 
@@ -162,24 +164,20 @@ def test_rotation_shadow_at_K1_has_conflicts():
 def test_build_chain_examples():
     g = GridSpec(K=4, d=1)
     A, B, C = states(g, [0], [1], [2])
-    table = build_transition_table([A, B, A, B])
-    chain = build_chain(table, A, 7)
+    chain = build_chain(GridStates.of([A, B, A, B]))
     assert (chain.pre_period, chain.period) == (0, 2)
     assert [chain.state_at(t).indices[0] for t in range(8)] == [0, 1, 0, 1, 0, 1, 0, 1]
-    table = build_transition_table([A, B, C, B, C])
-    chain = build_chain(table, A, 5)
+    chain = build_chain(GridStates.of([A, B, C, B, C]))
     assert (chain.pre_period, chain.period) == (1, 2)
-    table = build_transition_table([A, A, A])
-    chain = build_chain(table, A, 3)
+    chain = build_chain(GridStates.of([A, A, A]))
     assert (chain.pre_period, chain.period) == (0, 1)
 
 
 def test_build_chain_dangling():
     g = GridSpec(K=4, d=1)
     A, B, C = states(g, [0], [1], [2])
-    table2 = build_transition_table([A, B, C])
     with pytest.raises(DanglingState) as info:
-        build_chain(table2, A, 5)
+        build_chain(GridStates.of([A, B, C]))
     assert info.value.state == C  # stuck at C; y*(3) is undefined
     assert info.value.t == 3
 
@@ -187,13 +185,80 @@ def test_build_chain_dangling():
 def test_chain_periodicity_on_window():
     g = GridSpec(K=4, d=1)
     A, B, C, D = states(g, [0], [1], [2], [3])
-    table = build_transition_table([A, B, C, D, B, C, D, B])
-    chain = build_chain(table, A, 20)
+    chain = build_chain(GridStates.of([A, B, C, D, B, C, D, B]))
     T, L = chain.pre_period, chain.period
     assert (T, L) == (1, 3)
     ys = [chain.state_at(t) for t in range(21)]
     for t in range(T, 20 - L + 1):
         assert ys[t + L] == ys[t]
+
+
+def oracle_table_walk(shadow):
+    """The table walk: run the earliest-occurrence successors from the
+    row of shadow[0] until a row repeats."""
+    table = build_transition_table(shadow)
+    n = table.n_states
+    row = int(np.flatnonzero((table.rows[:n] == shadow.indices[0]).all(axis=1))[0])
+    succ = table.succ.tolist()
+    first = {}
+    while row not in first:
+        first[row] = len(first)
+        if row >= n:
+            raise DanglingState("dangling", state=table.dangling, t=len(first))
+        row = succ[row]
+    return ChainResult(
+        grid=table.grid,
+        seq=GridStates(table.rows[list(first)], table.grid),
+        pre_period=first[row],
+        period=len(first) - first[row],
+    )
+
+
+def chain_or_dangling(build, shadow):
+    try:
+        chain = build(shadow)
+    except DanglingState as exc:
+        return "dangling", exc.state, exc.t
+    return chain.pre_period, chain.period, chain.seq
+
+
+def random_shadow(rng, g, n):
+    # half uniform over the grid (all distinct, so dangling, on large
+    # grids), half drawn from a small pool (repeats and conflicts)
+    if rng.random() < 0.5:
+        return GridStates(rng.integers(0, g.K + 1, (n, g.d)), g)
+    pool = rng.integers(0, g.K + 1, (int(rng.integers(1, 9)), g.d))
+    return GridStates(pool[rng.integers(0, len(pool), n)], g)
+
+
+def test_build_chain_matches_table_walk():
+    rng = np.random.default_rng(2310)
+    dangling = conflicted = 0
+    for _ in range(3000):
+        g = GridSpec(K=int(rng.integers(1, 6)), d=int(rng.integers(1, 4)))
+        shadow = random_shadow(rng, g, int(rng.integers(2, 60)))
+        got = chain_or_dangling(build_chain, shadow)
+        assert got == chain_or_dangling(oracle_table_walk, shadow)
+        dangling += got[0] == "dangling"
+        conflicted += len(build_transition_table(shadow).conflicts) > 0
+    assert dangling >= 100 and conflicted >= 1000
+    # (K+1)^d beyond int64: the rows themselves tell the states apart
+    g = GridSpec(K=2 ** 40, d=2)
+    outcomes = set()
+    for _ in range(50):
+        shadow = random_shadow(rng, g, int(rng.integers(2, 20)))
+        got = chain_or_dangling(build_chain, shadow)
+        assert got == chain_or_dangling(oracle_table_walk, shadow)
+        outcomes.add(got[0] == "dangling")
+    assert outcomes == {True, False}
+
+
+def test_build_chain_copies_the_shadow_prefix():
+    g = GridSpec(K=4, d=2)
+    shadow = GridStates(np.array([[0, 1], [2, 3], [4, 0], [2, 3], [4, 0]]), g)
+    chain = build_chain(shadow)
+    assert chain.seq == shadow[:3]
+    assert not np.shares_memory(chain.seq.indices, shadow.indices)
 
 
 def test_detect_cycle_examples():

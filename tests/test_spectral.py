@@ -8,8 +8,8 @@ import pytest
 from aporbit import (
     GridSpec,
     GridState,
+    GridStates,
     build_chain,
-    build_transition_table,
     eval_trig,
     eval_trig_range,
     fit_trig,
@@ -52,11 +52,9 @@ def direct_eval(form, t):
     return np.sin(ang) @ form.a + np.cos(ang) @ form.b
 
 
-def chain_from_indices(index_lists, K, horizon=None):
+def chain_from_indices(index_lists, K):
     g = GridSpec(K=K, d=len(index_lists[0]))
-    shadow = [GridState(iv, g) for iv in index_lists]
-    table = build_transition_table(shadow)
-    return build_chain(table, shadow[0], horizon or 4 * len(index_lists))
+    return build_chain(GridStates.of([GridState(iv, g) for iv in index_lists]))
 
 
 def test_constant_chain():
