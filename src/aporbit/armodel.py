@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import CLAMP_BAND, box_overshoot
 from .errors import (
     DimensionMismatch,
     IllConditioned,
@@ -65,9 +66,8 @@ class ARSpec:
             raise DimensionMismatch(
                 f"{len(initial)} initial values for order {len(p)}"
             )
-        for v in initial:
-            if abs(v) > 1.0 + 1e-12:
-                raise OutOfRange(f"initial value {v!r} outside [-1,1]")
+        if box_overshoot(initial) > CLAMP_BAND:
+            raise OutOfRange(f"initial values {list(initial)} outside [-1,1]")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "initial", initial)
 

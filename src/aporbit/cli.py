@@ -84,7 +84,7 @@ def _load_ar_spec(path: str) -> armodel.ARSpec:
         with open(path) as fh:
             data = json.load(fh)
         return armodel.ARSpec(p=data["p"], initial=data["z0"])
-    except (ValueError, KeyError, json.JSONDecodeError, AporbitError) as exc:
+    except (ValueError, KeyError, json.JSONDecodeError) as exc:
         raise ConfigError(f"bad spec file {path}: {exc}") from exc
 
 

@@ -3,7 +3,9 @@
 The grid on each axis has K+1 nodes a_k = 2k/K - 1 (k = 0..K), spacing 2/K.
 Quantization snaps each coordinate to the nearest node, resolving exact
 midpoints toward the larger node; the resulting l2 error never exceeds
-sqrt(d)/K.
+sqrt(d)/K.  `_quantize_rows` is the one quantizer; it settles exact ties
+once per distinct midpoint.  The box rule is `box_overshoot` (NaN is
+infinitely far out) and `Point`, which clamps within CLAMP_BAND.
 
 `Point` and `GridState` are the boundary types for single values.  Orbits
 and state sequences are stored as arrays: `OrbitSeries` holds an (H+1, d)
@@ -28,15 +30,18 @@ CLAMP_BAND = 1e-12
 
 def _clamp_coord(x: float) -> float:
     x = float(x)
-    if x > 1.0:
-        if x - 1.0 > CLAMP_BAND:
-            raise OutOfRange(f"coordinate {x!r} outside [-1,1]")
-        return 1.0
-    if x < -1.0:
-        if -1.0 - x > CLAMP_BAND:
-            raise OutOfRange(f"coordinate {x!r} outside [-1,1]")
-        return -1.0
-    return x
+    if -1.0 <= x <= 1.0:
+        return x
+    if not abs(x) - 1.0 <= CLAMP_BAND:  # beyond the band, or NaN
+        raise OutOfRange(f"coordinate {x!r} outside [-1,1]")
+    return math.copysign(1.0, x)
+
+
+def box_overshoot(coords):
+    """max|c| - 1 over the last axis: how far a point (or each row of an
+    array) lies outside [-1,1], +inf where a coordinate is NaN."""
+    over = np.max(np.abs(coords), axis=-1) - 1.0
+    return np.where(np.isnan(over), np.inf, over)[()]
 
 
 @dataclass(frozen=True)
@@ -250,29 +255,12 @@ class OrbitSeries:
         return self.values
 
 
-def _quantize_axis(c: float, g: GridSpec) -> int:
-    # Nearest node with exact midpoints resolved to the larger node.  In
-    # node-index space u = (c+1)K/2 the decision boundary sits at the
-    # half-integers; away from it the float computation is already exact,
-    # on it we fall back to rational arithmetic so ties resolve by the
-    # true values of c and the nodes 2k/K - 1, not their roundings.
-    K = g.K
-    u = (c + 1.0) * K / 2.0
-    k = math.floor(u)
-    frac = u - k
-    if abs(frac - 0.5) > 1e-9:
-        idx = k + 1 if frac > 0.5 else k
-    else:
-        uq = (Fraction(c) + 1) * K / 2
-        kq = math.floor(uq)
-        idx = kq + 1 if uq - kq >= Fraction(1, 2) else kq
-    return min(max(idx, 0), K)
-
-
 def _quantize_rows(Y: np.ndarray, g: GridSpec) -> np.ndarray:
-    # _quantize_axis on every entry of Y, vectorized: the same float u and
-    # the same decision, with every entry that the scalar rule sends to
-    # rational arithmetic (|frac - 0.5| <= 1e-9, or NaN) sent there again.
+    # Nearest node index of every entry, exact midpoints going up.  The
+    # float u = (c+1)K/2 decides unless it lies within 1e-9 of k + 1/2;
+    # such an entry is compared with the exact midpoint m_k = (2k+1)/K - 1,
+    # once per distinct k.  No double lies strictly between m_k and the
+    # double q nearest it, so c >= m_k exactly when c > q, or c == q >= m_k.
     K = g.K
     u = Y + 1.0
     u *= K
@@ -280,17 +268,22 @@ def _quantize_rows(Y: np.ndarray, g: GridSpec) -> np.ndarray:
     k = np.floor(u)
     frac = u
     frac -= k
-    near = np.abs(frac - 0.5)
-    slow = np.argwhere(~(near > 1e-9)).tolist()
-    del near
-    # before the cast below, so that a NaN raises as in the scalar rule
-    exact = [_quantize_axis(float(Y[r, j]), g) for r, j in slow]
+    tie = ~(np.abs(frac - 0.5) > 1e-9)  # NaN lands here too
+    k_tie = k[tie]
+    if len(k_tie) and not np.isfinite(k_tie).all():  # before the cast below
+        raise ValueError(f"cannot quantize {Y[tie][~np.isfinite(k_tie)][0]!r}")
     idx = k.astype(np.int64)
     del k
     idx += frac > 0.5
-    np.clip(idx, 0, K, out=idx)
-    for (r, j), i in zip(slow, exact):
-        idx[r, j] = i
+    if len(k_tie):
+        mids, which = np.unique(k_tie, return_inverse=True)
+        m = [Fraction(2 * kk + 1 - K, K) for kk in mids.astype(np.int64).tolist()]
+        q = np.array([float(mk) for mk in m])[which]
+        q_up = np.array([Fraction(float(mk)) >= mk for mk in m])[which]
+        c = Y[tie]
+        idx[tie] = k_tie.astype(np.int64) + ((c > q) | ((c == q) & q_up))
+    np.maximum(idx, 0, out=idx)
+    np.minimum(idx, K, out=idx)
     return idx
 
 
@@ -298,7 +291,7 @@ def quantize(p: Point, g: GridSpec) -> GridState:
     """Snap a point to the nearest grid state (midpoint ties go up)."""
     if p.d != g.d:
         raise DimensionMismatch(f"point dimension {p.d} != grid dimension {g.d}")
-    return GridState((_quantize_axis(c, g) for c in p.coords), g)
+    return GridState(_quantize_rows(np.array([p.coords]), g)[0].tolist(), g)
 
 
 def quantization_error(p: Point, g: GridSpec) -> float:

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import expressions
-from .core import CLAMP_BAND, Point
+from .core import CLAMP_BAND, Point, box_overshoot
 from .errors import (
     AnalyticUnavailable,
     AporbitError,
@@ -136,7 +136,7 @@ def evaluate(m: MapDefinition, p: Point) -> Point:
     if p.d != m.d:
         raise DimensionMismatch(f"point dimension {p.d} != map dimension {m.d}")
     out = m.step(p.coords)
-    overshoot = max(abs(c) for c in out) - 1.0
+    overshoot = box_overshoot(out)
     if overshoot > CLAMP_BAND:
         raise RangeViolation(
             f"map output {out} leaves [-1,1]^{m.d} by {overshoot:.3e}"
@@ -195,22 +195,21 @@ def validate_range(m: MapDefinition, samples: int = 256, seed: int = 0) -> Range
     points; passes iff the worst overshoot stays within the clamp band.
     """
     probes = _probe_points(m.d, samples, seed)
-    worst = -math.inf
-    worst_point = probes[0]
+    outs = []
     for row in probes.tolist():
         try:
-            out = m.step(tuple(row))
+            outs.append(m.step(tuple(row)))
         except AporbitError:
             # Treat evaluation failure (e.g. division blow-up) as a
             # range failure at this probe.
-            worst = math.inf
-            worst_point = row
             break
-        overshoot = max(abs(c) for c in out) - 1.0
-        if overshoot > worst:
-            worst = overshoot
-            worst_point = row
-    worst = float(max(worst, 0.0))
+    if len(outs) < len(probes):
+        worst_at, worst = len(outs), math.inf
+    else:
+        over = box_overshoot(np.array(outs, dtype=float))
+        worst_at = int(np.argmax(over))
+        worst = float(max(over[worst_at], 0.0))
+    worst_point = probes[worst_at]
     return RangeReport(
         passed=bool(worst <= CLAMP_BAND),
         max_overshoot=worst,
@@ -286,6 +285,8 @@ def estimate_lipschitz(
         fw = np.array(m.step(tuple(w)))
         fwp = np.array(m.step(tuple(wp)))
         ratio = float(np.linalg.norm(fw - fwp)) / dist
+        if math.isnan(ratio):
+            raise RangeViolation(f"images {fw.tolist()}, {fwp.tolist()} have no finite distance")
         gamma = max(gamma, ratio)
     return LipschitzEstimate(gamma=gamma, method="sampled", sample_count=samples)
 

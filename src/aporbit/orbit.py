@@ -17,14 +17,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GridSpec, GridState, GridStates, OrbitSeries, Point, _quantize_rows
+from .armodel import ARSpec, recursion
+from .core import (CLAMP_BAND, GridSpec, GridState, GridStates, OrbitSeries, Point,
+                   _quantize_rows, box_overshoot)
 from .errors import (
     DanglingState,
     DimensionMismatch,
     NoCycleWithinHorizon,
     RangeViolation,
 )
-from .maps import MapDefinition, ar_map, evaluate
+from .maps import MapDefinition, ar_map
 
 # Conflicting observations kept as examples; the rest are only counted.
 CONFLICT_EXAMPLES = 5
@@ -34,7 +36,7 @@ SHADOW_WINDOW = 8192
 
 
 def generate_orbit(m: MapDefinition, y0: Point, horizon: int) -> OrbitSeries:
-    """Iterate the map from y0 for `horizon` steps; errors if the orbit escapes."""
+    """Iterate the map from y0 for `horizon` steps; errors if the orbit escapes or is NaN."""
     if y0.d != m.d:
         raise DimensionMismatch(f"y0 dimension {y0.d} != map dimension {m.d}")
     if horizon < 0:
@@ -44,15 +46,19 @@ def generate_orbit(m: MapDefinition, y0: Point, horizon: int) -> OrbitSeries:
     buf = array("d", current)
     for t in range(1, horizon + 1):
         out = step(current)
-        if not max(map(abs, out)) <= 1.0:
-            # outside the box (or NaN): police and clamp exactly as evaluate() does
-            try:
-                out = evaluate(m, Point(current)).coords
-            except RangeViolation as exc:
-                raise RangeViolation(f"orbit left the box at t={t}: {exc}", t=t) from exc
+        if not max(map(abs, out)) <= 1.0:  # outside the box, or NaN up front
+            if box_overshoot(out) > CLAMP_BAND:
+                buf.extend(out)
+                break
+            out = Point(out).coords  # clamped onto the box
         buf.extend(out)
         current = out
-    return OrbitSeries(np.frombuffer(buf).reshape(horizon + 1, m.d))
+    values = np.frombuffer(buf).reshape(-1, m.d)
+    bad = np.flatnonzero(box_overshoot(values) > CLAMP_BAND)  # also a NaN max() passed over
+    if len(bad):
+        t = int(bad[0])
+        raise RangeViolation(f"orbit left the box at t={t}: {values[t].tolist()}", t=t)
+    return OrbitSeries(values)
 
 
 def discretize_orbit(orbit, g: GridSpec) -> GridStates:
@@ -397,11 +403,8 @@ def _census_random_ar(d: int, K: int, rng, horizon: int) -> tuple[int, int] | No
     # The recurrence is linear, so rescaling the initial data rescales the
     # whole trajectory; halve against the observed max to keep the orbit
     # safely inside the box.
-    peak = float(np.max(np.abs(z0)))
-    coords = tuple(z0)
-    for _ in range(horizon):
-        coords = m.step(coords)
-        peak = max(peak, abs(coords[0]))
+    z = recursion(ARSpec(p, z0), horizon)
+    peak = max(float(np.max(np.abs(z0))), float(np.max(np.abs(z))))
     if peak > 1.0:
         z0 = z0 / (2.0 * peak)
     g = GridSpec(K=K, d=d)

@@ -52,6 +52,11 @@ def test_arspec_validation():
     assert spec.d == 1
     with pytest.raises(OutOfRange):
         ARSpec(p=[0.5], initial=[1.5])
+    with pytest.raises(OutOfRange):
+        ARSpec(p=[0.5, 0.1], initial=[math.nan, 0.1])
+    with pytest.raises(OutOfRange):
+        ARSpec(p=[0.5, 0.1], initial=[0.1, math.nan])
+    assert ARSpec(p=[0.5], initial=[1.0 + 5e-13]).initial == (1.0 + 5e-13,)
     assert ARSpec(p=[0.1, 0.2], initial=[0.5, -0.5]).d == 2
 
 

@@ -189,6 +189,53 @@ def test_ar_unbounded_reported(tmp_path):
     assert "decomposition" not in report
 
 
+NAN_1D = '{"kind": "expr", "d": 1, "exprs": ["x1*1e200*1e200*0"]}'
+NAN_2ND = '{"kind": "expr", "d": 2, "exprs": ["0.5*x1", "x1*1e200*1e200*0"]}'
+HALF = '{"kind": "ar", "d": 1, "p": [0.5]}'
+
+
+def test_validate_map_fails_on_nan(tmp_path):
+    out = tmp_path / "v"
+    assert main(["validate-map", "--map", NAN_1D, "--out", str(out)]) == 0
+    report = read_json(out / "validate.json")
+    assert report["passed"] is False
+    assert report["max_overshoot"] == float("inf")
+
+
+@pytest.mark.parametrize("command, map_json, y0, error", [
+    ("run", NAN_1D, "0.3", "orbit left the box at t=1"),
+    ("run", NAN_2ND, "0.3,0.1", "orbit left the box at t=1"),
+    # verify meets the NaN first in its sampled gamma
+    ("verify", NAN_1D, "0.3", "no finite distance"),
+    ("verify", NAN_2ND, "0.3,0.1", "no finite distance"),
+    ("run", HALF, "nan", "coordinate nan outside [-1,1]"),
+    ("verify", HALF, "nan", "coordinate nan outside [-1,1]"),
+])
+def test_nan_orbits_are_pipeline_errors(tmp_path, capsys, command, map_json, y0, error):
+    code = main([command, "--map", map_json, f"--y0={y0}", "--K", "4",
+                 "--horizon", "10", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert error in capsys.readouterr().err
+
+
+def test_verify_rejects_a_map_nan_on_half_the_box(tmp_path, capsys):
+    # sampled gamma once dropped the NaN ratios and passed with gamma = 0.5
+    map_json = '{"kind": "expr", "d": 1, "exprs": ["0.5*x1 + max(x1,0)*1e200*1e200*0"]}'
+    code = main(["verify", "--map", map_json, "--y0=-0.5", "--K", "4",
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "no finite distance" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "verify.json").exists()
+
+
+def test_ar_spec_with_nan_initial_value(tmp_path):
+    spec_path = tmp_path / "nan.json"
+    spec_path.write_text('{"p": [0.5, 0.1], "z0": [NaN, 0.1]}')
+    out = tmp_path / "a"
+    assert main(["ar", "--spec", str(spec_path), "--out", str(out)]) == 2
+    assert not (out / "ar.json").exists()
+
+
 def test_census_deterministic(tmp_path):
     out1, out2 = tmp_path / "c1", tmp_path / "c2"
     for out in (out1, out2):

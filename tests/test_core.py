@@ -17,7 +17,8 @@ from aporbit import (
     quantize,
     quantization_error,
 )
-from aporbit.core import _quantize_axis, _quantize_rows
+from aporbit import core
+from aporbit.core import _quantize_rows
 from aporbit.errors import DimensionMismatch, OutOfRange
 
 
@@ -31,6 +32,23 @@ def oracle_quantize_axis(c, g):
     return best
 
 
+def scalar_quantize_axis(c, g):
+    """The per-entry rule: the float u = (c+1)K/2 decides away from ties;
+    within 1e-9 of a half-integer, rational arithmetic decides, so ties
+    resolve by the true values of c and the nodes 2k/K - 1."""
+    K = g.K
+    u = (c + 1.0) * K / 2.0
+    k = math.floor(u)
+    frac = u - k
+    if abs(frac - 0.5) > 1e-9:
+        idx = k + 1 if frac > 0.5 else k
+    else:
+        uq = (Fraction(c) + 1) * K / 2
+        kq = math.floor(uq)
+        idx = kq + 1 if uq - kq >= Fraction(1, 2) else kq
+    return min(max(idx, 0), K)
+
+
 def test_point_validation():
     p = Point([0.5, -0.25])
     assert p.coords == (0.5, -0.25)
@@ -42,6 +60,9 @@ def test_point_validation():
         Point([1.5])
     with pytest.raises(OutOfRange):
         Point([-1.0 - 1e-9])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(OutOfRange):
+            Point([0.5, bad])
 
 
 def test_gridspec_nodes():
@@ -146,9 +167,13 @@ def test_per_axis_error_half_spacing():
 @st.composite
 def axis_values(draw, K):
     """Coordinates near a tie of the K grid (a few ulps either side), at or
-    just inside the box edge (the clamp band), or anywhere in [-1, 1]."""
-    kind = draw(st.sampled_from(["tie", "edge", "any"]))
-    if kind == "tie":
+    just inside the box edge (the clamp band), zero and the smallest
+    doubles around it (a midpoint of every odd-K grid), or anywhere in
+    [-1, 1]."""
+    kind = draw(st.sampled_from(["tie", "edge", "tiny", "any"]))
+    if kind == "tiny":
+        c = draw(st.sampled_from([0.0, 1e-300, -1e-300, 5e-324, -5e-324]))
+    elif kind == "tie":
         c = (2 * draw(st.integers(0, K - 1)) + 1) / K - 1.0
         toward = draw(st.sampled_from([-math.inf, math.inf]))
         for _ in range(draw(st.integers(0, 4))):
@@ -164,21 +189,48 @@ def axis_values(draw, K):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_vectorized_quantizer_matches_scalar(data):
-    K = data.draw(st.integers(1, 1000))
+    # any K up to 1000, or an odd K up to 2^44 (0 is then a midpoint)
+    K = data.draw(st.one_of(st.integers(1, 1000),
+                            st.integers(0, 2 ** 43 - 1).map(lambda j: 2 * j + 1)))
     d = data.draw(st.integers(1, 3))
     rows = data.draw(st.lists(st.lists(axis_values(K), min_size=d, max_size=d),
                               min_size=1, max_size=8))
     g = GridSpec(K=K, d=d)
-    want = [[_quantize_axis(c, g) for c in row] for row in rows]
+    want = [[scalar_quantize_axis(c, g) for c in row] for row in rows]
     assert _quantize_rows(np.array(rows), g).tolist() == want
+    assert [list(quantize(Point(row), g).indices) for row in rows] == want
 
 
 def test_vectorized_quantizer_nan_raises_like_scalar():
     g = GridSpec(K=4, d=2)
     with pytest.raises(ValueError):
-        _quantize_axis(math.nan, g)
+        scalar_quantize_axis(math.nan, g)
     with pytest.raises(ValueError):
         _quantize_rows(np.array([[0.5, math.nan]]), g)
+    with pytest.raises(ValueError):
+        _quantize_rows(np.array([[0.5, 0.1], [0.2, math.nan]]), g)
+
+
+def test_exact_ties_cost_one_fraction_pass_per_midpoint(monkeypatch):
+    # 10^5 entries on one midpoint (0 of an odd-K grid, and the doubles
+    # +-1e-300 around it) must not build a Fraction per entry.
+    built = [0]
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built[0] += 1
+            return Fraction(*args, **kwargs)
+
+    monkeypatch.setattr(core, "Fraction", CountingFraction)
+    # K = 7: 0 lies midway between nodes 3 and 4; 0.5 is inside node 5's cell
+    Y = np.resize(np.array([0.0, 1e-300, -1e-300, 0.5]), (50_000, 2))
+    idx = _quantize_rows(Y, GridSpec(K=7, d=2))
+    assert np.array_equal(idx, np.resize(np.array([4, 4, 3, 5]), (50_000, 2)))
+    assert built[0] <= 4  # one distinct midpoint
+    built[0] = 0
+    for K in (3, 5, 1001):
+        assert (_quantize_rows(np.zeros((100_000, 1)), GridSpec(K=K, d=1)) == (K + 1) // 2).all()
+    assert built[0] <= 4 * 3
 
 
 def test_grid_states_codes_and_boundary():

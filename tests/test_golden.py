@@ -31,6 +31,7 @@ TENT = '{"kind": "builtin", "d": 2, "name": "tent"}'
 QUARTER = '{"kind": "ar", "d": 2, "p": [0.0, -1.0]}'
 NEG = '{"kind": "expr", "d": 1, "exprs": ["-x1"]}'
 NEAR_QUARTER = '{"kind": "ar", "d": 2, "p": [0.1, -1.0]}'
+HALF = '{"kind":"ar","d":1,"p":[0.5]}'
 
 CONFIGS = {
     "run_ar": ["run", "--map", ROT, "--y0=0.6,0.2", "--K", "16", "--horizon", "600"],
@@ -40,8 +41,10 @@ CONFIGS = {
     "run_builtin": ["run", "--map", TENT, "--y0=0.3,-0.71", "--K", "9", "--horizon", "300"],
     # K=1 merges distinct orbit points: a conflicted table
     "run_conflicts": ["run", "--map", QUARTER, "--y0=1,0", "--K", "1", "--horizon", "40"],
-    # +-0.25 are exact midpoints of the K=4 grid: every sample takes the Fraction path
+    # +-0.25 are exact midpoints of the K=4 grid: every sample is an exact tie
     "run_tie": ["run", "--map", NEG, "--y0=0.25", "--K", "4", "--horizon", "20"],
+    # decays through tiny positive values onto 0, the midpoint of the odd K=3 grid
+    "run_decay_tie": ["run", "--map", HALF, "--y0=0.3", "--K", "3", "--horizon", "1200"],
     "run_curve": ["run", "--map", ROT, "--y0=-0.5,0.45", "--K", "24", "--horizon", "800",
                   "--emit-curve"],
     # longer than one CSV block of the array writer
@@ -108,6 +111,11 @@ GOLDEN = {
         'orbit.csv': '8ca9c5f75a9b18bc362738b0a66c8f5dd95ad803eb0c3cb35b85434afad2eb4c',
         'trig.json': '3bd292d5fa48e1cf387a2ba3448d058484de5f014a5d0f73de93c3ae87189f34',
         'trig_curve.csv': '3c691135f03aac2c32bc761af25fe14a58f9b21d87b9dc1aa59695aa2b90414c',
+    },
+    'run_decay_tie': {
+        'chain.json': 'ab45b771d713662eb12a0c221a406e0312430ec9ca43bb81f036243d91fa3dbb',
+        'orbit.csv': 'd1079860448b9c1dd36a78247cfe229f184a442e7de41d8a7fa9ef2cdc923b62',
+        'trig.json': 'b428897f5aa6ff9fc2d2ff3618be185a7f5300c090263217dfdcbd5e9832097c',
     },
     'run_delay': {
         'chain.json': '3b24bfa5da3beaf2b7b4d8a2bd676e547333407b297a685a58adb989637c8a44',

@@ -1,5 +1,6 @@
 """Map kinds, range validation and Lipschitz estimation."""
 
+import math
 import pickle
 
 import numpy as np
@@ -36,6 +37,31 @@ def test_range_violation():
     m = ar_map([1.5])
     with pytest.raises(RangeViolation):
         evaluate(m, Point([1.0]))
+
+
+def test_nan_image_is_a_range_violation():
+    m = expression_map(["0.5*x1", "x1*1e200*1e200*0"])
+    with pytest.raises(RangeViolation):
+        evaluate(m, Point([0.3, 0.1]))
+    # NaN only where x1 != 0: the center maps to (0, 0)
+    assert evaluate(m, Point([0.0, 0.1])).coords == (0.0, 0.0)
+
+
+def test_validate_range_fails_on_nan():
+    for sources in (["x1*1e200*1e200*0"], ["0.5*x1", "x2*1e200*1e200*0"]):
+        report = validate_range(expression_map(sources), samples=64, seed=0)
+        assert not report.passed
+        assert report.max_overshoot == math.inf
+
+
+def test_sampled_lipschitz_rejects_nan_images():
+    # NaN on half the box; the other half is the contraction 0.5*x1
+    m = expression_map(["0.5*x1 + max(x1,0)*1e200*1e200*0"])
+    with pytest.raises(RangeViolation):
+        estimate_lipschitz(m, mode="sampled", samples=256, seed=0)
+    # overshoot is not policed here: 3*x1 leaves the box and gives gamma 3
+    est = estimate_lipschitz(expression_map(["3*x1"]), mode="sampled", samples=256, seed=0)
+    assert est.gamma == pytest.approx(3.0)
 
 
 def test_dimension_mismatch():

@@ -16,6 +16,7 @@ from aporbit import (
     build_transition_table,
     detect_cycle,
     discretize_orbit,
+    expression_map,
     generate_orbit,
     period_census,
     run_pipeline,
@@ -48,6 +49,40 @@ def test_generate_orbit_escape_carries_t():
     m = MapDefinition(d=1, kind="ar", coeffs=(2.0,))
     with pytest.raises(RangeViolation) as info:
         generate_orbit(m, Point([1.0]), 5)
+    assert info.value.t == 1
+
+
+# inf * 0: NaN wherever x1 != 0
+NAN_1D = ["x1*1e200*1e200*0"]
+NAN_2ND = ["0.5*x1", "x1*1e200*1e200*0"]
+
+
+@pytest.mark.parametrize("sources, y0", [(NAN_1D, [0.3]), (NAN_2ND, [0.3, 0.1])])
+def test_generate_orbit_rejects_nan(sources, y0):
+    # a NaN in the second coordinate passes max(map(abs, ...)); the final scan finds it
+    with pytest.raises(RangeViolation) as info:
+        generate_orbit(expression_map(sources), Point(y0), 10)
+    assert info.value.t == 1
+
+
+def test_generate_orbit_reports_the_first_bad_sample():
+    # NaN hides in x2 from t = 1; x1 leaves the box at t = 2
+    m = expression_map(["x1 + 0.6", "x1*1e200*1e200*0"])
+    with pytest.raises(RangeViolation) as info:
+        generate_orbit(m, Point([0.3, 0.1]), 10)
+    assert info.value.t == 1
+    with pytest.raises(RangeViolation) as info:
+        generate_orbit(expression_map(["x1 + 0.6", "0.5*x2"]), Point([0.3, 0.1]), 10)
+    assert info.value.t == 2
+
+
+def test_generate_orbit_clamps_within_the_band():
+    # 1 + 1e-13 is clamped to 1 and the orbit goes on from the clamped value
+    m = expression_map(["x1 + 1e-13", "-x2"])
+    orb = generate_orbit(m, Point([1.0, 0.5]), 3)
+    assert orb.values.tolist() == [[1.0, 0.5], [1.0, -0.5], [1.0, 0.5], [1.0, -0.5]]
+    with pytest.raises(RangeViolation) as info:
+        generate_orbit(expression_map(["x1 + 1e-11"]), Point([1.0]), 3)
     assert info.value.t == 1
 
 
