@@ -99,7 +99,7 @@ def verify_error_bound(
         lipschitz = estimate_lipschitz(m)
     g = GridSpec(K=K, d=m.d)
     orbit, _, table, chain = run_pipeline(m, y0, g, horizon)
-    ys = orbit.as_array()
+    ys = orbit.values
     stars = chain.values(0, horizon)
     actual = np.linalg.norm(stars - ys, axis=1)
     bound = bounds_for_horizon(lipschitz.gamma, m.d, K, horizon)
@@ -346,7 +346,7 @@ def tail_convergence(
     orbit_sups = []
     if len(Ks) >= 2:
         t_max = max(plan.T_prime[j] + plan.lcms[j] for j in range(len(Ks) - 1))
-        long_orbit = generate_orbit(m, y0, max(t_max, horizon)).as_array()
+        long_orbit = generate_orbit(m, y0, max(t_max, horizon)).values
         for j in range(len(Ks) - 1):
             lo = plan.T_prime[j]
             hi = plan.T_prime[j] + plan.lcms[j]

@@ -24,6 +24,7 @@ interpolation matrix of the coefficient solve, and the initial data of
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,11 +44,12 @@ _MERGE_RADIUS = 5e-3   # widest separation a multiple root's copies can show
 _FINAL_RADIUS = 1e-8   # reporting merge radius
 _DERIV_TOL = 1e-6      # relative derivative size accepted as "vanishes"
 _COND_LIMIT = 1e12
+_NEWTON_STEPS = 50
 
 
 @dataclass(frozen=True)
 class ARSpec:
-    """Recurrence coefficients p_1..p_d and initial data.
+    """Recurrence coefficients p_1..p_d (finite) and initial data.
 
     `initial` is ordered (z(0), z(-1), ..., z(-d+1)).  Initial data must
     lie in [-1,1]; later iterates may leave the box (this module's algebra
@@ -58,7 +60,7 @@ class ARSpec:
     initial: tuple[float, ...]
 
     def __init__(self, p, initial):
-        p = tuple(float(v) for v in p)
+        p = _finite_coefficients(p)
         initial = tuple(float(v) for v in initial)
         if not p:
             raise DimensionMismatch("need at least one coefficient")
@@ -79,19 +81,39 @@ class ARSpec:
         return {"p": list(self.p), "z0": list(self.initial)}
 
 
+def _finite_coefficients(p) -> tuple[float, ...]:
+    """The coefficients as floats; a NaN or infinite one is refused."""
+    p = tuple(float(v) for v in p)
+    for l, v in enumerate(p, start=1):
+        if not math.isfinite(v):
+            raise ValueError(f"recurrence coefficient p_{l} = {v!r} is not finite")
+    return p
+
+
+def ar_step(p):
+    """The step (z(t), ..., z(t-d+1)) -> (z(t+1), ..., z(t-d+2)) on float
+    tuples, summing p_l z(t+1-l) in order of l; the `ar` map's step and
+    `recursion` both iterate it."""
+    p = _finite_coefficients(p)
+    shift = len(p) - 1
+
+    def step(coords):
+        new0 = 0.0
+        for p_l, c in zip(p, coords):
+            new0 += p_l * c
+        return (new0,) + tuple(coords[:shift])
+
+    return step
+
+
 def recursion(spec: ARSpec, horizon: int) -> np.ndarray:
-    """z(0)..z(horizon) by direct recursion from the initial data."""
-    d = spec.d
-    # history[i] = z(t - i) going into step t+1
-    history = list(spec.initial)
+    """z(0)..z(horizon) by iterating the recurrence step from the initial data."""
+    step, state = ar_step(spec.p), spec.initial
     out = np.empty(horizon + 1)
-    out[0] = spec.initial[0]
+    out[0] = state[0]
     for t in range(1, horizon + 1):
-        z = 0.0
-        for l in range(d):
-            z += spec.p[l] * history[l]
-        history = [z] + history[:-1]
-        out[t] = z
+        state = step(state)
+        out[t] = state[0]
     return out
 
 
@@ -121,9 +143,9 @@ def _residual_scale(coeffs: np.ndarray, z: complex) -> float:
     return max(scale, 1.0)
 
 
-def _newton_polish(coeffs: np.ndarray, z: complex, steps: int = 50) -> complex:
+def _newton_polish(coeffs: np.ndarray, z: complex) -> complex:
     deriv = _polyder(coeffs)
-    for _ in range(steps):
+    for _ in range(_NEWTON_STEPS):
         pv = complex(_polyval(coeffs, z))
         dv = complex(_polyval(deriv, z))
         if dv == 0:
@@ -277,7 +299,7 @@ class RootSet:
         }
 
 
-def characteristic_roots(spec: ARSpec, tol: float = _RESIDUAL_TOL) -> RootSet:
+def characteristic_roots(spec: ARSpec) -> RootSet:
     """All complex roots of the characteristic polynomial, with multiplicities.
 
     Trailing zero coefficients are factored out exactly as roots at zero;
@@ -298,18 +320,18 @@ def characteristic_roots(spec: ARSpec, tol: float = _RESIDUAL_TOL) -> RootSet:
     residual = 0.0
     for mu, _ in clustered:
         residual = max(residual, abs(complex(_polyval(full, mu))))
-    if residual > tol * max(_residual_scale(full, mu) for mu, _ in clustered):
+    if residual > _RESIDUAL_TOL * max(_residual_scale(full, mu) for mu, _ in clustered):
         raise RootFindingFailed(f"worst residual {residual:g} above tolerance")
     return RootSet(roots=tuple(clustered), residual=residual)
 
 
-def classify(roots: RootSet, circle_tol: float = UNIT_CIRCLE_TOL) -> str:
+def classify(roots: RootSet) -> str:
     """"bounded" iff every root is strictly inside the circle or simple on it."""
     for mu, m in roots.roots:
         r = abs(mu)
-        if r < 1.0 - circle_tol:
+        if r < 1.0 - UNIT_CIRCLE_TOL:
             continue
-        if abs(r - 1.0) <= circle_tol and m == 1:
+        if abs(r - 1.0) <= UNIT_CIRCLE_TOL and m == 1:
             continue
         return "unbounded"
     return "bounded"
@@ -404,13 +426,13 @@ class ARDecomposition:
         }
 
 
-def _build_terms(roots: RootSet, circle_tol: float) -> list[Term]:
+def _build_terms(roots: RootSet) -> list[Term]:
     terms = []
     for mu, m in roots.roots:
         for k in range(m):
             if mu == 0:
                 kind = "transient"
-            elif abs(abs(mu) - 1.0) <= circle_tol:
+            elif abs(abs(mu) - 1.0) <= UNIT_CIRCLE_TOL:
                 kind = "unit"
             else:
                 kind = "decay"
@@ -418,11 +440,7 @@ def _build_terms(roots: RootSet, circle_tol: float) -> list[Term]:
     return terms
 
 
-def solve_coefficients(
-    spec: ARSpec,
-    roots: RootSet | None = None,
-    circle_tol: float = UNIT_CIRCLE_TOL,
-) -> ARDecomposition:
+def solve_coefficients(spec: ARSpec, roots: RootSet | None = None) -> ARDecomposition:
     """Fix the closed-form coefficients from the first d recurrence values.
 
     Builds the confluent interpolation system over the basis functions
@@ -432,13 +450,13 @@ def solve_coefficients(
     """
     if roots is None:
         roots = characteristic_roots(spec)
-    if classify(roots, circle_tol) != "bounded":
+    if classify(roots) != "bounded":
         raise RefusedUnbounded(
             "decomposition refused: a root grows (|mu|>1, or repeated on "
             "the unit circle)"
         )
     d = spec.d
-    terms = _build_terms(roots, circle_tol)
+    terms = _build_terms(roots)
     z_head = recursion(spec, d - 1)
     _, mu, power, kind = _term_arrays(terms)
     A = eval_terms(np.eye(len(terms)), mu, power, kind, np.arange(d))
@@ -584,13 +602,13 @@ def coefficients_from_roots(roots) -> tuple[float, ...]:
     return tuple(float(-c) for c in poly.real[1:])
 
 
-def spec_from_roots(roots, coefficients, scale_to_box: bool = True) -> ARSpec:
+def spec_from_roots(roots, coefficients) -> ARSpec:
     """Build an ARSpec realizing z(t) = sum a_j t^k mu_j^t exactly.
 
     `roots` pairs (mu, multiplicity); `coefficients` lists a_j in the same
     (root, power) order as the expansion.  Initial data is evaluated from
-    the closed form at t = 0, -1, ..., -d+1 and, when requested, the
-    coefficients are rescaled so the initial data fits in [-1,1].
+    the closed form at t = 0, -1, ..., -d+1 and, if it leaves [-1,1], the
+    coefficients are rescaled so that it fits.
     """
     mu = np.array([complex(mu) for mu, m in roots for _ in range(m)])
     power = [k for _, m in roots for k in range(m)]
@@ -600,9 +618,8 @@ def spec_from_roots(roots, coefficients, scale_to_box: bool = True) -> ARSpec:
         raise DimensionMismatch("one coefficient per (root, power) pair required")
     kind = np.where(mu == 0, "transient", "power")
     init = eval_terms(coefficients, mu, power, kind, -np.arange(d)).real.tolist()
-    if scale_to_box:
-        peak = max(abs(v) for v in init)
-        if peak > 1.0:
-            factor = 1.0 / (peak * (1.0 + 1e-9))
-            init = [v * factor for v in init]
+    peak = max(abs(v) for v in init)
+    if peak > 1.0:
+        factor = 1.0 / (peak * (1.0 + 1e-9))
+        init = [v * factor for v in init]
     return ARSpec(p=p, initial=init)

@@ -153,7 +153,7 @@ def cmd_run(args) -> int:
     form = spectral.fit_trig(chain)
 
     if not args.json_only:
-        ys = orb.as_array()
+        ys = orb.values
         header = (
             ["t"]
             + [f"y_{i+1}" for i in range(m.d)]

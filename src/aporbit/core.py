@@ -137,8 +137,8 @@ class GridStates(Sequence):
 
     The pipeline computes on `indices` and `codes()`; indexing yields
     GridState objects (a slice yields GridStates).  Compares equal to
-    another GridStates on the same grid with the same indices, and to a
-    list or tuple of the same GridState objects.
+    another GridStates on the same grid with the same indices.  `of`
+    builds one from GridState objects.
     """
 
     def __init__(self, indices: np.ndarray, grid: GridSpec):
@@ -169,8 +169,6 @@ class GridStates(Sequence):
     def __eq__(self, other):
         if isinstance(other, GridStates):
             return self.grid == other.grid and np.array_equal(self.indices, other.indices)
-        if isinstance(other, (list, tuple)):
-            return list(self) == list(other)
         return NotImplemented
 
     __hash__ = None
@@ -218,27 +216,19 @@ class _PointRows(Sequence):
 class OrbitSeries:
     """Samples y(0)..y(H) of an orbit y(t+1) = map(y(t)).
 
-    Built from Point samples, or from an (H+1, d) float array that the
-    series takes over; either way the samples live in the read-only array
-    `values`, and `samples` views its rows as Points.
+    Built from an (H+1, d) float array that the series takes over: the
+    samples live in the read-only array `values`, and `samples` views its
+    rows as Points.
     """
 
     d: int
     horizon: int
     values: np.ndarray = field(repr=False)
 
-    def __init__(self, samples):
-        if isinstance(samples, np.ndarray):
-            values = np.asarray(samples, dtype=float)
-            if values.ndim != 2 or values.shape[1] < 1:
-                raise DimensionMismatch(f"orbit array of shape {values.shape}, need (H+1, d)")
-        else:
-            samples = tuple(samples)
-            d = samples[0].d if samples else 1
-            for p in samples:
-                if p.d != d:
-                    raise DimensionMismatch("orbit samples of mixed dimension")
-            values = np.array([p.coords for p in samples], dtype=float).reshape(-1, d)
+    def __init__(self, values: np.ndarray):
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 2 or values.shape[1] < 1:
+            raise DimensionMismatch(f"orbit array of shape {values.shape}, need (H+1, d)")
         if len(values) == 0:
             raise ValueError("an orbit needs at least the initial sample")
         values.flags.writeable = False
@@ -249,10 +239,6 @@ class OrbitSeries:
     @property
     def samples(self) -> Sequence:
         return _PointRows(self.values)
-
-    def as_array(self) -> np.ndarray:
-        """Shape (H+1, d), read-only."""
-        return self.values
 
 
 def _quantize_rows(Y: np.ndarray, g: GridSpec) -> np.ndarray:

@@ -41,7 +41,8 @@ class ArityError(ParseError):
 
 
 class EvaluationError(AporbitError):
-    """Expression evaluation failed (division by a near-zero denominator)."""
+    """Expression evaluation failed (division by a near-zero denominator,
+    or sin/cos of an infinite value)."""
 
 
 class AnalyticUnavailable(AporbitError):
@@ -74,7 +75,7 @@ class Overflow(AporbitError):
 
 
 class RootFindingFailed(AporbitError):
-    """Simultaneous root iteration did not reach the residual tolerance."""
+    """Characteristic roots failed the residual test or the conjugate pairing."""
 
 
 class IllConditioned(AporbitError):

@@ -3,7 +3,9 @@
 Variables x1..xd, real literals, + - * / with the usual precedence
 (unary minus binds tighter than * and /), and the functions sin, cos,
 tanh, abs, min, max.  Deliberately small: every expression is total on
-[-1,1]^d apart from division by a near-zero denominator.
+[-1,1]^d apart from division by a near-zero denominator and sin or cos
+of an infinite intermediate, which raise EvaluationError.  The one
+evaluator is `compile_coords`: a map's trees become one Python function.
 """
 
 from __future__ import annotations
@@ -14,9 +16,22 @@ from dataclasses import dataclass
 
 from .errors import ArityError, EvaluationError, ParseError, UnknownIdentifier
 
+
+def _finite_arg(fn):
+    # math.sin and math.cos raise a bare ValueError at +-inf; report it
+    # as a failed evaluation.  NaN passes through as NaN.
+    def guarded(x):
+        try:
+            return fn(x)
+        except ValueError:
+            raise EvaluationError(f"{fn.__name__} of non-finite argument {float(x)}") from None
+
+    return guarded
+
+
 FUNCTIONS = {
-    "sin": (1, math.sin),
-    "cos": (1, math.cos),
+    "sin": (1, _finite_arg(math.sin)),
+    "cos": (1, _finite_arg(math.cos)),
     "tanh": (1, math.tanh),
     "abs": (1, abs),
     "min": (2, min),
@@ -217,30 +232,6 @@ def _div(a, b):
     return a / b
 
 
-def evaluate_ast(node, coords) -> float:
-    """Evaluate an AST at the coordinate vector (indexing is 1-based)."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return coords[node.index - 1]
-    if isinstance(node, Neg):
-        return -evaluate_ast(node.arg, coords)
-    if isinstance(node, BinOp):
-        a = evaluate_ast(node.left, coords)
-        b = evaluate_ast(node.right, coords)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        return _div(a, b)
-    if isinstance(node, Call):
-        fn = FUNCTIONS[node.func][1]
-        return fn(*(evaluate_ast(a, coords) for a in node.args))
-    raise TypeError(f"not an AST node: {node!r}")
-
-
 def _python_source(node) -> str:
     # Fully parenthesized, so Python evaluates the operations in the
     # tree's order; `inf` and `nan` print as names bound in _COMPILE_NAMES.
@@ -264,16 +255,16 @@ _COMPILE_NAMES = {name: fn for name, (_, fn) in FUNCTIONS.items()}
 _COMPILE_NAMES.update(_div=_div, inf=math.inf, nan=math.nan)
 
 
-def compile_coords(nodes, passthrough: int = 0):
+def compile_coords(nodes):
     """One Python function of a coordinate tuple `c` returning the tuple
-    (node(c) for each node) + c[:passthrough].
+    (node(c) for each node).
 
-    Each node gives bit for bit what evaluate_ast gives, including the
-    EvaluationError on a near-zero denominator; the tree is walked once
-    here instead of on every call.
+    Each operation runs in the tree's order on Python floats, so the
+    result is the tree's value bit for bit; a near-zero denominator or
+    sin/cos of an infinite value raises EvaluationError.  The trees are
+    walked once here instead of on every call.
     """
     parts = [_python_source(n) for n in nodes]
-    parts += [f"c[{i}]" for i in range(passthrough)]
     source = f"lambda c: ({', '.join(parts)},)"
     return eval(source, {"__builtins__": {}, **_COMPILE_NAMES})
 

@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import expressions
+from .armodel import ar_step
 from .core import CLAMP_BAND, Point, box_overshoot
 from .errors import (
     AnalyticUnavailable,
@@ -84,23 +85,13 @@ class MapDefinition:
         return (MapDefinition, (self.d, self.kind, self.coeffs, self.update, self.exprs, self.name))
 
 
-def _ar_step(coeffs, d):
-    shift = d - 1
-
-    def step(coords):
-        new0 = 0.0
-        for p_l, c in zip(coeffs, coords):
-            new0 += p_l * c
-        return (new0,) + tuple(coords[:shift])
-
-    return step
-
-
 def _build_step(m: MapDefinition) -> Callable:
     if m.kind == "ar":
-        return _ar_step(m.coeffs, m.d)
+        if len(m.coeffs) != m.d:
+            raise DimensionMismatch(f"{len(m.coeffs)} coefficients for dimension {m.d}")
+        return ar_step(m.coeffs)
     if m.kind == "delay":
-        return expressions.compile_coords([m.update], passthrough=m.d - 1)
+        return expressions.compile_coords([m.update] + [expressions.Var(i) for i in range(1, m.d)])
     if m.kind == "expr":
         return expressions.compile_coords(m.exprs)
     if m.name not in BUILTIN_MAPS:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .armodel import ARSpec, recursion
+from .armodel import ARSpec, coefficients_from_roots, recursion
 from .core import (CLAMP_BAND, GridSpec, GridState, GridStates, OrbitSeries, Point,
                    _quantize_rows, box_overshoot)
 from .errors import (
@@ -33,6 +33,9 @@ CONFLICT_EXAMPLES = 5
 
 # Trailing shadow states examined by shadow_periodicity.
 SHADOW_WINDOW = 8192
+
+# Largest root modulus of the census's random stable recurrences.
+STABLE_RADIUS = 0.9
 
 
 def generate_orbit(m: MapDefinition, y0: Point, horizon: int) -> OrbitSeries:
@@ -61,19 +64,11 @@ def generate_orbit(m: MapDefinition, y0: Point, horizon: int) -> OrbitSeries:
     return OrbitSeries(values)
 
 
-def discretize_orbit(orbit, g: GridSpec) -> GridStates:
-    """Quantize every orbit sample (accepts an OrbitSeries or a point list)."""
-    if isinstance(orbit, OrbitSeries):
-        values = orbit.values
-    else:
-        points = list(orbit)
-        for p in points:
-            if p.d != g.d:
-                raise DimensionMismatch(f"point dimension {p.d} != grid dimension {g.d}")
-        values = np.array([p.coords for p in points], dtype=float).reshape(len(points), g.d)
-    if values.shape[1] != g.d:
-        raise DimensionMismatch(f"point dimension {values.shape[1]} != grid dimension {g.d}")
-    return GridStates(_quantize_rows(values, g), g)
+def discretize_orbit(orbit: OrbitSeries, g: GridSpec) -> GridStates:
+    """Quantize every orbit sample."""
+    if orbit.d != g.d:
+        raise DimensionMismatch(f"point dimension {orbit.d} != grid dimension {g.d}")
+    return GridStates(_quantize_rows(orbit.values, g), g)
 
 
 @dataclass(frozen=True)
@@ -129,14 +124,10 @@ class TransitionTable:
         return None
 
 
-def build_transition_table(shadow) -> TransitionTable:
+def build_transition_table(shadow: GridStates) -> TransitionTable:
     """Extract the earliest-occurrence transition table from a shadow sequence."""
-    if not isinstance(shadow, GridStates):
-        shadow = list(shadow)
     if len(shadow) < 2:
         raise ValueError("need at least two shadow states to observe a transition")
-    if not isinstance(shadow, GridStates):
-        shadow = GridStates.of(shadow)
     codes = shadow.codes()
     _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     order = np.argsort(first)  # distinct states in first-seen order
@@ -166,8 +157,7 @@ class ChainResult:
 
     `seq` stores the distinct prefix up to the point where the cycle
     closes (length pre_period + period); any later value follows by
-    periodic extension, so the chain is evaluable at every t >= 0.  A
-    sequence of GridState objects is stored as GridStates.
+    periodic extension, so the chain is evaluable at every t >= 0.
     """
 
     grid: GridSpec
@@ -176,32 +166,28 @@ class ChainResult:
     period: int
 
     def __post_init__(self):
-        if not isinstance(self.seq, GridStates):
-            self.seq = GridStates.of(self.seq, self.grid)
         self._nodes = self.seq.nodes()
 
-    def _position(self, t: int) -> int:
-        if t < 0:
-            raise ValueError("t must be >= 0")
-        if t < len(self.seq):
-            return t
-        return self.pre_period + (t - self.pre_period) % self.period
-
-    def state_at(self, t: int) -> GridState:
-        return self.seq[self._position(t)]
-
-    def value_at(self, t: int) -> np.ndarray:
-        return self._nodes[self._position(t)].copy()
-
-    def values(self, t_start: int, t_end: int) -> np.ndarray:
-        """Decoded chain values for t_start..t_end inclusive, shape (n, d)."""
+    def _positions(self, t_start: int, t_end: int) -> np.ndarray:
+        # Positions in seq of t_start..t_end: t itself within the stored
+        # prefix, folded into the period beyond it.
         if t_start < 0:
             raise ValueError("t must be >= 0")
         ts = np.arange(t_start, t_end + 1, dtype=np.int64)
         T = self.pre_period
         if t_end >= len(self.seq):
             ts = np.where(ts < len(self.seq), ts, T + (ts - T) % self.period)
-        return self._nodes[ts]
+        return ts
+
+    def state_at(self, t: int) -> GridState:
+        return self.seq[self._positions(t, t)[0]]
+
+    def value_at(self, t: int) -> np.ndarray:
+        return self._nodes[self._positions(t, t)[0]].copy()
+
+    def values(self, t_start: int, t_end: int) -> np.ndarray:
+        """Decoded chain values for t_start..t_end inclusive, shape (n, d)."""
+        return self._nodes[self._positions(t_start, t_end)]
 
     @property
     def d(self) -> int:
@@ -279,7 +265,7 @@ def detect_cycle(seq) -> tuple[int, int]:
     return pre_period, period
 
 
-def shadow_periodicity(seq):
+def shadow_periodicity(shadow: GridStates):
     """Minimal (T, L) consistent with eventual periodicity of the window.
 
     Shadows are not function traces (the true orbit can distinguish states
@@ -290,12 +276,8 @@ def shadow_periodicity(seq):
     reported T is then the earliest time within that suffix, an upper
     bound for the true pre-period.
     """
-    if not isinstance(seq, GridStates):
-        seq = list(seq)
-    offset = max(0, len(seq) - SHADOW_WINDOW)
-    seq = seq[offset:]
-    if isinstance(seq, GridStates):
-        seq = seq.codes().tolist()
+    offset = max(0, len(shadow) - SHADOW_WINDOW)
+    seq = shadow[offset:].codes().tolist()
     n = len(seq)
     for L in range(1, n // 2 + 1):
         t = n - 1 - L
@@ -378,22 +360,21 @@ def _census_random_map(d: int, K: int, rng) -> tuple[int, int]:
     return _first_repeat(walk(tuple(int(i) for i in rng.integers(0, K + 1, d))))
 
 
-def _random_stable_ar(d: int, rng, radius: float = 0.9):
-    """Coefficients of a recurrence whose roots all lie within `radius`."""
+def _random_stable_ar(d: int, rng):
+    """Coefficients of a recurrence whose roots all lie within STABLE_RADIUS."""
     roots = []
     remaining = d
     while remaining > 0:
         if remaining >= 2 and rng.random() < 0.5:
-            r = radius * np.sqrt(rng.random())
+            r = STABLE_RADIUS * np.sqrt(rng.random())
             theta = rng.uniform(0.0, np.pi)
             mu = r * np.exp(1j * theta)
             roots.extend([mu, np.conj(mu)])
             remaining -= 2
         else:
-            roots.append(complex(rng.uniform(-radius, radius)))
+            roots.append(complex(rng.uniform(-STABLE_RADIUS, STABLE_RADIUS)))
             remaining -= 1
-    coeffs = np.real(np.poly(np.array(roots)))  # monic, highest power first
-    return tuple(float(-c) for c in coeffs[1:])
+    return coefficients_from_roots(roots)
 
 
 def _census_random_ar(d: int, K: int, rng, horizon: int) -> tuple[int, int] | None:

@@ -256,10 +256,9 @@ def hand_chain(index_cycle, K, pre_period=0):
     from aporbit import ChainResult
 
     g = GridSpec(K=K, d=1)
-    seq = tuple(GridState([i], g) for i in index_cycle)
     return ChainResult(
         grid=g,
-        seq=seq,
+        seq=GridStates(np.array([[i] for i in index_cycle], dtype=np.int64), g),
         pre_period=pre_period,
         period=len(index_cycle) - pre_period,
     )

@@ -9,11 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from aporbit import (
     ARSpec,
+    Point,
+    ar_map,
     characteristic_roots,
     char_coefficients,
     classify,
     coefficients_from_roots,
     eval_terms,
+    generate_orbit,
     recursion,
     solve_coefficients,
     spec_from_roots,
@@ -21,6 +24,7 @@ from aporbit import (
     verify_decomposition,
 )
 from aporbit.errors import OutOfRange, RefusedUnbounded
+from aporbit.orbit import _random_stable_ar
 
 
 def poly_at(coeffs, z):
@@ -58,6 +62,11 @@ def test_arspec_validation():
         ARSpec(p=[0.5, 0.1], initial=[0.1, math.nan])
     assert ARSpec(p=[0.5], initial=[1.0 + 5e-13]).initial == (1.0 + 5e-13,)
     assert ARSpec(p=[0.1, 0.2], initial=[0.5, -0.5]).d == 2
+    for p in ([math.nan, 0.1], [0.5, math.inf], [-math.inf]):
+        with pytest.raises(ValueError, match="recurrence coefficient p_"):
+            ARSpec(p=p, initial=[0.1] * len(p))
+        with pytest.raises(ValueError, match="recurrence coefficient p_"):
+            ar_map(p)
 
 
 def test_recursion_values():
@@ -67,6 +76,21 @@ def test_recursion_values():
     spec = ARSpec(p=[0.0, -1.0], initial=[1.0, 0.0])
     z = recursion(spec, 6)
     assert z.tolist() == [1.0, 0.0, -1.0, 0.0, 1.0, 0.0, -1.0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2 ** 32 - 1), st.integers(0, 2000))
+def test_map_and_recursion_iterate_one_step(d, seed, horizon):
+    # the two views of a recurrence, bit for bit: its d-dim `ar` map's
+    # first coordinate and the scalar recursion
+    rng = np.random.default_rng(seed)
+    p = _random_stable_ar(d, rng)
+    z0 = rng.uniform(-1.0, 1.0, d)
+    peak = float(np.max(np.abs(recursion(ARSpec(p, z0), horizon))))
+    z0 = z0 / max(1.0, 2.0 * peak)  # the whole orbit inside the box
+    want = recursion(ARSpec(p, z0), horizon)
+    got = generate_orbit(ar_map(p), Point(z0), horizon).values[:, 0]
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_characteristic_roots_rotation():

@@ -192,14 +192,19 @@ def test_ar_unbounded_reported(tmp_path):
 NAN_1D = '{"kind": "expr", "d": 1, "exprs": ["x1*1e200*1e200*0"]}'
 NAN_2ND = '{"kind": "expr", "d": 2, "exprs": ["0.5*x1", "x1*1e200*1e200*0"]}'
 HALF = '{"kind": "ar", "d": 1, "p": [0.5]}'
+# math.sin(inf) raises a bare ValueError, which once exited 3 as a config error
+SIN_OF_INF = '{"kind": "expr", "d": 1, "exprs": ["sin(x1*1e200*1e200)"]}'
+COS_OF_INF = '{"kind": "expr", "d": 1, "exprs": ["cos(x1*1e200*1e200)"]}'
+DELAY_SIN_OF_INF = '{"kind": "delay", "d": 2, "expr": "0.5*sin(x2*1e200*1e200)"}'
 
 
 def test_validate_map_fails_on_nan(tmp_path):
-    out = tmp_path / "v"
-    assert main(["validate-map", "--map", NAN_1D, "--out", str(out)]) == 0
-    report = read_json(out / "validate.json")
-    assert report["passed"] is False
-    assert report["max_overshoot"] == float("inf")
+    for name, map_json in (("v", NAN_1D), ("cos", COS_OF_INF)):
+        out = tmp_path / name
+        assert main(["validate-map", "--map", map_json, "--out", str(out)]) == 0
+        report = read_json(out / "validate.json")
+        assert report["passed"] is False
+        assert report["max_overshoot"] == float("inf")
 
 
 @pytest.mark.parametrize("command, map_json, y0, error", [
@@ -210,6 +215,8 @@ def test_validate_map_fails_on_nan(tmp_path):
     ("verify", NAN_2ND, "0.3,0.1", "no finite distance"),
     ("run", HALF, "nan", "coordinate nan outside [-1,1]"),
     ("verify", HALF, "nan", "coordinate nan outside [-1,1]"),
+    ("run", SIN_OF_INF, "0.3", "sin of non-finite argument inf"),
+    ("verify", DELAY_SIN_OF_INF, "0.3,0.2", "sin of non-finite argument"),
 ])
 def test_nan_orbits_are_pipeline_errors(tmp_path, capsys, command, map_json, y0, error):
     code = main([command, "--map", map_json, f"--y0={y0}", "--K", "4",
@@ -233,6 +240,28 @@ def test_ar_spec_with_nan_initial_value(tmp_path):
     spec_path.write_text('{"p": [0.5, 0.1], "z0": [NaN, 0.1]}')
     out = tmp_path / "a"
     assert main(["ar", "--spec", str(spec_path), "--out", str(out)]) == 2
+    assert not (out / "ar.json").exists()
+
+
+@pytest.mark.parametrize("command, p, y0", [
+    ("run", "[NaN]", "0.3"),
+    ("run", "[Infinity]", "0"),
+    ("verify", "[NaN]", "0.3"),
+])
+def test_non_finite_map_coefficient_is_config_error(tmp_path, capsys, command, p, y0):
+    map_json = f'{{"kind": "ar", "d": 1, "p": {p}}}'
+    code = main([command, "--map", map_json, f"--y0={y0}", "--K", "4",
+                 "--horizon", "5", "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "recurrence coefficient p_1 = " in capsys.readouterr().err
+
+
+def test_ar_spec_with_nan_coefficient(tmp_path, capsys):
+    spec_path = tmp_path / "nan.json"
+    spec_path.write_text('{"p": [NaN, 0.1], "z0": [0.1, 0.2]}')
+    out = tmp_path / "a"
+    assert main(["ar", "--spec", str(spec_path), "--out", str(out)]) == 3
+    assert "recurrence coefficient p_1 = nan is not finite" in capsys.readouterr().err
     assert not (out / "ar.json").exists()
 
 

@@ -239,7 +239,8 @@ def test_grid_states_codes_and_boundary():
     assert states.codes().tolist() == [1, 15, 1]
     assert states.nodes().tolist() == [[-1.0, -1.0 + 2.0 / 3], [1.0, 1.0], [-1.0, -1.0 + 2.0 / 3]]
     assert states[1] == GridState([3, 3], g)
-    assert states[1:] == [GridState([3, 3], g), GridState([0, 1], g)]
+    assert states[1:] == GridStates.of([GridState([3, 3], g), GridState([0, 1], g)])
+    assert states != list(states)  # no comparison with lists of GridState
     assert states == GridStates(states.indices.copy(), g)
     assert states != GridStates(states.indices, GridSpec(K=4, d=2))
     # beyond int64 mixed-radix codes: ranks among the distinct rows
@@ -250,16 +251,16 @@ def test_grid_states_codes_and_boundary():
 
 
 def test_orbit_series_validation():
-    s = OrbitSeries([Point([0.0]), Point([0.5])])
+    s = OrbitSeries(np.array([[0.0], [0.5]]))
     assert s.d == 1 and s.horizon == 1
-    assert s.as_array().shape == (2, 1)
+    assert s.values.shape == (2, 1)
     assert [p.coords for p in s.samples] == [(0.0,), (0.5,)]
     with pytest.raises(ValueError):
-        s.as_array()[0, 0] = 1.0  # the samples are read-only
+        s.values[0, 0] = 1.0  # the samples are read-only
     with pytest.raises(ValueError):
-        OrbitSeries([])
+        OrbitSeries(np.empty((0, 1)))
     with pytest.raises(DimensionMismatch):
-        OrbitSeries([Point([0.0]), Point([0.0, 0.0])])
+        OrbitSeries(np.array([0.0, 0.5]))
 
 
 def test_json_round_trip_shapes():

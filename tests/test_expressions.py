@@ -1,4 +1,8 @@
-"""Expression parser, printer round-trip and evaluation."""
+"""Expression parser, printer round-trip and evaluation.
+
+`evaluate_ast` below is a tree-walking interpreter kept only as the
+oracle for the compiled evaluator; it shares FUNCTIONS and `_div` with it.
+"""
 
 import math
 import struct
@@ -8,18 +12,43 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aporbit.expressions import (
+    FUNCTIONS,
     BinOp,
     Call,
     Neg,
     Num,
     Var,
+    _div,
     compile_coords,
-    evaluate_ast,
     parse_expression,
     to_source,
     variables_used,
 )
 from aporbit.errors import ArityError, EvaluationError, ParseError, UnknownIdentifier
+
+
+def evaluate_ast(node, coords) -> float:
+    """Evaluate an AST at the coordinate vector (indexing is 1-based)."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        return coords[node.index - 1]
+    if isinstance(node, Neg):
+        return -evaluate_ast(node.arg, coords)
+    if isinstance(node, BinOp):
+        a = evaluate_ast(node.left, coords)
+        b = evaluate_ast(node.right, coords)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        return _div(a, b)
+    if isinstance(node, Call):
+        fn = FUNCTIONS[node.func][1]
+        return fn(*(evaluate_ast(a, coords) for a in node.args))
+    raise TypeError(f"not an AST node: {node!r}")
 
 
 def test_parse_shapes():
@@ -188,15 +217,17 @@ def ast_nodes(d):
 def test_compiled_matches_evaluate_ast(data):
     d = data.draw(st.integers(1, 4))
     nodes = data.draw(st.lists(ast_nodes(d), min_size=1, max_size=3))
+    if data.draw(st.booleans()):
+        # delay-shaped: one update, then the shifted coordinates x1..x(d-1)
+        nodes = nodes[:1] + [Var(i) for i in range(1, d)]
     coords = tuple(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
-    compiled = compile_coords(nodes, passthrough=d - 1)
-    got = outcome(compiled, coords)
+    got = outcome(compile_coords(nodes), coords)
     want = [outcome(lambda c, n=n: evaluate_ast(n, c), coords) for n in nodes]
     errors = [w for w in want if isinstance(w, tuple)]
     if errors:
         assert got == errors[0]  # left to right: the first failing node raises
     else:
-        assert got == want + [bits(c) for c in coords[: d - 1]]
+        assert got == want
 
 
 def test_compiled_division_guard():
@@ -209,6 +240,16 @@ def test_compiled_division_guard():
     assert step((1e-299,)) == (1e299,)
     # a literal that overflows to inf compiles to the same value
     assert compile_coords([parse_expression("1e999 * x1", 1)])((-0.5,)) == (-math.inf,)
+
+
+def test_trig_of_infinity_is_an_evaluation_error():
+    for source in ("sin(x1 * 1e200 * 1e200)", "cos(-x1 * 1e200 * 1e200)"):
+        ast = parse_expression(source, 1)
+        for evaluate in (compile_coords([ast]), lambda c: evaluate_ast(ast, c)):
+            with pytest.raises(EvaluationError, match="non-finite argument"):
+                evaluate((0.3,))
+    # NaN is not an error here: it passes through to the orbit's box rule
+    assert math.isnan(compile_coords([parse_expression("sin(x1)", 1)])((math.nan,))[0])
 
 
 def test_variables_used():

@@ -20,6 +20,7 @@ from aporbit import (
     validate_range,
 )
 from aporbit.errors import AnalyticUnavailable, DimensionMismatch, RangeViolation
+from aporbit.maps import MapDefinition
 
 
 def test_ar_evaluate():
@@ -68,6 +69,8 @@ def test_dimension_mismatch():
     m = ar_map([0.5, 0.25])
     with pytest.raises(DimensionMismatch):
         evaluate(m, Point([0.5]))
+    with pytest.raises(DimensionMismatch):
+        MapDefinition(d=3, kind="ar", coeffs=(0.5,))
 
 
 def test_shift_structure_bitwise():

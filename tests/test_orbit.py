@@ -10,6 +10,7 @@ from aporbit import (
     GridSpec,
     GridState,
     GridStates,
+    OrbitSeries,
     Point,
     ar_map,
     build_chain,
@@ -21,7 +22,7 @@ from aporbit import (
     period_census,
     run_pipeline,
 )
-from aporbit.errors import DanglingState, NoCycleWithinHorizon, RangeViolation
+from aporbit.errors import DanglingState, DimensionMismatch, NoCycleWithinHorizon, RangeViolation
 from aporbit.maps import MapDefinition
 from aporbit.orbit import CONFLICT_EXAMPLES
 
@@ -88,19 +89,20 @@ def test_generate_orbit_clamps_within_the_band():
 
 def test_discretize_orbit():
     g = GridSpec(K=1, d=1)
-    orb = [Point([1.0]), Point([-1.0]), Point([1.0])]
+    orb = OrbitSeries(np.array([[1.0], [-1.0], [1.0]]))
     assert [s.indices for s in discretize_orbit(orb, g)] == [(1,), (0,), (1,)]
     g2 = GridSpec(K=2, d=1)
-    assert [s.indices for s in discretize_orbit([Point([0.5]), Point([0.25])], g2)] \
+    assert [s.indices for s in discretize_orbit(OrbitSeries(np.array([[0.5], [0.25]])), g2)] \
         == [(2,), (1,)]
-    assert discretize_orbit([], g) == []
+    with pytest.raises(DimensionMismatch):
+        discretize_orbit(orb, GridSpec(K=1, d=2))
 
 
 def test_transition_table_simple():
     g = GridSpec(K=4, d=1)
     A, B = states(g, [0], [1])
-    table = build_transition_table([A, B, A, B])
-    assert table.states == (A, B)
+    table = build_transition_table(GridStates.of([A, B, A, B]))
+    assert list(table.states) == [A, B]
     assert table.successor == {A: B, B: A}
     assert len(table.conflicts) == 0
     assert table.dangling is None
@@ -110,7 +112,7 @@ def test_transition_table_simple():
 def test_transition_table_conflict():
     g = GridSpec(K=4, d=1)
     A, B, C = states(g, [0], [1], [2])
-    table = build_transition_table([A, B, A, C])
+    table = build_transition_table(GridStates.of([A, B, A, C]))
     assert table.successor[A] == B  # first occurrence wins
     assert len(table.conflicts) == 1
     assert table.conflicts.examples == ((A, 2, C),)
@@ -120,7 +122,7 @@ def test_transition_table_conflict():
     assert C not in table.states
     assert table.dangling is None
     # but a fresh final state on the walked path does dangle
-    table2 = build_transition_table([A, B, C])
+    table2 = build_transition_table(GridStates.of([A, B, C]))
     assert table2.dangling == C
 
 
@@ -145,7 +147,7 @@ def test_transition_table_matches_loop_oracle():
         n = int(rng.integers(2, 60))
         shadow = [GridState(rng.integers(0, g.K + 1, g.d), g) for _ in range(n)]
         states, successor, conflicts, dangling = oracle_table(shadow)
-        table = build_transition_table(shadow)
+        table = build_transition_table(GridStates.of(shadow))
         assert list(table.states) == states
         assert table.successor == successor
         assert len(table.conflicts) == len(conflicts)
@@ -156,7 +158,7 @@ def test_transition_table_matches_loop_oracle():
 def test_transition_table_counts_conflicts_keeps_first_examples():
     g = GridSpec(K=4, d=1)
     A, B, C = states(g, [0], [1], [2])
-    shadow = [A, B] + [A, C] * 8 + [A]
+    shadow = GridStates.of([A, B] + [A, C] * 8 + [A])
     table = build_transition_table(shadow)
     assert len(table.conflicts) == 8
     assert table.conflicts.examples == tuple((A, t, C) for t in (2, 4, 6, 8, 10))
@@ -166,8 +168,8 @@ def test_transition_table_beyond_int64_codes():
     # (K+1)^d > 2^63: states are told apart by their rows, not by codes
     g = GridSpec(K=2 ** 40, d=2)
     A, B, C = states(g, [0, 2 ** 40], [2 ** 40, 0], [7, 7])
-    table = build_transition_table([A, B, C, B, C, B])
-    assert table.states == (A, B, C)
+    table = build_transition_table(GridStates.of([A, B, C, B, C, B]))
+    assert list(table.states) == [A, B, C]
     assert table.successor == {A: B, B: C, C: B}
     chain = build_chain(GridStates.of([A, B, C, B, C, B]))
     assert (chain.pre_period, chain.period) == (1, 2)
