@@ -108,6 +108,8 @@ def ar_step(p):
 
 def recursion(spec: ARSpec, horizon: int) -> np.ndarray:
     """z(0)..z(horizon) by iterating the recurrence step from the initial data."""
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
     step, state = ar_step(spec.p), spec.initial
     out = np.empty(horizon + 1)
     out[0] = state[0]

@@ -4,14 +4,14 @@ Subcommands wire the library pipeline to files: `run` (orbit, chain and
 trig form), `verify` (error-bound report), `ladder` (multi-resolution
 diagnostics), `ar` (recurrence decomposition), `census` (period
 statistics), `validate-map` (range check).  Reports are JSON-first with
-CSV side channels for plotting.  Exit codes: 0 ok, 2 pipeline failure,
-3 configuration error.
+CSV side channels for plotting; `_Out.write_csv` writes every CSV in
+blocks of CSV_BLOCK rows, printing each distinct value of a block once.
+Exit codes: 0 ok, 2 pipeline failure, 3 configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -28,8 +28,9 @@ EXIT_OK = 0
 EXIT_PIPELINE = 2
 EXIT_CONFIG = 3
 
-# Rows per block when a CSV is written from arrays.
-CSV_BLOCK = 4096
+# Rows per block when a CSV is written: a block's strings are held until it
+# is written, so larger blocks raise the peak memory of a long `run`.
+CSV_BLOCK = 1024
 
 
 def _json_default(value):
@@ -114,24 +115,24 @@ class _Out:
             fh.write("\n")
         return target
 
-    def write_csv(self, name: str, header, rows) -> str:
+    def write_csv(self, name: str, header, start: int, stop: int, block) -> str:
+        """Write `header`, then the rows [t, *block(a, b)[t - a]] for
+        t = start..stop-1, where block(a, b) returns the rows for t = a..b-1
+        as a 2-d float64 or int64 array.  A value prints as the repr of its
+        Python float or int, in csv.writer's format; each distinct value of
+        a block (by bit pattern, so -0.0 and 0.0 stay apart) is printed once."""
         target = self.path(name)
         with open(target, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+            fh.write(",".join(header) + "\r\n")
+            for a in range(start, stop, CSV_BLOCK):
+                values = block(a, min(a + CSV_BLOCK, stop))
+                keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+                texts = np.array([repr(v) for v in keys.view(values.dtype).tolist()],
+                                 dtype=object)
+                cells = texts[inverse.reshape(values.shape)].tolist()
+                fh.write("".join(f"{t},{','.join(row)}\r\n"
+                                 for t, row in enumerate(cells, a)))
         return target
-
-
-def _array_rows(start: int, stop: int, block):
-    """CSV rows [t, *block(a, b)[t - a]] for t = start..stop-1, where
-    block(a, b) returns the rows for t = a..b-1 as a 2-d array.  Blocks
-    pass through .tolist(), so the values print as the shortest repr of
-    Python floats."""
-    for a in range(start, stop, CSV_BLOCK):
-        b = min(a + CSV_BLOCK, stop)
-        for t, row in enumerate(block(a, b).tolist(), a):
-            yield [t, *row]
 
 
 def _resolved_config(args, keys) -> dict:
@@ -160,9 +161,8 @@ def cmd_run(args) -> int:
             + [f"ybar_{i+1}" for i in range(m.d)]
             + [f"ystar_{i+1}" for i in range(m.d)]
         )
-        rows = _array_rows(0, horizon + 1, lambda a, b: np.hstack(
+        out.write_csv("orbit.csv", header, 0, horizon + 1, lambda a, b: np.hstack(
             [ys[a:b], shadow[a:b].nodes(), chain.values(a, b - 1)]))
-        out.write_csv("orbit.csv", header, rows)
     summary = chain.summary()
     summary["N"] = table.n_states
     summary["conflicts"] = len(table.conflicts)
@@ -172,10 +172,8 @@ def cmd_run(args) -> int:
     if args.emit_curve:
         T, L = chain.pre_period, chain.period
         curve = spectral.eval_trig_range(form, T, T + 3 * L)
-        rows = _array_rows(T, T + 3 * L + 1, lambda a, b: curve[a - T : b - T])
-        out.write_csv(
-            "trig_curve.csv", ["t"] + [f"v_{i+1}" for i in range(m.d)], rows
-        )
+        out.write_csv("trig_curve.csv", ["t"] + [f"v_{i+1}" for i in range(m.d)],
+                      T, T + 3 * L + 1, lambda a, b: curve[a - T : b - T])
     print(f"run: T={chain.pre_period} L={chain.period} N={table.n_states} "
           f"conflicts={len(table.conflicts)} -> {args.out}")
     return EXIT_OK
@@ -195,9 +193,8 @@ def cmd_verify(args) -> int:
     report = analysis.verify_error_bound(m, y0, args.K, args.horizon, lipschitz=lip)
     out.write_json("verify.json", report.to_json(), config)
     if not args.json_only:
-        rows = _array_rows(0, args.horizon + 1, lambda a, b: np.column_stack(
-            [report.actual[a:b], report.bound[a:b]]))
-        out.write_csv("verify.csv", ["t", "actual", "bound"], rows)
+        out.write_csv("verify.csv", ["t", "actual", "bound"], 0, args.horizon + 1,
+                      lambda a, b: np.column_stack([report.actual[a:b], report.bound[a:b]]))
     status = "pass" if report.passed else "VIOLATION"
     print(f"verify: {status} worst_ratio={report.worst_ratio:.3e} "
           f"gamma={report.gamma:.6g} ({report.gamma_method}) "
@@ -249,8 +246,8 @@ def cmd_ar(args) -> int:
             ts = np.arange(args.horizon + 1)
             curve = np.column_stack(
                 [armodel.recursion(spec, args.horizon), ap_part(ts), rest(ts)])
-            rows = _array_rows(0, args.horizon + 1, lambda a, b: curve[a:b])
-            out.write_csv("ar_curve.csv", ["t", "z", "ap", "R"], rows)
+            out.write_csv("ar_curve.csv", ["t", "z", "ap", "R"], 0, args.horizon + 1,
+                          lambda a, b: curve[a:b])
     out.write_json("ar.json", payload, config)
     print(f"ar: d={spec.d} {verdict} roots="
           + " ".join(f"{mu:.6g}(x{m})" for mu, m in roots.roots))
@@ -270,8 +267,9 @@ def cmd_census(args) -> int:
     )
     out.write_json("census.json", report.to_json(), config)
     if not args.json_only:
-        rows = [[i, T, L] for i, (T, L) in enumerate(report.pairs)]
-        out.write_csv("census.csv", ["sample_id", "T", "L"], rows)
+        pairs = np.array(report.pairs, dtype=np.int64).reshape(-1, 2)
+        out.write_csv("census.csv", ["sample_id", "T", "L"], 0, len(pairs),
+                      lambda a, b: pairs[a:b])
     stats = report.to_json()
     print(f"census: mean_L={stats['mean_L']:.3f} max_L={stats['max_L']} "
           f"of state_count={stats['state_count']}")

@@ -185,6 +185,8 @@ def validate_range(m: MapDefinition, samples: int = 256, seed: int = 0) -> Range
     Checks all corners, the center and `samples` quasi-random interior
     points; passes iff the worst overshoot stays within the clamp band.
     """
+    if samples < 0:
+        raise ValueError("samples must be >= 0")
     probes = _probe_points(m.d, samples, seed)
     outs = []
     for row in probes.tolist():
@@ -261,6 +263,8 @@ def estimate_lipschitz(
         return LipschitzEstimate(gamma=gamma, method="analytic")
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
+    if samples < 1:
+        raise ValueError("samples must be >= 1 in sampled mode")
 
     rng = np.random.default_rng(seed)
     gamma = 0.0
@@ -273,8 +277,8 @@ def estimate_lipschitz(
         dist = float(np.linalg.norm(w - wp))
         if dist < 1e-6:
             continue
-        fw = np.array(m.step(tuple(w)))
-        fwp = np.array(m.step(tuple(wp)))
+        fw = np.array(m.step(tuple(w.tolist())))
+        fwp = np.array(m.step(tuple(wp.tolist())))
         ratio = float(np.linalg.norm(fw - fwp)) / dist
         if math.isnan(ratio):
             raise RangeViolation(f"images {fw.tolist()}, {fwp.tolist()} have no finite distance")

@@ -3,13 +3,18 @@
 import csv
 import json
 import os
+import struct
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aporbit.cli import main
+from aporbit.cli import CSV_BLOCK, _Out, main
 
 
 @pytest.fixture
@@ -263,6 +268,114 @@ def test_ar_spec_with_nan_coefficient(tmp_path, capsys):
     assert main(["ar", "--spec", str(spec_path), "--out", str(out)]) == 3
     assert "recurrence coefficient p_1 = nan is not finite" in capsys.readouterr().err
     assert not (out / "ar.json").exists()
+
+
+def test_verify_steps_the_map_on_python_floats(tmp_path):
+    # sampled gamma once stepped the map on numpy scalars, which warned on
+    # overflow and printed np.float64(...) in its error messages
+    from test_demos import src_env
+
+    result = subprocess.run(
+        [sys.executable, "-m", "aporbit.cli", "verify", "--map", DELAY_SIN_OF_INF,
+         "--y0=0.3,0.2", "--K", "4", "--out", str(tmp_path / "o")],
+        env=src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 2
+    assert "sin of non-finite argument" in result.stderr
+    assert "RuntimeWarning" not in result.stderr
+    assert "np.float64" not in result.stderr
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["ar", "--horizon", "-1"], "horizon"),
+    (["validate-map", "--map", HALF, "--samples", "-5"], "samples"),
+    (["verify", "--map", HALF, "--y0=0.3", "--K", "4", "--gamma-mode", "sampled",
+      "--samples", "0"], "samples"),
+    (["verify", "--map", '{"kind": "expr", "d": 1, "exprs": ["0.5*x1"]}', "--y0=0.3",
+      "--K", "4", "--samples", "-2"], "samples"),
+])
+def test_negative_counts_are_config_errors(tmp_path, capsys, argv, option):
+    if argv[0] == "ar":
+        spec_path = tmp_path / "s.json"
+        spec_path.write_text('{"p": [0.5], "z0": [0.3]}')
+        argv = argv + ["--spec", str(spec_path)]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 3
+    assert option in capsys.readouterr().err
+
+
+def csv_writer_oracle(path, header, start, rows):
+    """The CSV that csv.writer gives for [t, *row] with t from `start`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([t, *row] for t, row in enumerate(rows.tolist(), start))
+
+
+# Values where repr is easy to get wrong: signed zeros, infinities, NaNs
+# of both signs, subnormals, and both sides of the switch between
+# positional and scientific notation.
+SPECIAL_FLOATS = [
+    0.0, -0.0, float("inf"), float("-inf"), float("nan"),
+    struct.unpack("<d", struct.pack("<Q", 0xFFF8000000000001))[0],
+    5e-324, -5e-324, 2.2250738585072014e-308, 1e-5, -1e-5,
+    9.999999999999999e-06, 1.0000000000000001e-05, 1e-4, 1e16, -1e16,
+    9999999999999998.0, 1.0000000000000002e16, 1e15, 0.1, 1.0 / 3.0,
+]
+INT64_EDGES = [0, 1, -1, 2**63 - 1, -(2**63), 2**31, -(2**31) - 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    use_ints=st.booleans(),
+    pool=st.lists(st.floats(allow_nan=True, allow_infinity=True)
+                  | st.sampled_from(SPECIAL_FLOATS), min_size=1, max_size=12),
+    ints=st.lists(st.integers(-(2**63), 2**63 - 1) | st.sampled_from(INT64_EDGES),
+                  min_size=1, max_size=12),
+    n=st.sampled_from([0, 1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1, 2 * CSV_BLOCK + 3]),
+    width=st.integers(1, 4),
+    start=st.integers(1, 10**6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_write_csv_matches_csv_writer(use_ints, pool, ints, n, width, start, seed):
+    rng = np.random.default_rng(seed)
+    if use_ints:
+        values = np.array(ints, dtype=np.int64)[rng.integers(0, len(ints), (n, width))]
+    else:
+        values = np.array(pool)[rng.integers(0, len(pool), (n, width))]
+        # about half of the entries distinct, at every scale
+        fresh = rng.random((n, width)) < 0.5
+        values[fresh] = (rng.standard_normal(int(fresh.sum()))
+                         * 10.0 ** rng.integers(-320, 300, int(fresh.sum())))
+    header = ["t"] + [f"c_{i}" for i in range(width)]
+    with tempfile.TemporaryDirectory() as directory:
+        out = _Out(directory, False, [])
+        written = out.write_csv("block.csv", header, start, start + n,
+                                lambda a, b: values[a - start : b - start])
+        oracle = os.path.join(directory, "oracle.csv")
+        csv_writer_oracle(oracle, header, start, values)
+        with open(written, "rb") as fh, open(oracle, "rb") as expected:
+            assert fh.read() == expected.read()
+
+
+def traced_peak(argv) -> int:
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_writing_adds_little_to_the_peak(tmp_path, capsys):
+    # The CSV is written block by block, so its strings must not raise the
+    # job's peak: a 14,001-row orbit.csv once added about 700 KiB to it.
+    argv = ["run", "--map", '{"kind": "ar", "d": 2, "p": [0.3, -0.9]}',
+            "--y0=0.6,0.2", "--K", "64", "--horizon", "14000", "--force"]
+    traced_peak(argv + ["--out", str(tmp_path / "warm")])
+    json_only = traced_peak(argv + ["--out", str(tmp_path / "j"), "--json-only"])
+    with_csv = traced_peak(argv + ["--out", str(tmp_path / "c")])
+    assert (tmp_path / "c" / "orbit.csv").exists()
+    assert with_csv - json_only <= 128 * 1024
 
 
 def test_census_deterministic(tmp_path):

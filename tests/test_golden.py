@@ -38,6 +38,9 @@ CONFIGS = {
     "run_expr": ["run", "--map", EXPR, "--y0=0.7,-0.3", "--K", "32", "--horizon", "400"],
     "run_delay": ["run", "--map", DELAY, "--y0=0.7,-0.3,0.2", "--K", "32",
                   "--horizon", "500"],
+    # several CSV blocks at d = 3
+    "run_delay_long": ["run", "--map", DELAY, "--y0=0.7,-0.3,0.2", "--K", "32",
+                       "--horizon", "3000"],
     "run_builtin": ["run", "--map", TENT, "--y0=0.3,-0.71", "--K", "9", "--horizon", "300"],
     # K=1 merges distinct orbit points: a conflicted table
     "run_conflicts": ["run", "--map", QUARTER, "--y0=1,0", "--K", "1", "--horizon", "40"],
@@ -59,6 +62,8 @@ CONFIGS = {
                   "--generator", "random_ar"],
     # the default generator: a lazily drawn random map on the grid states
     "census_map": ["census", "--d", "3", "--K", "4", "--n", "40", "--seed", "11"],
+    # census.csv longer than one CSV block: the integer path of the writer
+    "census_block": ["census", "--d", "2", "--K", "4", "--n", "1100", "--seed", "7"],
     "validate_expr": ["validate-map", "--map", EXPR, "--samples", "300", "--seed", "2"],
     "ar_mixed": ["ar", "--horizon", "300"],
     "ar_unbounded": ["ar"],
@@ -83,6 +88,10 @@ GOLDEN = {
     'census_ar': {
         'census.csv': '39baab8adcee48fb5767fdd2b43d7a4a688280436d3e13ea351dcf4706f49c8c',
         'census.json': 'd1104d30a21be3ba22e9719620cb690a01e136f25dde64cac69ec29a88324940',
+    },
+    'census_block': {
+        'census.csv': '69eff398b8a151817bbbb68b2cd0275f2b72c2fb9674804a24b290619ae0e668',
+        'census.json': 'a4aa745b2502140a1ec7a2762c4a73d92364a9c7490f86339f51dae13daf117d',
     },
     'census_map': {
         'census.csv': 'fdec8fedeb24edf4992cb72e8918baa082d40f1e1aa2a1907793dbfb2ef1ff2a',
@@ -121,6 +130,11 @@ GOLDEN = {
         'chain.json': '3b24bfa5da3beaf2b7b4d8a2bd676e547333407b297a685a58adb989637c8a44',
         'orbit.csv': '277d591982a52de1b579ff256c0af355c3aab1125c7278f7c5e93f4937e09dd2',
         'trig.json': '32757627c4c1c35d112a6a43047d8dab164d254115df69082c60fed25736df06',
+    },
+    'run_delay_long': {
+        'chain.json': '4a78686f3c84bbc5d85e4a47c07d56c7622f6e5a3e3448951ebb9fc79aaae452',
+        'orbit.csv': '143567ced393859862abc825dfd4cd26e373c3486145ac7bb710196e79a2f549',
+        'trig.json': 'e28ebe95dbdc56442c5b25e6df2e8869eb3d405f7dc9123a9433e0b37c443d24',
     },
     'run_expr': {
         'chain.json': '7c53f82c82c6a2b4ba585305f9b3b405ed4fb55179b203d05c3b763cbfd98025',
