@@ -48,7 +48,6 @@ from .core import (
     GridStates,
     OrbitSeries,
     Point,
-    quantization_error,
     quantize,
 )
 from .errors import AporbitError
@@ -77,7 +76,6 @@ from .orbit import (
     build_chain,
     build_transition_table,
     default_horizon,
-    detect_cycle,
     discretize_orbit,
     generate_orbit,
     period_census,
@@ -90,7 +88,6 @@ from .spectral import (
     eval_trig_range,
     fit_trig,
     fit_trig_samples,
-    parseval_gap,
 )
 from .expressions import parse_expression, to_source
 

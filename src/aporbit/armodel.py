@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CLAMP_BAND, box_overshoot
+from .expressions import BinOp, Num, Var, compile_coords
 from .errors import (
     DimensionMismatch,
     IllConditioned,
@@ -90,27 +91,23 @@ def _finite_coefficients(p) -> tuple[float, ...]:
     return p
 
 
-def ar_step(p):
-    """The step (z(t), ..., z(t-d+1)) -> (z(t+1), ..., z(t-d+2)) on float
-    tuples, summing p_l z(t+1-l) in order of l; the `ar` map's step and
-    `recursion` both iterate it."""
+def recurrence_trees(p) -> list:
+    """The step (z(t), ..., z(t-d+1)) -> (z(t+1), ..., z(t-d+2)) as d
+    expression trees: 0.0 + p_1 x1 + ... + p_d xd, summed in order of l
+    from +0.0, then x1..x(d-1) shifted down.  The `ar` map compiles them,
+    and `recursion` iterates their compiled step."""
     p = _finite_coefficients(p)
-    shift = len(p) - 1
-
-    def step(coords):
-        new0 = 0.0
-        for p_l, c in zip(p, coords):
-            new0 += p_l * c
-        return (new0,) + tuple(coords[:shift])
-
-    return step
+    update = Num(0.0)
+    for l, p_l in enumerate(p, start=1):
+        update = BinOp("+", update, BinOp("*", Num(p_l), Var(l)))
+    return [update] + [Var(i) for i in range(1, len(p))]
 
 
 def recursion(spec: ARSpec, horizon: int) -> np.ndarray:
     """z(0)..z(horizon) by iterating the recurrence step from the initial data."""
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    step, state = ar_step(spec.p), spec.initial
+    step, state = compile_coords(recurrence_trees(spec.p)), spec.initial
     out = np.empty(horizon + 1)
     out[0] = state[0]
     for t in range(1, horizon + 1):

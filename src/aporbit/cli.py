@@ -208,6 +208,9 @@ def cmd_ladder(args) -> int:
     Ks = _parse_int_list(args.Ks)
     if len(Ks) < 2:
         raise ConfigError("need at least two resolutions in --Ks")
+    for option, value in (("--budget", args.budget), ("--tolerance", args.tolerance)):
+        if not value >= 0.0:  # negative or NaN
+            raise ConfigError(f"{option} must be >= 0, got {value!r}")
     out = _Out(args.out, args.force, ["ladder.json"])
     config = _resolved_config(
         args, ("map", "y0", "Ks", "horizon", "seed", "budget", "tolerance", "out")

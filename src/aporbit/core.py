@@ -278,9 +278,3 @@ def quantize(p: Point, g: GridSpec) -> GridState:
     if p.d != g.d:
         raise DimensionMismatch(f"point dimension {p.d} != grid dimension {g.d}")
     return GridState(_quantize_rows(np.array([p.coords]), g)[0].tolist(), g)
-
-
-def quantization_error(p: Point, g: GridSpec) -> float:
-    """l2 distance from p to its quantized state; always <= sqrt(d)/K."""
-    q = quantize(p, g).decode_array()
-    return float(np.linalg.norm(p.as_array() - q))

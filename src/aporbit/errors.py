@@ -58,10 +58,6 @@ class DanglingState(AporbitError):
         self.t = t
 
 
-class NoCycleWithinHorizon(AporbitError):
-    """The observed window is too short to certify an eventual cycle."""
-
-
 class NotPeriodic(AporbitError):
     """An operation requiring a certified periodic chain got none."""
 

@@ -4,14 +4,20 @@ Variables x1..xd, real literals, + - * / with the usual precedence
 (unary minus binds tighter than * and /), and the functions sin, cos,
 tanh, abs, min, max.  Deliberately small: every expression is total on
 [-1,1]^d apart from division by a near-zero denominator and sin or cos
-of an infinite intermediate, which raise EvaluationError.  The one
-evaluator is `compile_coords`: a map's trees become one Python function.
+of an infinite intermediate, which raise EvaluationError.
+
+Every map kind is a list of such trees, one per output coordinate, and
+one source generator turns them into Python: `compile_coords` gives the
+per-point step, `compile_orbit_loop` the loop that iterates it over a
+whole orbit.  Both do each tree's float operations in the tree's order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
+import textwrap
 from dataclasses import dataclass
 
 from .errors import ArityError, EvaluationError, ParseError, UnknownIdentifier
@@ -232,27 +238,62 @@ def _div(a, b):
     return a / b
 
 
-def _python_source(node) -> str:
-    # Fully parenthesized, so Python evaluates the operations in the
-    # tree's order; `inf` and `nan` print as names bound in _COMPILE_NAMES.
+def _python_source(node, var, consts) -> str:
+    # Parenthesized, so Python evaluates the operations in the tree's
+    # order; `var(i)` spells the variable x_i, and each literal is a name
+    # k0, k1, ... whose value goes to `consts`.
     if isinstance(node, Num):
-        return repr(float(node.value))
+        consts.append(float(node.value))
+        return f"k{len(consts) - 1}"
     if isinstance(node, Var):
-        return f"c[{int(node.index) - 1}]"
+        return var(int(node.index))
     if isinstance(node, Neg):
-        return f"(-{_python_source(node.arg)})"
-    if isinstance(node, BinOp) and node.op in ("+", "-", "*", "/"):
-        lhs, rhs = _python_source(node.left), _python_source(node.right)
-        if node.op == "/":
-            return f"_div({lhs}, {rhs})"
-        return f"({lhs} {node.op} {rhs})"
+        return f"(-{_python_source(node.arg, var, consts)})"
+    if isinstance(node, BinOp) and node.op == "/":
+        lhs = _python_source(node.left, var, consts)
+        return f"_div({lhs}, {_python_source(node.right, var, consts)})"
+    if isinstance(node, BinOp) and node.op in ("+", "-", "*"):
+        return f"({_left_chain(node, var, consts)})"
     if isinstance(node, Call) and node.func in FUNCTIONS:
-        return f"{node.func}({', '.join(_python_source(a) for a in node.args)})"
+        args = ", ".join(_python_source(a, var, consts) for a in node.args)
+        return f"{node.func}({args})"
     raise TypeError(f"not an AST node: {node!r}")
 
 
+def _left_chain(node, var, consts) -> str:
+    # A + - * operation without its own parentheses.  Down the left spine,
+    # an operand that Python groups to the left the same way (a + - *
+    # under + or -, a * under *) goes without them too, so a long sum such
+    # as an `ar` update stays within the parser's limit of nested
+    # parentheses.
+    spine = [node]
+    while isinstance(left := spine[-1].left, BinOp) and (
+            left.op == "*" or (left.op in "+-" and spine[-1].op in "+-")):
+        spine.append(left)
+    text = _python_source(spine[-1].left, var, consts)
+    for op in reversed(spine):
+        text += f" {op.op} {_python_source(op.right, var, consts)}"
+    return text
+
+
 _COMPILE_NAMES = {name: fn for name, (_, fn) in FUNCTIONS.items()}
-_COMPILE_NAMES.update(_div=_div, inf=math.inf, nan=math.nan)
+_COMPILE_NAMES.update(_div=_div, range=range)
+
+
+@functools.lru_cache(maxsize=256)
+def _factory(source: str, name: str, n_consts: int):
+    # `source` defines the function `name`; compile it inside
+    # make(k0, ..., k{n-1}), which binds the literals and returns it, so
+    # trees of one shape share one compiled code object.
+    ks = ", ".join(f"k{j}" for j in range(n_consts))
+    try:
+        code = compile(f"def make({ks}):\n{textwrap.indent(source, '    ')}    return {name}\n",
+                       "<map>", "exec")
+    except (RecursionError, SyntaxError) as exc:  # nested beyond what Python compiles
+        raise ValueError(f"map expression too deeply nested to compile: {exc}") from None
+    namespace = {"__builtins__": {}, **_COMPILE_NAMES}
+    exec(code, namespace)
+    return namespace["make"]
 
 
 def compile_coords(nodes):
@@ -264,9 +305,36 @@ def compile_coords(nodes):
     sin/cos of an infinite value raises EvaluationError.  The trees are
     walked once here instead of on every call.
     """
-    parts = [_python_source(n) for n in nodes]
-    source = f"lambda c: ({', '.join(parts)},)"
-    return eval(source, {"__builtins__": {}, **_COMPILE_NAMES})
+    consts = []
+    parts = [_python_source(n, lambda i: f"c[{i - 1}]", consts) for n in nodes]
+    source = f"def step(c):\n    return ({', '.join(parts)},)\n"
+    return _factory(source, "step", len(consts))(*consts)
+
+
+def compile_orbit_loop(nodes):
+    """The orbit loop of the map whose output trees are `nodes`, one per
+    coordinate: `run(c1, ..., cd, t, stop, append) -> t`.
+
+    From the sample (c1, ..., cd) at time t it computes the samples at
+    t+1, ..., stop, each with the float operations of
+    `compile_coords(nodes)`, and passes every coordinate of every sample
+    to `append`.  It returns the time of the first sample with a
+    coordinate outside [-1, 1] or NaN, or `stop` when there is none.
+    """
+    consts = []
+    cs = [f"c{i}" for i in range(1, len(nodes) + 1)]
+    parts = [_python_source(n, "c{}".format, consts) for n in nodes]
+    inside = " and ".join(f"-1.0 <= {c} <= 1.0" for c in cs)
+    source = "".join([
+        f"def run({', '.join(cs)}, t, stop, append):\n",
+        "    for t in range(t + 1, stop + 1):\n",
+        f"        {', '.join(cs)}, = {', '.join(parts)},\n",
+        *(f"        append({c})\n" for c in cs),
+        f"        if not ({inside}):\n",
+        "            return t\n",
+        "    return stop\n",
+    ])
+    return _factory(source, "run", len(consts))(*consts)
 
 
 def variables_used(node) -> set[int]:

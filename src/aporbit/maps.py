@@ -1,8 +1,12 @@
-"""Self-maps of [-1,1]^d: autoregressive, delay-coordinate, expression-defined.
+"""Self-maps of [-1,1]^d: autoregressive, delay-coordinate, expression-defined, builtin.
 
-A map definition evaluates points to points and is expected to send the
-box into itself; `validate_range` probes that claim, `estimate_lipschitz`
-bounds the stretching ratio used by the error-bound machinery.
+Every kind is d expression trees, one per output coordinate: an `ar` map
+is the recurrence step of `armodel.recurrence_trees`, a builtin map one
+of the coordinate expressions in BUILTIN_MAPS.  A map definition compiles
+its trees once into a per-point `step` and an orbit `loop`, and is
+expected to send the box into itself; `validate_range` probes that
+claim, `estimate_lipschitz` bounds the stretching ratio used by the
+error-bound machinery.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import expressions
-from .armodel import ar_step
+from .armodel import recurrence_trees
 from .core import CLAMP_BAND, Point, box_overshoot
 from .errors import (
     AnalyticUnavailable,
@@ -27,28 +31,12 @@ from .errors import (
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def _builtin_identity(coords):
-    return coords
-
-
-def _builtin_negation(coords):
-    return tuple(-c for c in coords)
-
-
-def _builtin_tent(coords):
-    return tuple(1.0 - 2.0 * abs(c) for c in coords)
-
-
-def _builtin_doubling(coords):
-    # Componentwise 2c^2 - 1, the angle-doubling map under c = cos(theta).
-    return tuple(2.0 * c * c - 1.0 for c in coords)
-
-
+# The builtin maps, each as the expression of coordinate i in x1..xd.
 BUILTIN_MAPS = {
-    "identity": _builtin_identity,
-    "negation": _builtin_negation,
-    "tent": _builtin_tent,
-    "doubling": _builtin_doubling,
+    "identity": "x{i}",
+    "negation": "-x{i}",
+    "tent": "1 - 2*abs(x{i})",
+    "doubling": "2*x{i}*x{i} - 1",  # the angle-doubling map under c = cos(theta)
 }
 
 
@@ -56,13 +44,16 @@ BUILTIN_MAPS = {
 class MapDefinition:
     """A self-map of [-1,1]^d.
 
-    kind "ar":      coords[0] -> sum(p_l * coords[l-1]), rest shifted down.
+    kind "ar":      coords[0] -> 0.0 + sum(p_l * coords[l-1]), rest shifted down.
     kind "delay":   coords[0] -> expression(coords), rest shifted down.
     kind "expr":    each output coordinate is its own expression.
     kind "builtin": named map from BUILTIN_MAPS.
 
-    `step` maps a coordinate tuple to the raw output tuple, before any
-    range policing; it is built once, here, from the definition.
+    Every kind is a list of d output trees, which `expressions` compiles
+    once, here, into two functions: `step` maps a coordinate tuple to the
+    raw output tuple, before any range policing, and `loop` is the orbit
+    loop `loop(c1, ..., cd, t, stop, append) -> t` that `generate_orbit`
+    runs (see `expressions.compile_orbit_loop`).
     """
 
     d: int
@@ -72,31 +63,38 @@ class MapDefinition:
     exprs: tuple | None = None
     name: str | None = None
     step: Callable = field(init=False, repr=False, compare=False)
+    loop: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 1:
             raise DimensionMismatch(f"dimension must be >= 1, got {self.d}")
         if self.kind not in ("ar", "delay", "expr", "builtin"):
             raise ValueError(f"unknown map kind {self.kind!r}")
-        object.__setattr__(self, "step", _build_step(self))
+        nodes = _output_trees(self)
+        object.__setattr__(self, "step", expressions.compile_coords(nodes))
+        object.__setattr__(self, "loop", expressions.compile_orbit_loop(nodes))
 
     def __reduce__(self):
-        # pickled as its definition; the step is built again on loading
+        # pickled as its definition; step and loop are built again on loading
         return (MapDefinition, (self.d, self.kind, self.coeffs, self.update, self.exprs, self.name))
 
 
-def _build_step(m: MapDefinition) -> Callable:
+def _output_trees(m: MapDefinition) -> list:
+    """The map's d output expression trees, one per coordinate."""
     if m.kind == "ar":
         if len(m.coeffs) != m.d:
             raise DimensionMismatch(f"{len(m.coeffs)} coefficients for dimension {m.d}")
-        return ar_step(m.coeffs)
+        return recurrence_trees(m.coeffs)
     if m.kind == "delay":
-        return expressions.compile_coords([m.update] + [expressions.Var(i) for i in range(1, m.d)])
+        return [m.update] + [expressions.Var(i) for i in range(1, m.d)]
     if m.kind == "expr":
-        return expressions.compile_coords(m.exprs)
+        if len(m.exprs) != m.d:
+            raise DimensionMismatch(f"{len(m.exprs)} expressions for dimension {m.d}")
+        return list(m.exprs)
     if m.name not in BUILTIN_MAPS:
         raise ValueError(f"unknown builtin map {m.name!r}")
-    return BUILTIN_MAPS[m.name]
+    return [expressions.parse_expression(BUILTIN_MAPS[m.name].format(i=i), m.d)
+            for i in range(1, m.d + 1)]
 
 
 def ar_map(coeffs) -> MapDefinition:

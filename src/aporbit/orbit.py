@@ -1,12 +1,14 @@
 """Orbit generation, grid shadowing, transition tables and periodic chains.
 
-The pipeline: iterate a map to get an orbit, snap each sample to the grid
-(the "shadow"), and record the observed state transitions in a table,
-where the earliest occurrence of a state fixes its successor.  The chain
-runs those earliest successors from the shadow's first state, so it is
-the shadow itself up to the first time a state repeats: with the repeat
-first seen at T and seen again at T + L, the chain is shadow[0..T+L-1],
-eventually periodic with pre-period T and period L.
+The pipeline: iterate a map to get an orbit (the map's compiled loop
+runs the steps, and `generate_orbit` polices each sample where it stops),
+snap each sample to the grid (the "shadow"), and record the observed
+state transitions in a table, where the earliest occurrence of a state
+fixes its successor.  The chain runs those earliest successors from the
+shadow's first state, so it is the shadow itself up to the first time a
+state repeats: with the repeat first seen at T and seen again at T + L,
+the chain is shadow[0..T+L-1], eventually periodic with pre-period T and
+period L.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .core import (CLAMP_BAND, GridSpec, GridState, GridStates, OrbitSeries, Poi
 from .errors import (
     DanglingState,
     DimensionMismatch,
-    NoCycleWithinHorizon,
     RangeViolation,
 )
 from .maps import MapDefinition, ar_map
@@ -39,29 +40,27 @@ STABLE_RADIUS = 0.9
 
 
 def generate_orbit(m: MapDefinition, y0: Point, horizon: int) -> OrbitSeries:
-    """Iterate the map from y0 for `horizon` steps; errors if the orbit escapes or is NaN."""
+    """Iterate the map from y0 for `horizon` steps; errors if the orbit escapes or is NaN.
+
+    The map's compiled `loop` runs the steps and stops at a sample outside
+    the box or NaN.  A sample within CLAMP_BAND of the box is clamped onto
+    it and the loop resumes from there; any other raises RangeViolation.
+    """
     if y0.d != m.d:
         raise DimensionMismatch(f"y0 dimension {y0.d} != map dimension {m.d}")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    step = m.step
-    current = y0.coords
-    buf = array("d", current)
-    for t in range(1, horizon + 1):
-        out = step(current)
-        if not max(map(abs, out)) <= 1.0:  # outside the box, or NaN up front
-            if box_overshoot(out) > CLAMP_BAND:
-                buf.extend(out)
-                break
-            out = Point(out).coords  # clamped onto the box
-        buf.extend(out)
-        current = out
-    values = np.frombuffer(buf).reshape(-1, m.d)
-    bad = np.flatnonzero(box_overshoot(values) > CLAMP_BAND)  # also a NaN max() passed over
-    if len(bad):
-        t = int(bad[0])
-        raise RangeViolation(f"orbit left the box at t={t}: {values[t].tolist()}", t=t)
-    return OrbitSeries(values)
+    d = m.d
+    buf = array("d", y0.coords)
+    t, current = 0, y0.coords
+    while t < horizon:
+        t = m.loop(*current, t, horizon, buf.append)
+        current = tuple(buf[-d:])
+        if box_overshoot(current) > CLAMP_BAND:
+            raise RangeViolation(f"orbit left the box at t={t}: {list(current)}", t=t)
+        current = Point(current).coords  # clamped onto the box
+        buf[-d:] = array("d", current)
+    return OrbitSeries(np.frombuffer(buf).reshape(-1, d))
 
 
 def discretize_orbit(orbit: OrbitSeries, g: GridSpec) -> GridStates:
@@ -241,28 +240,6 @@ def build_chain(shadow: GridStates) -> ChainResult:
         pre_period=pre_period,
         period=period,
     )
-
-
-def detect_cycle(seq) -> tuple[int, int]:
-    """Minimal (pre-period, period) of an eventually periodic sequence.
-
-    First-visit hash map over exact states; the candidate is then checked
-    against the periodicity definition on the whole available window.
-    """
-    seq = list(seq)
-    found = _first_repeat(seq)
-    if found is None:
-        raise NoCycleWithinHorizon(
-            f"no state repeats within the {len(seq)}-step window"
-        )
-    pre_period, period = found
-    for u in range(pre_period, len(seq) - period):
-        if seq[u + period] != seq[u]:
-            raise NoCycleWithinHorizon(
-                "window is inconsistent with the first-repeat cycle; "
-                "sequence is not an iterated-function trace"
-            )
-    return pre_period, period
 
 
 def shadow_periodicity(shadow: GridStates):

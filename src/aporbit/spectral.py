@@ -116,16 +116,3 @@ def eval_trig_range(form: TrigForm, t_start: int, t_end: int) -> np.ndarray:
         spectrum[L // 2] = form.b[L // 2] * L
     one_period = np.fft.irfft(spectrum, n=L, axis=0)
     return one_period[np.arange(t_start, t_end + 1, dtype=np.int64) % L]
-
-
-def parseval_gap(form: TrigForm, values: np.ndarray) -> float:
-    """Worst per-coordinate gap between mean squared samples and the
-    coefficient energy b_0^2 + sum (a_m^2+b_m^2)/2 (Nyquist term weight 1)."""
-    values = np.asarray(values, dtype=float)
-    L = form.period
-    mean_sq = (values ** 2).mean(axis=0)
-    energy = form.b[0] ** 2
-    for m in range(1, form.harmonics + 1):
-        weight = 1.0 if 2 * m == L else 0.5
-        energy = energy + weight * (form.a[m] ** 2 + form.b[m] ** 2)
-    return float(np.max(np.abs(mean_sq - energy)))

@@ -1,0 +1,130 @@
+"""Computations kept for the tests only.
+
+`detect_cycle`, `parseval_gap` and `quantization_error` check library
+results and have no caller in the library.  The old builtin and `ar`
+step functions and the per-step orbit loop are the forms that the
+compiled expression trees replaced; the tests hold the library equal to
+them.
+"""
+
+from __future__ import annotations
+
+from array import array
+
+import numpy as np
+
+from aporbit.core import CLAMP_BAND, Point, box_overshoot, quantize
+from aporbit.errors import AporbitError, RangeViolation
+from aporbit.orbit import _first_repeat
+
+
+class NoCycleWithinHorizon(AporbitError):
+    """The observed window is too short to certify an eventual cycle."""
+
+
+def detect_cycle(seq) -> tuple[int, int]:
+    """Minimal (pre-period, period) of an eventually periodic sequence.
+
+    The library's first-repeat walker finds the candidate, which is then
+    checked against the periodicity definition on the whole window.
+    """
+    seq = list(seq)
+    found = _first_repeat(seq)
+    if found is None:
+        raise NoCycleWithinHorizon(f"no state repeats within the {len(seq)}-step window")
+    pre_period, period = found
+    for u in range(pre_period, len(seq) - period):
+        if seq[u + period] != seq[u]:
+            raise NoCycleWithinHorizon(
+                "window is inconsistent with the first-repeat cycle; "
+                "sequence is not an iterated-function trace"
+            )
+    return pre_period, period
+
+
+def parseval_gap(form, values) -> float:
+    """Worst per-coordinate gap between mean squared samples and the
+    coefficient energy b_0^2 + sum (a_m^2+b_m^2)/2 (Nyquist term weight 1)."""
+    values = np.asarray(values, dtype=float)
+    L = form.period
+    mean_sq = (values ** 2).mean(axis=0)
+    energy = form.b[0] ** 2
+    for m in range(1, form.harmonics + 1):
+        weight = 1.0 if 2 * m == L else 0.5
+        energy = energy + weight * (form.a[m] ** 2 + form.b[m] ** 2)
+    return float(np.max(np.abs(mean_sq - energy)))
+
+
+def quantization_error(p: Point, g) -> float:
+    """l2 distance from p to its quantized state; always <= sqrt(d)/K."""
+    q = quantize(p, g).decode_array()
+    return float(np.linalg.norm(p.as_array() - q))
+
+
+# The step functions that the builtin maps and the `ar` map had before
+# every map kind became compiled expression trees.
+
+def _identity(coords):
+    return coords
+
+
+def _negation(coords):
+    return tuple(-c for c in coords)
+
+
+def _tent(coords):
+    return tuple(1.0 - 2.0 * abs(c) for c in coords)
+
+
+def _doubling(coords):
+    return tuple(2.0 * c * c - 1.0 for c in coords)
+
+
+BUILTIN_STEPS = {"identity": _identity, "negation": _negation, "tent": _tent,
+                 "doubling": _doubling}
+
+
+def ar_step(p):
+    """The recurrence step, summing p_l z(t+1-l) in order of l from 0.0."""
+    p = tuple(float(v) for v in p)
+    shift = len(p) - 1
+
+    def step(coords):
+        new0 = 0.0
+        for p_l, c in zip(p, coords):
+            new0 += p_l * c
+        return (new0,) + tuple(coords[:shift])
+
+    return step
+
+
+def per_step_orbit(step, y0: Point, horizon: int):
+    """The per-step orbit loop that the compiled loop replaced.
+
+    Returns (samples, error): the (n, d) samples computed, and the
+    exception generate_orbit raised with them (None when it returned
+    them).  A NaN after the first coordinate passes the per-step
+    `max(map(abs, ...))` test, so the loop goes on from it and only the
+    final scan of the whole array reports it.
+    """
+    d = y0.d
+    current = y0.coords
+    buf = array("d", current)
+    try:
+        for t in range(1, horizon + 1):
+            out = step(current)
+            if not max(map(abs, out)) <= 1.0:  # outside the box, or NaN up front
+                if box_overshoot(out) > CLAMP_BAND:
+                    buf.extend(out)
+                    break
+                out = Point(out).coords  # clamped onto the box
+            buf.extend(out)
+            current = out
+    except AporbitError as exc:
+        return np.frombuffer(buf).reshape(-1, d), exc
+    values = np.frombuffer(buf).reshape(-1, d)
+    bad = np.flatnonzero(box_overshoot(values) > CLAMP_BAND)
+    if len(bad):
+        t = int(bad[0])
+        return values, RangeViolation(f"orbit left the box at t={t}: {values[t].tolist()}", t=t)
+    return values, None

@@ -24,16 +24,13 @@ from aporbit import (
     classify,
     coefficients_from_roots,
     condition_term,
-    detect_cycle,
     estimate_lipschitz,
     eval_trig,
     expression_map,
     fit_trig,
     fit_trig_samples,
     lcm_periods,
-    parseval_gap,
     period_census,
-    quantization_error,
     recursion,
     reselect_T,
     run_pipeline,
@@ -43,6 +40,7 @@ from aporbit import (
     validate_range,
     verify_error_bound,
 )
+from oracles import detect_cycle, parseval_gap, quantization_error
 
 
 def report(name, detail):

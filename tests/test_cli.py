@@ -153,6 +153,18 @@ def test_ladder(tmp_path, ar_rotation):
     assert "condition" in report and "terms" in report["condition"]
 
 
+@pytest.mark.parametrize("option", ["--budget", "--tolerance"])
+@pytest.mark.parametrize("value", ["-1", "nan"])
+def test_ladder_refuses_negative_or_nan_budget_and_tolerance(tmp_path, capsys, ar_rotation,
+                                                             option, value):
+    out = tmp_path / "l"
+    code = main(["ladder", "--map", ar_rotation, "--y0", "1,0", "--Ks", "2,4",
+                 "--horizon", "40", option, value, "--out", str(out)])
+    assert code == 3
+    assert f"{option} must be >= 0" in capsys.readouterr().err
+    assert not out.exists()  # refused before anything is written
+
+
 def test_ar_decomposition(tmp_path):
     spec_path = tmp_path / "ar2.json"
     spec_path.write_text(json.dumps({"p": [0.0, -1.0], "z0": [1.0, 0.0]}))

@@ -15,11 +15,11 @@ from aporbit import (
     OrbitSeries,
     Point,
     quantize,
-    quantization_error,
 )
 from aporbit import core
 from aporbit.core import _quantize_rows
 from aporbit.errors import DimensionMismatch, OutOfRange
+from oracles import quantization_error
 
 
 def oracle_quantize_axis(c, g):

@@ -230,6 +230,12 @@ def test_compiled_matches_evaluate_ast(data):
         assert got == want
 
 
+def test_tree_too_deep_to_compile_is_a_value_error():
+    # 300 nested negations print as 300 nested parentheses, past Python's limit
+    with pytest.raises(ValueError, match="too deeply nested"):
+        compile_coords([parse_expression("-" * 300 + "x1", 1)])
+
+
 def test_compiled_division_guard():
     step = compile_coords([parse_expression("x1 / (x2 - x2)", 2)])
     with pytest.raises(EvaluationError, match="near-zero denominator 0.0"):

@@ -1,12 +1,16 @@
 """Map kinds, range validation and Lipschitz estimation."""
 
+import itertools
 import math
 import pickle
+from array import array
 
 import numpy as np
 import pytest
 
 from aporbit import (
+    BUILTIN_MAPS,
+    ARSpec,
     Point,
     ar_map,
     builtin_map,
@@ -15,12 +19,15 @@ from aporbit import (
     estimate_lipschitz,
     evaluate,
     expression_map,
+    generate_orbit,
     map_from_json,
     map_to_json,
+    recursion,
     validate_range,
 )
 from aporbit.errors import AnalyticUnavailable, DimensionMismatch, RangeViolation
 from aporbit.maps import MapDefinition
+from oracles import BUILTIN_STEPS, ar_step
 
 
 def test_ar_evaluate():
@@ -181,3 +188,49 @@ def test_map_pickles_and_rebuilds_its_step():
         again = pickle.loads(pickle.dumps(m))
         assert again == m
         assert again.step((0.3, -0.7)) == m.step((0.3, -0.7))
+        got, want = array("d"), array("d")
+        assert again.loop(0.3, -0.7, 0, 50, got.append) == m.loop(0.3, -0.7, 0, 50, want.append)
+        assert got == want and len(got) == 2 * 50
+
+
+SPECIAL = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324]
+
+
+def bits(values):
+    return np.array(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("name", sorted(BUILTIN_MAPS))
+def test_builtin_trees_equal_the_old_builtin_steps(name, d):
+    step = builtin_map(name, d).step
+    rng = np.random.default_rng(d)
+    points = [tuple(c) for c in itertools.product(SPECIAL, repeat=d)]
+    points += [tuple(row) for row in rng.uniform(-1.0, 1.0, (20_000, d)).tolist()]
+    old = BUILTIN_STEPS[name]
+    assert np.array_equal(bits([step(c) for c in points]), bits([old(c) for c in points]))
+
+
+def test_ar_tree_step_equals_the_old_ar_step():
+    rng = np.random.default_rng(7)
+    for d in range(1, 9):
+        for _ in range(50):
+            p = np.where(rng.random(d) < 0.3, rng.choice([0.0, -0.0, 1.0], d),
+                         rng.uniform(-1.5, 1.5, d)).tolist()
+            step, old = ar_map(p).step, ar_step(p)
+            points = [tuple(row) for row in rng.uniform(-1.0, 1.0, (40, d)).tolist()]
+            points += [tuple(rng.choice(SPECIAL, d).tolist()) for _ in range(40)]
+            assert np.array_equal(bits([step(c) for c in points]), bits([old(c) for c in points]))
+
+
+def test_ar_map_of_high_order_compiles():
+    # the update is one long left-nested sum, deeper than Python allows
+    # parentheses to nest; past what Python compiles it is refused
+    with pytest.raises(ValueError, match="too deeply nested"):
+        ar_map([0.1] * 10_000)
+    p = [0.5 / 400] * 400
+    c = tuple(np.linspace(-1.0, 1.0, 400).tolist())
+    m = ar_map(p)
+    assert m.step(c) == ar_step(p)(c)
+    orb = generate_orbit(m, Point(c), 30)
+    assert orb.values[1:, 0].tolist() == recursion(ARSpec(p, c), 30)[1:].tolist()

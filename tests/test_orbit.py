@@ -4,8 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aporbit import (
+    BUILTIN_MAPS,
     ChainResult,
     GridSpec,
     GridState,
@@ -15,16 +18,22 @@ from aporbit import (
     ar_map,
     build_chain,
     build_transition_table,
-    detect_cycle,
+    builtin_map,
+    delay_map,
     discretize_orbit,
     expression_map,
     generate_orbit,
     period_census,
     run_pipeline,
 )
-from aporbit.errors import DanglingState, DimensionMismatch, NoCycleWithinHorizon, RangeViolation
+from aporbit.core import CLAMP_BAND, box_overshoot
+from aporbit.errors import (AporbitError, DanglingState, DimensionMismatch, EvaluationError,
+                            RangeViolation)
+from aporbit.expressions import Var, parse_expression
 from aporbit.maps import MapDefinition
 from aporbit.orbit import CONFLICT_EXAMPLES
+from oracles import BUILTIN_STEPS, NoCycleWithinHorizon, ar_step, detect_cycle, per_step_orbit
+from test_expressions import ast_nodes, evaluate_ast
 
 
 def states(g, *index_vectors):
@@ -60,7 +69,7 @@ NAN_2ND = ["0.5*x1", "x1*1e200*1e200*0"]
 
 @pytest.mark.parametrize("sources, y0", [(NAN_1D, [0.3]), (NAN_2ND, [0.3, 0.1])])
 def test_generate_orbit_rejects_nan(sources, y0):
-    # a NaN in the second coordinate passes max(map(abs, ...)); the final scan finds it
+    # the loop stops at a NaN in any coordinate, the second one included
     with pytest.raises(RangeViolation) as info:
         generate_orbit(expression_map(sources), Point(y0), 10)
     assert info.value.t == 1
@@ -85,6 +94,131 @@ def test_generate_orbit_clamps_within_the_band():
     with pytest.raises(RangeViolation) as info:
         generate_orbit(expression_map(["x1 + 1e-11"]), Point([1.0]), 3)
     assert info.value.t == 1
+
+
+EDGE_COORDS = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324]
+
+
+def assert_matches_per_step(m, step, y0, horizon):
+    """generate_orbit against the per-step loop that iterates `step`: the
+    same samples bit for bit, or the same exception with the same t."""
+    want, error = per_step_orbit(step, y0, horizon)
+    try:
+        got = generate_orbit(m, y0, horizon)
+    except AporbitError as exc:
+        assert error is not None, exc
+        if isinstance(error, EvaluationError) and isinstance(exc, RangeViolation):
+            # The per-step loop went on from a NaN after the first
+            # coordinate and failed on a later step; the compiled loop
+            # stops at that NaN, the first sample outside the box.
+            bad = np.flatnonzero(box_overshoot(want) > CLAMP_BAND)
+            assert len(bad) and exc.t == bad[0] and np.isnan(want[exc.t]).any()
+            return
+        assert type(exc) is type(error)
+        assert str(exc) == str(error)
+        assert getattr(exc, "t", None) == getattr(error, "t", None)
+        return
+    assert error is None, error
+    assert np.array_equal(got.values.view(np.int64), want.view(np.int64))
+
+
+def edge_nodes(d):
+    """Trees that clamp at +-1, leave the box, turn NaN where x1 != 0, or
+    divide by zero once x_i is NaN or 0 (max(0, NaN) is 0)."""
+    sources = ["x{i} * 1.0000000000005", "-x{i} - 1e-13", "x{i} + 1e-11", "x1*1e200*1e200*0",
+               "x1*1e200*1e200*0 + 1/max(0, x{i})", "0.5*x{i}"]
+    return st.builds(lambda src, i: parse_expression(src.format(i=i), d),
+                     st.sampled_from(sources), st.integers(1, d))
+
+
+def drawn_map(data, d):
+    """A map of each kind, with the step its orbit was iterated by before
+    the compiled loop: the old builtin and `ar` step functions, and the
+    tree interpreter for expression trees."""
+    kind = data.draw(st.sampled_from(["ar", "delay", "expr", "builtin"]))
+    if kind == "ar":
+        near_one = st.sampled_from([1.0 + 4e-13, -1.0 - 4e-13, 1.0, -1.0, 0.0, -0.0, 1.5])
+        p = data.draw(st.lists(st.one_of(st.floats(-1.2, 1.2), near_one),
+                               min_size=d, max_size=d))
+        return ar_map(p), ar_step(p)
+    if kind == "builtin":
+        name = data.draw(st.sampled_from(sorted(BUILTIN_MAPS)))
+        return builtin_map(name, d), BUILTIN_STEPS[name]
+    if kind == "delay":
+        update = data.draw(st.one_of(ast_nodes(d), edge_nodes(d)))
+        nodes = [update] + [Var(i) for i in range(1, d)]
+        m = MapDefinition(d=d, kind="delay", update=update)
+    else:
+        nodes = data.draw(st.lists(st.one_of(ast_nodes(d), edge_nodes(d)),
+                                   min_size=d, max_size=d))
+        m = MapDefinition(d=d, kind="expr", exprs=tuple(nodes))
+    return m, lambda c: tuple(evaluate_ast(n, c) for n in nodes)
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.data())
+def test_generate_orbit_matches_the_per_step_loop(data):
+    d = data.draw(st.integers(1, 4))
+    m, step = drawn_map(data, d)
+    y0 = data.draw(st.lists(st.one_of(st.floats(-1.0, 1.0), st.sampled_from(EDGE_COORDS)),
+                            min_size=d, max_size=d))
+    assert_matches_per_step(m, step, Point(y0), data.draw(st.integers(0, 200)))
+
+
+@pytest.mark.parametrize("m, y0, error, t", [
+    # clamped within CLAMP_BAND at every step, in the first or a later coordinate
+    (ar_map([1.0 + 4e-13]), [1.0], None, None),
+    (expression_map(["-x1", "x2 * 1.0000000000005"]), [0.5, -1.0], None, None),
+    (ar_map([1.0 + 4e-13, -0.0]), [-1.0, 0.5], None, None),
+    # escapes
+    (ar_map([1.5]), [0.9], RangeViolation, 1),
+    (ar_map([1.1]), [0.5], RangeViolation, 8),
+    (expression_map(["x1", "x2 + 0.3"]), [0.2, 0.0], RangeViolation, 4),
+    # NaN in the first or a later coordinate
+    (expression_map(NAN_1D), [0.3], RangeViolation, 1),
+    (expression_map(NAN_2ND), [0.3, 0.1], RangeViolation, 1),
+    (expression_map(["0.5*x1", "x2", "x1*1e200*1e200*0"]), [0.3, 0.1, 0.2], RangeViolation, 1),
+    # evaluation errors
+    (expression_map(["x1 / (x2 - 0.5)", "x2"]), [0.3, 0.5], EvaluationError, None),
+    (delay_map("sin(x2 * 1e300 * 1e300)", 2), [0.3, 0.5], EvaluationError, None),
+])
+def test_generate_orbit_edge_cases_match_the_per_step_loop(m, y0, error, t):
+    assert_matches_per_step(m, ar_step(m.coeffs) if m.kind == "ar" else m.step, Point(y0), 20)
+    if error is not None:
+        with pytest.raises(error) as info:
+            generate_orbit(m, Point(y0), 20)
+        assert getattr(info.value, "t", None) == t
+
+
+def test_generate_orbit_stops_at_a_nan_the_per_step_loop_went_past():
+    # x2 is NaN from t = 1 on; at t = 2, max(0, NaN) is 0 and 1/0 fails.
+    # The per-step loop missed the NaN in x2 and raised at t = 2; the
+    # compiled loop reports the NaN sample.
+    m = expression_map(["0.5*x1", "x1*1e200*1e200*0 + 1/max(0, x2)"])
+    _, error = per_step_orbit(m.step, Point([0.3, 0.5]), 10)
+    assert isinstance(error, EvaluationError)
+    with pytest.raises(RangeViolation) as info:
+        generate_orbit(m, Point([0.3, 0.5]), 10)
+    assert info.value.t == 1
+
+
+def test_generate_orbit_never_calls_the_step():
+    def refuse(coords):
+        raise AssertionError("generate_orbit called the per-point step")
+
+    for m, y0 in (
+        (ar_map([1.0 + 4e-13, 0.0]), [1.0, 0.5]),  # clamps at every step
+        (delay_map("0.5*x1 - 0.3*sin(x2)", 2), [0.3, -0.7]),
+        (expression_map(["0.5*x1", "tanh(x2)"]), [0.3, -0.7]),
+        (builtin_map("doubling", 3), [0.3, -0.7, 0.9]),
+    ):
+        want = generate_orbit(m, Point(y0), 100).values
+        object.__setattr__(m, "step", refuse)
+        assert np.array_equal(generate_orbit(m, Point(y0), 100).values, want)
+    m = ar_map([1.5])
+    object.__setattr__(m, "step", refuse)
+    with pytest.raises(RangeViolation):
+        generate_orbit(m, Point([0.9]), 10)
 
 
 def test_discretize_orbit():

@@ -14,9 +14,9 @@ from aporbit import (
     eval_trig_range,
     fit_trig,
     fit_trig_samples,
-    parseval_gap,
 )
 from aporbit.errors import BeforePhaseOrigin, NotPeriodic
+from oracles import parseval_gap
 
 
 def direct_fit(values, T, L):
