@@ -12,10 +12,11 @@ splits z into an almost periodic part (unit-circle terms, a finite sum of
 complex exponentials with real frequencies) plus a decaying remainder.
 
 Roots are seeded by the companion-matrix eigenvalues (`np.roots`),
-polished by Newton's method, and grouped into multiple roots by
-clustering; a merge is accepted only when the polished representative
-passes the final residual test and its lower derivatives vanish.  One
-array evaluator, `eval_terms`, computes every sum of closed-form terms:
+polished by Newton's method (a step is taken only while it lowers
+|p(z)|), and grouped into multiple roots by clustering; a merge is
+accepted only when the polished representative passes the final
+residual test and its lower derivatives vanish.  One array evaluator,
+`eval_terms`, computes every sum of closed-form terms:
 the closed form itself, its almost periodic part and its remainder, the
 interpolation matrix of the coefficient solve, and the initial data of
 `spec_from_roots`.
@@ -143,16 +144,20 @@ def _residual_scale(coeffs: np.ndarray, z: complex) -> float:
 
 
 def _newton_polish(coeffs: np.ndarray, z: complex) -> complex:
+    """Newton steps from z, each taken only if it lowers |p(z)|."""
     deriv = _polyder(coeffs)
+    pv = complex(_polyval(coeffs, z))
     for _ in range(_NEWTON_STEPS):
-        pv = complex(_polyval(coeffs, z))
+        if pv == 0:
+            break
         dv = complex(_polyval(deriv, z))
         if dv == 0:
             break
-        step = pv / dv
-        z = z - step
-        if abs(step) < 1e-17 * max(1.0, abs(z)):
+        z_next = z - pv / dv
+        pv_next = complex(_polyval(coeffs, z_next))
+        if not abs(pv_next) < abs(pv):  # no lower, or NaN
             break
+        z, pv = z_next, pv_next
     return z
 
 

@@ -33,18 +33,6 @@ EXIT_CONFIG = 3
 CSV_BLOCK = 1024
 
 
-def _json_default(value):
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON serializable: {type(value)}")
-
-
 class ConfigError(Exception):
     pass
 
@@ -111,7 +99,7 @@ class _Out:
         document = {"schema_version": SCHEMA_VERSION, "config": config}
         document.update(payload)
         with open(target, "w") as fh:
-            json.dump(document, fh, indent=2, default=_json_default)
+            json.dump(document, fh, indent=2)
             fh.write("\n")
         return target
 
@@ -208,6 +196,8 @@ def cmd_ladder(args) -> int:
     Ks = _parse_int_list(args.Ks)
     if len(Ks) < 2:
         raise ConfigError("need at least two resolutions in --Ks")
+    if Ks[0] < 1 or any(b <= a for a, b in zip(Ks, Ks[1:])):
+        raise ConfigError(f"--Ks must be >= 1 and strictly increasing, got {args.Ks}")
     for option, value in (("--budget", args.budget), ("--tolerance", args.tolerance)):
         if not value >= 0.0:  # negative or NaN
             raise ConfigError(f"{option} must be >= 0, got {value!r}")

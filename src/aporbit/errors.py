@@ -46,7 +46,7 @@ class EvaluationError(AporbitError):
 
 
 class AnalyticUnavailable(AporbitError):
-    """Analytic Lipschitz estimation requested for a non-linear map kind."""
+    """Analytic Lipschitz estimation requested for a map without recurrence coefficients."""
 
 
 class DanglingState(AporbitError):

@@ -6,7 +6,7 @@ tanh, abs, min, max.  Deliberately small: every expression is total on
 [-1,1]^d apart from division by a near-zero denominator and sin or cos
 of an infinite intermediate, which raise EvaluationError.
 
-Every map kind is a list of such trees, one per output coordinate, and
+Every map is a tuple of such trees, one per output coordinate, and
 one source generator turns them into Python: `compile_coords` gives the
 per-point step, `compile_orbit_loop` the loop that iterates it over a
 whole orbit.  Both do each tree's float operations in the tree's order.
@@ -193,7 +193,10 @@ def parse_expression(source: str, d: int) -> object:
     if not source or not source.strip():
         raise ParseError("empty expression", 0)
     parser = _Parser(_tokenize(source), d)
-    node = parser.parse_expr()
+    try:
+        node = parser.parse_expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.peek()[2]) from None
     kind, value, pos = parser.peek()
     if kind != "end":
         raise ParseError(f"trailing input {value!r}", pos)

@@ -1,8 +1,11 @@
-"""Self-maps of [-1,1]^d: autoregressive, delay-coordinate, expression-defined, builtin.
+"""Self-maps of [-1,1]^d, each given by d expression trees.
 
-Every kind is d expression trees, one per output coordinate: an `ar` map
-is the recurrence step of `armodel.recurrence_trees`, a builtin map one
-of the coordinate expressions in BUILTIN_MAPS.  A map definition compiles
+A map is its output trees, one per coordinate, in the small language of
+`expressions`.  The map kinds survive only as input forms that build
+trees: an `ar` map is the recurrence step of `armodel.recurrence_trees`
+and also keeps its coefficients, a `delay` map is an update tree
+followed by the shift, an `expr` map its parsed trees, and a builtin map
+the coordinate expressions in BUILTIN_MAPS.  A map definition compiles
 its trees once into a per-point `step` and an orbit `loop`, and is
 expected to send the box into itself; `validate_range` probes that
 claim, `estimate_lipschitz` bounds the stretching ratio used by the
@@ -42,82 +45,58 @@ BUILTIN_MAPS = {
 
 @dataclass(frozen=True)
 class MapDefinition:
-    """A self-map of [-1,1]^d.
+    """A self-map of [-1,1]^d: output coordinate i is `trees[i]`, an
+    expression tree over x1..xd, and d is the number of trees.
 
-    kind "ar":      coords[0] -> 0.0 + sum(p_l * coords[l-1]), rest shifted down.
-    kind "delay":   coords[0] -> expression(coords), rest shifted down.
-    kind "expr":    each output coordinate is its own expression.
-    kind "builtin": named map from BUILTIN_MAPS.
-
-    Every kind is a list of d output trees, which `expressions` compiles
-    once, here, into two functions: `step` maps a coordinate tuple to the
-    raw output tuple, before any range policing, and `loop` is the orbit
-    loop `loop(c1, ..., cd, t, stop, append) -> t` that `generate_orbit`
-    runs (see `expressions.compile_orbit_loop`).
+    `coeffs` is set only for the linear recurrence of `ar_map`, whose
+    companion matrix gives the analytic Lipschitz bound.  `expressions`
+    compiles the trees once, here, into two functions: `step` maps a
+    coordinate tuple to the raw output tuple, before any range policing,
+    and `loop` is the orbit loop `loop(c1, ..., cd, t, stop, append) -> t`
+    that `generate_orbit` runs (see `expressions.compile_orbit_loop`).
     """
 
-    d: int
-    kind: str
+    trees: tuple
     coeffs: tuple[float, ...] | None = None
-    update: object | None = None
-    exprs: tuple | None = None
-    name: str | None = None
     step: Callable = field(init=False, repr=False, compare=False)
     loop: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.d < 1:
-            raise DimensionMismatch(f"dimension must be >= 1, got {self.d}")
-        if self.kind not in ("ar", "delay", "expr", "builtin"):
-            raise ValueError(f"unknown map kind {self.kind!r}")
-        nodes = _output_trees(self)
-        object.__setattr__(self, "step", expressions.compile_coords(nodes))
-        object.__setattr__(self, "loop", expressions.compile_orbit_loop(nodes))
+        if not self.trees:
+            raise DimensionMismatch("a map needs at least one output tree")
+        object.__setattr__(self, "step", expressions.compile_coords(self.trees))
+        object.__setattr__(self, "loop", expressions.compile_orbit_loop(self.trees))
+
+    @property
+    def d(self) -> int:
+        return len(self.trees)
 
     def __reduce__(self):
         # pickled as its definition; step and loop are built again on loading
-        return (MapDefinition, (self.d, self.kind, self.coeffs, self.update, self.exprs, self.name))
-
-
-def _output_trees(m: MapDefinition) -> list:
-    """The map's d output expression trees, one per coordinate."""
-    if m.kind == "ar":
-        if len(m.coeffs) != m.d:
-            raise DimensionMismatch(f"{len(m.coeffs)} coefficients for dimension {m.d}")
-        return recurrence_trees(m.coeffs)
-    if m.kind == "delay":
-        return [m.update] + [expressions.Var(i) for i in range(1, m.d)]
-    if m.kind == "expr":
-        if len(m.exprs) != m.d:
-            raise DimensionMismatch(f"{len(m.exprs)} expressions for dimension {m.d}")
-        return list(m.exprs)
-    if m.name not in BUILTIN_MAPS:
-        raise ValueError(f"unknown builtin map {m.name!r}")
-    return [expressions.parse_expression(BUILTIN_MAPS[m.name].format(i=i), m.d)
-            for i in range(1, m.d + 1)]
+        return (MapDefinition, (self.trees, self.coeffs))
 
 
 def ar_map(coeffs) -> MapDefinition:
     coeffs = tuple(float(c) for c in coeffs)
-    return MapDefinition(d=len(coeffs), kind="ar", coeffs=coeffs)
+    return MapDefinition(tuple(recurrence_trees(coeffs)), coeffs)
 
 
 def delay_map(source: str, d: int) -> MapDefinition:
-    ast = expressions.parse_expression(source, d)
-    return MapDefinition(d=d, kind="delay", update=ast)
+    if d < 1:
+        raise DimensionMismatch(f"dimension must be >= 1, got {d}")
+    update = expressions.parse_expression(source, d)
+    return MapDefinition((update,) + tuple(expressions.Var(i) for i in range(1, d)))
 
 
 def expression_map(sources) -> MapDefinition:
     sources = list(sources)
-    d = len(sources)
-    asts = tuple(expressions.parse_expression(s, d) for s in sources)
-    return MapDefinition(d=d, kind="expr", exprs=asts)
+    return MapDefinition(tuple(expressions.parse_expression(s, len(sources)) for s in sources))
 
 
 def builtin_map(name: str, d: int) -> MapDefinition:
     if name not in BUILTIN_MAPS:
         raise ValueError(f"unknown builtin map {name!r}")
-    return MapDefinition(d=d, kind="builtin", name=name)
+    return expression_map(BUILTIN_MAPS[name].format(i=i) for i in range(1, d + 1))
 
 
 def evaluate(m: MapDefinition, p: Point) -> Point:
@@ -245,18 +224,16 @@ def estimate_lipschitz(
 ) -> LipschitzEstimate:
     """Bound the stretching ratio sup |f(W)-f(W')| / |W-W'| over the box.
 
-    Analytic mode (linear "ar" maps only) returns the spectral norm of the
-    companion matrix, a true upper bound.  Sampled mode returns the max
-    ratio over random pairs, a lower bound; half of the pairs use a small
-    offset to probe local stretching.
+    Analytic mode (maps with recurrence coefficients only) returns the
+    spectral norm of the companion matrix, a true upper bound.  Sampled
+    mode returns the max ratio over random pairs, a lower bound; half of
+    the pairs use a small offset to probe local stretching.
     """
     if mode == "auto":
-        mode = "analytic" if m.kind == "ar" else "sampled"
+        mode = "analytic" if m.coeffs is not None else "sampled"
     if mode == "analytic":
-        if m.kind != "ar":
-            raise AnalyticUnavailable(
-                f"analytic Lipschitz bound only for 'ar' maps, got {m.kind!r}"
-            )
+        if m.coeffs is None:
+            raise AnalyticUnavailable("analytic Lipschitz bound only for 'ar' maps")
         gamma = float(np.linalg.norm(companion_matrix(m.coeffs), 2))
         return LipschitzEstimate(gamma=gamma, method="analytic")
     if mode != "sampled":
@@ -285,29 +262,30 @@ def estimate_lipschitz(
 
 
 def map_to_json(m: MapDefinition) -> dict:
-    out = {"d": m.d, "kind": m.kind}
-    if m.kind == "ar":
-        out["p"] = list(m.coeffs)
-    elif m.kind == "delay":
-        out["expr"] = expressions.to_source(m.update)
-    elif m.kind == "expr":
-        out["exprs"] = [expressions.to_source(e) for e in m.exprs]
-    else:
-        out["name"] = m.name
-    return out
+    """The `ar` form for a map with coefficients, else the `expr` form of its trees."""
+    if m.coeffs is not None:
+        return {"d": m.d, "kind": "ar", "p": list(m.coeffs)}
+    return {"d": m.d, "kind": "expr", "exprs": [expressions.to_source(e) for e in m.trees]}
 
 
 def map_from_json(data: dict) -> MapDefinition:
     kind = data.get("kind")
+    d = data.get("d")
+    if d is not None and (isinstance(d, bool) or not isinstance(d, int)):
+        raise ValueError(f"map dimension d must be an integer, got {d!r}")
     if kind == "ar":
-        return ar_map(data["p"])
-    if kind == "delay":
-        return delay_map(data["expr"], int(data["d"]))
-    if kind == "expr":
-        return expression_map(data["exprs"])
-    if kind == "builtin":
-        return builtin_map(data["name"], int(data["d"]))
-    raise ValueError(f"unknown map kind {kind!r} in definition")
+        m = ar_map(data["p"])
+    elif kind == "delay":
+        m = delay_map(data["expr"], data["d"])
+    elif kind == "expr":
+        m = expression_map(data["exprs"])
+    elif kind == "builtin":
+        m = builtin_map(data["name"], data["d"])
+    else:
+        raise ValueError(f"unknown map kind {kind!r} in definition")
+    if d is not None and d != m.d:
+        raise DimensionMismatch(f"definition gives d = {d} for a map of dimension {m.d}")
+    return m
 
 
 def load_map(path) -> MapDefinition:

@@ -542,3 +542,26 @@ def test_roots_match_mpmath_at_50_digits():
         bounded = all(abs(mu) < 1 - 1e-9 or (abs(abs(mu) - 1) <= 1e-9 and m == 1)
                       for mu, m in roots)
         assert classify(rs) == ("bounded" if bounded else "unbounded"), p
+
+
+def test_newton_polish_stops_when_a_step_no_longer_lowers_the_residual(monkeypatch):
+    # np.roots seeds are already within about 1e-14 of the roots, so a
+    # polish needs a step or two; noise-sized steps up to the step cap
+    # cost about 1,000 evaluations per solve of these recurrences
+    from aporbit import armodel
+
+    calls = 0
+    polyval = armodel._polyval
+
+    def counted(coeffs, z):
+        nonlocal calls
+        calls += 1
+        return polyval(coeffs, z)
+
+    rng = np.random.default_rng(12)
+    specs = [ARSpec(p=coefficients_from_roots(small_jobs_roots(rng, 12, 3, True)),
+                    initial=np.zeros(12)) for _ in range(100)]
+    monkeypatch.setattr(armodel, "_polyval", counted)
+    for spec in specs:
+        assert len(characteristic_roots(spec).roots) == 12
+    assert calls <= 10_000

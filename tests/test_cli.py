@@ -165,6 +165,24 @@ def test_ladder_refuses_negative_or_nan_budget_and_tolerance(tmp_path, capsys, a
     assert not out.exists()  # refused before anything is written
 
 
+@pytest.mark.parametrize("Ks", ["16,8,4", "4,4", "0,4"])
+def test_ladder_refuses_bad_resolutions_before_any_work(tmp_path, capsys, monkeypatch,
+                                                       ar_rotation, Ks):
+    from aporbit import analysis, maps
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ladder did work before checking --Ks")
+
+    monkeypatch.setattr(analysis, "run_pipeline", refuse)
+    monkeypatch.setattr(maps, "estimate_lipschitz", refuse)
+    out = tmp_path / "l"
+    code = main(["ladder", "--map", ar_rotation, "--y0", "1,0", "--Ks", Ks,
+                 "--horizon", "40", "--out", str(out)])
+    assert code == 3
+    assert "--Ks must be >= 1 and strictly increasing" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ar_decomposition(tmp_path):
     spec_path = tmp_path / "ar2.json"
     spec_path.write_text(json.dumps({"p": [0.0, -1.0], "z0": [1.0, 0.0]}))
@@ -438,6 +456,48 @@ def test_inline_map_definition(tmp_path):
     ])
     assert code == 0
     assert read_json(out / "chain.json")["d"] == 1
+
+
+@pytest.mark.parametrize("map_json", [
+    '{"kind": "ar", "d": 3, "p": [0.5]}',
+    '{"kind": "expr", "d": 5, "exprs": ["0.5*x1", "x1"]}',
+])
+def test_map_with_a_wrong_d_is_config_error(tmp_path, capsys, map_json):
+    out = tmp_path / "out"
+    code = main(["run", "--map", map_json, "--y0", "0.3", "--K", "4", "--horizon", "10",
+                 "--out", str(out)])
+    assert code == 3
+    assert "dimension" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("map_json", [
+    '{"kind": "ar", "p": [0.5, 0.25]}',
+    '{"kind": "expr", "exprs": ["0.5*x1", "x1"]}',
+])
+def test_map_without_d_runs(tmp_path, map_json):
+    out = tmp_path / "out"
+    code = main(["run", "--map", map_json, "--y0", "0.3,0.1", "--K", "4", "--horizon", "10",
+                 "--out", str(out)])
+    assert code == 0
+    assert read_json(out / "chain.json")["d"] == 2
+
+
+def test_map_nested_too_deeply_is_config_error(tmp_path):
+    # in a child process, so that a traceback would show on its stderr
+    from test_demos import src_env
+
+    source = "0.5*" + "(" * 300 + "x1" + ")" * 300
+    map_json = json.dumps({"kind": "expr", "d": 1, "exprs": [source]})
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "aporbit.cli", "run", "--map", map_json, "--y0=0.3",
+         "--K", "4", "--out", str(out)],
+        env=src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error:") and "nested too deeply" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 def test_bad_vector_is_config_error(tmp_path, ar_contracting):

@@ -262,3 +262,10 @@ def test_variables_used():
     ast = parse_expression("x1 * sin(x2) - 0.5", 2)
     assert variables_used(ast) == {1, 2}
     assert variables_used(parse_expression("1.0", 3)) == set()
+
+
+@pytest.mark.parametrize("source", ["(" * 300 + "x1" + ")" * 300, "-" * 2000 + "x1"],
+                         ids=["parentheses", "unary_minus"])
+def test_nesting_too_deep_to_parse_is_a_parse_error(source):
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_expression(source, 1)

@@ -77,7 +77,7 @@ def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         evaluate(m, Point([0.5]))
     with pytest.raises(DimensionMismatch):
-        MapDefinition(d=3, kind="ar", coeffs=(0.5,))
+        MapDefinition(())
 
 
 def test_shift_structure_bitwise():
@@ -176,6 +176,31 @@ def test_map_json_round_trip(tmp_path):
         data = map_to_json(m)
         again = map_from_json(data)
         assert again == m
+
+
+def test_map_to_json_writes_a_map_without_coefficients_as_its_trees():
+    assert map_to_json(ar_map([0.25, -0.5])) == {"d": 2, "kind": "ar", "p": [0.25, -0.5]}
+    assert map_to_json(delay_map("0.5*x1 - 0.25*x2", 2)) == {
+        "d": 2, "kind": "expr", "exprs": ["0.5 * x1 - 0.25 * x2", "x1"]}
+    assert map_to_json(builtin_map("tent", 2)) == {
+        "d": 2, "kind": "expr", "exprs": ["1.0 - 2.0 * abs(x1)", "1.0 - 2.0 * abs(x2)"]}
+
+
+def test_builtin_map_is_the_expression_map_of_its_sources():
+    assert builtin_map("tent", 2) == expression_map(["1 - 2*abs(x1)", "1 - 2*abs(x2)"])
+
+
+@pytest.mark.parametrize("data", [
+    {"kind": "ar", "d": 3, "p": [0.5]},
+    {"kind": "expr", "d": 5, "exprs": ["0.5*x1", "x1"]},
+    {"kind": "delay", "d": 0, "expr": "0.5"},
+    {"kind": "builtin", "d": 3.0, "name": "tent"},
+    {"kind": "ar", "d": "1", "p": [0.5]},
+    {"kind": "ar", "d": True, "p": [0.5]},
+])
+def test_map_from_json_refuses_a_bad_d(data):
+    with pytest.raises((ValueError, DimensionMismatch)):
+        map_from_json(data)
 
 
 def test_map_pickles_and_rebuilds_its_step():

@@ -55,8 +55,7 @@ def test_generate_orbit_rotation():
 
 
 def test_generate_orbit_escape_carries_t():
-    # force past range validation: build the definition directly
-    m = MapDefinition(d=1, kind="ar", coeffs=(2.0,))
+    m = ar_map([2.0])  # leaves the box at t = 1
     with pytest.raises(RangeViolation) as info:
         generate_orbit(m, Point([1.0]), 5)
     assert info.value.t == 1
@@ -147,12 +146,10 @@ def drawn_map(data, d):
     if kind == "delay":
         update = data.draw(st.one_of(ast_nodes(d), edge_nodes(d)))
         nodes = [update] + [Var(i) for i in range(1, d)]
-        m = MapDefinition(d=d, kind="delay", update=update)
     else:
         nodes = data.draw(st.lists(st.one_of(ast_nodes(d), edge_nodes(d)),
                                    min_size=d, max_size=d))
-        m = MapDefinition(d=d, kind="expr", exprs=tuple(nodes))
-    return m, lambda c: tuple(evaluate_ast(n, c) for n in nodes)
+    return MapDefinition(tuple(nodes)), lambda c: tuple(evaluate_ast(n, c) for n in nodes)
 
 
 @settings(max_examples=250, deadline=None)
@@ -183,7 +180,7 @@ def test_generate_orbit_matches_the_per_step_loop(data):
     (delay_map("sin(x2 * 1e300 * 1e300)", 2), [0.3, 0.5], EvaluationError, None),
 ])
 def test_generate_orbit_edge_cases_match_the_per_step_loop(m, y0, error, t):
-    assert_matches_per_step(m, ar_step(m.coeffs) if m.kind == "ar" else m.step, Point(y0), 20)
+    assert_matches_per_step(m, ar_step(m.coeffs) if m.coeffs is not None else m.step, Point(y0), 20)
     if error is not None:
         with pytest.raises(error) as info:
             generate_orbit(m, Point(y0), 20)
