@@ -33,6 +33,10 @@ from .errors import (
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# Samples per block of the sampled Lipschitz estimate (even, so that each
+# block holds whole pairs of samples).
+LIPSCHITZ_BLOCK = 1024
+
 
 # The builtin maps, each as the expression of coordinate i in x1..xd.
 BUILTIN_MAPS = {
@@ -112,18 +116,12 @@ def evaluate(m: MapDefinition, p: Point) -> Point:
     return Point(out)
 
 
-def _halton(index: int, base: int) -> float:
-    f = 1.0
-    r = 0.0
-    while index > 0:
-        f /= base
-        r += f * (index % base)
-        index //= base
-    return r
-
-
 def _probe_points(d: int, samples: int, seed: int) -> np.ndarray:
-    """2^d corners, the center, and a shifted Halton sequence in [-1,1]^d."""
+    """2^d corners, the center, and a shifted Halton sequence in [-1,1]^d.
+
+    Each axis takes the radical inverse of the indices 1..samples digit
+    by digit; an index whose digits have run out adds exactly 0.0.
+    """
     corners = np.array(
         [[1.0 if (i >> axis) & 1 else -1.0 for axis in range(d)]
          for i in range(2 ** d)]
@@ -132,10 +130,16 @@ def _probe_points(d: int, samples: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     shift = rng.random(d)
     quasi = np.empty((samples, d))
-    for i in range(samples):
-        for axis in range(d):
-            quasi[i, axis] = (_halton(i + 1, _PRIMES[axis % len(_PRIMES)])
-                              + shift[axis]) % 1.0
+    for axis in range(d):
+        base = _PRIMES[axis % len(_PRIMES)]
+        idx = np.arange(1, samples + 1)
+        f = 1.0
+        r = np.zeros(samples)
+        while idx.any():
+            f /= base
+            r += f * (idx % base)
+            idx //= base
+        quasi[:, axis] = (r + shift[axis]) % 1.0
     quasi = 2.0 * quasi - 1.0
     return np.vstack([corners, center, quasi])
 
@@ -243,22 +247,65 @@ def estimate_lipschitz(
 
     rng = np.random.default_rng(seed)
     gamma = 0.0
-    for i in range(samples):
-        w = rng.uniform(-1.0, 1.0, m.d)
-        if i % 2 == 0:
-            wp = rng.uniform(-1.0, 1.0, m.d)
-        else:
-            wp = np.clip(w + rng.normal(scale=1e-3, size=m.d), -1.0, 1.0)
-        dist = float(np.linalg.norm(w - wp))
-        if dist < 1e-6:
-            continue
-        fw = np.array(m.step(tuple(w.tolist())))
-        fwp = np.array(m.step(tuple(wp.tolist())))
-        ratio = float(np.linalg.norm(fw - fwp)) / dist
-        if math.isnan(ratio):
-            raise RangeViolation(f"images {fw.tolist()}, {fwp.tolist()} have no finite distance")
-        gamma = max(gamma, ratio)
+    for a in range(0, samples, LIPSCHITZ_BLOCK):
+        gamma = max(gamma, _sampled_block(m, rng, min(LIPSCHITZ_BLOCK, samples - a)))
     return LipschitzEstimate(gamma=gamma, method="sampled", sample_count=samples)
+
+
+def _sampled_block(m: MapDefinition, rng, n: int) -> float:
+    """Largest ratio over the next n samples of `estimate_lipschitz`.
+
+    Sample i is a point w_i and a partner w'_i: for even i another
+    uniform point, for odd i w_i plus a normal offset of scale 1e-3,
+    clipped to the box.  Each pair of samples draws rng.random(3d)
+    (w_i, w'_i, w_i+1) and then rng.standard_normal(d), and a last odd
+    sample draws rng.random(2d); `-1.0 + 2.0*u` and `0.0 + 1e-3*z` are
+    what `uniform` and `normal` compute, so the stream and the points are
+    those of one `uniform`/`normal` call per point.  Distances are taken
+    by `vecdot`, the dot product that `np.linalg.norm` takes of a vector.
+    Pairs closer than 1e-6 are skipped; the rest are stepped in sample
+    order, and the first failure in that order is raised: a step's own
+    error, or RangeViolation for images with no finite distance.
+    """
+    d = m.d
+    pairs, odd = divmod(n, 2)
+    u = np.empty((pairs, 3 * d))
+    z = np.empty((pairs, d))
+    draw_uniform, draw_normal = rng.random, rng.standard_normal
+    for u_row, z_row in zip(u, z):
+        draw_uniform(out=u_row)
+        draw_normal(out=z_row)
+    v = (-1.0 + 2.0 * u).reshape(pairs, 3, d)
+    w = np.empty((n, d))
+    wp = np.empty((n, d))
+    w[0:2 * pairs:2] = v[:, 0]
+    wp[0:2 * pairs:2] = v[:, 1]
+    w[1::2] = v[:, 2]
+    wp[1::2] = np.clip(w[1::2] + (0.0 + 1e-3 * z), -1.0, 1.0)
+    if odd:
+        w[-1], wp[-1] = (-1.0 + 2.0 * draw_uniform(2 * d)).reshape(2, d)
+    diff = w - wp
+    dist = np.sqrt(np.vecdot(diff, diff))
+    kept = ~(dist < 1e-6)
+    points = np.stack((w[kept], wp[kept]), axis=1).reshape(-1, d)  # w_i, w'_i, w_i+1, ...
+    step = m.step
+    images = []
+    error = None
+    try:
+        for row in points.tolist():
+            images.append(step(tuple(row)))
+    except Exception as exc:  # raised below, unless a NaN pair comes before it
+        error = exc
+    f = np.array(images[:len(images) // 2 * 2], dtype=float).reshape(-1, 2, d)
+    diff = f[:, 0] - f[:, 1]
+    ratios = np.sqrt(np.vecdot(diff, diff)) / dist[kept][:len(f)]
+    bad = np.flatnonzero(np.isnan(ratios))
+    if len(bad):
+        fw, fwp = f[bad[0]]
+        raise RangeViolation(f"images {fw.tolist()}, {fwp.tolist()} have no finite distance")
+    if error is not None:
+        raise error
+    return float(np.max(ratios, initial=0.0))
 
 
 def map_to_json(m: MapDefinition) -> dict:

@@ -3,18 +3,21 @@
 `detect_cycle`, `parseval_gap` and `quantization_error` check library
 results and have no caller in the library.  The old builtin and `ar`
 step functions and the per-step orbit loop are the forms that the
-compiled expression trees replaced; the tests hold the library equal to
-them.
+compiled expression trees replaced, and the per-pair Lipschitz sampler
+and scalar Halton probes are the forms that the blocked array passes of
+`maps` replaced; the tests hold the library equal to them.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 
 import numpy as np
 
 from aporbit.core import CLAMP_BAND, Point, box_overshoot, quantize
 from aporbit.errors import AporbitError, RangeViolation
+from aporbit.maps import _PRIMES
 from aporbit.orbit import _first_repeat
 
 
@@ -128,3 +131,54 @@ def per_step_orbit(step, y0: Point, horizon: int):
         t = int(bad[0])
         return values, RangeViolation(f"orbit left the box at t={t}: {values[t].tolist()}", t=t)
     return values, None
+
+
+def sampled_lipschitz(m, samples: int, seed: int) -> float:
+    """The per-pair sampled Lipschitz loop that `maps.estimate_lipschitz`
+    replaced: one uniform pair, or one point and a small normal offset,
+    per iteration, with the ratio taken by `np.linalg.norm`."""
+    rng = np.random.default_rng(seed)
+    gamma = 0.0
+    for i in range(samples):
+        w = rng.uniform(-1.0, 1.0, m.d)
+        if i % 2 == 0:
+            wp = rng.uniform(-1.0, 1.0, m.d)
+        else:
+            wp = np.clip(w + rng.normal(scale=1e-3, size=m.d), -1.0, 1.0)
+        dist = float(np.linalg.norm(w - wp))
+        if dist < 1e-6:
+            continue
+        fw = np.array(m.step(tuple(w.tolist())))
+        fwp = np.array(m.step(tuple(wp.tolist())))
+        ratio = float(np.linalg.norm(fw - fwp)) / dist
+        if math.isnan(ratio):
+            raise RangeViolation(f"images {fw.tolist()}, {fwp.tolist()} have no finite distance")
+        gamma = max(gamma, ratio)
+    return gamma
+
+
+def halton(index: int, base: int) -> float:
+    """The radical inverse of `index` in `base`, one digit at a time."""
+    f = 1.0
+    r = 0.0
+    while index > 0:
+        f /= base
+        r += f * (index % base)
+        index //= base
+    return r
+
+
+def probe_points(d: int, samples: int, seed: int) -> np.ndarray:
+    """The probe points of `maps.validate_range`, one scalar Halton value
+    per entry: 2^d corners, the center, then the shifted sequence."""
+    corners = np.array(
+        [[1.0 if (i >> axis) & 1 else -1.0 for axis in range(d)]
+         for i in range(2 ** d)]
+    )
+    center = np.zeros((1, d))
+    shift = np.random.default_rng(seed).random(d)
+    quasi = np.empty((samples, d))
+    for i in range(samples):
+        for axis in range(d):
+            quasi[i, axis] = (halton(i + 1, _PRIMES[axis % len(_PRIMES)]) + shift[axis]) % 1.0
+    return np.vstack([corners, center, 2.0 * quasi - 1.0])

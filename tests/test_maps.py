@@ -3,10 +3,13 @@
 import itertools
 import math
 import pickle
+import tracemalloc
 from array import array
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aporbit import (
     BUILTIN_MAPS,
@@ -25,9 +28,11 @@ from aporbit import (
     recursion,
     validate_range,
 )
-from aporbit.errors import AnalyticUnavailable, DimensionMismatch, RangeViolation
-from aporbit.maps import MapDefinition
-from oracles import BUILTIN_STEPS, ar_step
+from aporbit.core import CLAMP_BAND, box_overshoot
+from aporbit.errors import AnalyticUnavailable, DimensionMismatch, EvaluationError, RangeViolation
+from aporbit.maps import LIPSCHITZ_BLOCK, MapDefinition, _probe_points
+from oracles import BUILTIN_STEPS, ar_step, probe_points, sampled_lipschitz
+from test_expressions import ast_nodes
 
 
 def test_ar_evaluate():
@@ -141,6 +146,89 @@ def test_lipschitz_sampled_cosine():
     est = estimate_lipschitz(m, mode="sampled", samples=4096, seed=0)
     assert est.is_lower_bound
     assert 2.6 <= est.gamma <= true_gamma + 1e-9
+
+
+def lipschitz_outcome(fn):
+    """The bits of a sampled gamma, or the error type and message."""
+    try:
+        return fn().hex()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_sampled_matches_oracle(m, samples, seed):
+    got = lipschitz_outcome(
+        lambda: estimate_lipschitz(m, mode="sampled", samples=samples, seed=seed).gamma)
+    assert got == lipschitz_outcome(lambda: sampled_lipschitz(m, samples, seed))
+    return got
+
+
+# odd and even counts, and counts on both sides of one and two block edges
+EDGE_COUNTS = (1, 2, 3, 7, 8, LIPSCHITZ_BLOCK - 1, LIPSCHITZ_BLOCK, LIPSCHITZ_BLOCK + 1,
+               2 * LIPSCHITZ_BLOCK + 1, 3000)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sampled_lipschitz_matches_per_pair_oracle(data):
+    d = data.draw(st.integers(1, 4))
+    trees = data.draw(st.lists(ast_nodes(d), min_size=d, max_size=d))
+    samples = data.draw(st.one_of(st.sampled_from(EDGE_COUNTS), st.integers(1, 3000)))
+    assert_sampled_matches_oracle(MapDefinition(tuple(trees)), samples,
+                                  data.draw(st.integers(0, 2 ** 32)))
+
+
+@pytest.mark.parametrize("sources, outcome", [
+    # NaN images on half the box
+    (["0.5*x1 + max(x1,0)*1e200*1e200*0"], RangeViolation),
+    # a division by a near-zero value where x2 < 0.3
+    (["0.5*x1", "1e-9 / min(max(x2 - 0.3, 1e-310), 1.0)"], EvaluationError),
+    # NaN images near one edge and a division error near another: the
+    # first in sample order is RangeViolation at seeds 0 and 1, and
+    # EvaluationError at seed 7
+    (["0.1*x1 + max(x1-0.95,0)*1e200*1e200*0", "1e-9/max(0.97 - x2, 1e-310)"],
+     (RangeViolation, EvaluationError)),
+    # a constant map
+    (["0.3", "-0.7"], "0x0.0p+0"),
+])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_sampled_lipschitz_matches_oracle_on_failures(sources, outcome, seed):
+    m = expression_map(sources)
+    # from one block on, every failing map here has met its failure
+    seen = {assert_sampled_matches_oracle(m, samples, seed) for samples in EDGE_COUNTS[5:]}
+    if isinstance(outcome, str):
+        assert seen == {outcome}  # gamma = 0 exactly
+    else:
+        assert all(isinstance(s, tuple) and issubclass(s[0], outcome) for s in seen)
+
+
+def test_sampled_lipschitz_memory_is_blocked():
+    m = expression_map(["0.4*x1 - 0.5*sin(x2)", "x1"])
+    tracemalloc.start()
+    try:
+        estimate_lipschitz(m, mode="sampled", samples=200_000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 13])
+def test_probe_points_match_scalar_halton(d):
+    for samples, seed in ((0, 0), (1, 2), (3000, 0), (257, 9)):
+        assert _probe_points(d, samples, seed).tobytes() == probe_points(d, samples, seed).tobytes()
+
+
+def test_validate_range_reports_the_oracle_probes():
+    m = expression_map(["1.02*cos(3*x1)*x2", "0.5*sin(x1+x2)"])
+    report = validate_range(m, samples=300, seed=4)
+    probes = probe_points(2, 300, 4)
+    over = box_overshoot(np.array([m.step(tuple(p)) for p in probes.tolist()]))
+    worst = int(np.argmax(over))
+    assert report.points_checked == len(probes)
+    assert report.worst_point == tuple(probes[worst].tolist())
+    assert report.max_overshoot == max(float(over[worst]), 0.0) > CLAMP_BAND
+    assert not report.passed
 
 
 def test_sampled_below_analytic_for_ar():
