@@ -14,7 +14,7 @@ import numpy as np
 import aporbit as ap
 
 m = ap.ar_map([0.55, -0.3])
-gamma = ap.estimate_lipschitz(m, mode="analytic")
+gamma = ap.estimate_lipschitz(m)
 print(f"map: linear recurrence p={m.coeffs}, analytic gamma={gamma.gamma:.4f}")
 
 y0 = ap.Point([0.7, -0.2])
@@ -29,10 +29,11 @@ print("\nper-step view at K=16 (t, measured error, certified bound):")
 for t in (0, 1, 2, 5, 10, 20, 40, 60):
     print(f"  t={t:3d}: {rep.actual[t]:.6f} <= {rep.bound[t]:.6f}")
 
-# A sampled Lipschitz estimate is a lower bound of the true constant, so
-# a bound computed from it is advisory; the report carries that caveat.
+# The tent map has no recurrence coefficients, so its gamma is sampled: a
+# lower bound of the true constant, so a bound computed from it is
+# advisory; the report carries that caveat.
 tent = ap.expression_map(["1 - 2*abs(x1)"])
-sampled = ap.estimate_lipschitz(tent, mode="sampled", samples=4000, seed=1)
+sampled = ap.estimate_lipschitz(tent, samples=4000, seed=1)
 rep = ap.verify_error_bound(tent, ap.Point([0.3]), K=16, horizon=60,
                             lipschitz=sampled)
 print(f"\ntent map with sampled gamma={sampled.gamma:.4f} "

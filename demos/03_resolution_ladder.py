@@ -25,7 +25,7 @@ print(f"chain-vs-chain sups : {list(report.chain_sups)}")
 print(f"chain-vs-orbit sups : {list(report.orbit_sups)}")
 print(f"verdict consistent with uniform convergence: {report.consistent}")
 
-gamma = ap.estimate_lipschitz(m, mode="analytic").gamma
+gamma = ap.estimate_lipschitz(m).gamma
 cond = ap.check_convergence_condition(plan, gamma, budget=1e6)
 print(f"\nsummability terms (gamma={gamma:.2f}): {list(cond.terms)}")
 print(f"partial sums: {list(cond.partial_sums)}")

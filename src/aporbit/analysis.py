@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import GridSpec, Point
-from .errors import DimensionMismatch, NotPeriodic, Overflow
+from .errors import DimensionMismatch, Overflow
 from .maps import LipschitzEstimate, MapDefinition, estimate_lipschitz
 from .orbit import ChainResult, generate_orbit, run_pipeline, shadow_periodicity
 
@@ -153,6 +153,12 @@ def reselect_T(T_list, L_list) -> list[int]:
     return out
 
 
+def _check_resolutions(Ks) -> None:
+    """A ladder's resolutions must all be >= 1 and strictly increasing."""
+    if any(k < 1 for k in Ks) or any(b <= a for a, b in zip(Ks, Ks[1:])):
+        raise ValueError(f"resolutions must be >= 1 and strictly increasing, got {list(Ks)}")
+
+
 @dataclass(frozen=True)
 class LadderPlan:
     """Per-level data for an increasing resolution ladder K_1 < K_2 < ..."""
@@ -164,8 +170,7 @@ class LadderPlan:
     lcms: tuple[int, ...]  # lcm(L_j, L_{j+1}) for consecutive levels
 
     def __post_init__(self):
-        if any(b <= a for a, b in zip(self.Ks, self.Ks[1:])):
-            raise ValueError("resolutions must be strictly increasing")
+        _check_resolutions(self.Ks)
 
     def to_json(self):
         return {
@@ -259,8 +264,8 @@ def sup_difference(
     Valid because the re-selected pre-periods differ by a multiple of L_j
     and both chains repeat over the lcm window; the hypothesis is checked.
     """
-    if chain_j.period < 1 or chain_jp1.period < 1:
-        raise NotPeriodic("both chains need a periodicity certificate")
+    chain_j.check_certificate()
+    chain_jp1.check_certificate()
     if chain_j.d != chain_jp1.d:
         raise DimensionMismatch("chains of different dimension")
     if (T_prime_jp1 - T_prime_j) % chain_j.period != 0 or T_prime_jp1 < T_prime_j:
@@ -322,6 +327,7 @@ def tail_convergence(
     and end below the tolerance.  It is evidence, not a proof.
     """
     Ks = [int(k) for k in K_ladder]
+    _check_resolutions(Ks)
     chains = []
     shadow_status = []
     conflicts = []

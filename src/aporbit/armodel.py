@@ -512,12 +512,6 @@ class AlmostPeriodicSum:
         mu = np.exp(1j * np.array(self.frequencies))
         return eval_terms(self.coefficients, mu, 0, "unit", t).real
 
-    def to_json(self):
-        return {
-            "frequencies": list(self.frequencies),
-            "coefficients": [[c.real, c.imag] for c in self.coefficients],
-        }
-
 
 class DecayingRemainder:
     """R(t): the decaying terms plus the finitely supported transients."""

@@ -172,12 +172,8 @@ def cmd_verify(args) -> int:
     y0 = Point(_parse_vector(args.y0))
     out = _Out(args.out, args.force,
                ["verify.json"] + ([] if args.json_only else ["verify.csv"]))
-    config = _resolved_config(
-        args, ("map", "y0", "K", "horizon", "seed", "gamma_mode", "samples", "out")
-    )
-    lip = maps.estimate_lipschitz(
-        m, mode=args.gamma_mode, samples=args.samples, seed=args.seed
-    )
+    config = _resolved_config(args, ("map", "y0", "K", "horizon", "seed", "samples", "out"))
+    lip = maps.estimate_lipschitz(m, samples=args.samples, seed=args.seed)
     report = analysis.verify_error_bound(m, y0, args.K, args.horizon, lipschitz=lip)
     out.write_json("verify.json", report.to_json(), config)
     if not args.json_only:
@@ -309,8 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y0", required=True)
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--horizon", type=int, default=200)
-    p.add_argument("--gamma-mode", dest="gamma_mode", default="auto",
-                   choices=("auto", "analytic", "sampled"))
     p.add_argument("--samples", type=int, default=4096)
     p.set_defaults(func=cmd_verify)
 

@@ -59,9 +59,6 @@ class Point:
     def d(self) -> int:
         return len(self.coords)
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.coords, dtype=float)
-
     def to_json(self):
         return list(self.coords)
 
@@ -82,9 +79,6 @@ class GridSpec:
     def node(self, k: int) -> float:
         """Axis node a_k = 2k/K - 1."""
         return 2.0 * k / self.K - 1.0
-
-    def axis_nodes(self) -> np.ndarray:
-        return np.array([self.node(k) for k in range(self.K + 1)])
 
     @property
     def spacing(self) -> float:
@@ -124,9 +118,6 @@ class GridState:
 
     def decode(self) -> Point:
         return Point(self.grid.node(i) for i in self.indices)
-
-    def decode_array(self) -> np.ndarray:
-        return np.array([self.grid.node(i) for i in self.indices])
 
     def to_json(self):
         return list(self.indices)
@@ -177,7 +168,8 @@ class GridStates(Sequence):
         return f"GridStates(n={len(self)}, grid={self.grid})"
 
     def nodes(self) -> np.ndarray:
-        """Decoded node coordinates, shape (n, d); equal to decode_array per state."""
+        """Decoded node coordinates, shape (n, d): row t is the coordinates
+        of `self[t].decode()`."""
         return 2.0 * self.indices / self.grid.K - 1.0
 
     def codes(self) -> np.ndarray:

@@ -45,10 +45,6 @@ class EvaluationError(AporbitError):
     or sin/cos of an infinite value)."""
 
 
-class AnalyticUnavailable(AporbitError):
-    """Analytic Lipschitz estimation requested for a map without recurrence coefficients."""
-
-
 class DanglingState(AporbitError):
     """The chain reached a state with no recorded outgoing transition."""
 

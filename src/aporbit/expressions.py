@@ -339,17 +339,3 @@ def compile_orbit_loop(nodes):
     ])
     return _factory(source, "run", len(consts))(*consts)
 
-
-def variables_used(node) -> set[int]:
-    if isinstance(node, Var):
-        return {node.index}
-    if isinstance(node, Neg):
-        return variables_used(node.arg)
-    if isinstance(node, BinOp):
-        return variables_used(node.left) | variables_used(node.right)
-    if isinstance(node, Call):
-        out = set()
-        for a in node.args:
-            out |= variables_used(a)
-        return out
-    return set()

@@ -8,8 +8,10 @@ followed by the shift, an `expr` map its parsed trees, and a builtin map
 the coordinate expressions in BUILTIN_MAPS.  A map definition compiles
 its trees once into a per-point `step` and an orbit `loop`, and is
 expected to send the box into itself; `validate_range` probes that
-claim, `estimate_lipschitz` bounds the stretching ratio used by the
-error-bound machinery.
+claim.  `estimate_lipschitz` gives the stretching ratio used by the
+error-bound machinery, by a method that the map alone decides: the
+companion norm for a map with coefficients, a sampled estimate for any
+other.
 """
 
 from __future__ import annotations
@@ -24,12 +26,7 @@ import numpy as np
 from . import expressions
 from .armodel import recurrence_trees
 from .core import CLAMP_BAND, Point, box_overshoot
-from .errors import (
-    AnalyticUnavailable,
-    AporbitError,
-    DimensionMismatch,
-    RangeViolation,
-)
+from .errors import AporbitError, DimensionMismatch, RangeViolation
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -208,10 +205,6 @@ class LipschitzEstimate:
     method: str  # "analytic" (upper bound) or "sampled" (lower bound)
     sample_count: int | None = None
 
-    @property
-    def is_lower_bound(self) -> bool:
-        return self.method == "sampled"
-
     def to_json(self):
         return {
             "gamma": self.gamma,
@@ -220,30 +213,19 @@ class LipschitzEstimate:
         }
 
 
-def estimate_lipschitz(
-    m: MapDefinition,
-    mode: str = "auto",
-    samples: int = 4096,
-    seed: int = 0,
-) -> LipschitzEstimate:
+def estimate_lipschitz(m: MapDefinition, samples: int = 4096, seed: int = 0) -> LipschitzEstimate:
     """Bound the stretching ratio sup |f(W)-f(W')| / |W-W'| over the box.
 
-    Analytic mode (maps with recurrence coefficients only) returns the
-    spectral norm of the companion matrix, a true upper bound.  Sampled
-    mode returns the max ratio over random pairs, a lower bound; half of
-    the pairs use a small offset to probe local stretching.
+    A map with recurrence coefficients gets the spectral norm of its
+    companion matrix, a true upper bound.  Any other map gets the max
+    ratio over `samples` random pairs, a lower bound; half of the pairs
+    use a small offset to probe local stretching.
     """
-    if mode == "auto":
-        mode = "analytic" if m.coeffs is not None else "sampled"
-    if mode == "analytic":
-        if m.coeffs is None:
-            raise AnalyticUnavailable("analytic Lipschitz bound only for 'ar' maps")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if m.coeffs is not None:
         gamma = float(np.linalg.norm(companion_matrix(m.coeffs), 2))
         return LipschitzEstimate(gamma=gamma, method="analytic")
-    if mode != "sampled":
-        raise ValueError(f"unknown mode {mode!r}")
-    if samples < 1:
-        raise ValueError("samples must be >= 1 in sampled mode")
 
     rng = np.random.default_rng(seed)
     gamma = 0.0

@@ -22,11 +22,7 @@ import numpy as np
 from .armodel import ARSpec, coefficients_from_roots, recursion
 from .core import (CLAMP_BAND, GridSpec, GridState, GridStates, OrbitSeries, Point,
                    _quantize_rows, box_overshoot)
-from .errors import (
-    DanglingState,
-    DimensionMismatch,
-    RangeViolation,
-)
+from .errors import DanglingState, DimensionMismatch, NotPeriodic, RangeViolation
 from .maps import MapDefinition, ar_map
 
 # Conflicting observations kept as examples; the rest are only counted.
@@ -177,6 +173,13 @@ class ChainResult:
         if t_end >= len(self.seq):
             ts = np.where(ts < len(self.seq), ts, T + (ts - T) % self.period)
         return ts
+
+    def check_certificate(self) -> None:
+        """Raise NotPeriodic unless (T, L) certifies `seq`: T >= 0, L >= 1,
+        and seq holds exactly the T + L states up to the cycle's close."""
+        T, L = self.pre_period, self.period
+        if not (T >= 0 and L >= 1 and len(self.seq) == T + L):
+            raise NotPeriodic(f"(T, L) = ({T}, {L}) does not certify {len(self.seq)} stored states")
 
     def state_at(self, t: int) -> GridState:
         return self.seq[self._positions(t, t)[0]]

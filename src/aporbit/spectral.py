@@ -82,11 +82,10 @@ def fit_trig_samples(values: np.ndarray, pre_period: int, period: int) -> TrigFo
 
 def fit_trig(chain: ChainResult) -> TrigForm:
     """Fit the periodic tail of a chain; requires its (T, L) certificate."""
-    if not isinstance(chain, ChainResult) or chain.period < 1:
+    if not isinstance(chain, ChainResult):
         raise NotPeriodic("chain carries no periodicity certificate")
+    chain.check_certificate()
     T, L = chain.pre_period, chain.period
-    if chain.state_at(T) != chain.state_at(T + L):
-        raise NotPeriodic("chain states contradict the (T, L) certificate")
     values = chain.values(T, T + L - 1)
     return fit_trig_samples(values, T, L)
 

@@ -60,8 +60,8 @@ def parseval_gap(form, values) -> float:
 
 def quantization_error(p: Point, g) -> float:
     """l2 distance from p to its quantized state; always <= sqrt(d)/K."""
-    q = quantize(p, g).decode_array()
-    return float(np.linalg.norm(p.as_array() - q))
+    q = np.array(quantize(p, g).decode().coords)
+    return float(np.linalg.norm(np.array(p.coords) - q))
 
 
 # The step functions that the builtin maps and the `ar` map had before

@@ -154,7 +154,7 @@ def test_criterion_2_error_bound_corpus():
     worst_free = 0.0
     conflicted_list = []
     for i, m in enumerate(ar_map_corpus()):
-        lip = estimate_lipschitz(m, mode="analytic")
+        lip = estimate_lipschitz(m)
         y0 = Point(rng.uniform(-1, 1, m.d))
         for K in (2, 4, 8, 16):
             rep = verify_error_bound(m, y0, K, 200, lipschitz=lip)
@@ -168,8 +168,8 @@ def test_criterion_2_error_bound_corpus():
     for i, sources in enumerate(EXPR_SOURCES):
         m = expression_map(sources)
         assert validate_range(m, samples=200, seed=0).passed, sources
-        lip = estimate_lipschitz(m, mode="sampled", samples=3000, seed=i)
-        assert lip.is_lower_bound  # caveat flag present on every run
+        lip = estimate_lipschitz(m, samples=3000, seed=i)
+        assert lip.method == "sampled"  # caveat flag present on every run
         y0 = Point(rng.uniform(-1, 1, m.d))
         for K in (2, 4, 8, 16):
             rep = verify_error_bound(m, y0, K, 200, lipschitz=lip)

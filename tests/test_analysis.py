@@ -21,6 +21,7 @@ from aporbit import (
     check_convergence_condition,
     condition_term,
     expression_map,
+    fit_trig,
     lcm_periods,
     reselect_T,
     sup_difference,
@@ -316,6 +317,17 @@ def test_tail_convergence_rotation():
     assert report.consistent
 
 
+@pytest.mark.parametrize("Ks", [[16, 8], [4, 4], [0, 4]])
+def test_tail_convergence_checks_the_ladder_first(monkeypatch, Ks):
+    def no_orbit(*args):
+        raise AssertionError("an orbit was generated for a bad ladder")
+
+    monkeypatch.setattr("aporbit.orbit.generate_orbit", no_orbit)
+    monkeypatch.setattr("aporbit.analysis.generate_orbit", no_orbit)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        tail_convergence(ar_map([0.5]), Point([0.3]), Ks, horizon=300)
+
+
 def test_tail_convergence_fixed_point():
     # 0.5 is a grid node at K=4 and K=8 (not at K=2, where it is a midpoint)
     report = tail_convergence(
@@ -343,6 +355,20 @@ def test_sup_difference_requires_certificates():
     fake = type(c)(grid=c.grid, seq=c.seq, pre_period=0, period=0)
     with pytest.raises(NotPeriodic):
         sup_difference(fake, c, 0, 0)
+
+
+def test_certificate_must_match_the_stored_states():
+    # two stored rows cannot hold the T + L = 3 states the certificate claims
+    g = GridSpec(K=2, d=1)
+    short = ChainResult(grid=g, seq=GridStates(np.array([[0], [2]]), g),
+                        pre_period=0, period=3)
+    good = chain_of_values([2, 0, 2], K=2)
+    with pytest.raises(NotPeriodic):
+        fit_trig(short)
+    with pytest.raises(NotPeriodic):
+        sup_difference(short, good, 0, 0)
+    with pytest.raises(NotPeriodic):
+        sup_difference(good, short, 0, 0)
 
 
 def stepwise_sup(chain_j, chain_jp1, T_prime_jp1):

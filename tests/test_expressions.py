@@ -22,7 +22,6 @@ from aporbit.expressions import (
     compile_coords,
     parse_expression,
     to_source,
-    variables_used,
 )
 from aporbit.errors import ArityError, EvaluationError, ParseError, UnknownIdentifier
 
@@ -256,12 +255,6 @@ def test_trig_of_infinity_is_an_evaluation_error():
                 evaluate((0.3,))
     # NaN is not an error here: it passes through to the orbit's box rule
     assert math.isnan(compile_coords([parse_expression("sin(x1)", 1)])((math.nan,))[0])
-
-
-def test_variables_used():
-    ast = parse_expression("x1 * sin(x2) - 0.5", 2)
-    assert variables_used(ast) == {1, 2}
-    assert variables_used(parse_expression("1.0", 3)) == set()
 
 
 @pytest.mark.parametrize("source", ["(" * 300 + "x1" + ")" * 300, "-" * 2000 + "x1"],

@@ -156,11 +156,11 @@ GOLDEN = {
     },
     'verify_analytic': {
         'verify.csv': '2fcb30f2ef528293b8b95007fb982bee413b96fedb86d1abd6cbae96fc3ad7df',
-        'verify.json': 'fb54fde829c23b6d7bb11936fb34e254c377668d677b103063f4a6223594811a',
+        'verify.json': '5d656a467b6c78010a7225b3409be42b26f2c1914fde320a003a32955c643929',
     },
     'verify_sampled': {
         'verify.csv': '27dc4033b6c7154bc73be203776f2a5852d0a91a2316e3e3396152ad77714533',
-        'verify.json': '97425d6c6c5be4bf4c6e7ea1d41bfa91ea39b3666d90a80c07c6f12b93aa4048',
+        'verify.json': 'aee17cf17af9e4c4d779c4cf36a53ed2f6bb1855af4ea70831c195cb3d188737',
     },
 }
 

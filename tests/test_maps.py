@@ -29,7 +29,7 @@ from aporbit import (
     validate_range,
 )
 from aporbit.core import CLAMP_BAND, box_overshoot
-from aporbit.errors import AnalyticUnavailable, DimensionMismatch, EvaluationError, RangeViolation
+from aporbit.errors import DimensionMismatch, EvaluationError, RangeViolation
 from aporbit.maps import LIPSCHITZ_BLOCK, MapDefinition, _probe_points
 from oracles import BUILTIN_STEPS, ar_step, probe_points, sampled_lipschitz
 from test_expressions import ast_nodes
@@ -71,9 +71,9 @@ def test_sampled_lipschitz_rejects_nan_images():
     # NaN on half the box; the other half is the contraction 0.5*x1
     m = expression_map(["0.5*x1 + max(x1,0)*1e200*1e200*0"])
     with pytest.raises(RangeViolation):
-        estimate_lipschitz(m, mode="sampled", samples=256, seed=0)
+        estimate_lipschitz(m, samples=256, seed=0)
     # overshoot is not policed here: 3*x1 leaves the box and gives gamma 3
-    est = estimate_lipschitz(expression_map(["3*x1"]), mode="sampled", samples=256, seed=0)
+    est = estimate_lipschitz(expression_map(["3*x1"]), samples=256, seed=0)
     assert est.gamma == pytest.approx(3.0)
 
 
@@ -127,13 +127,23 @@ def test_validate_range_deterministic():
 
 
 def test_lipschitz_analytic():
-    est = estimate_lipschitz(ar_map([0.0, -1.0]), mode="analytic")
+    est = estimate_lipschitz(ar_map([0.0, -1.0]))
     assert est.gamma == pytest.approx(1.0)  # rotation: singular values 1, 1
-    assert est.method == "analytic" and not est.is_lower_bound
-    est = estimate_lipschitz(ar_map([0.5]), mode="analytic")
+    assert est.method == "analytic" and est.sample_count is None
+    est = estimate_lipschitz(ar_map([0.5]))
     assert est.gamma == pytest.approx(0.5)
-    with pytest.raises(AnalyticUnavailable):
-        estimate_lipschitz(expression_map(["0.5*x1"]), mode="analytic")
+
+
+def test_gamma_method_follows_the_map():
+    # the coefficients decide: the same trees without them are sampled
+    m = ar_map([0.3, -0.9])
+    assert estimate_lipschitz(m, samples=64) == estimate_lipschitz(m)
+    assert estimate_lipschitz(m).method == "analytic"
+    sampled = estimate_lipschitz(MapDefinition(m.trees), samples=64)
+    assert (sampled.method, sampled.sample_count) == ("sampled", 64)
+    assert sampled.gamma == sampled_lipschitz(MapDefinition(m.trees), 64, 0)
+    with pytest.raises(TypeError):  # no caller picks the method
+        estimate_lipschitz(m, mode="sampled")
 
 
 def test_lipschitz_sampled_cosine():
@@ -143,8 +153,8 @@ def test_lipschitz_sampled_cosine():
     true_gamma = np.max(np.abs(2.7 * np.sin(3 * xs)))
     assert true_gamma == pytest.approx(2.7, abs=1e-6)
     m = expression_map(["0.9*cos(3*x1)"])
-    est = estimate_lipschitz(m, mode="sampled", samples=4096, seed=0)
-    assert est.is_lower_bound
+    est = estimate_lipschitz(m, samples=4096, seed=0)
+    assert est.method == "sampled"
     assert 2.6 <= est.gamma <= true_gamma + 1e-9
 
 
@@ -158,7 +168,7 @@ def lipschitz_outcome(fn):
 
 def assert_sampled_matches_oracle(m, samples, seed):
     got = lipschitz_outcome(
-        lambda: estimate_lipschitz(m, mode="sampled", samples=samples, seed=seed).gamma)
+        lambda: estimate_lipschitz(m, samples=samples, seed=seed).gamma)
     assert got == lipschitz_outcome(lambda: sampled_lipschitz(m, samples, seed))
     return got
 
@@ -206,7 +216,7 @@ def test_sampled_lipschitz_memory_is_blocked():
     m = expression_map(["0.4*x1 - 0.5*sin(x2)", "x1"])
     tracemalloc.start()
     try:
-        estimate_lipschitz(m, mode="sampled", samples=200_000, seed=0)
+        estimate_lipschitz(m, samples=200_000, seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -236,8 +246,9 @@ def test_sampled_below_analytic_for_ar():
     for _ in range(10):
         p = rng.uniform(-0.5, 0.5, int(rng.integers(1, 4)))
         m = ar_map(p)
-        lo = estimate_lipschitz(m, mode="sampled", samples=800, seed=3)
-        hi = estimate_lipschitz(m, mode="analytic")
+        lo = estimate_lipschitz(MapDefinition(m.trees), samples=800, seed=3)
+        hi = estimate_lipschitz(m)
+        assert (lo.method, hi.method) == ("sampled", "analytic")
         assert lo.gamma <= hi.gamma + 1e-9
 
 

@@ -100,7 +100,7 @@ def test_reconstruction_over_three_periods():
         T, L = int(rng.integers(0, 4)), int(rng.integers(1, 9))
         cycle = [tuple(rng.integers(0, K + 1, 2)) for _ in range(L)]
         values = np.array(
-            [GridState(iv, g).decode_array() for iv in cycle]
+            [GridState(iv, g).decode().coords for iv in cycle]
         )
         form = fit_trig_samples(values, T, L)
         recon = eval_trig_range(form, T, T + 3 * L)
