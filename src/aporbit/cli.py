@@ -6,12 +6,19 @@ diagnostics), `ar` (recurrence decomposition), `census` (period
 statistics), `validate-map` (range check).  Reports are JSON-first with
 CSV side channels for plotting; `_Out.write_csv` writes every CSV in
 blocks of CSV_BLOCK rows, printing each distinct value of a block once.
-Exit codes: 0 ok, 2 pipeline failure, 3 configuration error.
+Exit codes: 0 ok, 2 pipeline failure, 3 configuration error, which
+includes a usage error and a `--y0` whose length is not the map's d.
+
+`build_parser` builds the argument parser once per process and returns
+that same parser on every later call.  `main` parses each call into a
+fresh namespace and calls the module's `cmd_<command>` as it stands at
+that moment, so a replaced or wrapped `cmd_run` is the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -35,6 +42,13 @@ CSV_BLOCK = 1024
 
 class ConfigError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a configuration error, not a SystemExit(2)."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def _parse_vector(text: str) -> list[float]:
@@ -64,6 +78,13 @@ def _load_map(path: str) -> maps.MapDefinition:
         return maps.load_map(path)
     except (ValueError, KeyError, json.JSONDecodeError, AporbitError) as exc:
         raise ConfigError(f"bad map file {path}: {exc}") from exc
+
+
+def _initial_point(args, m: maps.MapDefinition) -> Point:
+    coords = _parse_vector(args.y0)
+    if len(coords) != m.d:
+        raise ConfigError(f"--y0 needs d={m.d} coordinates, got {len(coords)}")
+    return Point(coords)
 
 
 def _load_ar_spec(path: str) -> armodel.ARSpec:
@@ -129,7 +150,7 @@ def _resolved_config(args, keys) -> dict:
 
 def cmd_run(args) -> int:
     m = _load_map(args.map)
-    y0 = Point(_parse_vector(args.y0))
+    y0 = _initial_point(args, m)
     g = GridSpec(K=args.K, d=m.d)
     horizon = args.horizon if args.horizon is not None else orbit.default_horizon(g)
     out = _Out(args.out, args.force, ["chain.json", "trig.json"]
@@ -169,10 +190,12 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     m = _load_map(args.map)
-    y0 = Point(_parse_vector(args.y0))
+    y0 = _initial_point(args, m)
     out = _Out(args.out, args.force,
                ["verify.json"] + ([] if args.json_only else ["verify.csv"]))
     config = _resolved_config(args, ("map", "y0", "K", "horizon", "seed", "samples", "out"))
+    if m.coeffs is not None:  # gamma is the companion norm: no sample is drawn
+        del config["samples"]
     lip = maps.estimate_lipschitz(m, samples=args.samples, seed=args.seed)
     report = analysis.verify_error_bound(m, y0, args.K, args.horizon, lipschitz=lip)
     out.write_json("verify.json", report.to_json(), config)
@@ -188,7 +211,7 @@ def cmd_verify(args) -> int:
 
 def cmd_ladder(args) -> int:
     m = _load_map(args.map)
-    y0 = Point(_parse_vector(args.y0))
+    y0 = _initial_point(args, m)
     Ks = _parse_int_list(args.Ks)
     if len(Ks) < 2:
         raise ConfigError("need at least two resolutions in --Ks")
@@ -276,12 +299,13 @@ def cmd_validate_map(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="aporbit",
         description="Finite-state periodic approximation of iterated maps",
     )
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--force", action="store_true",
@@ -297,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--emit-curve", dest="emit_curve", action="store_true")
-    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("verify", parents=[common],
                        help="check the chain approximation error bound")
@@ -306,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--horizon", type=int, default=200)
     p.add_argument("--samples", type=int, default=4096)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("ladder", parents=[common],
                        help="multi-resolution convergence diagnostics")
@@ -317,13 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float, default=1e6,
                    help="partial-sum budget for the summability condition")
     p.add_argument("--tolerance", type=float, default=1e-6)
-    p.set_defaults(func=cmd_ladder)
 
     p = sub.add_parser("ar", parents=[common],
                        help="decompose a linear-recurrence orbit")
     p.add_argument("--spec", required=True)
     p.add_argument("--horizon", type=int, default=200)
-    p.set_defaults(func=cmd_ar)
 
     p = sub.add_parser("census", parents=[common],
                        help="period statistics over a random ensemble")
@@ -332,21 +352,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--generator", default="random_map",
                    choices=("random_map", "random_ar"))
-    p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("validate-map", parents=[common],
                        help="probe that a map sends the box into itself")
     p.add_argument("--map", required=True)
     p.add_argument("--samples", type=int, default=256)
-    p.set_defaults(func=cmd_validate_map)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -137,7 +137,9 @@ def test_verify_config_records_no_gamma_mode(tmp_path, map_json, method):
                  "--out", str(out)]) == 0
     report = read_json(out / "verify.json")
     assert report["gamma_method"] == method
-    assert list(report["config"]) == ["map", "y0", "K", "horizon", "seed", "samples", "out"]
+    # only a sampled gamma draws samples, so only its config records their count
+    samples = ["samples"] if method == "sampled" else []
+    assert list(report["config"]) == ["map", "y0", "K", "horizon", "seed", *samples, "out"]
 
 
 def test_verify_bound_beyond_float_range(tmp_path):
@@ -520,6 +522,87 @@ def test_bad_vector_is_config_error(tmp_path, ar_contracting):
         "--out", str(tmp_path / "o"),
     ])
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--map", HALF, "--y0=0.3", "--K", "abc"],
+    ["run", "--map", HALF, "--K", "4"],
+    ["census", "--d", "2", "--K", "3", "--n", "4", "--generator", "foo"],
+    ["bogus"],
+], ids=["run-K-not-int", "run-without-y0", "census-unknown-generator", "unknown-command"])
+def test_usage_errors_are_config_errors(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: aporbit") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert "--emit-curve" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--K", "8"],
+    ["verify", "--K", "8"],
+    ["ladder", "--Ks", "4,8"],
+], ids=["run", "verify", "ladder"])
+def test_y0_of_the_wrong_length_is_refused_before_any_work(tmp_path, capsys, monkeypatch,
+                                                           argv):
+    from aporbit import maps
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("estimate_lipschitz ran before --y0 was checked")
+
+    monkeypatch.setattr(maps, "estimate_lipschitz", refuse)
+    out = tmp_path / "o"
+    code = main(argv + ["--map", '{"kind":"ar","d":2,"p":[0.3,-0.9]}', "--y0=0.6",
+                        "--out", str(out)])
+    assert code == 3
+    assert "--y0 needs d=2 coordinates, got 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_builds_no_parser_after_its_first_call(tmp_path, monkeypatch):
+    import argparse
+
+    argv = ["census", "--d", "2", "--K", "3", "--n", "4", "--json-only", "--force"]
+    assert main(argv + ["--out", str(tmp_path / "first")]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for i in range(3):
+        assert main(argv + ["--out", str(tmp_path / f"o{i}")]) == 0
+    assert built == []
+
+
+def test_flags_do_not_carry_over_between_calls(tmp_path, ar_contracting):
+    run = ["run", "--map", ar_contracting, "--y0", "0.5", "--K", "4", "--horizon", "10"]
+    assert main(run + ["--json-only", "--emit-curve", "--out", str(tmp_path / "a")]) == 0
+    assert sorted(os.listdir(tmp_path / "a")) == ["chain.json", "trig.json", "trig_curve.csv"]
+    assert main(run + ["--out", str(tmp_path / "b")]) == 0
+    assert sorted(os.listdir(tmp_path / "b")) == ["chain.json", "orbit.csv", "trig.json"]
+    assert main(run + ["--force", "--out", str(tmp_path / "b")]) == 0
+    assert main(run + ["--out", str(tmp_path / "b")]) == 3  # --force is not remembered
+
+
+def test_main_calls_the_current_cmd_function(tmp_path, monkeypatch):
+    from aporbit import cli
+
+    argv = ["census", "--d", "2", "--K", "3", "--n", "4", "--json-only",
+            "--out", str(tmp_path / "o")]
+    assert main(argv) == 0  # the parser exists before the patch
+    seen = []
+    monkeypatch.setattr(cli, "cmd_census", lambda args: seen.append(args.n) or 7)
+    assert main(argv) == 7
+    assert seen == [4]
 
 
 # Runs one CLI command and reports its exit code and the top-level

@@ -156,7 +156,7 @@ GOLDEN = {
     },
     'verify_analytic': {
         'verify.csv': '2fcb30f2ef528293b8b95007fb982bee413b96fedb86d1abd6cbae96fc3ad7df',
-        'verify.json': '5d656a467b6c78010a7225b3409be42b26f2c1914fde320a003a32955c643929',
+        'verify.json': 'c4b550890c475444a53832f466b4bdf052bb60bac6abd5479e23c5c913e9da09',
     },
     'verify_sampled': {
         'verify.csv': '27dc4033b6c7154bc73be203776f2a5852d0a91a2316e3e3396152ad77714533',
