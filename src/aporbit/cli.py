@@ -5,7 +5,11 @@ trig form), `verify` (error-bound report), `ladder` (multi-resolution
 diagnostics), `ar` (recurrence decomposition), `census` (period
 statistics), `validate-map` (range check).  Reports are JSON-first with
 CSV side channels for plotting; `_Out.write_csv` writes every CSV in
-blocks of CSV_BLOCK rows, printing each distinct value of a block once.
+blocks of CSV_BLOCK rows, printing each distinct value of a block once
+and formatting the block with one `%`, so a CSV adds a fixed amount to a
+command's peak memory.  `_Out` refuses an existing artifact without
+--force; with it, the old file (or symlink) is unlinked and a new one
+created.
 Exit codes: 0 ok, 2 pipeline failure, 3 configuration error, which
 includes a usage error and a `--y0` whose length is not the map's d.
 
@@ -37,7 +41,7 @@ EXIT_CONFIG = 3
 
 # Rows per block when a CSV is written: a block's strings are held until it
 # is written, so larger blocks raise the peak memory of a long `run`.
-CSV_BLOCK = 1024
+CSV_BLOCK = 512
 
 
 class ConfigError(Exception):
@@ -102,46 +106,59 @@ class _Out:
     """Output directory guard: never overwrite without --force.
 
     A command names every artifact it will write when it makes the guard,
-    before any work, so a refusal leaves the directory as it was."""
+    before any work, so a refusal leaves the directory as it was.  An
+    artifact replaces what is at its path by unlinking it and creating a
+    new file, so a symlink there is replaced, not written through."""
 
     def __init__(self, directory: str, force: bool, names):
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
         for name in names:
             target = self.path(name)
-            if os.path.exists(target) and not force:
+            if os.path.lexists(target) and not force:
                 raise ConfigError(f"{target} exists; pass --force to overwrite")
 
     def path(self, name: str) -> str:
         return os.path.join(self.directory, name)
 
-    def write_json(self, name: str, payload: dict, config: dict) -> str:
+    def _create(self, name: str, mode: str = "x"):
+        # Unlinking first also skips the flush on close that truncating a
+        # non-empty file costs on some file systems.
         target = self.path(name)
+        try:
+            os.unlink(target)
+        except FileNotFoundError:
+            pass
+        return open(target, mode)
+
+    def write_json(self, name: str, payload: dict, config: dict) -> str:
         document = {"schema_version": SCHEMA_VERSION, "config": config}
         document.update(payload)
-        with open(target, "w") as fh:
+        with self._create(name) as fh:
             json.dump(document, fh, indent=2)
             fh.write("\n")
-        return target
+        return fh.name
 
     def write_csv(self, name: str, header, start: int, stop: int, block) -> str:
         """Write `header`, then the rows [t, *block(a, b)[t - a]] for
         t = start..stop-1, where block(a, b) returns the rows for t = a..b-1
         as a 2-d float64 or int64 array.  A value prints as the repr of its
         Python float or int, in csv.writer's format; each distinct value of
-        a block (by bit pattern, so -0.0 and 0.0 stay apart) is printed once."""
-        target = self.path(name)
-        with open(target, "w", newline="") as fh:
-            fh.write(",".join(header) + "\r\n")
+        a block (by bit pattern, so -0.0 and 0.0 stay apart) is printed once,
+        and the block's bytes are one `%` of a flat tuple of its cells."""
+        with self._create(name, "xb") as fh:
+            fh.write((",".join(header) + "\r\n").encode())
             for a in range(start, stop, CSV_BLOCK):
                 values = block(a, min(a + CSV_BLOCK, stop))
+                n, width = values.shape
                 keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
-                texts = np.array([repr(v) for v in keys.view(values.dtype).tolist()],
-                                 dtype=object)
-                cells = texts[inverse.reshape(values.shape)].tolist()
-                fh.write("".join(f"{t},{','.join(row)}\r\n"
-                                 for t, row in enumerate(cells, a)))
-        return target
+                texts = ",".join(map(repr, keys.view(values.dtype).tolist())).encode()
+                cells = np.empty((n, width + 1), dtype=object)
+                cells[:, 0] = range(a, a + n)
+                cells[:, 1:] = np.array(texts.split(b","), dtype=object)[inverse.reshape(n, width)]
+                del values, keys, inverse, texts  # the cells hold what is printed
+                fh.write((b"%d" + b",%s" * width + b"\r\n") * n % tuple(cells.ravel()))
+        return fh.name
 
 
 def _resolved_config(args, keys) -> dict:

@@ -3,9 +3,11 @@
 The grid on each axis has K+1 nodes a_k = 2k/K - 1 (k = 0..K), spacing 2/K.
 Quantization snaps each coordinate to the nearest node, resolving exact
 midpoints toward the larger node; the resulting l2 error never exceeds
-sqrt(d)/K.  `_quantize_rows` is the one quantizer; it settles exact ties
-once per distinct midpoint.  The box rule is `box_overshoot` (NaN is
-infinitely far out) and `Point`, which clamps within CLAMP_BAND.
+sqrt(d)/K.  `_quantize_rows` is the one quantizer; it fills its result in
+blocks of QUANTIZE_BLOCK rows, so its working memory does not grow with
+the orbit, and settles exact ties once per distinct midpoint.  The box
+rule is `box_overshoot` (NaN is infinitely far out) and `Point`, which
+clamps within CLAMP_BAND.
 
 `Point` and `GridState` are the boundary types for single values.  Orbits
 and state sequences are stored as arrays: `OrbitSeries` holds an (H+1, d)
@@ -26,6 +28,10 @@ from .errors import DimensionMismatch, OutOfRange
 # Values this far outside [-1,1] are clamped to the boundary; anything
 # farther is rejected.  Tolerates floating-point overshoot of map evaluation.
 CLAMP_BAND = 1e-12
+
+# Rows per block of `_quantize_rows`: its temporaries are a few arrays of
+# this many rows, whatever the length of the orbit.
+QUANTIZE_BLOCK = 2048
 
 
 def _clamp_coord(x: float) -> float:
@@ -235,11 +241,25 @@ class OrbitSeries:
 
 def _quantize_rows(Y: np.ndarray, g: GridSpec) -> np.ndarray:
     # Nearest node index of every entry, exact midpoints going up.  The
-    # float u = (c+1)K/2 decides unless it lies within 1e-9 of k + 1/2;
-    # such an entry is compared with the exact midpoint m_k = (2k+1)/K - 1,
-    # once per distinct k.  No double lies strictly between m_k and the
-    # double q nearest it, so c >= m_k exactly when c > q, or c == q >= m_k.
-    K = g.K
+    # rows go through in blocks of QUANTIZE_BLOCK, each into its slice of
+    # one result array, so the temporaries are the size of one block.
+    if len(Y) <= QUANTIZE_BLOCK:
+        return _quantize_block(Y, g.K, None, {})
+    idx = np.empty(Y.shape, dtype=np.int64)
+    midpoints = {}
+    for a in range(0, len(Y), QUANTIZE_BLOCK):
+        _quantize_block(Y[a : a + QUANTIZE_BLOCK], g.K, idx[a : a + QUANTIZE_BLOCK], midpoints)
+    return idx
+
+
+def _quantize_block(Y: np.ndarray, K: int, out, midpoints: dict) -> np.ndarray:
+    # One block, written into `out` (a new array when None).  The float
+    # u = (c+1)K/2 decides unless it lies within 1e-9 of k + 1/2; such an
+    # entry is compared with the exact midpoint m_k = (2k+1)/K - 1.  No
+    # double lies strictly between m_k and the double q nearest it, so
+    # c >= m_k exactly when c > q, or c == q >= m_k.  `midpoints` keeps
+    # (q, q >= m_k) by k across the blocks of one call, so each distinct
+    # midpoint costs one Fraction pass.
     u = Y + 1.0
     u *= K
     u /= 2.0
@@ -250,19 +270,26 @@ def _quantize_rows(Y: np.ndarray, g: GridSpec) -> np.ndarray:
     k_tie = k[tie]
     if len(k_tie) and not np.isfinite(k_tie).all():  # before the cast below
         raise ValueError(f"cannot quantize {Y[tie][~np.isfinite(k_tie)][0]!r}")
-    idx = k.astype(np.int64)
+    if out is None:
+        out = k.astype(np.int64)
+    else:
+        out[...] = k
     del k
-    idx += frac > 0.5
+    out += frac > 0.5
     if len(k_tie):
         mids, which = np.unique(k_tie, return_inverse=True)
-        m = [Fraction(2 * kk + 1 - K, K) for kk in mids.astype(np.int64).tolist()]
-        q = np.array([float(mk) for mk in m])[which]
-        q_up = np.array([Fraction(float(mk)) >= mk for mk in m])[which]
+        mids = mids.astype(np.int64).tolist()
+        for kk in mids:
+            if kk not in midpoints:
+                mk = Fraction(2 * kk + 1 - K, K)
+                midpoints[kk] = (float(mk), Fraction(float(mk)) >= mk)
+        q = np.array([midpoints[kk][0] for kk in mids])[which]
+        q_up = np.array([midpoints[kk][1] for kk in mids])[which]
         c = Y[tie]
-        idx[tie] = k_tie.astype(np.int64) + ((c > q) | ((c == q) & q_up))
-    np.maximum(idx, 0, out=idx)
-    np.minimum(idx, K, out=idx)
-    return idx
+        out[tie] = k_tie.astype(np.int64) + ((c > q) | ((c == q) & q_up))
+    np.maximum(out, 0, out=out)
+    np.minimum(out, K, out=out)
+    return out
 
 
 def quantize(p: Point, g: GridSpec) -> GridState:

@@ -9,6 +9,11 @@ shadow's first state, so it is the shadow itself up to the first time a
 state repeats: with the repeat first seen at T and seen again at T + L,
 the chain is shadow[0..T+L-1], eventually periodic with pre-period T and
 period L.
+
+The orbit and the shadow are whole arrays, the only memory that grows
+with the horizon.  Every later stage works in blocks: the quantizer,
+the transition table (one pass with one code of lookahead, O(block + N)
+temporaries) and `shadow_periodicity` (an int64 window).
 """
 
 from __future__ import annotations
@@ -28,8 +33,14 @@ from .maps import MapDefinition, ar_map
 # Conflicting observations kept as examples; the rest are only counted.
 CONFLICT_EXAMPLES = 5
 
-# Trailing shadow states examined by shadow_periodicity.
+# Trailing shadow states examined by shadow_periodicity, and the pairs it
+# compares one at a time for a candidate period before it compares the
+# rest of the window in one array operation.
 SHADOW_WINDOW = 8192
+SCAN_STEPS = 32
+
+# Shadow positions per block of build_transition_table (at least N).
+TABLE_BLOCK = 2048
 
 # Largest root modulus of the census's random stable recurrences.
 STABLE_RADIUS = 0.9
@@ -120,29 +131,69 @@ class TransitionTable:
 
 
 def build_transition_table(shadow: GridStates) -> TransitionTable:
-    """Extract the earliest-occurrence transition table from a shadow sequence."""
-    if len(shadow) < 2:
+    """Extract the earliest-occurrence transition table from a shadow sequence.
+
+    One pass over blocks of state codes; each block ends with the first
+    code of the next, so every transition lies in one block.  A state's
+    row, its rank in first-seen order, is fixed when it is first seen, and
+    so is its successor row (in the next block for a state first seen at
+    a block's last code).  The distinct codes seen so far stay in a sorted
+    array with their rows, and each block's conflicts are counted against
+    the successor rows, so the temporaries are O(block + N).  A block is
+    TABLE_BLOCK positions, or N once N is larger, so merging its new codes
+    into the sorted array, O(N), costs O(1) per position.  Above 2^63 grid
+    states the codes are the whole shadow's ranks, computed once.
+    """
+    n = len(shadow)
+    if n < 2:
         raise ValueError("need at least two shadow states to observe a transition")
-    codes = shadow.codes()
-    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    order = np.argsort(first)  # distinct states in first-seen order
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    row = rank[inverse]  # row of the state at each time
-    del inverse
-    # a state first seen at the final position sorts last and has no outgoing edge
-    n_states = len(order) - int(first[order[-1]] == len(codes) - 1)
-    succ = row[first[order[:n_states]] + 1]
-    mismatch = succ[row[:-1]] != row[1:]
-    del row
-    count = int(np.count_nonzero(mismatch))
-    times = np.flatnonzero(mismatch)[:CONFLICT_EXAMPLES].tolist() if count else []
+    ranks = shadow.codes() if shadow.grid.state_count > 2 ** 63 else None
+    count, times = 0, []
+    a = 0
+    while a < n - 1:
+        b = min(a + max(TABLE_BLOCK, len(known) if a else 0), n - 1)
+        codes = shadow[a : b + 1].codes() if ranks is None else ranks[a : b + 1]
+        new, j, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        if not a:  # every state of the first block is new
+            fresh = np.argsort(j)
+            row = np.empty_like(fresh)
+            row[fresh] = np.arange(len(fresh))
+        else:
+            at = np.searchsorted(known, new)
+            near = np.minimum(at, len(known) - 1)
+            is_new = known[near] != new
+            row = row_of[near]  # right where the code is known
+            fresh = np.flatnonzero(is_new)
+            fresh = fresh[np.argsort(j[fresh])]
+            row[fresh] = np.arange(len(first), len(first) + len(fresh))
+        row_at = row[inverse]  # the row at each time a..b
+        fj = j[fresh]  # where in the block its new states are first seen, in that order
+        # a state first seen at b gets its own row here, and its successor next block
+        first_new, succ_new = fj + a, np.take(row_at, fj + 1, mode="clip")
+        if not a:
+            known, row_of, first, succ = new, row, first_new, succ_new
+        else:
+            if first[-1] == a:  # first seen at the previous block's last code
+                succ[-1] = row_at[1]
+            if len(fresh):
+                known = np.insert(known, at[is_new], new[is_new])
+                row_of = np.insert(row_of, at[is_new], row[is_new])
+            first = np.concatenate([first, first_new])
+            succ = np.concatenate([succ, succ_new])
+        mismatch = succ[row_at[:-1]] != row_at[1:]
+        block_count = int(np.count_nonzero(mismatch))
+        if block_count and len(times) < CONFLICT_EXAMPLES:
+            times += (np.flatnonzero(mismatch)[: CONFLICT_EXAMPLES - len(times)] + a).tolist()
+        count += block_count
+        a = b
+    # a state first seen at the final position is the last row and has no outgoing edge
+    n_states = len(first) - int(first[-1] == n - 1)
     conflicts = Conflicts(
         count=count,
         examples=tuple((shadow[t], t, shadow[t + 1]) for t in times),
     )
     return TransitionTable(
-        grid=shadow.grid, rows=shadow.indices[first[order]], succ=succ, conflicts=conflicts
+        grid=shadow.grid, rows=shadow.indices[first], succ=succ[:n_states], conflicts=conflicts
     )
 
 
@@ -251,18 +302,27 @@ def shadow_periodicity(shadow: GridStates):
     Shadows are not function traces (the true orbit can distinguish states
     the grid merges), so first-repeat detection does not apply; this scans
     periods directly and requires at least two full tail periods in view.
-    Diagnostic only: a longer window could still refute the verdict.  Long
-    sequences are examined over their trailing SHADOW_WINDOW entries; the
-    reported T is then the earliest time within that suffix, an upper
-    bound for the true pre-period.
+    Only the periods L at which the last code recurs L steps back are
+    tried, each pair by pair for SCAN_STEPS pairs and then in one array
+    comparison over the int64 codes of the window.  Diagnostic only: a
+    longer window could still refute the verdict.  Long sequences are
+    examined over their trailing SHADOW_WINDOW entries; the reported T is
+    then the earliest time within that suffix, an upper bound for the true
+    pre-period.
     """
     offset = max(0, len(shadow) - SHADOW_WINDOW)
-    seq = shadow[offset:].codes().tolist()
+    codes = shadow[offset:].codes()
+    seq = memoryview(codes)  # the int64 codes, read one at a time as Python ints
     n = len(seq)
-    for L in range(1, n // 2 + 1):
+    back = codes[n - 1 - n // 2 : n - 1][::-1]  # back[L - 1] is codes[n - 1 - L]
+    for L in memoryview(np.flatnonzero(back == codes[n - 1 :]) + 1):  # the last code recurs
         t = n - 1 - L
-        while t >= 0 and seq[t + L] == seq[t]:
+        stop = t - SCAN_STEPS
+        while t > stop and t >= 0 and seq[t + L] == seq[t]:
             t -= 1
+        if t == stop >= 0:  # a long match: one array comparison finds where it ends
+            differ = np.flatnonzero(codes[L : t + 1 + L] != codes[: t + 1])
+            t = int(differ[-1]) if len(differ) else -1
         T = t + 1
         if T + 2 * L <= n:
             return T + offset, L

@@ -3,9 +3,13 @@
 `detect_cycle`, `parseval_gap` and `quantization_error` check library
 results and have no caller in the library.  The old builtin and `ar`
 step functions and the per-step orbit loop are the forms that the
-compiled expression trees replaced, and the per-pair Lipschitz sampler
-and scalar Halton probes are the forms that the blocked array passes of
-`maps` replaced; the tests hold the library equal to them.
+compiled expression trees replaced, the per-pair Lipschitz sampler and
+scalar Halton probes are the forms that the blocked array passes of
+`maps` replaced, `whole_transition_table` is the whole-array form that
+the blocked `orbit.build_transition_table` replaced, and
+`scan_shadow_periodicity` is the pair-by-pair scan over a list of codes
+that `orbit.shadow_periodicity` replaced; the tests hold the library
+equal to them.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ import numpy as np
 from aporbit.core import CLAMP_BAND, Point, box_overshoot, quantize
 from aporbit.errors import AporbitError, RangeViolation
 from aporbit.maps import _PRIMES
-from aporbit.orbit import _first_repeat
+from aporbit.orbit import (CONFLICT_EXAMPLES, SHADOW_WINDOW, Conflicts, TransitionTable,
+                           _first_repeat)
 
 
 class NoCycleWithinHorizon(AporbitError):
@@ -182,3 +187,45 @@ def probe_points(d: int, samples: int, seed: int) -> np.ndarray:
         for axis in range(d):
             quasi[i, axis] = (halton(i + 1, _PRIMES[axis % len(_PRIMES)]) + shift[axis]) % 1.0
     return np.vstack([corners, center, 2.0 * quasi - 1.0])
+
+
+def whole_transition_table(shadow) -> TransitionTable:
+    """The earliest-occurrence transition table from one np.unique over
+    the whole shadow's codes."""
+    if len(shadow) < 2:
+        raise ValueError("need at least two shadow states to observe a transition")
+    codes = shadow.codes()
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # distinct states in first-seen order
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    row = rank[inverse]  # row of the state at each time
+    # a state first seen at the final position sorts last and has no outgoing edge
+    n_states = len(order) - int(first[order[-1]] == len(codes) - 1)
+    succ = row[first[order[:n_states]] + 1]
+    mismatch = succ[row[:-1]] != row[1:]
+    count = int(np.count_nonzero(mismatch))
+    times = np.flatnonzero(mismatch)[:CONFLICT_EXAMPLES].tolist() if count else []
+    conflicts = Conflicts(
+        count=count,
+        examples=tuple((shadow[t], t, shadow[t + 1]) for t in times),
+    )
+    return TransitionTable(
+        grid=shadow.grid, rows=shadow.indices[first[order]], succ=succ, conflicts=conflicts
+    )
+
+
+def scan_shadow_periodicity(shadow, window: int = SHADOW_WINDOW):
+    """Minimal (T, L) of the trailing `window` codes, every pair compared
+    one at a time."""
+    offset = max(0, len(shadow) - window)
+    seq = shadow[offset:].codes().tolist()
+    n = len(seq)
+    for L in range(1, n // 2 + 1):
+        t = n - 1 - L
+        while t >= 0 and seq[t + L] == seq[t]:
+            t -= 1
+        T = t + 1
+        if T + 2 * L <= n:
+            return T + offset, L
+    return None

@@ -90,6 +90,27 @@ def test_no_overwrite_without_force(tmp_path, ar_contracting):
     assert main(args + ["--force"]) == 0
 
 
+def test_force_replaces_a_symlink_instead_of_writing_through_it(tmp_path, ar_contracting):
+    out = tmp_path / "out"
+    out.mkdir()
+    args = ["run", "--map", ar_contracting, "--y0", "0.8", "--K", "4",
+            "--horizon", "10", "--out", str(out)]
+    # a dangling link is an existing artifact too: refused, and left alone
+    (out / "orbit.csv").symlink_to(tmp_path / "missing.csv")
+    assert main(args) == 3
+    assert sorted(os.listdir(out)) == ["orbit.csv"]
+    assert os.readlink(out / "orbit.csv") == str(tmp_path / "missing.csv")
+    victim = tmp_path / "victim.json"
+    victim.write_text("keep\n")
+    (out / "chain.json").symlink_to(victim)
+    assert main(args + ["--force"]) == 0
+    for name in ("chain.json", "orbit.csv"):
+        assert not (out / name).is_symlink() and (out / name).is_file()
+    assert read_json(out / "chain.json")["L"] >= 1
+    assert victim.read_text() == "keep\n"
+    assert not (tmp_path / "missing.csv").exists()
+
+
 @pytest.mark.parametrize("command, stale", [
     (["run", "--y0", "0.8", "--K", "4", "--horizon", "10"], "chain.json"),
     (["run", "--y0", "0.8", "--K", "4", "--horizon", "10", "--emit-curve"],
@@ -422,6 +443,19 @@ def test_csv_writing_adds_little_to_the_peak(tmp_path, capsys):
     with_csv = traced_peak(argv + ["--out", str(tmp_path / "c")])
     assert (tmp_path / "c" / "orbit.csv").exists()
     assert with_csv - json_only <= 128 * 1024
+
+
+@pytest.mark.parametrize("csvs", [False, True], ids=["json-only", "csv"])
+def test_run_memory_is_the_orbit_and_the_shadow(tmp_path, capsys, csvs):
+    # Past the orbit (16 B a sample here) and the shadow (16 B), every
+    # stage works in blocks, so 2*10^5 samples peak at 40 B each or less.
+    H = 200_000
+    argv = ["run", "--map", '{"kind": "ar", "d": 2, "p": [1.5297, -1.0]}',
+            "--y0=0.9,0.688", "--K", "64", "--force"] + ([] if csvs else ["--json-only"])
+    traced_peak(argv + ["--horizon", "1000", "--out", str(tmp_path / "warm")])
+    peak = traced_peak(argv + ["--horizon", str(H), "--out", str(tmp_path / "run")])
+    assert (tmp_path / "run" / "orbit.csv").exists() == csvs
+    assert peak / (H + 1) <= 40
 
 
 def test_census_deterministic(tmp_path):

@@ -1,7 +1,9 @@
 """Grid, point and quantization behavior."""
 
 import math
+import re
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from aporbit import (
     quantize,
 )
 from aporbit import core
-from aporbit.core import _quantize_rows
+from aporbit.core import QUANTIZE_BLOCK, _quantize_rows
 from aporbit.errors import DimensionMismatch, OutOfRange
 from oracles import quantization_error
 
@@ -208,6 +210,58 @@ def test_vectorized_quantizer_nan_raises_like_scalar():
         _quantize_rows(np.array([[0.5, math.nan]]), g)
     with pytest.raises(ValueError):
         _quantize_rows(np.array([[0.5, 0.1], [0.2, math.nan]]), g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_quantizer_blocks_match_scalar(data):
+    # 3 to 6 blocks of 1..5 rows, each block with an exact midpoint in it
+    K = data.draw(st.one_of(st.integers(1, 1000),
+                            st.integers(0, 2 ** 43 - 1).map(lambda j: 2 * j + 1)))
+    d = data.draw(st.integers(1, 3))
+    block = data.draw(st.integers(1, 5))
+    blocks = data.draw(st.integers(3, 6))
+    n = data.draw(st.integers((blocks - 1) * block + 1, blocks * block))
+    rows = data.draw(st.lists(st.lists(axis_values(K), min_size=d, max_size=d),
+                              min_size=n, max_size=n))
+    for a in range(0, n, block):
+        k = data.draw(st.integers(0, K - 1))
+        rows[a + data.draw(st.integers(0, min(block, n - a) - 1))][data.draw(
+            st.integers(0, d - 1))] = (2 * k + 1) / K - 1.0
+    g = GridSpec(K=K, d=d)
+    want = [[scalar_quantize_axis(c, g) for c in row] for row in rows]
+    with mock.patch.object(core, "QUANTIZE_BLOCK", block):
+        assert _quantize_rows(np.array(rows), g).tolist() == want
+
+
+def test_quantizer_blocks_match_scalar_at_the_block_size():
+    # three and a half blocks of the library's own size, ties in every block
+    rng = np.random.default_rng(5)
+    for K in (7, 64, 2 ** 43 + 1):
+        n = 3 * QUANTIZE_BLOCK + QUANTIZE_BLOCK // 2
+        Y = rng.uniform(-1.0, 1.0, (n, 2))
+        at = rng.integers(0, n, 400)
+        Y[at, at % 2] = (2 * rng.integers(0, K, 400) + 1) / K - 1.0
+        Y[at[::3], 0] = np.nextafter(Y[at[::3], 0], 2.0)
+        g = GridSpec(K=K, d=2)
+        want = [[scalar_quantize_axis(c, g) for c in row] for row in Y.tolist()]
+        assert _quantize_rows(Y, g).tolist() == want
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nan_in_a_later_block_raises_like_the_first(bad):
+    # the message names the first bad entry in row order, as for one block
+    g = GridSpec(K=5, d=2)
+    Y = np.zeros((3 * QUANTIZE_BLOCK + 5, 2))
+    Y[2 * QUANTIZE_BLOCK + 7, 1] = bad
+    with pytest.raises(ValueError) as later:
+        _quantize_rows(Y, g)
+    with pytest.raises(ValueError) as single:
+        _quantize_rows(np.array([[0.0, bad]]), g)
+    assert str(later.value) == str(single.value) == f"cannot quantize {np.float64(bad)!r}"
+    Y[QUANTIZE_BLOCK + 1, 0] = -bad
+    with pytest.raises(ValueError, match=re.escape(f"cannot quantize {np.float64(-bad)!r}")):
+        _quantize_rows(Y, g)
 
 
 def test_exact_ties_cost_one_fraction_pass_per_midpoint(monkeypatch):

@@ -1,6 +1,7 @@
 """Orbit generation, transition tables, chains, cycle detection, census."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,8 +32,10 @@ from aporbit.errors import (AporbitError, DanglingState, DimensionMismatch, Eval
                             RangeViolation)
 from aporbit.expressions import Var, parse_expression
 from aporbit.maps import MapDefinition
-from aporbit.orbit import CONFLICT_EXAMPLES
-from oracles import BUILTIN_STEPS, NoCycleWithinHorizon, ar_step, detect_cycle, per_step_orbit
+from aporbit import orbit
+from aporbit.orbit import CONFLICT_EXAMPLES, TABLE_BLOCK
+from oracles import (BUILTIN_STEPS, NoCycleWithinHorizon, ar_step, detect_cycle, per_step_orbit,
+                     scan_shadow_periodicity, whole_transition_table)
 from test_expressions import ast_nodes, evaluate_ast
 
 
@@ -295,6 +298,70 @@ def test_transition_table_counts_conflicts_keeps_first_examples():
     assert table.conflicts.examples == tuple((A, t, C) for t in (2, 4, 6, 8, 10))
 
 
+def assert_table_is_the_whole_array_table(shadow, block=TABLE_BLOCK):
+    # equal rows, successors, conflict count and examples, or the same refusal
+    with mock.patch.object(orbit, "TABLE_BLOCK", block):
+        try:
+            got = build_transition_table(shadow)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                whole_transition_table(shadow)
+            return
+    want = whole_transition_table(shadow)
+    assert got.grid == want.grid
+    assert got.rows.dtype == want.rows.dtype and np.array_equal(got.rows, want.rows)
+    assert got.succ.dtype == want.succ.dtype and np.array_equal(got.succ, want.succ)
+    assert got.conflicts == want.conflicts
+
+
+GRIDS = [GridSpec(K=1, d=1), GridSpec(K=3, d=2), GridSpec(K=6, d=3),
+         GridSpec(K=2 ** 40, d=2)]  # the last: (K+1)^d > 2^63, codes are ranks
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_blocked_transition_table_equals_the_whole_array_table(data):
+    # shadows of 0 to 5 blocks of 1..6 positions over a few states, so that
+    # first sightings and conflicts fall on block edges and the final position
+    g = data.draw(st.sampled_from(GRIDS))
+    block = data.draw(st.integers(1, 6))
+    alphabet = data.draw(st.lists(st.lists(st.integers(0, g.K), min_size=g.d, max_size=g.d),
+                                  min_size=1, max_size=12, unique_by=tuple))
+    n = data.draw(st.integers(0, 5 * block + 1))
+    picks = data.draw(st.lists(st.integers(0, len(alphabet) - 1), min_size=n, max_size=n))
+    rows = np.array([alphabet[i] for i in picks], dtype=np.int64).reshape(n, g.d)
+    assert_table_is_the_whole_array_table(GridStates(rows, g), block)
+
+
+@pytest.mark.parametrize("g", [GRIDS[1], GRIDS[3]], ids=["codes", "ranks"])
+@pytest.mark.parametrize("block", [1, 2, 4])
+def test_blocked_transition_table_at_block_edges(g, block):
+    # A state new at the first and at the last source of a block (its
+    # successor is the block's lookahead), a conflict on each side of a
+    # block edge, and a state first seen at the final position.
+    A, B, C, D, E = ([i, i] for i in (0, 1, 2, 3, g.K))
+    cases = [
+        [A, B, A, B, C, A, C, B, D, A, D, E],
+        [A, A, B, A, C, C, A, B, D, D, E],
+        [A, B, C, D, A, C, B, D, A, B, C, D, E],
+        [A, B] * 8 + [E],
+        [A] * (4 * block) + [B],
+        [A] * (4 * block + 1) + [B, A],
+    ]
+    for case in cases:
+        for n in range(len(case) + 1):
+            shadow = GridStates(np.array(case[:n], dtype=np.int64).reshape(n, 2), g)
+            assert_table_is_the_whole_array_table(shadow, block)
+
+
+def test_blocked_transition_table_on_a_long_shadow():
+    # many blocks at the library's own block size, conflicted and not
+    H = 5 * TABLE_BLOCK + 17
+    for y0, K in (([0.9, 0.688], 64), ([0.9, 0.688], 4), ([0.3, 0.2], 4096)):
+        _, shadow, _, _ = run_pipeline(ar_map([1.5297, -1.0]), Point(y0), GridSpec(K=K, d=2), H)
+        assert_table_is_the_whole_array_table(shadow)
+
+
 def test_transition_table_beyond_int64_codes():
     # (K+1)^d > 2^63: states are told apart by their rows, not by codes
     g = GridSpec(K=2 ** 40, d=2)
@@ -506,6 +573,38 @@ def test_pipeline_deterministic():
     assert a[3].seq == b[3].seq              # chains bit-identical
     assert (a[3].pre_period, a[3].period) == (b[3].pre_period, b[3].period)
     assert a[2].n_states <= g.state_count    # N <= (K+1)^d
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_shadow_periodicity_equals_the_pair_by_pair_scan(data):
+    # a transient, then a cycle repeated with a few entries changed, so
+    # that candidate periods match for short and for long runs, over
+    # windows shorter and longer than the shadow
+    window = data.draw(st.integers(2, 120))
+    scan = data.draw(st.integers(1, 8))
+    transient = data.draw(st.lists(st.integers(0, 5), max_size=40))
+    cycle = data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=12))
+    body = transient + cycle * data.draw(st.integers(0, 30))
+    for _ in range(data.draw(st.integers(0, 3))):
+        if body:
+            body[data.draw(st.integers(0, len(body) - 1))] = data.draw(st.integers(0, 5))
+    shadow = GridStates(np.array(body, dtype=np.int64).reshape(-1, 1), GridSpec(K=5, d=1))
+    with mock.patch.object(orbit, "SHADOW_WINDOW", window), \
+            mock.patch.object(orbit, "SCAN_STEPS", scan):
+        got = orbit.shadow_periodicity(shadow)
+    assert got == scan_shadow_periodicity(shadow, window)
+
+
+def test_shadow_periodicity_of_pipeline_shadows():
+    # fixed points, short and long cycles and no period in the window,
+    # at the library's own window and scan length
+    for p, y0, K in (([1.5297, -1.0], [0.9, 0.688], 64), ([1.5297, -1.0], [0.9, 0.688], 1024),
+                     ([0.6, -0.3], [0.5, 0.3], 256), ([0.0, -1.0], [1.0, 0.0], 2)):
+        for H in (40, 9000, 14000):
+            g = GridSpec(K=K, d=2)
+            shadow = discretize_orbit(generate_orbit(ar_map(p), Point(y0), H), g)
+            assert orbit.shadow_periodicity(shadow) == scan_shadow_periodicity(shadow)
 
 
 def test_pipeline_memory_per_sample():
