@@ -13,9 +13,10 @@ import numpy as np
 
 import aporbit as ap
 
-m = ap.ar_map([0.55, -0.3])
+p = [0.55, -0.3]
+m = ap.ar_map(p)
 gamma = ap.estimate_lipschitz(m)
-print(f"map: linear recurrence p={m.coeffs}, analytic gamma={gamma.gamma:.4f}")
+print(f"map: linear recurrence p={p}, analytic gamma={gamma.gamma:.4f}")
 
 y0 = ap.Point([0.7, -0.2])
 for K in (4, 8, 16, 32):
@@ -29,9 +30,9 @@ print("\nper-step view at K=16 (t, measured error, certified bound):")
 for t in (0, 1, 2, 5, 10, 20, 40, 60):
     print(f"  t={t:3d}: {rep.actual[t]:.6f} <= {rep.bound[t]:.6f}")
 
-# The tent map has no recurrence coefficients, so its gamma is sampled: a
-# lower bound of the true constant, so a bound computed from it is
-# advisory; the report carries that caveat.
+# The tent map is not affine, so its gamma is sampled: a lower bound of
+# the true constant, so a bound computed from it is advisory; the report
+# carries that caveat.
 tent = ap.expression_map(["1 - 2*abs(x1)"])
 sampled = ap.estimate_lipschitz(tent, samples=4000, seed=1)
 rep = ap.verify_error_bound(tent, ap.Point([0.3]), K=16, horizon=60,

@@ -58,14 +58,12 @@ from .maps import (
     RangeReport,
     ar_map,
     builtin_map,
-    companion_matrix,
     delay_map,
     estimate_lipschitz,
     evaluate,
     expression_map,
     load_map,
     map_from_json,
-    map_to_json,
     validate_range,
 )
 from .orbit import (

@@ -98,6 +98,8 @@ def recurrence_trees(p) -> list:
     from +0.0, then x1..x(d-1) shifted down.  The `ar` map compiles them,
     and `recursion` iterates their compiled step."""
     p = _finite_coefficients(p)
+    if not p:
+        raise DimensionMismatch("need at least one coefficient")
     update = Num(0.0)
     for l, p_l in enumerate(p, start=1):
         update = BinOp("+", update, BinOp("*", Num(p_l), Var(l)))

@@ -74,13 +74,13 @@ def _load_map(path: str) -> maps.MapDefinition:
     if path.lstrip().startswith("{"):
         try:
             return maps.map_from_json(json.loads(path))
-        except (ValueError, KeyError, json.JSONDecodeError, AporbitError) as exc:
+        except (ValueError, KeyError, TypeError, json.JSONDecodeError, AporbitError) as exc:
             raise ConfigError(f"bad inline map definition: {exc}") from exc
     if not os.path.exists(path):
         raise ConfigError(f"map file not found: {path}")
     try:
         return maps.load_map(path)
-    except (ValueError, KeyError, json.JSONDecodeError, AporbitError) as exc:
+    except (ValueError, KeyError, TypeError, json.JSONDecodeError, AporbitError) as exc:
         raise ConfigError(f"bad map file {path}: {exc}") from exc
 
 
@@ -98,7 +98,7 @@ def _load_ar_spec(path: str) -> armodel.ARSpec:
         with open(path) as fh:
             data = json.load(fh)
         return armodel.ARSpec(p=data["p"], initial=data["z0"])
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"bad spec file {path}: {exc}") from exc
 
 
@@ -173,7 +173,7 @@ def cmd_run(args) -> int:
     out = _Out(args.out, args.force, ["chain.json", "trig.json"]
                + ([] if args.json_only else ["orbit.csv"])
                + (["trig_curve.csv"] if args.emit_curve else []))
-    config = _resolved_config(args, ("map", "y0", "K", "horizon", "seed", "out"))
+    config = _resolved_config(args, ("map", "y0", "K", "horizon", "out"))
     config["horizon"] = horizon
 
     orb, shadow, table, chain = orbit.run_pipeline(m, y0, g, horizon)
@@ -210,10 +210,10 @@ def cmd_verify(args) -> int:
     y0 = _initial_point(args, m)
     out = _Out(args.out, args.force,
                ["verify.json"] + ([] if args.json_only else ["verify.csv"]))
-    config = _resolved_config(args, ("map", "y0", "K", "horizon", "seed", "samples", "out"))
-    if m.coeffs is not None:  # gamma is the companion norm: no sample is drawn
-        del config["samples"]
     lip = maps.estimate_lipschitz(m, samples=args.samples, seed=args.seed)
+    # only a sampled gamma draws from the seed, so only it records the draw
+    drawn = ("seed", "samples") if lip.method == "sampled" else ()
+    config = _resolved_config(args, ("map", "y0", "K", "horizon", *drawn, "out"))
     report = analysis.verify_error_bound(m, y0, args.K, args.horizon, lipschitz=lip)
     out.write_json("verify.json", report.to_json(), config)
     if not args.json_only:
@@ -238,10 +238,11 @@ def cmd_ladder(args) -> int:
         if not value >= 0.0:  # negative or NaN
             raise ConfigError(f"{option} must be >= 0, got {value!r}")
     out = _Out(args.out, args.force, ["ladder.json"])
-    config = _resolved_config(
-        args, ("map", "y0", "Ks", "horizon", "seed", "budget", "tolerance", "out")
-    )
     lip = maps.estimate_lipschitz(m, seed=args.seed)
+    drawn = ("seed",) if lip.method == "sampled" else ()
+    config = _resolved_config(
+        args, ("map", "y0", "Ks", "horizon", *drawn, "budget", "tolerance", "out")
+    )
     report = analysis.tail_convergence(
         m, y0, Ks, args.horizon, tolerance=args.tolerance
     )
@@ -323,12 +324,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite-state periodic approximation of iterated maps",
     )
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--force", action="store_true",
                         help="overwrite existing output files")
     common.add_argument("--json-only", dest="json_only", action="store_true",
                         help="skip CSV side channels")
+    # only the commands that draw random numbers take a seed
+    seeded = _Parser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", parents=[common],
@@ -339,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--emit-curve", dest="emit_curve", action="store_true")
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[seeded],
                        help="check the chain approximation error bound")
     p.add_argument("--map", required=True)
     p.add_argument("--y0", required=True)
@@ -347,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=200)
     p.add_argument("--samples", type=int, default=4096)
 
-    p = sub.add_parser("ladder", parents=[common],
+    p = sub.add_parser("ladder", parents=[seeded],
                        help="multi-resolution convergence diagnostics")
     p.add_argument("--map", required=True)
     p.add_argument("--y0", required=True)
@@ -362,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--horizon", type=int, default=200)
 
-    p = sub.add_parser("census", parents=[common],
+    p = sub.add_parser("census", parents=[seeded],
                        help="period statistics over a random ensemble")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--K", type=int, required=True)
@@ -370,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generator", default="random_map",
                    choices=("random_map", "random_ar"))
 
-    p = sub.add_parser("validate-map", parents=[common],
+    p = sub.add_parser("validate-map", parents=[seeded],
                        help="probe that a map sends the box into itself")
     p.add_argument("--map", required=True)
     p.add_argument("--samples", type=int, default=256)

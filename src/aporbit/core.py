@@ -265,7 +265,8 @@ def _quantize_block(Y: np.ndarray, K: int, out, midpoints: dict) -> np.ndarray:
     u /= 2.0
     k = np.floor(u)
     frac = u
-    frac -= k
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN, refused below
+        frac -= k
     tie = ~(np.abs(frac - 0.5) > 1e-9)  # NaN lands here too
     k_tie = k[tie]
     if len(k_tie) and not np.isfinite(k_tie).all():  # before the cast below

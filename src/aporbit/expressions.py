@@ -10,6 +10,7 @@ Every map is a tuple of such trees, one per output coordinate, and
 one source generator turns them into Python: `compile_coords` gives the
 per-point step, `compile_orbit_loop` the loop that iterates it over a
 whole orbit.  Both do each tree's float operations in the tree's order.
+`linear_part` reads the matrix of a map whose trees are affine.
 """
 
 from __future__ import annotations
@@ -17,8 +18,12 @@ from __future__ import annotations
 import functools
 import math
 import re
+import sys
 import textwrap
 from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
 
 from .errors import ArityError, EvaluationError, ParseError, UnknownIdentifier
 
@@ -45,6 +50,7 @@ FUNCTIONS = {
 }
 
 _DIV_FLOOR = 1e-300
+_DOUBLE_MAX = int(sys.float_info.max)
 
 # Precedence levels used by both the parser shape and the printer.
 _PREC_ADD = 1
@@ -190,7 +196,9 @@ class _Parser:
 
 def parse_expression(source: str, d: int) -> object:
     """Parse a coordinate expression over variables x1..xd into an AST."""
-    if not source or not source.strip():
+    if not isinstance(source, str):
+        raise ParseError(f"an expression is a string, got {source!r}", 0)
+    if not source.strip():
         raise ParseError("empty expression", 0)
     parser = _Parser(_tokenize(source), d)
     try:
@@ -233,6 +241,89 @@ def to_source(node) -> str:
     if isinstance(node, Call):
         return f"{node.func}({', '.join(to_source(a) for a in node.args)})"
     raise TypeError(f"not an AST node: {node!r}")
+
+
+def linear_part(trees):
+    """The d x d matrix A of the map x -> A x + b whose output trees are
+    `trees`, or None when a tree is not affine.
+
+    Each tree is folded exactly in Fractions from `Num`, `Var`, `Neg`,
+    `+`, `-`, `*` with a constant side and `/` by a constant of magnitude
+    at least _DIV_FLOOR, and each entry is rounded to a float once.  Any
+    other node gives None: a call, a product of two sides that name a
+    variable, or a divisor that names one.  So do a non-finite literal
+    and a coefficient or constant of any node beyond the double range,
+    where the float evaluation overflows.
+    """
+    d = len(trees)
+    A = np.zeros((d, d))
+    for i, tree in enumerate(trees):
+        folded = _affine_fold(tree)
+        if folded is None:
+            return None
+        for j, a in folded[0].items():
+            A[i, j - 1] = float(a)
+    return A
+
+
+def _affine_fold(tree):
+    # (coefficients by variable index, constant) of an affine tree, or
+    # None.  An explicit stack rather than recursion, because an `ar`
+    # update is a sum nested as deep as its order.  A node's keys are the
+    # variables it names, so an operand without keys is a constant.
+    folded = []
+    todo = [(tree, False)]
+    while todo:
+        node, operands_done = todo.pop()
+        if isinstance(node, Num):
+            if not math.isfinite(node.value):
+                return None
+            folded.append(({}, Fraction(node.value)))
+        elif isinstance(node, Var):
+            folded.append(({node.index: Fraction(1)}, Fraction(0)))
+        elif isinstance(node, (Neg, BinOp)) and not operands_done:
+            todo.append((node, True))
+            todo.extend((arg, False) for arg in
+                        ((node.arg,) if isinstance(node, Neg) else (node.right, node.left)))
+        elif isinstance(node, Neg):
+            coeffs, b = folded.pop()
+            folded.append(({j: -a for j, a in coeffs.items()}, -b))
+        elif isinstance(node, BinOp):
+            right = folded.pop()
+            node_folded = _affine_op(node.op, folded.pop(), right)
+            if node_folded is None:
+                return None
+            folded.append(node_folded)
+        else:
+            return None
+    return folded[0]
+
+
+def _affine_op(op, left, right):
+    # One + - * / of two folded operands, or None.  A sum updates the
+    # left operand's coefficients in place (the fold made them for this
+    # node alone), so a long sum folds in linear time; only the entries
+    # that change are checked against the double range.
+    (a, b), (c, e) = left, right
+    if op in "+-":
+        sign = 1 if op == "+" else -1
+        for j, v in c.items():
+            a[j] = a.get(j, 0) + sign * v
+        changed = [a[j] for j in c]
+        coeffs, b = a, b + sign * e
+    elif op == "*" and not (a and c):
+        varying, factor = (a, e) if a else (c, b)
+        coeffs, b = {j: v * factor for j, v in varying.items()}, b * e
+        changed = coeffs.values()
+    elif op == "/" and not c and abs(e) >= _DIV_FLOOR:
+        coeffs, b = {j: v / e for j, v in a.items()}, b / e
+        changed = coeffs.values()
+    else:
+        return None
+    for v in (b, *changed):
+        if abs(v.numerator) > _DOUBLE_MAX * v.denominator:  # |v| beyond the double range
+            return None
+    return coeffs, b
 
 
 def _div(a, b):

@@ -1,17 +1,17 @@
 """Self-maps of [-1,1]^d, each given by d expression trees.
 
 A map is its output trees, one per coordinate, in the small language of
-`expressions`.  The map kinds survive only as input forms that build
-trees: an `ar` map is the recurrence step of `armodel.recurrence_trees`
-and also keeps its coefficients, a `delay` map is an update tree
-followed by the shift, an `expr` map its parsed trees, and a builtin map
-the coordinate expressions in BUILTIN_MAPS.  A map definition compiles
-its trees once into a per-point `step` and an orbit `loop`, and is
-expected to send the box into itself; `validate_range` probes that
-claim.  `estimate_lipschitz` gives the stretching ratio used by the
-error-bound machinery, by a method that the map alone decides: the
-companion norm for a map with coefficients, a sampled estimate for any
-other.
+`expressions`, and nothing else.  The map kinds survive only as input
+forms that build trees: an `ar` map is the recurrence step of
+`armodel.recurrence_trees`, a `delay` map is an update tree followed by
+the shift, an `expr` map its parsed trees, and a builtin map the
+coordinate expressions in BUILTIN_MAPS.  A map definition compiles its
+trees once into a per-point `step` and an orbit `loop`, and is expected
+to send the box into itself; `validate_range` probes that claim.
+`estimate_lipschitz` gives the stretching ratio used by the error-bound
+machinery, by a method that the trees decide: the spectral norm of the
+linear part for an affine map (`expressions.linear_part`), a sampled
+estimate for any other.
 """
 
 from __future__ import annotations
@@ -49,16 +49,15 @@ class MapDefinition:
     """A self-map of [-1,1]^d: output coordinate i is `trees[i]`, an
     expression tree over x1..xd, and d is the number of trees.
 
-    `coeffs` is set only for the linear recurrence of `ar_map`, whose
-    companion matrix gives the analytic Lipschitz bound.  `expressions`
-    compiles the trees once, here, into two functions: `step` maps a
-    coordinate tuple to the raw output tuple, before any range policing,
-    and `loop` is the orbit loop `loop(c1, ..., cd, t, stop, append) -> t`
-    that `generate_orbit` runs (see `expressions.compile_orbit_loop`).
+    The trees are the map's only field; whether the map is affine is read
+    off them (`expressions.linear_part`).  `expressions` compiles the
+    trees once, here, into two functions: `step` maps a coordinate tuple
+    to the raw output tuple, before any range policing, and `loop` is the
+    orbit loop `loop(c1, ..., cd, t, stop, append) -> t` that
+    `generate_orbit` runs (see `expressions.compile_orbit_loop`).
     """
 
     trees: tuple
-    coeffs: tuple[float, ...] | None = None
     step: Callable = field(init=False, repr=False, compare=False)
     loop: Callable = field(init=False, repr=False, compare=False)
 
@@ -74,12 +73,11 @@ class MapDefinition:
 
     def __reduce__(self):
         # pickled as its definition; step and loop are built again on loading
-        return (MapDefinition, (self.trees, self.coeffs))
+        return (MapDefinition, (self.trees,))
 
 
-def ar_map(coeffs) -> MapDefinition:
-    coeffs = tuple(float(c) for c in coeffs)
-    return MapDefinition(tuple(recurrence_trees(coeffs)), coeffs)
+def ar_map(p) -> MapDefinition:
+    return MapDefinition(tuple(recurrence_trees(p)))
 
 
 def delay_map(source: str, d: int) -> MapDefinition:
@@ -189,20 +187,10 @@ def validate_range(m: MapDefinition, samples: int = 256, seed: int = 0) -> Range
     )
 
 
-def companion_matrix(coeffs) -> np.ndarray:
-    """Matrix C with (z(t),...,z(t-d+1)) -> (z(t+1),...,z(t-d+2))."""
-    d = len(coeffs)
-    C = np.zeros((d, d))
-    C[0, :] = coeffs
-    for i in range(1, d):
-        C[i, i - 1] = 1.0
-    return C
-
-
 @dataclass(frozen=True)
 class LipschitzEstimate:
     gamma: float
-    method: str  # "analytic" (upper bound) or "sampled" (lower bound)
+    method: str  # "analytic" (the exact constant) or "sampled" (lower bound)
     sample_count: int | None = None
 
     def to_json(self):
@@ -216,16 +204,17 @@ class LipschitzEstimate:
 def estimate_lipschitz(m: MapDefinition, samples: int = 4096, seed: int = 0) -> LipschitzEstimate:
     """Bound the stretching ratio sup |f(W)-f(W')| / |W-W'| over the box.
 
-    A map with recurrence coefficients gets the spectral norm of its
-    companion matrix, a true upper bound.  Any other map gets the max
-    ratio over `samples` random pairs, a lower bound; half of the pairs
-    use a small offset to probe local stretching.
+    An affine map x -> A x + b gets the spectral norm of A, its exact
+    Lipschitz constant; for an `ar` map A is the companion matrix.  Any
+    other map gets the max ratio over `samples` random pairs, a lower
+    bound; half of the pairs use a small offset to probe local
+    stretching.  `samples` and `seed` act only on a sampled estimate.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if m.coeffs is not None:
-        gamma = float(np.linalg.norm(companion_matrix(m.coeffs), 2))
-        return LipschitzEstimate(gamma=gamma, method="analytic")
+    A = expressions.linear_part(m.trees)
+    if A is not None:
+        return LipschitzEstimate(gamma=float(np.linalg.norm(A, 2)), method="analytic")
 
     rng = np.random.default_rng(seed)
     gamma = 0.0
@@ -290,14 +279,9 @@ def _sampled_block(m: MapDefinition, rng, n: int) -> float:
     return float(np.max(ratios, initial=0.0))
 
 
-def map_to_json(m: MapDefinition) -> dict:
-    """The `ar` form for a map with coefficients, else the `expr` form of its trees."""
-    if m.coeffs is not None:
-        return {"d": m.d, "kind": "ar", "p": list(m.coeffs)}
-    return {"d": m.d, "kind": "expr", "exprs": [expressions.to_source(e) for e in m.trees]}
-
-
 def map_from_json(data: dict) -> MapDefinition:
+    if not isinstance(data, dict):
+        raise ValueError(f"a map definition is a JSON object, got {data!r}")
     kind = data.get("kind")
     d = data.get("d")
     if d is not None and (isinstance(d, bool) or not isinstance(d, int)):

@@ -1,7 +1,8 @@
 """Computations kept for the tests only.
 
 `detect_cycle`, `parseval_gap` and `quantization_error` check library
-results and have no caller in the library.  The old builtin and `ar`
+results and have no caller in the library, and `companion_matrix` is the
+matrix of an `ar` map that the library reads off its trees.  The old builtin and `ar`
 step functions and the per-step orbit loop are the forms that the
 compiled expression trees replaced, the per-pair Lipschitz sampler and
 scalar Halton probes are the forms that the blocked array passes of
@@ -104,6 +105,16 @@ def ar_step(p):
         return (new0,) + tuple(coords[:shift])
 
     return step
+
+
+def companion_matrix(p) -> np.ndarray:
+    """Matrix C with (z(t),...,z(t-d+1)) -> (z(t+1),...,z(t-d+2))."""
+    d = len(p)
+    C = np.zeros((d, d))
+    C[0, :] = p
+    for i in range(1, d):
+        C[i, i - 1] = 1.0
+    return C
 
 
 def per_step_orbit(step, y0: Point, horizon: int):

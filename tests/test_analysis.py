@@ -110,9 +110,9 @@ def test_verify_error_bound_contracting_ar():
 
 
 def test_verify_error_bound_constant_map():
-    # a constant map has sampled gamma 0; the bound stays sqrt(d)/K
+    # a constant map has the analytic gamma 0; the bound stays sqrt(d)/K
     report = verify_error_bound(expression_map(["0.5"]), Point([0.3]), K=4, horizon=10)
-    assert report.gamma == 0.0
+    assert (report.gamma, report.gamma_method) == (0.0, "analytic")
     assert report.passed
     assert report.bound.tolist() == [0.25] * 11
 

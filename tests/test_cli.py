@@ -149,7 +149,8 @@ def test_verify_pass(tmp_path, ar_contracting):
 
 @pytest.mark.parametrize("map_json, method", [
     ('{"kind": "ar", "d": 1, "p": [0.5]}', "analytic"),
-    ('{"kind": "expr", "d": 1, "exprs": ["0.5*x1"]}', "sampled"),
+    ('{"kind": "expr", "d": 1, "exprs": ["0.5*x1"]}', "analytic"),
+    ('{"kind": "expr", "d": 1, "exprs": ["0.5*sin(x1)"]}', "sampled"),
 ])
 def test_verify_config_records_no_gamma_mode(tmp_path, map_json, method):
     # the map decides how gamma is found, so the config has nothing to say
@@ -158,9 +159,24 @@ def test_verify_config_records_no_gamma_mode(tmp_path, map_json, method):
                  "--out", str(out)]) == 0
     report = read_json(out / "verify.json")
     assert report["gamma_method"] == method
-    # only a sampled gamma draws samples, so only its config records their count
-    samples = ["samples"] if method == "sampled" else []
-    assert list(report["config"]) == ["map", "y0", "K", "horizon", "seed", *samples, "out"]
+    # only a sampled gamma draws, so only its config records the seed and the count
+    drawn = ["seed", "samples"] if method == "sampled" else []
+    assert list(report["config"]) == ["map", "y0", "K", "horizon", *drawn, "out"]
+
+
+@pytest.mark.parametrize("map_json, method", [
+    ('{"kind": "ar", "d": 2, "p": [0.1, -1.0]}', "analytic"),
+    ('{"kind": "expr", "d": 2, "exprs": ["x2", "-x1 + 0.1*sin(x2)"]}', "sampled"),
+])
+def test_ladder_config_records_a_seed_only_for_a_sampled_gamma(tmp_path, map_json, method):
+    out = tmp_path / "l"
+    assert main(["ladder", "--map", map_json, "--y0=0.8,0.1", "--Ks", "4,8", "--horizon", "50",
+                 "--out", str(out)]) == 0
+    report = read_json(out / "ladder.json")
+    assert report["gamma"]["method"] == method
+    drawn = ["seed"] if method == "sampled" else []
+    assert list(report["config"]) == ["map", "y0", "Ks", "horizon", *drawn, "budget",
+                                      "tolerance", "out"]
 
 
 def test_verify_bound_beyond_float_range(tmp_path):
@@ -550,6 +566,41 @@ def test_map_nested_too_deeply_is_config_error(tmp_path):
     assert not out.exists()
 
 
+WRONGLY_TYPED_MAPS = [
+    '{"kind":"ar","p":5}',
+    '{"kind":"ar","p":[[1]]}',
+    '{"kind":"delay","d":1,"expr":1}',
+    '{"kind":"expr","exprs":[1]}',
+    '{"kind":"expr","exprs":null}',
+    # an empty recurrence once ran as the constant map z -> 0.0
+    '{"kind":"ar","p":[]}',
+]
+WRONGLY_TYPED_SPECS = [
+    '{"p":5,"z0":[0.1]}',
+    '{"p":[0.5],"z0":0.1}',
+    '[0.5]',
+    '{"p":[0.5],"z0":[null]}',
+]
+
+
+@pytest.mark.parametrize("form, text", [
+    *[("inline map", text) for text in WRONGLY_TYPED_MAPS],
+    *[("map file", text) for text in WRONGLY_TYPED_MAPS + ['[0.5]']],
+    *[("spec file", text) for text in WRONGLY_TYPED_SPECS],
+])
+def test_wrongly_typed_json_is_config_error(tmp_path, capsys, form, text):
+    if form != "inline map":
+        path = tmp_path / "definition.json"
+        path.write_text(text)
+        text = str(path)
+    argv = (["ar", "--spec", text] if form == "spec file"
+            else ["run", "--map", text, "--y0=0.3", "--K", "4", "--horizon", "5"])
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_vector_is_config_error(tmp_path, ar_contracting):
     code = main([
         "run", "--map", ar_contracting, "--y0", "zebra", "--K", "2",
@@ -563,7 +614,11 @@ def test_bad_vector_is_config_error(tmp_path, ar_contracting):
     ["run", "--map", HALF, "--K", "4"],
     ["census", "--d", "2", "--K", "3", "--n", "4", "--generator", "foo"],
     ["bogus"],
-], ids=["run-K-not-int", "run-without-y0", "census-unknown-generator", "unknown-command"])
+    # run and ar draw nothing, so they take no seed
+    ["run", "--map", HALF, "--y0=0.3", "--K", "4", "--seed", "5"],
+    ["ar", "--spec", "spec.json", "--seed", "5"],
+], ids=["run-K-not-int", "run-without-y0", "census-unknown-generator", "unknown-command",
+        "run-seed", "ar-seed"])
 def test_usage_errors_are_config_errors(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err

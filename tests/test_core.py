@@ -248,9 +248,11 @@ def test_quantizer_blocks_match_scalar_at_the_block_size():
         assert _quantize_rows(Y, g).tolist() == want
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_nan_in_a_later_block_raises_like_the_first(bad):
-    # the message names the first bad entry in row order, as for one block
+    # the message names the first bad entry in row order, as for one block,
+    # and numpy warns of nothing on the way
     g = GridSpec(K=5, d=2)
     Y = np.zeros((3 * QUANTIZE_BLOCK + 5, 2))
     Y[2 * QUANTIZE_BLOCK + 7, 1] = bad

@@ -6,9 +6,10 @@ oracle for the compiled evaluator; it shares FUNCTIONS and `_div` with it.
 
 import math
 import struct
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aporbit.expressions import (
@@ -20,6 +21,7 @@ from aporbit.expressions import (
     Var,
     _div,
     compile_coords,
+    linear_part,
     parse_expression,
     to_source,
 )
@@ -262,3 +264,136 @@ def test_trig_of_infinity_is_an_evaluation_error():
 def test_nesting_too_deep_to_parse_is_a_parse_error(source):
     with pytest.raises(ParseError, match="nested too deeply"):
         parse_expression(source, 1)
+
+
+@pytest.mark.parametrize("source", [1, 0.5, None, ["x1"]])
+def test_a_source_that_is_not_a_string_is_a_parse_error(source):
+    with pytest.raises(ParseError, match="an expression is a string"):
+        parse_expression(source, 1)
+
+
+def names_a_variable(node) -> bool:
+    if isinstance(node, Var):
+        return True
+    if isinstance(node, Num):
+        return False
+    if isinstance(node, Neg):
+        return names_a_variable(node.arg)
+    if isinstance(node, BinOp):
+        return names_a_variable(node.left) or names_a_variable(node.right)
+    return any(names_a_variable(a) for a in node.args)
+
+
+def not_affine_by_shape(node) -> bool:
+    """A call, a product of two sides that name a variable, or a divisor
+    that names one, anywhere in the tree."""
+    if isinstance(node, Call):
+        return True
+    if isinstance(node, Neg):
+        return not_affine_by_shape(node.arg)
+    if isinstance(node, BinOp):
+        if node.op == "*" and names_a_variable(node.left) and names_a_variable(node.right):
+            return True
+        if node.op == "/" and names_a_variable(node.right):
+            return True
+        return not_affine_by_shape(node.left) or not_affine_by_shape(node.right)
+    return False
+
+
+U, ETA = 2.0 ** -53, 2.0 ** -1074  # unit roundoff; largest error of a subnormal result
+
+
+def value_and_error(node, coords):
+    """The float value of an affine tree, in the compiled step's order of
+    operations, and a bound on its distance from the exact value of the
+    tree at `coords` (a running error analysis; inf or NaN once the
+    evaluation leaves the double range)."""
+    if isinstance(node, Num):
+        return node.value, 0.0
+    if isinstance(node, Var):
+        return coords[node.index - 1], 0.0
+    if isinstance(node, Neg):
+        v, e = value_and_error(node.arg, coords)
+        return -v, e
+    a, ea = value_and_error(node.left, coords)
+    c, ec = value_and_error(node.right, coords)
+    if node.op in "+-":
+        v, e = (a + c if node.op == "+" else a - c), ea + ec
+    elif node.op == "*":
+        v, e = a * c, abs(a) * ec + abs(c) * ea + ea * ec
+    else:
+        v = _div(a, c)
+        e = (ea + abs(v) * ec) / (abs(c) - ec) if abs(c) > ec else math.inf
+    return v, e + U * abs(v) + ETA
+
+
+def affine_nodes(d):
+    """Trees of + and - whose products and quotients have a constant side."""
+    literals = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, 1e-301, 1e-299, 1e300]))
+    constants = st.recursive(
+        st.builds(Num, literals),
+        lambda children: st.one_of(st.builds(Neg, children),
+                                   st.builds(BinOp, st.sampled_from("+-*/"), children, children)),
+        max_leaves=4)
+
+    def extend(children):
+        return st.one_of(
+            st.builds(Neg, children),
+            st.builds(BinOp, st.sampled_from("+-"), children, children),
+            st.builds(BinOp, st.just("*"), children, constants),
+            st.builds(BinOp, st.just("*"), constants, children),
+            st.builds(BinOp, st.just("/"), children, constants),
+        )
+
+    leaves = st.one_of(st.builds(Var, st.integers(1, d)), st.builds(Num, literals))
+    return st.recursive(leaves, extend, max_leaves=16)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_linear_part_is_the_matrix_of_an_affine_map(data):
+    d = data.draw(st.integers(1, 3))
+    nodes = affine_nodes(d) if data.draw(st.booleans()) else st.one_of(ast_nodes(d),
+                                                                         affine_nodes(d))
+    trees = data.draw(st.lists(nodes, min_size=d, max_size=d))
+    A = linear_part(trees)
+    if any(not_affine_by_shape(tree) for tree in trees):
+        assert A is None
+        return
+    # None here only for a coefficient or constant beyond the double range,
+    # or a divisor below _DIV_FLOOR
+    assume(A is not None)
+    assert A.shape == (d, d)
+    x, y = (tuple(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+            for _ in range(2))
+    step = compile_coords(trees)
+    try:
+        fx, fy = step(x), step(y)
+    except EvaluationError:  # a divisor that rounds below _DIV_FLOOR
+        return
+    diff = [a - b for a, b in zip(x, y)]
+    for i, tree in enumerate(trees):
+        (vx, ex), (vy, ey) = value_and_error(tree, x), value_and_error(tree, y)
+        assert struct.pack("<2d", vx, vy) == struct.pack("<2d", fx[i], fy[i])
+        if not math.isfinite(ex + ey):
+            continue
+        want = sum(A[i, j] * diff[j] for j in range(d))
+        scale = sum(abs(A[i, j] * diff[j]) for j in range(d)) + abs(vx - vy)
+        assert abs((vx - vy) - want) <= 2 * (ex + ey) + 4 * (d + 2) * U * scale + 8 * d * ETA
+
+
+def test_linear_part_examples():
+    rotation = [parse_expression(s, 2) for s in ("0.6*x1 - 0.8*x2", "0.8*x1 + 0.6*x2")]
+    assert linear_part(rotation).tolist() == [[0.6, -0.8], [0.8, 0.6]]
+    # folded exactly, then rounded once: the exact 0.1 + 0.2 - 0.3 of the
+    # three doubles, not the 2**-54 that double arithmetic gives
+    got = linear_part([parse_expression("(x1 - 2*x2)/4 + 7", 2),
+                       parse_expression("x1*(0.1 + 0.2) - 0.3*x1 - (-x2) / -1e-300", 2)])
+    assert got.tolist() == [[0.25, -0.5],
+                            [float(Fraction(0.1) + Fraction(0.2) - Fraction(0.3)),
+                             float(1 / Fraction(-1e-300))]]
+    assert got[1, 0] != (0.1 + 0.2) - 0.3
+    for source in ("sin(x1)", "x1*x1", "1/x1", "x1/(x1 - x1 + 1)", "x1 * 1e999",
+                   "x1*1e200*1e200*0", "1e308*1e308 + x1", "x1 / 1e-301"):
+        assert linear_part([parse_expression(source, 1)]) is None, source
+    assert linear_part([parse_expression("(x1 - x1) + 1e308 + x1", 1)]).tolist() == [[1.0]]

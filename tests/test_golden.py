@@ -98,65 +98,65 @@ GOLDEN = {
         'census.json': 'fe56b9c9e5c0f9f324274d2fa48f8c414a8668bccd55a7506613d6f4d7def02b',
     },
     'ladder': {
-        'ladder.json': '37730c66028c9f8edc406341385f41a2ab2d4fdbc1d6145434fb357757f6a72d',
+        'ladder.json': '9b86136afdcf40185a56a70fcbe06feaaae41a074330b333316021f57ba8baf4',
     },
     'run_ar': {
-        'chain.json': '1a078cae9106bca103b5a3969557db109f2e7b77f9fd3c1b59de77ef98aaf30e',
+        'chain.json': '8b52e7c7736ead6243c2f33102bca8486fbaf1f608fb3dacd2ed1814293350ff',
         'orbit.csv': '74dbab633f49e19f708025df55f38971ab212dd6d1156a6fc9846c4e0023d621',
-        'trig.json': '2eb5fbe456c5efd5489af0cfd0d1a151aac74b9bef526bcc6283cf2567e0a09b',
+        'trig.json': '2cf5e34a511dcca5b5886b46eeef26c754be7bb6dc000bb18a043693bd23722f',
     },
     'run_builtin': {
-        'chain.json': '7dbd52be99a9fe67ad2d1ceda36464ca2a5f15c1b00d4339f89e931bd6f5a5d5',
+        'chain.json': '84fb88f98f7279df7d6ee6378a6ae080826215c170b83d55965c681363632fdb',
         'orbit.csv': '3fa46d9d56737f4648e35d5b5624f9ff528f2c4fe4219bac2959bc24155c4002',
-        'trig.json': '9352b99292170dcb55e328879c60030e0e3d01474746fdfb697e2632247e5d91',
+        'trig.json': '7db426fced6e311398e13ed35d06f3ea09d80feecc1ae5dc76d87f49d3c337f9',
     },
     'run_conflicts': {
-        'chain.json': '00cfcac8ebce1cd9f91c3d3d85f026c0e9fb0bd97dd3c627b90e2634f8f7e4d7',
+        'chain.json': 'e64c3097ffac62cf132745049ca0d5f0dc353cbcec59b5ba06d13855dec7726f',
         'orbit.csv': '8b579f9697c1f2a1bb746a701b5079bda0b1866deeb487c60f3520a8f1dea1fe',
-        'trig.json': 'a492918eb3e83695e437e598968e98ded902d22cca7fdda49822a67d23084459',
+        'trig.json': '4126c1f1c6cf47c22ce04e48c5fbbe1bb804b9bf8fb931a8a1d7ac78627b6143',
     },
     'run_curve': {
-        'chain.json': 'f9b098fd711d6146a125d6387908f8587ab89669c3e1426448cbb11afaba602b',
+        'chain.json': '435142b00d831d5e83e0f068d386fae8dc9d7b26c41fc18307994e7a2d55e567',
         'orbit.csv': '8ca9c5f75a9b18bc362738b0a66c8f5dd95ad803eb0c3cb35b85434afad2eb4c',
-        'trig.json': '3bd292d5fa48e1cf387a2ba3448d058484de5f014a5d0f73de93c3ae87189f34',
+        'trig.json': '952e41f5d3ffd2f981988e648bd09e51a68974b5460e7999abc0eb7ca21cae8c',
         'trig_curve.csv': '3c691135f03aac2c32bc761af25fe14a58f9b21d87b9dc1aa59695aa2b90414c',
     },
     'run_decay_tie': {
-        'chain.json': 'ab45b771d713662eb12a0c221a406e0312430ec9ca43bb81f036243d91fa3dbb',
+        'chain.json': '4247f6d08b38d3b5b3d71f849fc10d324115c15b3dea86d25c4de51bca9ce1ca',
         'orbit.csv': 'd1079860448b9c1dd36a78247cfe229f184a442e7de41d8a7fa9ef2cdc923b62',
-        'trig.json': 'b428897f5aa6ff9fc2d2ff3618be185a7f5300c090263217dfdcbd5e9832097c',
+        'trig.json': '3acd35cbed927383388d11e7686b7ee2b74a049b9179708b10fc5746593f6e42',
     },
     'run_delay': {
-        'chain.json': '3b24bfa5da3beaf2b7b4d8a2bd676e547333407b297a685a58adb989637c8a44',
+        'chain.json': '6f7e5e295a044bf11c559e89299423d3a311528da5ad7cce168e635b143ee23c',
         'orbit.csv': '277d591982a52de1b579ff256c0af355c3aab1125c7278f7c5e93f4937e09dd2',
-        'trig.json': '32757627c4c1c35d112a6a43047d8dab164d254115df69082c60fed25736df06',
+        'trig.json': 'c5898e12e27422436a0c19f571596a05718385bed669c3f8239284aa5326b9c6',
     },
     'run_delay_long': {
-        'chain.json': '4a78686f3c84bbc5d85e4a47c07d56c7622f6e5a3e3448951ebb9fc79aaae452',
+        'chain.json': '2b9ed9cb58d6dcc3b874d9367acf19e9e51aee4ca0042563669f4bc58711b176',
         'orbit.csv': '143567ced393859862abc825dfd4cd26e373c3486145ac7bb710196e79a2f549',
-        'trig.json': 'e28ebe95dbdc56442c5b25e6df2e8869eb3d405f7dc9123a9433e0b37c443d24',
+        'trig.json': '4abdf1374a1025ad2b65804c8d6c5b5ec1637d8706f247d457aafa831b63d74a',
     },
     'run_expr': {
-        'chain.json': '7c53f82c82c6a2b4ba585305f9b3b405ed4fb55179b203d05c3b763cbfd98025',
+        'chain.json': 'e1648a81f0f0e4cdaff1f14815918242a188d78235c36bf0facd186e1d579a5f',
         'orbit.csv': 'ebeb9f629da561dd7f16a498a173f515c329a32f4d854d0df46abf96d5539189',
-        'trig.json': '36a2eced24ed791b94dd8eed997d628d9e77fa98684113bf6ecfc12cd748944b',
+        'trig.json': 'fe951d601e9997b1220e38c3bd42128cf5df7b738d0188f6521cb30a3bbf726d',
     },
     'run_long': {
-        'chain.json': '3eba164cbe66023c101f6b302afd64b2c7e0951e638d672262597cf29ebaf43a',
+        'chain.json': '9e116c3bbb60f0a06f25b09b6e5396fb38c33e5b232954f2cbae08a44dc59c72',
         'orbit.csv': 'c73dec1487a135090fea9b6d36de9137d4c473cca53b0f590eb399e6f63c33e8',
-        'trig.json': 'd72a4f549313bc01ad6e23ac77885a3bfc132e922fa39ca3418369a46cfeaf18',
+        'trig.json': 'e3831517719cf902a7810eb747f20383db4b65c8ff35878e052b080492b23f15',
     },
     'run_tie': {
-        'chain.json': 'a382828d541af9f403e7b7f8fcade3bcf71ca726d2dae8ed0bbe6cb3a5a77ec3',
+        'chain.json': 'c2f385c5a42159473b76a6a8f78317193687bd8155b698a6abf141946ff225dc',
         'orbit.csv': 'ea79937e4647e17591679ca57c60e8f5e9eff2d675abe0893c34ac259a14283b',
-        'trig.json': 'e70c933c36fa991328aacd6f78d384544e4d4d020dd8c940ebc4a97213693f72',
+        'trig.json': '4abf003192f12f772038d345b2ae0185cbca283522c969fb657ace1cba57c580',
     },
     'validate_expr': {
         'validate.json': '8216d36f4a8d4cd38e9e07477d6fd11043637cd4ce20e601c26e96655b37334f',
     },
     'verify_analytic': {
         'verify.csv': '2fcb30f2ef528293b8b95007fb982bee413b96fedb86d1abd6cbae96fc3ad7df',
-        'verify.json': 'c4b550890c475444a53832f466b4bdf052bb60bac6abd5479e23c5c913e9da09',
+        'verify.json': '069b1900dcd98b42675407cd5cdb79504c067967bdb32870b039e55bac3ff1fa',
     },
     'verify_sampled': {
         'verify.csv': '27dc4033b6c7154bc73be203776f2a5852d0a91a2316e3e3396152ad77714533',

@@ -1,5 +1,6 @@
 """Map kinds, range validation and Lipschitz estimation."""
 
+import dataclasses
 import itertools
 import math
 import pickle
@@ -17,21 +18,21 @@ from aporbit import (
     Point,
     ar_map,
     builtin_map,
-    companion_matrix,
     delay_map,
     estimate_lipschitz,
     evaluate,
     expression_map,
     generate_orbit,
     map_from_json,
-    map_to_json,
     recursion,
+    to_source,
     validate_range,
 )
 from aporbit.core import CLAMP_BAND, box_overshoot
 from aporbit.errors import DimensionMismatch, EvaluationError, RangeViolation
-from aporbit.maps import LIPSCHITZ_BLOCK, MapDefinition, _probe_points
-from oracles import BUILTIN_STEPS, ar_step, probe_points, sampled_lipschitz
+from aporbit.expressions import BinOp, Call, Num, Var, linear_part
+from aporbit.maps import LIPSCHITZ_BLOCK, LipschitzEstimate, MapDefinition, _probe_points
+from oracles import BUILTIN_STEPS, ar_step, companion_matrix, probe_points, sampled_lipschitz
 from test_expressions import ast_nodes
 
 
@@ -72,9 +73,9 @@ def test_sampled_lipschitz_rejects_nan_images():
     m = expression_map(["0.5*x1 + max(x1,0)*1e200*1e200*0"])
     with pytest.raises(RangeViolation):
         estimate_lipschitz(m, samples=256, seed=0)
-    # overshoot is not policed here: 3*x1 leaves the box and gives gamma 3
-    est = estimate_lipschitz(expression_map(["3*x1"]), samples=256, seed=0)
-    assert est.gamma == pytest.approx(3.0)
+    # overshoot is not policed here: |3*x1| leaves the box and gives gamma 3
+    est = estimate_lipschitz(expression_map(["abs(3*x1)"]), samples=256, seed=0)
+    assert est.method == "sampled" and est.gamma == pytest.approx(3.0)
 
 
 def test_dimension_mismatch():
@@ -83,6 +84,8 @@ def test_dimension_mismatch():
         evaluate(m, Point([0.5]))
     with pytest.raises(DimensionMismatch):
         MapDefinition(())
+    with pytest.raises(DimensionMismatch):  # once the constant map z -> 0.0
+        ar_map([])
 
 
 def test_shift_structure_bitwise():
@@ -135,15 +138,52 @@ def test_lipschitz_analytic():
 
 
 def test_gamma_method_follows_the_map():
-    # the coefficients decide: the same trees without them are sampled
+    # the trees decide: the same map with a call in a tree is sampled
     m = ar_map([0.3, -0.9])
-    assert estimate_lipschitz(m, samples=64) == estimate_lipschitz(m)
+    assert estimate_lipschitz(m, samples=64, seed=5) == estimate_lipschitz(m)
     assert estimate_lipschitz(m).method == "analytic"
-    sampled = estimate_lipschitz(MapDefinition(m.trees), samples=64)
+    curved = with_a_call(m)
+    sampled = estimate_lipschitz(curved, samples=64)
     assert (sampled.method, sampled.sample_count) == ("sampled", 64)
-    assert sampled.gamma == sampled_lipschitz(MapDefinition(m.trees), 64, 0)
+    assert sampled.gamma == sampled_lipschitz(curved, 64, 0)
     with pytest.raises(TypeError):  # no caller picks the method
         estimate_lipschitz(m, mode="sampled")
+
+
+@pytest.mark.parametrize("m", [
+    builtin_map("identity", 3),
+    builtin_map("negation", 2),
+    expression_map(["0.6*x1 - 0.8*x2", "0.8*x1 + 0.6*x2"]),  # a rotation
+], ids=["identity", "negation", "rotation"])
+def test_affine_maps_get_their_exact_gamma(m):
+    # a sampled "lower bound" once read 1.0000000000014655 for the rotation
+    assert estimate_lipschitz(m) == LipschitzEstimate(gamma=1.0, method="analytic")
+
+
+@pytest.mark.parametrize("name", ["tent", "doubling"])
+def test_curved_builtins_stay_sampled(name):
+    m = builtin_map(name, 2)
+    est = estimate_lipschitz(m, samples=256, seed=1)
+    assert (est.method, est.gamma) == ("sampled", sampled_lipschitz(m, 256, 1))
+
+
+def test_gamma_of_every_ar_map_is_its_companion_norm():
+    rng = np.random.default_rng(2000)
+    for _ in range(2000):
+        d = int(rng.integers(1, 8))
+        p = rng.uniform(-1.0, 1.0, d) * 10.0 ** rng.uniform(-3.0, 3.0, d)
+        p = np.where(rng.random(d) < 0.15, rng.choice([0.0, -0.0, 1.0], d), p).tolist()
+        est = estimate_lipschitz(ar_map(p))
+        assert est.method == "analytic"
+        assert est.gamma.hex() == float(np.linalg.norm(companion_matrix(p), 2)).hex(), p
+
+
+def test_a_map_is_only_its_trees():
+    assert [f.name for f in dataclasses.fields(MapDefinition) if f.init] == ["trees"]
+    tent = builtin_map("tent", 1)
+    with pytest.raises(TypeError):  # no coefficients can contradict the trees
+        MapDefinition(tent.trees, (0.5,))
+    assert linear_part(tent.trees) is None
 
 
 def test_lipschitz_sampled_cosine():
@@ -184,8 +224,12 @@ def test_sampled_lipschitz_matches_per_pair_oracle(data):
     d = data.draw(st.integers(1, 4))
     trees = data.draw(st.lists(ast_nodes(d), min_size=d, max_size=d))
     samples = data.draw(st.one_of(st.sampled_from(EDGE_COUNTS), st.integers(1, 3000)))
-    assert_sampled_matches_oracle(MapDefinition(tuple(trees)), samples,
-                                  data.draw(st.integers(0, 2 ** 32)))
+    seed = data.draw(st.integers(0, 2 ** 32))
+    m = MapDefinition(tuple(trees))
+    if linear_part(m.trees) is None:
+        assert_sampled_matches_oracle(m, samples, seed)
+    else:  # an affine map is never sampled
+        assert estimate_lipschitz(m, samples=samples, seed=seed).method == "analytic"
 
 
 @pytest.mark.parametrize("sources, outcome", [
@@ -198,8 +242,8 @@ def test_sampled_lipschitz_matches_per_pair_oracle(data):
     # EvaluationError at seed 7
     (["0.1*x1 + max(x1-0.95,0)*1e200*1e200*0", "1e-9/max(0.97 - x2, 1e-310)"],
      (RangeViolation, EvaluationError)),
-    # a constant map
-    (["0.3", "-0.7"], "0x0.0p+0"),
+    # a constant map, written with a call so that its gamma is sampled
+    (["0.3 + 0*abs(x1)", "-0.7"], "0x0.0p+0"),
 ])
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_sampled_lipschitz_matches_oracle_on_failures(sources, outcome, seed):
@@ -241,13 +285,19 @@ def test_validate_range_reports_the_oracle_probes():
     assert not report.passed
 
 
+def with_a_call(m: MapDefinition) -> MapDefinition:
+    """The same map, its first tree plus 0.0*abs(x1): not affine, so its
+    gamma is sampled."""
+    zero = BinOp("*", Num(0.0), Call("abs", (Var(1),)))
+    return MapDefinition((BinOp("+", m.trees[0], zero),) + m.trees[1:])
+
+
 def test_sampled_below_analytic_for_ar():
     rng = np.random.default_rng(9)
     for _ in range(10):
         p = rng.uniform(-0.5, 0.5, int(rng.integers(1, 4)))
-        m = ar_map(p)
-        lo = estimate_lipschitz(MapDefinition(m.trees), samples=800, seed=3)
-        hi = estimate_lipschitz(m)
+        lo = estimate_lipschitz(with_a_call(ar_map(p)), samples=800, seed=3)
+        hi = estimate_lipschitz(ar_map(p))
         assert (lo.method, hi.method) == ("sampled", "analytic")
         assert lo.gamma <= hi.gamma + 1e-9
 
@@ -255,9 +305,8 @@ def test_sampled_below_analytic_for_ar():
 def test_linear_map_stretch_bounded_by_analytic():
     rng = np.random.default_rng(17)
     p = (0.3, -0.4, 0.2)
-    m = ar_map(p)
     C = companion_matrix(p)
-    gamma = float(np.linalg.norm(C, 2))
+    gamma = estimate_lipschitz(ar_map(p)).gamma
     for _ in range(2000):
         w = rng.uniform(-1, 1, 3)
         wp = rng.uniform(-1, 1, 3)
@@ -265,24 +314,20 @@ def test_linear_map_stretch_bounded_by_analytic():
         assert lhs <= gamma * np.linalg.norm(w - wp) * (1 + 1e-12)
 
 
-def test_map_json_round_trip(tmp_path):
+def test_map_json_round_trip():
+    # any map is the `expr` form of its printed trees: the same step and gamma
+    points = [tuple(row) for row in np.random.default_rng(4).uniform(-1, 1, (50, 3)).tolist()]
     for m in (
         ar_map([0.25, -0.5]),
         delay_map("0.5*x1 - 0.25*x2", 2),
         expression_map(["0.5*x1", "tanh(x2)"]),
         builtin_map("tent", 3),
     ):
-        data = map_to_json(m)
-        again = map_from_json(data)
-        assert again == m
-
-
-def test_map_to_json_writes_a_map_without_coefficients_as_its_trees():
-    assert map_to_json(ar_map([0.25, -0.5])) == {"d": 2, "kind": "ar", "p": [0.25, -0.5]}
-    assert map_to_json(delay_map("0.5*x1 - 0.25*x2", 2)) == {
-        "d": 2, "kind": "expr", "exprs": ["0.5 * x1 - 0.25 * x2", "x1"]}
-    assert map_to_json(builtin_map("tent", 2)) == {
-        "d": 2, "kind": "expr", "exprs": ["1.0 - 2.0 * abs(x1)", "1.0 - 2.0 * abs(x2)"]}
+        sources = [to_source(tree) for tree in m.trees]
+        again = map_from_json({"d": m.d, "kind": "expr", "exprs": sources})
+        assert [to_source(tree) for tree in again.trees] == sources
+        assert [again.step(c[:m.d]) for c in points] == [m.step(c[:m.d]) for c in points]
+        assert estimate_lipschitz(again, samples=64) == estimate_lipschitz(m, samples=64)
 
 
 def test_builtin_map_is_the_expression_map_of_its_sources():

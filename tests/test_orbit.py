@@ -165,25 +165,38 @@ def test_generate_orbit_matches_the_per_step_loop(data):
     assert_matches_per_step(m, step, Point(y0), data.draw(st.integers(0, 200)))
 
 
+def ar_case(p):
+    """An `ar` map and the old `ar` step of its coefficients."""
+    return ar_map(p), ar_step(p)
+
+
+def tree_case(m):
+    """A map of trees and its own compiled step."""
+    return m, m.step
+
+
+# each m is a map and the step that the per-step loop iterates
 @pytest.mark.parametrize("m, y0, error, t", [
     # clamped within CLAMP_BAND at every step, in the first or a later coordinate
-    (ar_map([1.0 + 4e-13]), [1.0], None, None),
-    (expression_map(["-x1", "x2 * 1.0000000000005"]), [0.5, -1.0], None, None),
-    (ar_map([1.0 + 4e-13, -0.0]), [-1.0, 0.5], None, None),
+    (ar_case([1.0 + 4e-13]), [1.0], None, None),
+    (tree_case(expression_map(["-x1", "x2 * 1.0000000000005"])), [0.5, -1.0], None, None),
+    (ar_case([1.0 + 4e-13, -0.0]), [-1.0, 0.5], None, None),
     # escapes
-    (ar_map([1.5]), [0.9], RangeViolation, 1),
-    (ar_map([1.1]), [0.5], RangeViolation, 8),
-    (expression_map(["x1", "x2 + 0.3"]), [0.2, 0.0], RangeViolation, 4),
+    (ar_case([1.5]), [0.9], RangeViolation, 1),
+    (ar_case([1.1]), [0.5], RangeViolation, 8),
+    (tree_case(expression_map(["x1", "x2 + 0.3"])), [0.2, 0.0], RangeViolation, 4),
     # NaN in the first or a later coordinate
-    (expression_map(NAN_1D), [0.3], RangeViolation, 1),
-    (expression_map(NAN_2ND), [0.3, 0.1], RangeViolation, 1),
-    (expression_map(["0.5*x1", "x2", "x1*1e200*1e200*0"]), [0.3, 0.1, 0.2], RangeViolation, 1),
+    (tree_case(expression_map(NAN_1D)), [0.3], RangeViolation, 1),
+    (tree_case(expression_map(NAN_2ND)), [0.3, 0.1], RangeViolation, 1),
+    (tree_case(expression_map(["0.5*x1", "x2", "x1*1e200*1e200*0"])), [0.3, 0.1, 0.2],
+     RangeViolation, 1),
     # evaluation errors
-    (expression_map(["x1 / (x2 - 0.5)", "x2"]), [0.3, 0.5], EvaluationError, None),
-    (delay_map("sin(x2 * 1e300 * 1e300)", 2), [0.3, 0.5], EvaluationError, None),
+    (tree_case(expression_map(["x1 / (x2 - 0.5)", "x2"])), [0.3, 0.5], EvaluationError, None),
+    (tree_case(delay_map("sin(x2 * 1e300 * 1e300)", 2)), [0.3, 0.5], EvaluationError, None),
 ])
 def test_generate_orbit_edge_cases_match_the_per_step_loop(m, y0, error, t):
-    assert_matches_per_step(m, ar_step(m.coeffs) if m.coeffs is not None else m.step, Point(y0), 20)
+    m, step = m
+    assert_matches_per_step(m, step, Point(y0), 20)
     if error is not None:
         with pytest.raises(error) as info:
             generate_orbit(m, Point(y0), 20)
