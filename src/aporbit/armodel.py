@@ -63,7 +63,7 @@ class ARSpec:
 
     def __init__(self, p, initial):
         p = _finite_coefficients(p)
-        initial = tuple(float(v) for v in initial)
+        initial = tuple(_number(v, f"initial value z({-i})") for i, v in enumerate(initial))
         if not p:
             raise DimensionMismatch("need at least one coefficient")
         if len(initial) != len(p):
@@ -83,9 +83,16 @@ class ARSpec:
         return {"p": list(self.p), "z0": list(self.initial)}
 
 
+def _number(v, name: str) -> float:
+    """v as a float; a boolean is refused, though float(True) is 1.0."""
+    if isinstance(v, bool):
+        raise ValueError(f"{name} = {v!r} is a boolean, not a number")
+    return float(v)
+
+
 def _finite_coefficients(p) -> tuple[float, ...]:
-    """The coefficients as floats; a NaN or infinite one is refused."""
-    p = tuple(float(v) for v in p)
+    """The coefficients as floats; a boolean, NaN or infinite one is refused."""
+    p = tuple(_number(v, f"recurrence coefficient p_{l}") for l, v in enumerate(p, start=1))
     for l, v in enumerate(p, start=1):
         if not math.isfinite(v):
             raise ValueError(f"recurrence coefficient p_{l} = {v!r} is not finite")

@@ -2,8 +2,8 @@
 
 The pipeline: iterate a map to get an orbit (the map's compiled loop
 runs the steps, and `generate_orbit` polices each sample where it stops),
-snap each sample to the grid (the "shadow"), and record the observed
-state transitions in a table, where the earliest occurrence of a state
+snap each sample to the grid (the "shadow"), and count the states and
+the conflicts of the table where the earliest occurrence of a state
 fixes its successor.  The chain runs those earliest successors from the
 shadow's first state, so it is the shadow itself up to the first time a
 state repeats: with the repeat first seen at T and seen again at T + L,
@@ -12,8 +12,8 @@ period L.
 
 The orbit and the shadow are whole arrays, the only memory that grows
 with the horizon.  Every later stage works in blocks: the quantizer,
-the transition table (one pass with one code of lookahead, O(block + N)
-temporaries) and `shadow_periodicity` (an int64 window).
+the transition table (sorted codes with their successor codes,
+O(block + N) temporaries) and `shadow_periodicity` (an int64 window).
 """
 
 from __future__ import annotations
@@ -90,111 +90,51 @@ class Conflicts:
         return self.count
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class TransitionTable:
-    """Observed next-state function over the visited grid states.
-
-    Row n of `rows` (n < N) is the index vector of the n-th visited state
-    with an outgoing observation, in first-seen order; its successor, fixed
-    by its earliest occurrence, is row `succ[n]`.  Later occurrences that
-    disagree are counted in `conflicts` (the discretized dynamics is then
-    not a function of the state at this resolution).  A state first seen
-    at the final shadow position has no outgoing observation; it is row N,
-    and the dangling state when an earliest observation leads to it.
-    """
+    """N, the states with an outgoing observation, and the conflicts."""
 
     grid: GridSpec
-    rows: np.ndarray = field(repr=False)
-    succ: np.ndarray = field(repr=False)
+    n_states: int
     conflicts: Conflicts = Conflicts()
-
-    @property
-    def n_states(self) -> int:
-        return len(self.succ)
-
-    @property
-    def states(self) -> GridStates:
-        return GridStates(self.rows[: self.n_states], self.grid)
-
-    @property
-    def successor(self) -> dict:
-        """The table as {state: successor state}."""
-        rows = GridStates(self.rows, self.grid)
-        return {rows[n]: rows[k] for n, k in enumerate(self.succ.tolist())}
-
-    @property
-    def dangling(self) -> GridState | None:
-        """The successor state without an outgoing edge, if any."""
-        if np.any(self.succ == self.n_states):
-            return GridState(self.rows[self.n_states].tolist(), self.grid)
-        return None
 
 
 def build_transition_table(shadow: GridStates) -> TransitionTable:
-    """Extract the earliest-occurrence transition table from a shadow sequence.
+    """N and the conflicts of the shadow's earliest-occurrence transitions.
 
-    One pass over blocks of state codes; each block ends with the first
-    code of the next, so every transition lies in one block.  A state's
-    row, its rank in first-seen order, is fixed when it is first seen, and
-    so is its successor row (in the next block for a state first seen at
-    a block's last code).  The distinct codes seen so far stay in a sorted
-    array with their rows, and each block's conflicts are counted against
-    the successor rows, so the temporaries are O(block + N).  A block is
-    TABLE_BLOCK positions, or N once N is larger, so merging its new codes
-    into the sorted array, O(N), costs O(1) per position.  Above 2^63 grid
-    states the codes are the whole shadow's ranks, computed once.
+    One pass over blocks of state codes, each ending with the next block's
+    first code.  The codes seen so far stay sorted, next to the code that
+    followed each one's earliest occurrence, and a block looks its distinct
+    codes up there once: O(block + N) temporaries, and as a block is
+    TABLE_BLOCK or N positions, O(1) per position to merge its new codes
+    in.  Above 2^63 grid states the codes are the whole shadow's ranks.
     """
     n = len(shadow)
     if n < 2:
         raise ValueError("need at least two shadow states to observe a transition")
     ranks = shadow.codes() if shadow.grid.state_count > 2 ** 63 else None
-    count, times = 0, []
-    a = 0
+    a, count, times = 0, 0, []
     while a < n - 1:
         b = min(a + max(TABLE_BLOCK, len(known) if a else 0), n - 1)
         codes = shadow[a : b + 1].codes() if ranks is None else ranks[a : b + 1]
-        new, j, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        if not a:  # every state of the first block is new
-            fresh = np.argsort(j)
-            row = np.empty_like(fresh)
-            row[fresh] = np.arange(len(fresh))
+        src, dst = codes[:-1], codes[1:]
+        uniq, j, inverse = np.unique(src, return_index=True, return_inverse=True)
+        expect = dst[j]  # a new code's successor at its first position here
+        if not a:  # every code of the first block is new
+            known, succ = uniq, expect
         else:
-            at = np.searchsorted(known, new)
-            near = np.minimum(at, len(known) - 1)
-            is_new = known[near] != new
-            row = row_of[near]  # right where the code is known
-            fresh = np.flatnonzero(is_new)
-            fresh = fresh[np.argsort(j[fresh])]
-            row[fresh] = np.arange(len(first), len(first) + len(fresh))
-        row_at = row[inverse]  # the row at each time a..b
-        fj = j[fresh]  # where in the block its new states are first seen, in that order
-        # a state first seen at b gets its own row here, and its successor next block
-        first_new, succ_new = fj + a, np.take(row_at, fj + 1, mode="clip")
-        if not a:
-            known, row_of, first, succ = new, row, first_new, succ_new
-        else:
-            if first[-1] == a:  # first seen at the previous block's last code
-                succ[-1] = row_at[1]
-            if len(fresh):
-                known = np.insert(known, at[is_new], new[is_new])
-                row_of = np.insert(row_of, at[is_new], row[is_new])
-            first = np.concatenate([first, first_new])
-            succ = np.concatenate([succ, succ_new])
-        mismatch = succ[row_at[:-1]] != row_at[1:]
-        block_count = int(np.count_nonzero(mismatch))
-        if block_count and len(times) < CONFLICT_EXAMPLES:
-            times += (np.flatnonzero(mismatch)[: CONFLICT_EXAMPLES - len(times)] + a).tolist()
-        count += block_count
+            at = np.searchsorted(known, uniq)
+            seen = known[np.minimum(at, len(known) - 1)] == uniq
+            expect[seen] = succ[at[seen]]
+            if not seen.all():
+                known = np.insert(known, at[~seen], uniq[~seen])
+                succ = np.insert(succ, at[~seen], expect[~seen])
+        bad = np.flatnonzero(expect[inverse] != dst)
+        count += len(bad)
+        times += (bad[: CONFLICT_EXAMPLES - len(times)] + a).tolist()
         a = b
-    # a state first seen at the final position is the last row and has no outgoing edge
-    n_states = len(first) - int(first[-1] == n - 1)
-    conflicts = Conflicts(
-        count=count,
-        examples=tuple((shadow[t], t, shadow[t + 1]) for t in times),
-    )
-    return TransitionTable(
-        grid=shadow.grid, rows=shadow.indices[first], succ=succ[:n_states], conflicts=conflicts
-    )
+    examples = tuple((shadow[t], t, shadow[t + 1]) for t in times)
+    return TransitionTable(shadow.grid, len(known), Conflicts(count, examples))
 
 
 @dataclass

@@ -6,8 +6,9 @@ matrix of an `ar` map that the library reads off its trees.  The old builtin and
 step functions and the per-step orbit loop are the forms that the
 compiled expression trees replaced, the per-pair Lipschitz sampler and
 scalar Halton probes are the forms that the blocked array passes of
-`maps` replaced, `whole_transition_table` is the whole-array form that
-the blocked `orbit.build_transition_table` replaced, and
+`maps` replaced, `whole_transition_table` counts the states and
+conflicts of the earliest-occurrence table over the whole array, as the
+blocked `orbit.build_transition_table` does over sorted codes, and
 `scan_shadow_periodicity` is the pair-by-pair scan over a list of codes
 that `orbit.shadow_periodicity` replaced; the tests hold the library
 equal to them.
@@ -201,29 +202,15 @@ def probe_points(d: int, samples: int, seed: int) -> np.ndarray:
 
 
 def whole_transition_table(shadow) -> TransitionTable:
-    """The earliest-occurrence transition table from one np.unique over
-    the whole shadow's codes."""
+    """N and the conflicts of the earliest-occurrence transition table from
+    one np.unique over the whole shadow's codes."""
     if len(shadow) < 2:
         raise ValueError("need at least two shadow states to observe a transition")
     codes = shadow.codes()
-    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    order = np.argsort(first)  # distinct states in first-seen order
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    row = rank[inverse]  # row of the state at each time
-    # a state first seen at the final position sorts last and has no outgoing edge
-    n_states = len(order) - int(first[order[-1]] == len(codes) - 1)
-    succ = row[first[order[:n_states]] + 1]
-    mismatch = succ[row[:-1]] != row[1:]
-    count = int(np.count_nonzero(mismatch))
-    times = np.flatnonzero(mismatch)[:CONFLICT_EXAMPLES].tolist() if count else []
-    conflicts = Conflicts(
-        count=count,
-        examples=tuple((shadow[t], t, shadow[t + 1]) for t in times),
-    )
-    return TransitionTable(
-        grid=shadow.grid, rows=shadow.indices[first[order]], succ=succ, conflicts=conflicts
-    )
+    uniq, first, inverse = np.unique(codes[:-1], return_index=True, return_inverse=True)
+    times = np.flatnonzero(codes[first + 1][inverse] != codes[1:])
+    examples = tuple((shadow[t], t, shadow[t + 1]) for t in times[:CONFLICT_EXAMPLES].tolist())
+    return TransitionTable(shadow.grid, len(uniq), Conflicts(len(times), examples))
 
 
 def scan_shadow_periodicity(shadow, window: int = SHADOW_WINDOW):

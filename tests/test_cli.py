@@ -574,12 +574,16 @@ WRONGLY_TYPED_MAPS = [
     '{"kind":"expr","exprs":null}',
     # an empty recurrence once ran as the constant map z -> 0.0
     '{"kind":"ar","p":[]}',
+    # a JSON boolean once ran as the number 1.0 or 0.0
+    '{"kind":"ar","p":[true]}',
 ]
 WRONGLY_TYPED_SPECS = [
     '{"p":5,"z0":[0.1]}',
     '{"p":[0.5],"z0":0.1}',
     '[0.5]',
     '{"p":[0.5],"z0":[null]}',
+    '{"p":[true],"z0":[0.5]}',
+    '{"p":[0.5],"z0":[false]}',
 ]
 
 

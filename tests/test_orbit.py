@@ -16,6 +16,7 @@ from aporbit import (
     GridStates,
     OrbitSeries,
     Point,
+    TransitionTable,
     ar_map,
     build_chain,
     build_transition_table,
@@ -249,42 +250,33 @@ def test_transition_table_simple():
     g = GridSpec(K=4, d=1)
     A, B = states(g, [0], [1])
     table = build_transition_table(GridStates.of([A, B, A, B]))
-    assert list(table.states) == [A, B]
-    assert table.successor == {A: B, B: A}
+    assert table == TransitionTable(g, 2)
     assert len(table.conflicts) == 0
-    assert table.dangling is None
-    assert table.succ.tolist() == [1, 0]
 
 
 def test_transition_table_conflict():
     g = GridSpec(K=4, d=1)
     A, B, C = states(g, [0], [1], [2])
     table = build_transition_table(GridStates.of([A, B, A, C]))
-    assert table.successor[A] == B  # first occurrence wins
-    assert len(table.conflicts) == 1
+    assert len(table.conflicts) == 1  # the first occurrence A -> B wins
     assert table.conflicts.examples == ((A, 2, C),)
     # C is first seen at the final position: no outgoing observation, so it
-    # is excluded from states; the chain cannot reach it (only the
-    # conflicted observation pointed there), hence nothing dangles.
-    assert C not in table.states
-    assert table.dangling is None
-    # but a fresh final state on the walked path does dangle
-    table2 = build_transition_table(GridStates.of([A, B, C]))
-    assert table2.dangling == C
+    # is not counted among the states
+    assert table.n_states == 2
+    assert build_transition_table(GridStates.of([A, B, C])).n_states == 2
 
 
 def oracle_table(shadow):
-    """The per-state loop: the earliest occurrence fixes each successor."""
-    states, successor, conflicts = [], {}, []
+    """The per-state loop: the earliest occurrence fixes each successor.
+    Returns {state: successor} in first-seen order, and the conflicts."""
+    successor, conflicts = {}, []
     for t in range(len(shadow) - 1):
         s, nxt = shadow[t], shadow[t + 1]
         if s not in successor:
             successor[s] = nxt
-            states.append(s)
         elif successor[s] != nxt:
             conflicts.append((s, t, nxt))
-    dangling = next((s for s in successor.values() if s not in successor), None)
-    return states, successor, conflicts, dangling
+    return successor, conflicts
 
 
 def test_transition_table_matches_loop_oracle():
@@ -293,13 +285,11 @@ def test_transition_table_matches_loop_oracle():
         g = GridSpec(K=int(rng.integers(1, 6)), d=int(rng.integers(1, 3)))
         n = int(rng.integers(2, 60))
         shadow = [GridState(rng.integers(0, g.K + 1, g.d), g) for _ in range(n)]
-        states, successor, conflicts, dangling = oracle_table(shadow)
+        successor, conflicts = oracle_table(shadow)
         table = build_transition_table(GridStates.of(shadow))
-        assert list(table.states) == states
-        assert table.successor == successor
+        assert table.n_states == len(successor)
         assert len(table.conflicts) == len(conflicts)
         assert table.conflicts.examples == tuple(conflicts[:CONFLICT_EXAMPLES])
-        assert table.dangling == dangling
 
 
 def test_transition_table_counts_conflicts_keeps_first_examples():
@@ -312,7 +302,7 @@ def test_transition_table_counts_conflicts_keeps_first_examples():
 
 
 def assert_table_is_the_whole_array_table(shadow, block=TABLE_BLOCK):
-    # equal rows, successors, conflict count and examples, or the same refusal
+    # equal N, conflict count and examples, or the same refusal
     with mock.patch.object(orbit, "TABLE_BLOCK", block):
         try:
             got = build_transition_table(shadow)
@@ -320,11 +310,7 @@ def assert_table_is_the_whole_array_table(shadow, block=TABLE_BLOCK):
             with pytest.raises(ValueError, match=str(exc)):
                 whole_transition_table(shadow)
             return
-    want = whole_transition_table(shadow)
-    assert got.grid == want.grid
-    assert got.rows.dtype == want.rows.dtype and np.array_equal(got.rows, want.rows)
-    assert got.succ.dtype == want.succ.dtype and np.array_equal(got.succ, want.succ)
-    assert got.conflicts == want.conflicts
+    assert got == whole_transition_table(shadow)
 
 
 GRIDS = [GridSpec(K=1, d=1), GridSpec(K=3, d=2), GridSpec(K=6, d=3),
@@ -379,9 +365,9 @@ def test_transition_table_beyond_int64_codes():
     # (K+1)^d > 2^63: states are told apart by their rows, not by codes
     g = GridSpec(K=2 ** 40, d=2)
     A, B, C = states(g, [0, 2 ** 40], [2 ** 40, 0], [7, 7])
-    table = build_transition_table(GridStates.of([A, B, C, B, C, B]))
-    assert list(table.states) == [A, B, C]
-    assert table.successor == {A: B, B: C, C: B}
+    assert build_transition_table(GridStates.of([A, B, C, B, C, B])) == TransitionTable(g, 3)
+    table = build_transition_table(GridStates.of([A, B, C, A, C]))
+    assert table.n_states == 3 and table.conflicts.examples == ((A, 3, C),)
     chain = build_chain(GridStates.of([A, B, C, B, C, B]))
     assert (chain.pre_period, chain.period) == (1, 2)
     assert list(chain.seq) == [A, B, C]
@@ -441,22 +427,29 @@ def test_chain_periodicity_on_window():
         assert ys[t + L] == ys[t]
 
 
+def first_seen_table(shadow):
+    """The earliest-occurrence table over rows in first-seen order: the
+    index rows of the distinct states, and each source's successor row
+    (len(rows) - 1 for a state seen only at the final position)."""
+    successor, _ = oracle_table(shadow)
+    order = list(successor) + [s for s in successor.values() if s not in successor][:1]
+    row = {s: n for n, s in enumerate(order)}
+    return GridStates.of(order, shadow.grid), [row[successor[s]] for s in successor]
+
+
 def oracle_table_walk(shadow):
     """The table walk: run the earliest-occurrence successors from the
     row of shadow[0] until a row repeats."""
-    table = build_transition_table(shadow)
-    n = table.n_states
-    row = int(np.flatnonzero((table.rows[:n] == shadow.indices[0]).all(axis=1))[0])
-    succ = table.succ.tolist()
-    first = {}
+    rows, succ = first_seen_table(shadow)
+    row, first = 0, {}
     while row not in first:
         first[row] = len(first)
-        if row >= n:
-            raise DanglingState("dangling", state=table.dangling, t=len(first))
+        if row == len(succ):
+            raise DanglingState("dangling", state=rows[row], t=len(first))
         row = succ[row]
     return ChainResult(
-        grid=table.grid,
-        seq=GridStates(table.rows[list(first)], table.grid),
+        grid=shadow.grid,
+        seq=GridStates(rows.indices[list(first)], shadow.grid),
         pre_period=first[row],
         period=len(first) - first[row],
     )
@@ -630,6 +623,25 @@ def test_pipeline_memory_per_sample():
     finally:
         tracemalloc.stop()
     assert peak / (H + 1) <= 150
+
+
+@pytest.mark.parametrize("kind", ["ar", "uniform"])
+def test_transition_table_memory_per_sample(kind):
+    # the blocked table of a 2-d shadow of 2*10^5 samples, an orbit's and
+    # one of uniform random states; one pass over the whole array's codes
+    # would take about 49 B per sample
+    H, g = 200_000, GridSpec(K=64, d=2)
+    if kind == "ar":
+        shadow = discretize_orbit(generate_orbit(ar_map([1.5297, -1.0]), Point([0.9, 0.688]), H), g)
+    else:
+        shadow = GridStates(np.random.default_rng(7).integers(0, g.K + 1, (H + 1, g.d)), g)
+    tracemalloc.start()
+    try:
+        build_transition_table(shadow)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (H + 1) < 4
 
 
 def test_census_report_stats():
