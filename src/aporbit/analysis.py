@@ -2,6 +2,12 @@
 for comparing chains across an increasing ladder of grid resolutions:
 pre-period re-selection with divisibility, lcm windows, the summability
 condition on ladder terms, and sup-difference diagnostics.
+
+Every comparison of a chain with the true orbit or with another chain
+takes its distances from one walker, `_distances`, which works in blocks
+of SUP_BLOCK steps: no chain-value, position or difference array is
+longer than one block, and each distance is the plain sum of squares
+(`np.linalg.norm(axis=1)`), with no BLAS call.
 """
 
 from __future__ import annotations
@@ -18,8 +24,22 @@ from .orbit import ChainResult, generate_orbit, run_pipeline, shadow_periodicity
 
 _LCM_LIMIT = 2 ** 63 - 1
 
-# Window steps per block in sup_difference.
+# Steps per block of every chain distance walk.
 SUP_BLOCK = 2 ** 16
+
+
+def _distances(chain: ChainResult, other, lo: int, hi: int):
+    """|chain(t) - other(t)| for t = lo..hi, one block of at most SUP_BLOCK
+    steps at a time; `other` is a second chain or an orbit's values array."""
+    for a in range(lo, hi + 1, SUP_BLOCK):
+        b = min(a + SUP_BLOCK, hi + 1) - 1
+        theirs = other[a : b + 1] if isinstance(other, np.ndarray) else other.values(a, b)
+        diff = chain.values(a, b) - theirs
+        yield np.sqrt((diff * diff).sum(axis=1))  # the bits of np.linalg.norm(diff, axis=1)
+
+
+def _sup(chain: ChainResult, other, lo: int, hi: int) -> float:
+    return float(max(np.max(block) for block in _distances(chain, other, lo, hi)))
 
 
 def bounds_for_horizon(gamma: float, d: int, K: int, horizon: int) -> np.ndarray:
@@ -98,13 +118,11 @@ def verify_error_bound(
     if lipschitz is None:
         lipschitz = estimate_lipschitz(m)
     g = GridSpec(K=K, d=m.d)
-    orbit, _, table, chain = run_pipeline(m, y0, g, horizon)
-    ys = orbit.values
-    stars = chain.values(0, horizon)
-    actual = np.linalg.norm(stars - ys, axis=1)
+    orbit, shadow, table, chain = run_pipeline(m, y0, g, horizon)
+    del shadow  # only the orbit and the chain are compared
+    actual = np.concatenate(list(_distances(chain, orbit.values, 0, horizon)))
     bound = bounds_for_horizon(lipschitz.gamma, m.d, K, horizon)
-    ratios = actual / bound
-    worst = float(np.max(ratios))
+    worst = float(np.max(actual / bound))
     return BoundReport(
         K=K,
         d=m.d,
@@ -237,9 +255,11 @@ def check_convergence_condition(
             condition_term(plan.T_prime[j + 1], plan.lcms[j], plan.Ks[j], gamma)
         )
     partial = list(np.cumsum(terms)) if terms else []
-    # A ratio with an infinite term is undefined: None (JSON null), not NaN.
+    # A ratio with an infinite term, or of two zero terms, is undefined:
+    # None (JSON null), not NaN or Infinity.
     ratios = [
-        None if math.isinf(a) or math.isinf(b) else b / a if a != 0 else math.inf
+        None if math.isinf(a) or math.isinf(b) or a == b == 0
+        else b / a if a != 0 else math.inf
         for a, b in zip(terms, terms[1:])
     ]
     below = all(s < budget for s in partial)
@@ -276,16 +296,7 @@ def sup_difference(
     if T_prime_j < chain_j.pre_period or T_prime_jp1 < chain_jp1.pre_period:
         raise ValueError("re-selected pre-periods must dominate the raw ones")
     window = lcm_periods(chain_j.period, chain_jp1.period)
-    # Walk the window in blocks of SUP_BLOCK steps so memory stays bounded.
-    # vecdot gives each step's squared distance exactly as the per-step
-    # norm computes it; sqrt is monotone, so one sqrt of the largest.
-    worst = 0.0
-    for a in range(0, window + 1, SUP_BLOCK):
-        lo = T_prime_jp1 + a
-        hi = T_prime_jp1 + min(a + SUP_BLOCK, window + 1) - 1
-        diff = chain_jp1.values(lo, hi) - chain_j.values(lo, hi)
-        worst = max(worst, float(np.max(np.vecdot(diff, diff))))
-    return math.sqrt(worst)
+    return _sup(chain_jp1, chain_j, T_prime_jp1, T_prime_jp1 + window)
 
 
 @dataclass(frozen=True)
@@ -355,10 +366,7 @@ def tail_convergence(
         long_orbit = generate_orbit(m, y0, max(t_max, horizon)).values
         for j in range(len(Ks) - 1):
             lo = plan.T_prime[j]
-            hi = plan.T_prime[j] + plan.lcms[j]
-            stars = chains[j].values(lo, hi)
-            sup = float(np.max(np.linalg.norm(stars - long_orbit[lo : hi + 1], axis=1)))
-            orbit_sups.append(sup)
+            orbit_sups.append(_sup(chains[j], long_orbit, lo, lo + plan.lcms[j]))
 
     def _nonincreasing(xs):
         return all(b <= a + 1e-15 for a, b in zip(xs, xs[1:]))

@@ -11,7 +11,8 @@ command's peak memory.  `_Out` refuses an existing artifact without
 --force; with it, the old file (or symlink) is unlinked and a new one
 created.
 Exit codes: 0 ok, 2 pipeline failure, 3 configuration error, which
-includes a usage error and a `--y0` whose length is not the map's d.
+includes a usage error, a `--y0` whose length is not the map's d, and a
+`--map`, `--spec` or `--out` path that cannot be read or made.
 
 `build_parser` builds the argument parser once per process and returns
 that same parser on every later call.  `main` parses each call into a
@@ -80,7 +81,7 @@ def _load_map(path: str) -> maps.MapDefinition:
         raise ConfigError(f"map file not found: {path}")
     try:
         return maps.load_map(path)
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError, AporbitError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError, AporbitError) as exc:
         raise ConfigError(f"bad map file {path}: {exc}") from exc
 
 
@@ -98,7 +99,7 @@ def _load_ar_spec(path: str) -> armodel.ARSpec:
         with open(path) as fh:
             data = json.load(fh)
         return armodel.ARSpec(p=data["p"], initial=data["z0"])
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"bad spec file {path}: {exc}") from exc
 
 
@@ -112,7 +113,10 @@ class _Out:
 
     def __init__(self, directory: str, force: bool, names):
         self.directory = directory
-        os.makedirs(directory, exist_ok=True)
+        try:
+            os.makedirs(directory, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot use {directory} as the output directory: {exc}") from exc
         for name in names:
             target = self.path(name)
             if os.path.lexists(target) and not force:

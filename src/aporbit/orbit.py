@@ -370,7 +370,7 @@ def _census_random_ar(d: int, K: int, rng, horizon: int) -> tuple[int, int] | No
         z0 = z0 / (2.0 * peak)
     g = GridSpec(K=K, d=d)
     try:
-        _, _, _, chain = run_pipeline(m, Point(z0), g, horizon)
+        chain = build_chain(discretize_orbit(generate_orbit(m, Point(z0), horizon), g))
     except DanglingState:
         return None
     return chain.pre_period, chain.period
@@ -382,22 +382,19 @@ def period_census(
     ensemble: int,
     seed: int = 0,
     generator: str = "random_map",
-    horizon: int | None = None,
 ) -> CensusReport:
     """Sample (pre-period, period) statistics over a random ensemble.
 
     "random_map" draws a uniformly random new-first-coordinate function on
     the grid states (the shift fills the remaining coordinates);
-    "random_ar" draws stable recurrence coefficients and runs the full
-    quantization pipeline.
+    "random_ar" draws stable recurrence coefficients and takes the chain
+    of the quantized orbit over default_horizon steps.
     """
     if ensemble < 1:
         raise ValueError("ensemble must be >= 1")
     if generator not in ("random_map", "random_ar"):
         raise ValueError(f"unknown generator {generator!r}")
-    g = GridSpec(K=K, d=d)
-    if horizon is None:
-        horizon = default_horizon(g)
+    horizon = default_horizon(GridSpec(K=K, d=d))
     rng = np.random.default_rng(seed)
     pairs = []
     redraws = 0

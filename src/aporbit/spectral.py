@@ -6,8 +6,8 @@ a finite sum of at most floor(L/2)+1 harmonics:
     y(t) = sum_{m=0}^{M} a_m sin(2 pi m t / L) + b_m cos(2 pi m t / L)
 
 valid at every integer t >= T.  Coefficients come from the real discrete
-Fourier analysis of one period, with the phase shift induced by the
-pre-period T folded in so the formula holds in t itself.
+Fourier analysis of one period of the tail, rolled so that its row s is
+y(t) for the t >= T with t = s (mod L): the formula then holds in t itself.
 """
 
 from __future__ import annotations
@@ -45,11 +45,11 @@ class TrigForm:
 def fit_trig_samples(values: np.ndarray, pre_period: int, period: int) -> TrigForm:
     """Fit one period of samples values[u] = y(T+u), u = 0..L-1.
 
-    One real FFT over the period gives, in O(L log L), the cosine and
-    sine sums (2/L) sum_u y(T+u) cos|sin(2 pi m u / L) of every harmonic.
-    b_0 is the sample mean, and the Nyquist term (even L) has weight 1/L
-    and no sine part.  The phase shift by T is folded into the
-    coefficients exactly: the angle uses the integer (m*T) mod L.
+    Rolled by T mod L, row s of the period is y(t) for every t >= T with
+    t = s (mod L), so one real FFT gives, in O(L log L), the cosine and
+    sine sums (2/L) sum_s y(s) cos|sin(2 pi m s / L) of every harmonic in
+    t itself.  The zero and Nyquist (even L) terms have weight 1/L and no
+    sine part.
     """
     values = np.asarray(values, dtype=float)
     L = period
@@ -57,26 +57,13 @@ def fit_trig_samples(values: np.ndarray, pre_period: int, period: int) -> TrigFo
     if values.ndim != 2 or values.shape[0] != L:
         raise ValueError(f"need samples of shape (L, d), got {values.shape}")
     M = L // 2
-    spectrum = np.fft.rfft(values, axis=0)  # sum_u y e^(-2 pi i m u / L)
-    alpha_c = spectrum.real * (2.0 / L)
-    alpha_s = -spectrum.imag * (2.0 / L)
-    alpha_c[0] = values.mean(axis=0)
-    alpha_s[0] = 0.0
-    nyquist = L % 2 == 0
-    if nyquist:
-        alpha_c[M] = spectrum[M].real / L
-        alpha_s[M] = 0.0
-    # Fold the shift by T:  cos(th(t-T)) and sin(th(t-T)) expand into
-    # cos(th t), sin(th t) with a rotation by phi = 2 pi m T / L.  For the
-    # zero and Nyquist terms the shift is 0 or L/2, so phi is 0 or pi.
-    shift = np.arange(M + 1, dtype=np.int64) * (T % L) % L
-    phi = (2.0 * np.pi * shift / L)[:, None]
-    c, s = np.cos(phi), np.sin(phi)
-    b = alpha_c * c - alpha_s * s
-    a = alpha_c * s + alpha_s * c
-    if nyquist:
-        a[M] = 0.0
-        b[M] = alpha_c[M] if shift[M] == 0 else -alpha_c[M]
+    # sum_s y(s) e^(-2 pi i m s / L)
+    spectrum = np.fft.rfft(np.roll(values, T % L, axis=0), axis=0)
+    b = spectrum.real * (2.0 / L)
+    a = spectrum.imag * (-2.0 / L)
+    edges = [0, M] if L % 2 == 0 else [0]
+    b[edges] = spectrum.real[edges] / L
+    a[edges] = 0.0
     return TrigForm(period=L, phase_origin=T, harmonics=M, a=a, b=b)
 
 

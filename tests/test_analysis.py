@@ -22,8 +22,10 @@ from aporbit import (
     condition_term,
     expression_map,
     fit_trig,
+    generate_orbit,
     lcm_periods,
     reselect_T,
+    run_pipeline,
     sup_difference,
     tail_convergence,
     verify_error_bound,
@@ -235,6 +237,15 @@ def test_powers_beyond_float_range_give_inf():
     assert report.to_json()["growth_ratios"] == [None]
 
 
+def test_growth_ratio_of_two_zero_terms_is_none():
+    # a constant map has gamma 0, so every term is 0 and 0/0 is undefined
+    plan = build_ladder_plan([2, 4, 8], [0, 0, 0], [1, 1, 1])
+    report = check_convergence_condition(plan, 0.0, 1e6)
+    assert report.terms == (0.0, 0.0)
+    assert report.growth_ratios == (None,)
+    assert report.to_json()["growth_ratios"] == [None]
+
+
 def test_condition_empty_ladder():
     plan = build_ladder_plan([4], [0], [1])
     report = check_convergence_condition(plan, 2.0, budget=1.0)
@@ -377,7 +388,9 @@ def stepwise_sup(chain_j, chain_jp1, T_prime_jp1):
     sup = 0.0
     for t in range(window + 1):
         diff = chain_jp1.value_at(t + T_prime_jp1) - chain_j.value_at(t + T_prime_jp1)
-        sup = max(sup, float(np.linalg.norm(diff)))
+        # the row kernel the library uses: the plain sum of squares, not
+        # the BLAS dot product that the norm of a 1-d vector takes
+        sup = max(sup, float(np.linalg.norm(diff[None], axis=1)[0]))
     return sup
 
 
@@ -404,6 +417,10 @@ def test_sup_difference_equals_stepwise_walk(d):
         K = int(rng.choice([3, 64, 1000]))
         c_j, c_jp1, T_j, T_jp1 = aligned_pair(rng, K, d, L_j, L_jp1)
         assert sup_difference(c_j, c_jp1, T_j, T_jp1) == stepwise_sup(c_j, c_jp1, T_jp1)
+    # K = 1000: at d = 2 and 3 this pair's sup rounds apart under a fused
+    # multiply-add dot product and the plain sum of squares
+    c_j, c_jp1, T_j, T_jp1 = aligned_pair(np.random.default_rng(4), 1000, d, 7, 11)
+    assert sup_difference(c_j, c_jp1, T_j, T_jp1) == stepwise_sup(c_j, c_jp1, T_jp1)
 
 
 def test_sup_difference_across_a_block_boundary():
@@ -438,3 +455,44 @@ def test_sup_difference_long_window_time_and_memory():
     nodes_jp1 = c_jp1.values(T_jp1, T_jp1 + 1008)
     pair = nodes_jp1[:, None, :] - nodes_j[None, :, :]
     assert sup == pytest.approx(math.sqrt(np.max(np.sum(pair * pair, axis=2))), rel=1e-12)
+
+
+def whole_window_sup(chain, ys, lo, hi):
+    """Oracle: one norm over the whole window of chain and orbit values."""
+    return float(np.max(np.linalg.norm(chain.values(lo, hi) - ys[lo : hi + 1], axis=1)))
+
+
+def test_distances_walked_in_blocks_equal_the_whole_window_norm(monkeypatch):
+    # blocks of 5 steps split every window, with a short last block
+    monkeypatch.setattr("aporbit.analysis.SUP_BLOCK", 5)
+    m, y0, Ks = ar_map([0.1, -1.0]), Point([0.8, 0.1]), [7, 21, 63]
+    report = tail_convergence(m, y0, Ks, horizon=300)
+    plan = report.plan
+    assert min(plan.lcms) > 5
+    t_max = max(plan.T_prime[j] + plan.lcms[j] for j in range(2))
+    ys = generate_orbit(m, y0, max(t_max, 300)).values
+    for j in range(2):
+        chain = run_pipeline(m, y0, GridSpec(K=Ks[j], d=2), 300)[3]
+        lo = plan.T_prime[j]
+        assert report.orbit_sups[j] == whole_window_sup(chain, ys, lo, lo + plan.lcms[j])
+    verified = verify_error_bound(m, y0, K=21, horizon=300)
+    chain = run_pipeline(m, y0, GridSpec(K=21, d=2), 300)[3]
+    whole = np.linalg.norm(chain.values(0, 300) - ys[:301], axis=1)
+    np.testing.assert_array_equal(verified.actual, whole)
+
+
+def test_verify_memory_per_sample():
+    # Past the orbit (16 B a sample here) and the distances and bounds
+    # (8 B each), verify walks in blocks and drops the shadow: 2*10^5
+    # samples peak at about 41 B each, 57 with either whole-horizon
+    # distance arrays or the shadow kept, and once peaked at 96.7.
+    m, y0, H = ar_map([0.3, -0.5]), Point([0.6, 0.2]), 200_000
+    verify_error_bound(m, y0, K=64, horizon=1000)
+    tracemalloc.start()
+    try:
+        report = verify_error_bound(m, y0, K=64, horizon=H)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak / (H + 1) < 48

@@ -605,6 +605,27 @@ def test_wrongly_typed_json_is_config_error(tmp_path, capsys, form, text):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("case", ["map-is-a-directory", "spec-is-a-directory",
+                                  "out-is-a-file"])
+def test_unusable_path_is_config_error(tmp_path, capsys, case):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    out = tmp_path / "o"
+    argv = {
+        "map-is-a-directory": ["run", "--map", str(folder), "--y0=0.3", "--K", "4",
+                               "--out", str(out)],
+        "spec-is-a-directory": ["ar", "--spec", str(folder), "--out", str(out)],
+        "out-is-a-file": ["run", "--map", HALF, "--y0=0.3", "--K", "4", "--out", str(taken)],
+    }[case]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists() and os.listdir(folder) == []
+    assert taken.read_text() == "keep\n"
+
+
 def test_bad_vector_is_config_error(tmp_path, ar_contracting):
     code = main([
         "run", "--map", ar_contracting, "--y0", "zebra", "--K", "2",

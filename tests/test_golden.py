@@ -58,6 +58,10 @@ CONFIGS = {
                        "--horizon", "300", "--samples", "512", "--seed", "5"],
     "ladder": ["ladder", "--map", NEAR_QUARTER, "--y0=0.8,0.1", "--Ks", "4,8,16",
                "--horizon", "300"],
+    # odd grids: the chain sups are where a fused multiply-add and the plain
+    # sum of squares round apart, so this pins the distance kernel
+    "ladder_odd": ["ladder", "--map", NEAR_QUARTER, "--y0=0.8,0.1", "--Ks", "7,21,63",
+                   "--horizon", "300"],
     "census_ar": ["census", "--d", "2", "--K", "5", "--n", "25", "--seed", "3",
                   "--generator", "random_ar"],
     # the default generator: a lazily drawn random map on the grid states
@@ -100,15 +104,18 @@ GOLDEN = {
     'ladder': {
         'ladder.json': '9b86136afdcf40185a56a70fcbe06feaaae41a074330b333316021f57ba8baf4',
     },
+    'ladder_odd': {
+        'ladder.json': 'd512e6e0c5f3b42e7351b0902d0a804dd80eca6feb46e02db1ca8a241ff31486',
+    },
     'run_ar': {
         'chain.json': '8b52e7c7736ead6243c2f33102bca8486fbaf1f608fb3dacd2ed1814293350ff',
         'orbit.csv': '74dbab633f49e19f708025df55f38971ab212dd6d1156a6fc9846c4e0023d621',
-        'trig.json': '2cf5e34a511dcca5b5886b46eeef26c754be7bb6dc000bb18a043693bd23722f',
+        'trig.json': '21562c4f9e43213415cb0dc5039c4aef7303c352e7588344061333828f3e2700',
     },
     'run_builtin': {
         'chain.json': '84fb88f98f7279df7d6ee6378a6ae080826215c170b83d55965c681363632fdb',
         'orbit.csv': '3fa46d9d56737f4648e35d5b5624f9ff528f2c4fe4219bac2959bc24155c4002',
-        'trig.json': '7db426fced6e311398e13ed35d06f3ea09d80feecc1ae5dc76d87f49d3c337f9',
+        'trig.json': '5f23317534d4d5109dc8c52709bb50800e27899d41aed3f201a16476b8cc37a0',
     },
     'run_conflicts': {
         'chain.json': 'e64c3097ffac62cf132745049ca0d5f0dc353cbcec59b5ba06d13855dec7726f',
@@ -118,8 +125,8 @@ GOLDEN = {
     'run_curve': {
         'chain.json': '435142b00d831d5e83e0f068d386fae8dc9d7b26c41fc18307994e7a2d55e567',
         'orbit.csv': '8ca9c5f75a9b18bc362738b0a66c8f5dd95ad803eb0c3cb35b85434afad2eb4c',
-        'trig.json': '952e41f5d3ffd2f981988e648bd09e51a68974b5460e7999abc0eb7ca21cae8c',
-        'trig_curve.csv': '3c691135f03aac2c32bc761af25fe14a58f9b21d87b9dc1aa59695aa2b90414c',
+        'trig.json': '4c8c7240261bbbd1c927e0e83e0545e20715265a852c596639226ad5ce4f24f5',
+        'trig_curve.csv': '7f4f022c161bf902022c86d0666fda0cc989f4bcca4541870249df969ea2c88a',
     },
     'run_decay_tie': {
         'chain.json': '4247f6d08b38d3b5b3d71f849fc10d324115c15b3dea86d25c4de51bca9ce1ca',
@@ -129,22 +136,22 @@ GOLDEN = {
     'run_delay': {
         'chain.json': '6f7e5e295a044bf11c559e89299423d3a311528da5ad7cce168e635b143ee23c',
         'orbit.csv': '277d591982a52de1b579ff256c0af355c3aab1125c7278f7c5e93f4937e09dd2',
-        'trig.json': 'c5898e12e27422436a0c19f571596a05718385bed669c3f8239284aa5326b9c6',
+        'trig.json': 'f71e59a1a68484244fa6fa47a63d8f6515ce66aee9611a58a6f84eb38a1b7479',
     },
     'run_delay_long': {
         'chain.json': '2b9ed9cb58d6dcc3b874d9367acf19e9e51aee4ca0042563669f4bc58711b176',
         'orbit.csv': '143567ced393859862abc825dfd4cd26e373c3486145ac7bb710196e79a2f549',
-        'trig.json': '4abdf1374a1025ad2b65804c8d6c5b5ec1637d8706f247d457aafa831b63d74a',
+        'trig.json': '4b283ee2c148eb4be3d9fd5f112ece51d43192b1094a903647279bdb0be5e2d1',
     },
     'run_expr': {
         'chain.json': 'e1648a81f0f0e4cdaff1f14815918242a188d78235c36bf0facd186e1d579a5f',
         'orbit.csv': 'ebeb9f629da561dd7f16a498a173f515c329a32f4d854d0df46abf96d5539189',
-        'trig.json': 'fe951d601e9997b1220e38c3bd42128cf5df7b738d0188f6521cb30a3bbf726d',
+        'trig.json': '6f0334f70d278016dabeaebfe0accba02ee4cf2be0fbe3cfb50f9f9a86f314e9',
     },
     'run_long': {
         'chain.json': '9e116c3bbb60f0a06f25b09b6e5396fb38c33e5b232954f2cbae08a44dc59c72',
         'orbit.csv': 'c73dec1487a135090fea9b6d36de9137d4c473cca53b0f590eb399e6f63c33e8',
-        'trig.json': 'e3831517719cf902a7810eb747f20383db4b65c8ff35878e052b080492b23f15',
+        'trig.json': '85c3b4e2dd78d07434d7c84c73f8eff0f8af0ed75cc3c36ddf37190b32b3a6df',
     },
     'run_tie': {
         'chain.json': 'c2f385c5a42159473b76a6a8f78317193687bd8155b698a6abf141946ff225dc',
