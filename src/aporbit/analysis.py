@@ -255,11 +255,10 @@ def check_convergence_condition(
             condition_term(plan.T_prime[j + 1], plan.lcms[j], plan.Ks[j], gamma)
         )
     partial = list(np.cumsum(terms)) if terms else []
-    # A ratio with an infinite term, or of two zero terms, is undefined:
-    # None (JSON null), not NaN or Infinity.
+    # A ratio with an infinite term, or with a zero earlier term, is
+    # undefined: None (JSON null), not NaN or Infinity.
     ratios = [
-        None if math.isinf(a) or math.isinf(b) or a == b == 0
-        else b / a if a != 0 else math.inf
+        None if math.isinf(a) or math.isinf(b) or a == 0 else b / a
         for a, b in zip(terms, terms[1:])
     ]
     below = all(s < budget for s in partial)

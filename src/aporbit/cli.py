@@ -7,9 +7,13 @@ statistics), `validate-map` (range check).  Reports are JSON-first with
 CSV side channels for plotting; `_Out.write_csv` writes every CSV in
 blocks of CSV_BLOCK rows, printing each distinct value of a block once
 and formatting the block with one `%`, so a CSV adds a fixed amount to a
-command's peak memory.  `_Out` refuses an existing artifact without
---force; with it, the old file (or symlink) is unlinked and a new one
-created.
+command's peak memory.  `_Out.write_periodic_csv` writes the trig curve,
+whose 3L+1 rows repeat one period: it prints the L row texts of the
+period once and cycles through them.  `_Out.write_json` builds the whole
+text of `json.dumps(document, indent=2)` before it touches the file, with
+each list of numbers encoded by the C encoder, and writes it at once.
+`_Out` refuses an existing artifact without --force; with it, the old
+file (or symlink) is unlinked and a new one created.
 Exit codes: 0 ok, 2 pipeline failure, 3 configuration error, which
 includes a usage error, a `--y0` whose length is not the map's d, and a
 `--map`, `--spec` or `--out` path that cannot be read or made.
@@ -24,7 +28,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import math
 import os
 import sys
 
@@ -136,33 +142,157 @@ class _Out:
         return open(target, mode)
 
     def write_json(self, name: str, payload: dict, config: dict) -> str:
+        """Write `json.dumps(document, indent=2)` plus a newline, where the
+        document is the schema version, the config and then the payload.
+        The text is built before the file is touched, so a payload that
+        cannot be encoded raises and leaves what was at the path alone."""
         document = {"schema_version": SCHEMA_VERSION, "config": config}
         document.update(payload)
-        with self._create(name) as fh:
-            json.dump(document, fh, indent=2)
-            fh.write("\n")
+        parts = []
+        _json_parts(document, parts, "\n")
+        parts.append("\n")
+        text = "".join(parts)
+        del parts  # at most two copies of the text are alive at once
+        with self._create(name, "xb") as fh:
+            fh.write(text.encode())
         return fh.name
 
     def write_csv(self, name: str, header, start: int, stop: int, block) -> str:
         """Write `header`, then the rows [t, *block(a, b)[t - a]] for
         t = start..stop-1, where block(a, b) returns the rows for t = a..b-1
         as a 2-d float64 or int64 array.  A value prints as the repr of its
-        Python float or int, in csv.writer's format; each distinct value of
-        a block (by bit pattern, so -0.0 and 0.0 stay apart) is printed once,
-        and the block's bytes are one `%` of a flat tuple of its cells."""
+        Python float or int, in csv.writer's format (see `_printed`), and
+        each block's bytes are one `%` of a flat tuple of its cells."""
+        def text(a, b):
+            printed = _printed(block(a, b))
+            n, width = printed.shape
+            cells = np.empty((n, width + 1), dtype=object)
+            cells[:, 0] = range(a, b)
+            cells[:, 1:] = printed
+            del printed  # the cells hold what is printed
+            return (b"%d" + b",%s" * width + b"\r\n") * n % tuple(cells.ravel())
+
+        return self._write_blocks(name, header, start, stop, text)
+
+    def write_periodic_csv(self, name: str, header, start: int, stop: int,
+                           period: np.ndarray) -> str:
+        """Write what `write_csv` writes for the rows [t, *period[(t - start) % L]],
+        t = start..stop-1, of an (L, width) array `period`.  The period's
+        row texts are printed once, in blocks as `write_csv` prints them, and
+        the file's blocks cycle through them: past the L row texts, writing
+        holds one block."""
+        L, width = period.shape
+        rows = []
+        for a in range(0, L, CSV_BLOCK):
+            cells = _printed(period[a : a + CSV_BLOCK])
+            rows += ((b",%s" * width + b"\r\n") * len(cells)
+                     % tuple(cells.ravel())).splitlines(keepends=True)
+
+        def text(a, b):
+            n, offset = b - a, (a - start) % L
+            cells = [None] * (2 * n)
+            cells[0::2] = range(a, b)
+            cells[1::2] = itertools.islice(itertools.cycle(rows), offset, offset + n)
+            return b"%d%s" * n % tuple(cells)
+
+        return self._write_blocks(name, header, start, stop, text)
+
+    def _write_blocks(self, name: str, header, start: int, stop: int, text) -> str:
+        # text(a, b) gives the bytes of rows a..b-1, at most CSV_BLOCK of them
         with self._create(name, "xb") as fh:
             fh.write((",".join(header) + "\r\n").encode())
             for a in range(start, stop, CSV_BLOCK):
-                values = block(a, min(a + CSV_BLOCK, stop))
-                n, width = values.shape
-                keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
-                texts = ",".join(map(repr, keys.view(values.dtype).tolist())).encode()
-                cells = np.empty((n, width + 1), dtype=object)
-                cells[:, 0] = range(a, a + n)
-                cells[:, 1:] = np.array(texts.split(b","), dtype=object)[inverse.reshape(n, width)]
-                del values, keys, inverse, texts  # the cells hold what is printed
-                fh.write((b"%d" + b",%s" * width + b"\r\n") * n % tuple(cells.ravel()))
+                fh.write(text(a, min(a + CSV_BLOCK, stop)))
         return fh.name
+
+
+def _printed(values: np.ndarray) -> np.ndarray:
+    """The CSV bytes of each entry of a float64 or int64 array, as an object
+    array of its shape: the repr of its Python float or int.  Each distinct
+    value (by bit pattern, so -0.0 and 0.0 stay apart) is printed once."""
+    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = ",".join(map(repr, keys.view(values.dtype).tolist())).encode()
+    return np.array(texts.split(b","), dtype=object)[inverse.reshape(values.shape)]
+
+
+# JSON text as `json.dumps(..., indent=2)` writes it.  A list of scalars
+# other than strings, and a list of such non-empty lists (the `a`/`b`
+# arrays of trig.json), is one call of the C encoder (`json.dumps` without
+# indent), whose compact text is then re-indented: no number token holds
+# ", " or "], [".
+_FLAT = frozenset({int, float, bool, type(None)})
+_ROWS = frozenset({list, tuple})
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _scalar(o) -> str | None:
+    """The JSON text of a scalar other than a string, else None."""
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == math.inf:
+            return "Infinity"
+        if o == -math.inf:
+            return "-Infinity"
+        return float.__repr__(o)
+    return None
+
+
+def _json_parts(o, parts: list, newline: str) -> None:
+    """Append the text of `o` to `parts`; `newline` is a line break and the
+    indent of the line that `o` starts on."""
+    if isinstance(o, str):
+        parts.append(_encode_str(o))
+        return
+    text = _scalar(o)
+    if text is not None:
+        parts.append(text)
+        return
+    inner = newline + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            parts.append("[]")
+        elif _FLAT.issuperset(map(type, o)):
+            parts += "[", inner, json.dumps(o)[1:-1].replace(", ", "," + inner), newline, "]"
+        elif (_ROWS.issuperset(map(type, o)) and all(o)
+              and _FLAT.issuperset(map(type, itertools.chain.from_iterable(o)))):
+            deeper = inner + "  "
+            body = (json.dumps(o)[2:-2].replace("], [", inner + "]," + inner + "[" + deeper)
+                    .replace(", ", "," + deeper))
+            parts += "[", inner, "[", deeper, body, inner, "]", newline, "]"
+        else:
+            separator = "[" + inner
+            for item in o:
+                parts.append(separator)
+                _json_parts(item, parts, inner)
+                separator = "," + inner
+            parts += newline, "]"
+    elif isinstance(o, dict):
+        if not o:
+            parts.append("{}")
+            return
+        separator = "{" + inner
+        for key, value in o.items():
+            if not isinstance(key, str):
+                text = _scalar(key)
+                if text is None:
+                    raise TypeError(f"keys must be str, int, float, bool or None, "
+                                    f"not {key.__class__.__name__}")
+                key = text
+            parts += separator, _encode_str(key), ": "
+            _json_parts(value, parts, inner)
+            separator = "," + inner
+        parts += newline, "}"
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
 def _resolved_config(args, keys) -> dict:
@@ -201,9 +331,8 @@ def cmd_run(args) -> int:
     out.write_json("trig.json", form.to_json(), config)
     if args.emit_curve:
         T, L = chain.pre_period, chain.period
-        curve = spectral.eval_trig_range(form, T, T + 3 * L)
-        out.write_csv("trig_curve.csv", ["t"] + [f"v_{i+1}" for i in range(m.d)],
-                      T, T + 3 * L + 1, lambda a, b: curve[a - T : b - T])
+        out.write_periodic_csv("trig_curve.csv", ["t"] + [f"v_{i+1}" for i in range(m.d)],
+                               T, T + 3 * L + 1, spectral.eval_trig_range(form, T, T + L - 1))
     print(f"run: T={chain.pre_period} L={chain.period} N={table.n_states} "
           f"conflicts={len(table.conflicts)} -> {args.out}")
     return EXIT_OK

@@ -246,6 +246,16 @@ def test_growth_ratio_of_two_zero_terms_is_none():
     assert report.to_json()["growth_ratios"] == [None]
 
 
+def test_growth_ratio_over_a_zero_term_is_none():
+    # T' + lcm falls from 1,001,000 to 1001 along this ladder: the earlier
+    # power of gamma underflows to 0 and the later one does not
+    plan = build_ladder_plan([4, 8, 16], [0, 0, 0], [1000, 1001, 1])
+    report = check_convergence_condition(plan, 0.5, 1e6)
+    assert report.terms[0] == 0.0 and report.terms[1] > 0.0
+    assert report.growth_ratios == (None,)
+    assert report.to_json()["growth_ratios"] == [None]
+
+
 def test_condition_empty_ladder():
     plan = build_ladder_plan([4], [0], [1])
     report = check_convergence_condition(plan, 2.0, budget=1.0)

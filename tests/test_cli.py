@@ -11,10 +11,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from aporbit import cli, spectral
 from aporbit.cli import CSV_BLOCK, _Out, main
+from aporbit.spectral import eval_trig_range, fit_trig_samples
 
 
 @pytest.fixture
@@ -440,6 +442,85 @@ def test_write_csv_matches_csv_writer(use_ints, pool, ints, n, width, start, see
             assert fh.read() == expected.read()
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("T", [0, 7, 10**5])
+@pytest.mark.parametrize("L", [1, 2, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1, 1500])
+def test_curve_cycled_from_one_period_is_the_whole_curve(tmp_path, L, T, d):
+    # run --emit-curve writes rows T..T+3L from the row texts of one period
+    form = fit_trig_samples(np.random.default_rng([L, T, d]).standard_normal((L, d)), T, L)
+    header = ["t"] + [f"v_{i+1}" for i in range(d)]
+    written = _Out(str(tmp_path), False, []).write_periodic_csv(
+        "curve.csv", header, T, T + 3 * L + 1, eval_trig_range(form, T, T + L - 1))
+    csv_writer_oracle(tmp_path / "oracle.csv", header, T, eval_trig_range(form, T, T + 3 * L))
+    assert (tmp_path / "curve.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    assert written == str(tmp_path / "curve.csv")
+
+
+# Strings that a re-indenting encoder could take for list separators, or
+# that need escapes.
+TRICKY_STRINGS = [", ", "], [", "[1, 2]", "\x00", "é", "\u2028", "\U0001f600", '"', "\\", ""]
+JSON_FLOATS = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+JSON_INTS = (st.integers(-(2**100), 2**100)
+             | st.sampled_from(INT64_EDGES + [2**63, -(2**63) - 1, 2**64]))
+# what the writer hands to the C encoder in one piece: numbers, bools and None
+JSON_FLAT = JSON_FLOATS | JSON_INTS | st.booleans() | st.none()
+JSON_STRINGS = st.text() | st.sampled_from(TRICKY_STRINGS)
+JSON_KEYS = JSON_STRINGS | JSON_INTS | JSON_FLOATS | st.booleans() | st.none()
+JSON_DOCS = st.recursive(
+    JSON_FLAT | JSON_STRINGS | st.lists(JSON_FLAT) | st.lists(st.lists(JSON_FLAT)),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(JSON_KEYS, inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=JSON_DOCS)
+@example(doc=[[1.0, -0.0], [float("nan"), float("inf"), 5e-324]])  # ragged number rows
+@example(doc=[[1, 2], [], [True, None], [2**70]])  # an empty row: not one C-encoder call
+@example(doc=[[1, [2]], [1, "a, b"], [1.5, "], ["], [{}], [[]]])
+@example(doc={"": [0.1, 0.2], "x": {"y": [[0.5]]}})
+@example(doc={1: 0, 1.5: 1, True: 2, None: 3, float("nan"): 4, -float("inf"): 5})
+def test_write_json_matches_json_dumps(doc):
+    with tempfile.TemporaryDirectory() as directory:
+        written = _Out(directory, False, []).write_json("doc.json", {"doc": doc}, {"K": 4})
+        with open(written, "rb") as fh:
+            text = fh.read()
+    expected = json.dumps({"schema_version": cli.SCHEMA_VERSION, "config": {"K": 4}, "doc": doc},
+                          indent=2)
+    assert text == (expected + "\n").encode()
+
+
+@pytest.mark.parametrize("value", [np.int64(1), object(), [0.5, np.bool_(True)],
+                                   {(1, 2): 0}, [[1.0], [1j]]])
+def test_unencodable_json_is_refused_like_json_dumps(tmp_path, value):
+    with pytest.raises(TypeError) as expected:
+        json.dumps({"x": value}, indent=2)
+    with pytest.raises(TypeError) as refused:
+        _Out(str(tmp_path), False, []).write_json("x.json", {"x": value}, {})
+    assert str(refused.value) == str(expected.value)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("old", [False, True], ids=["no-old-file", "force"])
+def test_unencodable_json_leaves_no_partial_artifact(tmp_path, capsys, monkeypatch, old):
+    # the text is built before the file is touched: an old trig.json stays
+    # whole under --force, and none appears where there was none
+    out = tmp_path / "out"
+    out.mkdir()
+    if old:
+        (out / "trig.json").write_text("old\n")
+    monkeypatch.setattr(spectral.TrigForm, "to_json",
+                        lambda self: {"L": self.period, "a": [0.5, np.int64(1)]})
+    argv = ["run", "--map", '{"kind": "ar", "d": 1, "p": [0.5]}', "--y0=0.8", "--K", "4",
+            "--horizon", "10", "--json-only", "--out", str(out)]
+    with pytest.raises(TypeError):
+        main(argv + (["--force"] if old else []))
+    assert sorted(os.listdir(out)) == ["chain.json"] + (["trig.json"] if old else [])
+    if old:
+        assert (out / "trig.json").read_text() == "old\n"
+
+
 def traced_peak(argv) -> int:
     tracemalloc.start()
     try:
@@ -459,6 +540,32 @@ def test_csv_writing_adds_little_to_the_peak(tmp_path, capsys):
     with_csv = traced_peak(argv + ["--out", str(tmp_path / "c")])
     assert (tmp_path / "c" / "orbit.csv").exists()
     assert with_csv - json_only <= 128 * 1024
+
+
+def test_curve_writing_adds_order_L_to_the_peak(tmp_path, capsys, monkeypatch):
+    # The curve's 3L+1 rows are cycled from the L row texts of one period,
+    # block by block: writing adds those texts and one block to the peak.
+    # Written as one block it added about 520 B a period row here.
+    added = []
+    write = _Out.write_periodic_csv
+
+    def traced_write(self, *args):
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = write(self, *args)
+        added.append(tracemalloc.get_traced_memory()[1] - live)
+        return result
+
+    monkeypatch.setattr(_Out, "write_periodic_csv", traced_write)
+    argv = ["run", "--map", '{"kind": "ar", "d": 2, "p": [1.2, -1.0]}', "--y0=0.6,0.2",
+            "--K", "4096", "--horizon", "6000", "--json-only", "--emit-curve", "--force"]
+    traced_peak(argv + ["--out", str(tmp_path / "warm")])
+    added.clear()
+    traced_peak(argv + ["--out", str(tmp_path / "run")])
+    L = read_json(tmp_path / "run" / "chain.json")["L"]
+    assert L > 4 * CSV_BLOCK
+    assert len(read_csv(tmp_path / "run" / "trig_curve.csv")) == 3 * L + 2
+    assert added[0] <= 128 * L + 128 * 1024
 
 
 @pytest.mark.parametrize("csvs", [False, True], ids=["json-only", "csv"])

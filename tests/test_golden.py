@@ -32,6 +32,7 @@ QUARTER = '{"kind": "ar", "d": 2, "p": [0.0, -1.0]}'
 NEG = '{"kind": "expr", "d": 1, "exprs": ["-x1"]}'
 NEAR_QUARTER = '{"kind": "ar", "d": 2, "p": [0.1, -1.0]}'
 HALF = '{"kind":"ar","d":1,"p":[0.5]}'
+TURN = '{"kind": "ar", "d": 2, "p": [0.3, -1.0]}'
 
 CONFIGS = {
     "run_ar": ["run", "--map", ROT, "--y0=0.6,0.2", "--K", "16", "--horizon", "600"],
@@ -50,6 +51,10 @@ CONFIGS = {
     "run_decay_tie": ["run", "--map", HALF, "--y0=0.3", "--K", "3", "--horizon", "1200"],
     "run_curve": ["run", "--map", ROT, "--y0=-0.5,0.45", "--K", "24", "--horizon", "800",
                   "--emit-curve"],
+    # a rotation whose period L = 699 (T = 436) is longer than one CSV
+    # block, so the curve's blocks start at different rows of the period
+    "run_curve_long": ["run", "--map", TURN, "--y0=0.6,0.2", "--K", "1024",
+                       "--horizon", "2500", "--emit-curve"],
     # longer than one CSV block of the array writer
     "run_long": ["run", "--map", ROT, "--y0=0.6,0.2", "--K", "64", "--horizon", "9000"],
     "verify_analytic": ["verify", "--map", ROT, "--y0=0.6,0.2", "--K", "32",
@@ -127,6 +132,12 @@ GOLDEN = {
         'orbit.csv': '8ca9c5f75a9b18bc362738b0a66c8f5dd95ad803eb0c3cb35b85434afad2eb4c',
         'trig.json': '4c8c7240261bbbd1c927e0e83e0545e20715265a852c596639226ad5ce4f24f5',
         'trig_curve.csv': '7f4f022c161bf902022c86d0666fda0cc989f4bcca4541870249df969ea2c88a',
+    },
+    'run_curve_long': {
+        'chain.json': 'f788cc09ac02ce408cf2a8c0efaa7efd7d2aae332f7e9edbb65682783b9db36f',
+        'orbit.csv': '9378d485df189610d871ff46e9e83277f410f49738ffede3abe109dfa37d3386',
+        'trig.json': '6df382f43c5529727033a88e789c47be81ce12ac2113c63c7d89d0b90039dbb4',
+        'trig_curve.csv': '3d701adacda3cfb8b3a88ef09008434c10e4b9802bfb025f4a31c1dbac1df1d1',
     },
     'run_decay_tie': {
         'chain.json': '4247f6d08b38d3b5b3d71f849fc10d324115c15b3dea86d25c4de51bca9ce1ca',
