@@ -16,22 +16,20 @@ import numpy as np
 
 import aporbit as ap
 
-p = [1.2, -0.85]                      # complex pair 0.6 +- 0.7i, |mu| < 1
-z0 = [0.6, 0.3]
+# one map and one start for both routes
+m = ap.ar_map([1.2, -0.85])           # complex pair 0.6 +- 0.7i, |mu| < 1
+y0 = ap.Point([0.6, 0.3])
 
 # algebraic route
-spec = ap.ARSpec(p=p, initial=z0)
-dec = ap.solve_coefficients(spec)
+dec = ap.solve_coefficients(m, y0)
 ap_part, rest = ap.split(dec)
-print(f"roots: {[(complex(np.round(mu, 6)), m) for mu, m in ap.characteristic_roots(spec).roots]}")
+print(f"roots: {[(complex(np.round(mu, 6)), k) for mu, k in ap.characteristic_roots(m).roots]}")
 print(f"decay radius rho = {dec.decay_radius:.6f}")
 print(f"almost periodic part: frequencies {[round(f, 6) for f in ap_part.frequencies]}"
       if ap_part.frequencies else
       "almost periodic part: empty (all roots decay, orbit vanishes)")
 
 # quantization route on the same orbit
-m = ap.ar_map(p)
-y0 = ap.Point([z0[0], z0[1]])
 ladder = ap.tail_convergence(m, y0, [4, 8, 16, 32], horizon=300)
 print(f"\nladder (T', L) per level: "
       f"{list(zip(ladder.plan.T_prime, ladder.plan.L))}")
@@ -41,7 +39,7 @@ print(f"chain-vs-orbit sups:  {[f'{s:.3e}' for s in ladder.orbit_sups]}")
 # side-by-side tail values: the recursion, its algebraic ap part, and the
 # finest chain, all at late times
 chain = ap.run_pipeline(m, y0, ap.GridSpec(K=32, d=2), 300)[3]
-z = ap.recursion(spec, 320)
+z = ap.recursion(m, y0, 320)
 print("\n  t    z(t)        ap(t)       chain@K=32")
 for t in (280, 290, 300, 310, 320):
     print(f"  {t}  {z[t]: .7f}  {ap_part(t): .7f}  {chain.value_at(t)[0]: .7f}")

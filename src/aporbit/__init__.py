@@ -25,13 +25,11 @@ from .analysis import (
 )
 from .armodel import (
     ARDecomposition,
-    ARSpec,
     AlmostPeriodicSum,
     DecayingRemainder,
     RootSet,
     Term,
     characteristic_roots,
-    char_coefficients,
     classify,
     coefficients_from_roots,
     eval_terms,
@@ -60,7 +58,6 @@ from .maps import (
     builtin_map,
     delay_map,
     estimate_lipschitz,
-    evaluate,
     expression_map,
     load_map,
     map_from_json,
@@ -87,6 +84,6 @@ from .spectral import (
     fit_trig,
     fit_trig_samples,
 )
-from .expressions import parse_expression, to_source
+from .expressions import parse_expression
 
 __version__ = "0.1.0"

@@ -171,7 +171,7 @@ def reselect_T(T_list, L_list) -> list[int]:
     return out
 
 
-def _check_resolutions(Ks) -> None:
+def check_resolutions(Ks) -> None:
     """A ladder's resolutions must all be >= 1 and strictly increasing."""
     if any(k < 1 for k in Ks) or any(b <= a for a, b in zip(Ks, Ks[1:])):
         raise ValueError(f"resolutions must be >= 1 and strictly increasing, got {list(Ks)}")
@@ -188,7 +188,7 @@ class LadderPlan:
     lcms: tuple[int, ...]  # lcm(L_j, L_{j+1}) for consecutive levels
 
     def __post_init__(self):
-        _check_resolutions(self.Ks)
+        check_resolutions(self.Ks)
 
     def to_json(self):
         return {
@@ -337,7 +337,7 @@ def tail_convergence(
     and end below the tolerance.  It is evidence, not a proof.
     """
     Ks = [int(k) for k in K_ladder]
-    _check_resolutions(Ks)
+    check_resolutions(Ks)
     chains = []
     shadow_status = []
     conflicts = []

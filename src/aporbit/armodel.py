@@ -1,5 +1,11 @@
 """Exact decomposition of linear-recurrence orbits.
 
+The algebraic route runs on a map and an initial point y0.  The map must
+be x -> A x with A a companion matrix, as an `ar` map (`maps.ar_map`) is:
+its first coordinate z then runs the recurrence whose coefficients p are
+row 1 of A, read off the map's trees by `expressions.linear_part`, and
+y0 = (z(0), z(-1), ..., z(-d+1)).  `recursion` iterates the map's step.
+
 For z(t) = sum_l p_l z(t-l) the characteristic polynomial
 mu^d - sum_l p_l mu^(d-l) factors over C; with roots mu_j of multiplicity
 m_j the orbit has the closed form
@@ -25,20 +31,19 @@ interpolation matrix of the coefficient solve, and the initial data of
 from __future__ import annotations
 
 import cmath
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CLAMP_BAND, box_overshoot
-from .expressions import BinOp, Num, Var, compile_coords
+from .core import Point
 from .errors import (
     DimensionMismatch,
     IllConditioned,
-    OutOfRange,
     RefusedUnbounded,
     RootFindingFailed,
 )
+from .expressions import linear_part
+from .maps import MapDefinition, ar_map
 
 UNIT_CIRCLE_TOL = 1e-9
 _RESIDUAL_TOL = 1e-12
@@ -49,75 +54,14 @@ _COND_LIMIT = 1e12
 _NEWTON_STEPS = 50
 
 
-@dataclass(frozen=True)
-class ARSpec:
-    """Recurrence coefficients p_1..p_d (finite) and initial data.
-
-    `initial` is ordered (z(0), z(-1), ..., z(-d+1)).  Initial data must
-    lie in [-1,1]; later iterates may leave the box (this module's algebra
-    does not need it, unlike the quantization pipeline).
-    """
-
-    p: tuple[float, ...]
-    initial: tuple[float, ...]
-
-    def __init__(self, p, initial):
-        p = _finite_coefficients(p)
-        initial = tuple(_number(v, f"initial value z({-i})") for i, v in enumerate(initial))
-        if not p:
-            raise DimensionMismatch("need at least one coefficient")
-        if len(initial) != len(p):
-            raise DimensionMismatch(
-                f"{len(initial)} initial values for order {len(p)}"
-            )
-        if box_overshoot(initial) > CLAMP_BAND:
-            raise OutOfRange(f"initial values {list(initial)} outside [-1,1]")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "initial", initial)
-
-    @property
-    def d(self) -> int:
-        return len(self.p)
-
-    def to_json(self):
-        return {"p": list(self.p), "z0": list(self.initial)}
-
-
-def _number(v, name: str) -> float:
-    """v as a float; a boolean is refused, though float(True) is 1.0."""
-    if isinstance(v, bool):
-        raise ValueError(f"{name} = {v!r} is a boolean, not a number")
-    return float(v)
-
-
-def _finite_coefficients(p) -> tuple[float, ...]:
-    """The coefficients as floats; a boolean, NaN or infinite one is refused."""
-    p = tuple(_number(v, f"recurrence coefficient p_{l}") for l, v in enumerate(p, start=1))
-    for l, v in enumerate(p, start=1):
-        if not math.isfinite(v):
-            raise ValueError(f"recurrence coefficient p_{l} = {v!r} is not finite")
-    return p
-
-
-def recurrence_trees(p) -> list:
-    """The step (z(t), ..., z(t-d+1)) -> (z(t+1), ..., z(t-d+2)) as d
-    expression trees: 0.0 + p_1 x1 + ... + p_d xd, summed in order of l
-    from +0.0, then x1..x(d-1) shifted down.  The `ar` map compiles them,
-    and `recursion` iterates their compiled step."""
-    p = _finite_coefficients(p)
-    if not p:
-        raise DimensionMismatch("need at least one coefficient")
-    update = Num(0.0)
-    for l, p_l in enumerate(p, start=1):
-        update = BinOp("+", update, BinOp("*", Num(p_l), Var(l)))
-    return [update] + [Var(i) for i in range(1, len(p))]
-
-
-def recursion(spec: ARSpec, horizon: int) -> np.ndarray:
-    """z(0)..z(horizon) by iterating the recurrence step from the initial data."""
+def recursion(m: MapDefinition, y0: Point, horizon: int) -> np.ndarray:
+    """The first coordinate of y(0)..y(horizon), iterating the map's step
+    from y0.  Nothing polices the box: a bounded recurrence may leave it."""
+    if y0.d != m.d:
+        raise DimensionMismatch(f"y0 dimension {y0.d} != map dimension {m.d}")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    step, state = compile_coords(recurrence_trees(spec.p)), spec.initial
+    step, state = m.step, y0.coords
     out = np.empty(horizon + 1)
     out[0] = state[0]
     for t in range(1, horizon + 1):
@@ -126,9 +70,24 @@ def recursion(spec: ARSpec, horizon: int) -> np.ndarray:
     return out
 
 
-def char_coefficients(spec: ARSpec) -> np.ndarray:
-    """Monic characteristic coefficients [1, -p_1, ..., -p_d], highest first."""
-    return np.concatenate([[1.0], -np.asarray(spec.p, dtype=float)])
+def _char_coefficients(m: MapDefinition) -> np.ndarray:
+    """Monic characteristic coefficients [1, -p_1, ..., -p_d], highest
+    first, of the recurrence that the map runs.
+
+    p is row 1 of the map's matrix (`expressions.linear_part`).  The map
+    must be x -> A x with A a companion matrix, whose rows 2..d are the
+    shift x1..x(d-1); any other map raises ValueError.
+    """
+    affine = linear_part(m.trees)
+    if affine is None:
+        raise ValueError("the algebraic route needs an affine map")
+    A, b = affine
+    if b.any():
+        raise ValueError(f"the algebraic route needs a map without offset, got b = {b.tolist()}")
+    if not np.array_equal(A[1:], np.eye(m.d - 1, m.d)):
+        raise ValueError("the algebraic route needs a companion matrix, "
+                         "whose rows 2..d are the shift x1..x(d-1)")
+    return np.concatenate([[1.0], -A[0]])
 
 
 def _polyval(coeffs: np.ndarray, z):
@@ -312,13 +271,21 @@ class RootSet:
         }
 
 
-def characteristic_roots(spec: ARSpec) -> RootSet:
-    """All complex roots of the characteristic polynomial, with multiplicities.
+def characteristic_roots(m: MapDefinition) -> RootSet:
+    """All complex roots of the characteristic polynomial of the map's
+    recurrence, with multiplicities; a map that runs no recurrence
+    raises ValueError (see `_char_coefficients`)."""
+    return _polynomial_roots(_char_coefficients(m))
+
+
+def _polynomial_roots(full: np.ndarray) -> RootSet:
+    """All complex roots of the real monic polynomial whose coefficients,
+    highest first, are `full`, with multiplicities.
 
     Trailing zero coefficients are factored out exactly as roots at zero;
     conjugate symmetry is enforced bitwise on the rest.
     """
-    coeffs = char_coefficients(spec)
+    coeffs = full
     zero_mult = 0
     while len(coeffs) > 1 and coeffs[-1] == 0.0:
         coeffs = coeffs[:-1]
@@ -329,7 +296,7 @@ def characteristic_roots(spec: ARSpec) -> RootSet:
     clustered = [(complex(mu), m) for mu, m in clustered]
     if zero_mult:
         clustered = [(0.0 + 0.0j, zero_mult)] + clustered
-    full = char_coefficients(spec).astype(complex)
+    full = full.astype(complex)
     residual = 0.0
     for mu, _ in clustered:
         residual = max(residual, abs(complex(_polyval(full, mu))))
@@ -453,24 +420,26 @@ def _build_terms(roots: RootSet) -> list[Term]:
     return terms
 
 
-def solve_coefficients(spec: ARSpec, roots: RootSet | None = None) -> ARDecomposition:
-    """Fix the closed-form coefficients from the first d recurrence values.
+def solve_coefficients(m: MapDefinition, y0: Point,
+                       roots: RootSet | None = None) -> ARDecomposition:
+    """Fix the closed-form coefficients from the first d recurrence values,
+    z(0..d-1) of `recursion(m, y0, d - 1)`.
 
     Builds the confluent interpolation system over the basis functions
     t^k mu^t (Kronecker deltas for zero roots) at t = 0..d-1 and solves it
     with LU (partial pivoting) plus one refinement step.  Refuses unbounded
-    specs and systems with condition estimate above 1e12.
+    recurrences and systems with condition estimate above 1e12.
     """
     if roots is None:
-        roots = characteristic_roots(spec)
+        roots = characteristic_roots(m)
     if classify(roots) != "bounded":
         raise RefusedUnbounded(
             "decomposition refused: a root grows (|mu|>1, or repeated on "
             "the unit circle)"
         )
-    d = spec.d
+    d = m.d
     terms = _build_terms(roots)
-    z_head = recursion(spec, d - 1)
+    z_head = recursion(m, y0, d - 1)
     _, mu, power, kind = _term_arrays(terms)
     A = eval_terms(np.eye(len(terms)), mu, power, kind, np.arange(d))
     condition = float(np.linalg.cond(A))
@@ -550,13 +519,20 @@ def split(dec: ARDecomposition) -> tuple[AlmostPeriodicSum, DecayingRemainder]:
     return ap, rest
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecompositionReport:
+    """The fidelity of a decomposition, with the three curves it was
+    read from: the recursion z, the almost periodic part ap and the
+    remainder R, each at t = 0..horizon."""
+
     closed_form_max_error: float
     decay_radius: float
     remainder_at_zero: float
     convergence_ok: bool
     horizon: int
+    z: np.ndarray = field(repr=False)
+    ap: np.ndarray = field(repr=False)
+    R: np.ndarray = field(repr=False)
 
     def to_json(self):
         return {
@@ -569,28 +545,32 @@ class DecompositionReport:
 
 
 def verify_decomposition(
-    spec: ARSpec, dec: ARDecomposition, horizon: int = 200
+    m: MapDefinition, y0: Point, dec: ARDecomposition, horizon: int = 200
 ) -> DecompositionReport:
-    """Compare the recursion with the closed form and with ap + remainder.
+    """Compare the recursion from y0 with the closed form and with ap + remainder.
 
     Closed-form fidelity: max |z_rec(t) - z_closed(t)| for t <= horizon.
     Convergence fidelity: |z(t) - ap(t)| <= C rho^t for t >= d, with
-    rho the largest decay modulus and C fitted at t = 0.
+    rho the largest decay modulus and C = |R(0)|.
     """
     ts = np.arange(horizon + 1)
-    z = recursion(spec, horizon)
+    z = recursion(m, y0, horizon)
     closed_err = float(np.max(np.abs(z - dec.evaluate(ts))))
     ap, rest = split(dec)
+    ap_t, rest_t = ap(ts), rest(ts)
     rho = dec.decay_radius
     C = float(abs(rest(0)))
-    late = ts[spec.d:]
-    ok = bool(np.all(np.abs(z[spec.d:] - ap(late)) <= C * rho ** late + 1e-9))
+    late = ts[m.d:]
+    ok = bool(np.all(np.abs(z[m.d:] - ap_t[m.d:]) <= C * rho ** late + 1e-9))
     return DecompositionReport(
         closed_form_max_error=closed_err,
         decay_radius=rho,
         remainder_at_zero=C,
         convergence_ok=ok,
         horizon=horizon,
+        z=z,
+        ap=ap_t,
+        R=rest_t,
     )
 
 
@@ -609,12 +589,13 @@ def coefficients_from_roots(roots) -> tuple[float, ...]:
     return tuple(float(-c) for c in poly.real[1:])
 
 
-def spec_from_roots(roots, coefficients) -> ARSpec:
-    """Build an ARSpec realizing z(t) = sum a_j t^k mu_j^t exactly.
+def spec_from_roots(roots, coefficients) -> tuple[MapDefinition, Point]:
+    """The `ar` map and the initial point whose recursion is
+    z(t) = sum a_j t^k mu_j^t exactly.
 
     `roots` pairs (mu, multiplicity); `coefficients` lists a_j in the same
-    (root, power) order as the expansion.  Initial data is evaluated from
-    the closed form at t = 0, -1, ..., -d+1 and, if it leaves [-1,1], the
+    (root, power) order as the expansion.  The initial point is the
+    closed form at t = 0, -1, ..., -d+1 and, if it leaves [-1,1], the
     coefficients are rescaled so that it fits.
     """
     mu = np.array([complex(mu) for mu, m in roots for _ in range(m)])
@@ -629,4 +610,4 @@ def spec_from_roots(roots, coefficients) -> ARSpec:
     if peak > 1.0:
         factor = 1.0 / (peak * (1.0 + 1e-9))
         init = [v * factor for v in init]
-    return ARSpec(p=p, initial=init)
+    return ar_map(p), Point(init)

@@ -9,14 +9,17 @@ blocks of CSV_BLOCK rows, printing each distinct value of a block once
 and formatting the block with one `%`, so a CSV adds a fixed amount to a
 command's peak memory.  `_Out.write_periodic_csv` writes the trig curve,
 whose 3L+1 rows repeat one period: it prints the L row texts of the
-period once and cycles through them.  `_Out.write_json` builds the whole
-text of `json.dumps(document, indent=2)` before it touches the file, with
-each list of numbers encoded by the C encoder, and writes it at once.
+period once and cycles through them.  `_Out.write_json` builds every part
+of the text of `json.dumps(document, indent=2)` before it touches the
+file, with each list of numbers encoded by the C encoder a block at a
+time, and then writes the parts, so the text is never joined into one
+more copy.
 `_Out` refuses an existing artifact without --force; with it, the old
 file (or symlink) is unlinked and a new one created.
 Exit codes: 0 ok, 2 pipeline failure, 3 configuration error, which
-includes a usage error, a `--y0` whose length is not the map's d, and a
-`--map`, `--spec` or `--out` path that cannot be read or made.
+includes a usage error, a `--y0` whose length is not the map's d, a
+`--spec` whose z0 length is not that of its p, and a `--map`, `--spec`
+or `--out` path that cannot be read or made.
 
 `build_parser` builds the argument parser once per process and returns
 that same parser on every later call.  `main` parses each call into a
@@ -38,7 +41,7 @@ import numpy as np
 
 from . import analysis, armodel, maps, orbit, spectral
 from .core import GridSpec, Point
-from .errors import AporbitError
+from .errors import AporbitError, DimensionMismatch
 
 SCHEMA_VERSION = 1
 
@@ -98,15 +101,21 @@ def _initial_point(args, m: maps.MapDefinition) -> Point:
     return Point(coords)
 
 
-def _load_ar_spec(path: str) -> armodel.ARSpec:
+def _load_ar_spec(path: str) -> tuple[maps.MapDefinition, Point]:
+    # {"p": [...], "z0": [...]}: the map ar_map(p) and the point z0; a z0
+    # outside the box (NaN included) is a pipeline error, as a --y0 is
     if not os.path.exists(path):
         raise ConfigError(f"spec file not found: {path}")
     try:
         with open(path) as fh:
             data = json.load(fh)
-        return armodel.ARSpec(p=data["p"], initial=data["z0"])
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+        m = maps.ar_map(data["p"])
+        z0 = [maps._number(v, f"initial value z({-i})") for i, v in enumerate(data["z0"])]
+        if len(z0) != m.d:
+            raise ValueError(f"{len(z0)} initial values for order {m.d}")
+    except (OSError, ValueError, KeyError, TypeError, DimensionMismatch) as exc:
         raise ConfigError(f"bad spec file {path}: {exc}") from exc
+    return m, Point(z0)
 
 
 class _Out:
@@ -144,17 +153,16 @@ class _Out:
     def write_json(self, name: str, payload: dict, config: dict) -> str:
         """Write `json.dumps(document, indent=2)` plus a newline, where the
         document is the schema version, the config and then the payload.
-        The text is built before the file is touched, so a payload that
-        cannot be encoded raises and leaves what was at the path alone."""
+        Every part of the text is built before the file is touched, so a
+        payload that cannot be encoded raises and leaves what was at the
+        path alone; the parts are then written one by one, never joined."""
         document = {"schema_version": SCHEMA_VERSION, "config": config}
         document.update(payload)
         parts = []
         _json_parts(document, parts, "\n")
         parts.append("\n")
-        text = "".join(parts)
-        del parts  # at most two copies of the text are alive at once
         with self._create(name, "xb") as fh:
-            fh.write(text.encode())
+            fh.writelines(map(str.encode, parts))  # the text is ASCII
         return fh.name
 
     def write_csv(self, name: str, header, start: int, stop: int, block) -> str:
@@ -217,9 +225,12 @@ def _printed(values: np.ndarray) -> np.ndarray:
 
 # JSON text as `json.dumps(..., indent=2)` writes it.  A list of scalars
 # other than strings, and a list of such non-empty lists (the `a`/`b`
-# arrays of trig.json), is one call of the C encoder (`json.dumps` without
-# indent), whose compact text is then re-indented: no number token holds
-# ", " or "], [".
+# arrays of trig.json), goes through the C encoder (`json.dumps` without
+# indent) JSON_BLOCK items at a time, and each block's compact text is then
+# re-indented: no number token holds ", " or "], [".  The encoder holds a
+# string for every token until it joins them, so whole arrays in one call
+# once more than doubled the peak of writing trig.json.
+JSON_BLOCK = 256
 _FLAT = frozenset({int, float, bool, type(None)})
 _ROWS = frozenset({list, tuple})
 _encode_str = json.encoder.encode_basestring_ascii
@@ -246,6 +257,20 @@ def _scalar(o) -> str | None:
     return None
 
 
+def _encoded(o, strip: int, replacements, separator: str, parts: list) -> None:
+    """Append the text of `json.dumps(o)[strip:-strip]` with each (old, new)
+    of `replacements` made, as one part per JSON_BLOCK items of o; between
+    two blocks goes `separator`, the text that replaces the one between
+    two items."""
+    for a in range(0, len(o), JSON_BLOCK):
+        text = json.dumps(o[a:a + JSON_BLOCK])[strip:-strip]
+        for old, new in replacements:
+            text = text.replace(old, new)
+        if a:
+            parts.append(separator)
+        parts.append(text)
+
+
 def _json_parts(o, parts: list, newline: str) -> None:
     """Append the text of `o` to `parts`; `newline` is a line break and the
     indent of the line that `o` starts on."""
@@ -261,13 +286,16 @@ def _json_parts(o, parts: list, newline: str) -> None:
         if not o:
             parts.append("[]")
         elif _FLAT.issuperset(map(type, o)):
-            parts += "[", inner, json.dumps(o)[1:-1].replace(", ", "," + inner), newline, "]"
+            parts += "[", inner
+            _encoded(o, 1, [(", ", "," + inner)], "," + inner, parts)
+            parts += newline, "]"
         elif (_ROWS.issuperset(map(type, o)) and all(o)
               and _FLAT.issuperset(map(type, itertools.chain.from_iterable(o)))):
             deeper = inner + "  "
-            body = (json.dumps(o)[2:-2].replace("], [", inner + "]," + inner + "[" + deeper)
-                    .replace(", ", "," + deeper))
-            parts += "[", inner, "[", deeper, body, inner, "]", newline, "]"
+            row_separator = inner + "]," + inner + "[" + deeper
+            parts += "[", inner, "[", deeper
+            _encoded(o, 2, [("], [", row_separator), (", ", "," + deeper)], row_separator, parts)
+            parts += inner, "]", newline, "]"
         else:
             separator = "[" + inner
             for item in o:
@@ -365,8 +393,7 @@ def cmd_ladder(args) -> int:
     Ks = _parse_int_list(args.Ks)
     if len(Ks) < 2:
         raise ConfigError("need at least two resolutions in --Ks")
-    if Ks[0] < 1 or any(b <= a for a, b in zip(Ks, Ks[1:])):
-        raise ConfigError(f"--Ks must be >= 1 and strictly increasing, got {args.Ks}")
+    analysis.check_resolutions(Ks)
     for option, value in (("--budget", args.budget), ("--tolerance", args.tolerance)):
         if not value >= 0.0:  # negative or NaN
             raise ConfigError(f"{option} must be >= 0, got {value!r}")
@@ -392,27 +419,24 @@ def cmd_ladder(args) -> int:
 
 
 def cmd_ar(args) -> int:
-    spec = _load_ar_spec(args.spec)
+    m, y0 = _load_ar_spec(args.spec)
     out = _Out(args.out, args.force,
                ["ar.json"] + ([] if args.json_only else ["ar_curve.csv"]))
     config = _resolved_config(args, ("spec", "horizon", "out"))
-    roots = armodel.characteristic_roots(spec)
+    roots = armodel.characteristic_roots(m)
     verdict = armodel.classify(roots)
     payload = {"roots": roots.to_json(), "classification": verdict}
     if verdict == "bounded":
-        dec = armodel.solve_coefficients(spec, roots)
-        report = armodel.verify_decomposition(spec, dec, args.horizon)
+        dec = armodel.solve_coefficients(m, y0, roots)
+        report = armodel.verify_decomposition(m, y0, dec, args.horizon)
         payload["decomposition"] = dec.to_json()
         payload["report"] = report.to_json()
         if not args.json_only:
-            ap_part, rest = armodel.split(dec)
-            ts = np.arange(args.horizon + 1)
-            curve = np.column_stack(
-                [armodel.recursion(spec, args.horizon), ap_part(ts), rest(ts)])
+            curve = np.column_stack([report.z, report.ap, report.R])
             out.write_csv("ar_curve.csv", ["t", "z", "ap", "R"], 0, args.horizon + 1,
                           lambda a, b: curve[a:b])
     out.write_json("ar.json", payload, config)
-    print(f"ar: d={spec.d} {verdict} roots="
+    print(f"ar: d={m.d} {verdict} roots="
           + " ".join(f"{mu:.6g}(x{m})" for mu, m in roots.roots))
     return EXIT_OK
 

@@ -10,7 +10,8 @@ Every map is a tuple of such trees, one per output coordinate, and
 one source generator turns them into Python: `compile_coords` gives the
 per-point step, `compile_orbit_loop` the loop that iterates it over a
 whole orbit.  Both do each tree's float operations in the tree's order.
-`linear_part` reads the matrix of a map whose trees are affine.
+`linear_part` reads the matrix and the offset of a map whose trees are
+affine.
 """
 
 from __future__ import annotations
@@ -51,12 +52,6 @@ FUNCTIONS = {
 
 _DIV_FLOOR = 1e-300
 _DOUBLE_MAX = int(sys.float_info.max)
-
-# Precedence levels used by both the parser shape and the printer.
-_PREC_ADD = 1
-_PREC_MUL = 2
-_PREC_NEG = 3
-_PREC_ATOM = 4
 
 
 @dataclass(frozen=True)
@@ -211,45 +206,15 @@ def parse_expression(source: str, d: int) -> object:
     return node
 
 
-def _prec(node) -> int:
-    if isinstance(node, BinOp):
-        return _PREC_ADD if node.op in "+-" else _PREC_MUL
-    if isinstance(node, Neg):
-        return _PREC_NEG
-    return _PREC_ATOM
-
-
-def to_source(node) -> str:
-    """Print an AST so that re-parsing yields the identical tree."""
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return f"x{node.index}"
-    if isinstance(node, Neg):
-        inner = to_source(node.arg)
-        if _prec(node.arg) < _PREC_NEG:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, BinOp):
-        lhs = to_source(node.left)
-        if _prec(node.left) < _prec(node):
-            lhs = f"({lhs})"
-        rhs = to_source(node.right)
-        if _prec(node.right) <= _prec(node):
-            rhs = f"({rhs})"
-        return f"{lhs} {node.op} {rhs}"
-    if isinstance(node, Call):
-        return f"{node.func}({', '.join(to_source(a) for a in node.args)})"
-    raise TypeError(f"not an AST node: {node!r}")
-
-
 def linear_part(trees):
-    """The d x d matrix A of the map x -> A x + b whose output trees are
-    `trees`, or None when a tree is not affine.
+    """The d x d matrix A and the offset vector b of the map x -> A x + b
+    whose output trees are `trees`, as the pair (A, b), or None when a
+    tree is not affine.
 
     Each tree is folded exactly in Fractions from `Num`, `Var`, `Neg`,
     `+`, `-`, `*` with a constant side and `/` by a constant of magnitude
-    at least _DIV_FLOOR, and each entry is rounded to a float once.  Any
+    at least _DIV_FLOOR, and each entry is rounded to a float once, so a
+    -0.0 literal reads as +0.0.  Any
     other node gives None: a call, a product of two sides that name a
     variable, or a divisor that names one.  So do a non-finite literal
     and a coefficient or constant of any node beyond the double range,
@@ -257,13 +222,15 @@ def linear_part(trees):
     """
     d = len(trees)
     A = np.zeros((d, d))
+    b = np.zeros(d)
     for i, tree in enumerate(trees):
         folded = _affine_fold(tree)
         if folded is None:
             return None
         for j, a in folded[0].items():
             A[i, j - 1] = float(a)
-    return A
+        b[i] = float(folded[1])
+    return A, b
 
 
 def _affine_fold(tree):

@@ -3,9 +3,11 @@
 A map is its output trees, one per coordinate, in the small language of
 `expressions`, and nothing else.  The map kinds survive only as input
 forms that build trees: an `ar` map is the recurrence step of
-`armodel.recurrence_trees`, a `delay` map is an update tree followed by
-the shift, an `expr` map its parsed trees, and a builtin map the
-coordinate expressions in BUILTIN_MAPS.  A map definition compiles its
+`recurrence_trees`, a `delay` map is an update tree followed by the
+shift, an `expr` map its parsed trees, and a builtin map the coordinate
+expressions in BUILTIN_MAPS.  The `ar` input form, with the checks on
+its coefficients, lives here, so that `armodel` runs the algebraic
+route on the map it builds.  A map definition compiles its
 trees once into a per-point `step` and an orbit `loop`, and is expected
 to send the box into itself; `validate_range` probes that claim.
 `estimate_lipschitz` gives the stretching ratio used by the error-bound
@@ -24,9 +26,9 @@ from typing import Callable
 import numpy as np
 
 from . import expressions
-from .armodel import recurrence_trees
-from .core import CLAMP_BAND, Point, box_overshoot
+from .core import CLAMP_BAND, box_overshoot
 from .errors import AporbitError, DimensionMismatch, RangeViolation
+from .expressions import BinOp, Num, Var
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -76,6 +78,36 @@ class MapDefinition:
         return (MapDefinition, (self.trees,))
 
 
+def _number(v, name: str) -> float:
+    """v as a float; a boolean is refused, though float(True) is 1.0."""
+    if isinstance(v, bool):
+        raise ValueError(f"{name} = {v!r} is a boolean, not a number")
+    return float(v)
+
+
+def _finite_coefficients(p) -> tuple[float, ...]:
+    """The coefficients as floats; a boolean, NaN or infinite one is refused."""
+    p = tuple(_number(v, f"recurrence coefficient p_{l}") for l, v in enumerate(p, start=1))
+    for l, v in enumerate(p, start=1):
+        if not math.isfinite(v):
+            raise ValueError(f"recurrence coefficient p_{l} = {v!r} is not finite")
+    return p
+
+
+def recurrence_trees(p) -> list:
+    """The step (z(t), ..., z(t-d+1)) -> (z(t+1), ..., z(t-d+2)) of
+    z(t+1) = p_1 z(t) + ... + p_d z(t-d+1) as d expression trees:
+    0.0 + p_1 x1 + ... + p_d xd, summed in order of l from +0.0, then
+    x1..x(d-1) shifted down."""
+    p = _finite_coefficients(p)
+    if not p:
+        raise DimensionMismatch("need at least one coefficient")
+    update = Num(0.0)
+    for l, p_l in enumerate(p, start=1):
+        update = BinOp("+", update, BinOp("*", Num(p_l), Var(l)))
+    return [update] + [Var(i) for i in range(1, len(p))]
+
+
 def ar_map(p) -> MapDefinition:
     return MapDefinition(tuple(recurrence_trees(p)))
 
@@ -96,19 +128,6 @@ def builtin_map(name: str, d: int) -> MapDefinition:
     if name not in BUILTIN_MAPS:
         raise ValueError(f"unknown builtin map {name!r}")
     return expression_map(BUILTIN_MAPS[name].format(i=i) for i in range(1, d + 1))
-
-
-def evaluate(m: MapDefinition, p: Point) -> Point:
-    """Apply the map; raises RangeViolation if the image leaves the box."""
-    if p.d != m.d:
-        raise DimensionMismatch(f"point dimension {p.d} != map dimension {m.d}")
-    out = m.step(p.coords)
-    overshoot = box_overshoot(out)
-    if overshoot > CLAMP_BAND:
-        raise RangeViolation(
-            f"map output {out} leaves [-1,1]^{m.d} by {overshoot:.3e}"
-        )
-    return Point(out)
 
 
 def _probe_points(d: int, samples: int, seed: int) -> np.ndarray:
@@ -212,9 +231,9 @@ def estimate_lipschitz(m: MapDefinition, samples: int = 4096, seed: int = 0) -> 
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    A = expressions.linear_part(m.trees)
-    if A is not None:
-        return LipschitzEstimate(gamma=float(np.linalg.norm(A, 2)), method="analytic")
+    affine = expressions.linear_part(m.trees)
+    if affine is not None:
+        return LipschitzEstimate(gamma=float(np.linalg.norm(affine[0], 2)), method="analytic")
 
     rng = np.random.default_rng(seed)
     gamma = 0.0

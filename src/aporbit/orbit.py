@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .armodel import ARSpec, coefficients_from_roots, recursion
+from .armodel import coefficients_from_roots, recursion
 from .core import (CLAMP_BAND, GridSpec, GridState, GridStates, OrbitSeries, Point,
                    _quantize_rows, box_overshoot)
 from .errors import DanglingState, DimensionMismatch, NotPeriodic, RangeViolation
@@ -364,7 +364,7 @@ def _census_random_ar(d: int, K: int, rng, horizon: int) -> tuple[int, int] | No
     # The recurrence is linear, so rescaling the initial data rescales the
     # whole trajectory; halve against the observed max to keep the orbit
     # safely inside the box.
-    z = recursion(ARSpec(p, z0), horizon)
+    z = recursion(m, Point(z0), horizon)
     peak = max(float(np.max(np.abs(z0))), float(np.max(np.abs(z))))
     if peak > 1.0:
         z0 = z0 / (2.0 * peak)

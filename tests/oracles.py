@@ -1,8 +1,11 @@
 """Computations kept for the tests only.
 
 `detect_cycle`, `parseval_gap` and `quantization_error` check library
-results and have no caller in the library, and `companion_matrix` is the
-matrix of an `ar` map that the library reads off its trees.  The old builtin and `ar`
+results and have no caller in the library, and `companion_matrix` and
+`char_coefficients` are the matrix and the characteristic polynomial of
+an `ar` map that the library reads off its trees.  `ar_recursion` is
+the recursion from the coefficients that the algebraic route replaced
+with the map's own step.  The old builtin and `ar`
 step functions and the per-step orbit loop are the forms that the
 compiled expression trees replaced, the per-pair Lipschitz sampler and
 scalar Halton probes are the forms that the blocked array passes of
@@ -106,6 +109,25 @@ def ar_step(p):
         return (new0,) + tuple(coords[:shift])
 
     return step
+
+
+def ar_recursion(p, z0, horizon: int) -> np.ndarray:
+    """z(0)..z(horizon) of the recurrence with coefficients p from
+    z0 = (z(0), z(-1), ..., z(-d+1)), stepped by `ar_step`: the
+    recursion that took the coefficients and the initial values apart."""
+    step, state = ar_step(p), tuple(float(v) for v in z0)
+    out = np.empty(horizon + 1)
+    out[0] = state[0]
+    for t in range(1, horizon + 1):
+        state = step(state)
+        out[t] = state[0]
+    return out
+
+
+def char_coefficients(p) -> np.ndarray:
+    """Monic characteristic coefficients [1, -p_1, ..., -p_d], highest
+    first, of the recurrence with coefficients p."""
+    return np.concatenate([[1.0], -np.asarray(p, dtype=float)])
 
 
 def companion_matrix(p) -> np.ndarray:

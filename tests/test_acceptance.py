@@ -11,7 +11,6 @@ import time
 import numpy as np
 
 from aporbit import (
-    ARSpec,
     GridSpec,
     GridState,
     GridStates,
@@ -370,12 +369,10 @@ def test_criterion_6_closed_form_corpus():
     for d in (1, 2, 3, 4):
         for _ in range(50):
             roots = draw_disk_roots(rng, d)
-            spec = ARSpec(
-                p=coefficients_from_roots(roots),
-                initial=rng.uniform(-1, 1, d),
-            )
-            dec = solve_coefficients(spec)
-            z = recursion(spec, 100)
+            m = ar_map(coefficients_from_roots(roots))
+            y0 = Point(rng.uniform(-1, 1, d))
+            dec = solve_coefficients(m, y0)
+            z = recursion(m, y0, 100)
             closed = np.array([dec.evaluate(t) for t in range(101)])
             worst = max(worst, float(np.max(np.abs(z - closed))))
             count += 1
@@ -415,11 +412,11 @@ def test_criterion_7_ap_convergence():
                     break
             if sum(m for _, m in roots) == d:
                 break
-        spec = spec_from_roots(roots, draw_symmetric_coeffs(rng, roots))
-        dec = solve_coefficients(spec)
+        m, y0 = spec_from_roots(roots, draw_symmetric_coeffs(rng, roots))
+        dec = solve_coefficients(m, y0)
         assert dec.decay_radius <= 0.9 + 1e-12
         ap_part, _ = split(dec)
-        z = recursion(spec, 200)
+        z = recursion(m, y0, 200)
         worst_mixed = max(worst_mixed, abs(z[200] - ap_part(200)))
     assert worst_mixed <= 1e-6
     # (b) pure unit-circle specs: sup over t <= 200 below 1e-9
@@ -434,11 +431,11 @@ def test_criterion_7_ap_convergence():
                 thetas.append(theta)
                 mu = cmath.exp(1j * theta)
                 roots += [(mu, 1), (mu.conjugate(), 1)]
-        spec = spec_from_roots(roots, draw_symmetric_coeffs(rng, roots, 0.1, 0.4))
-        dec = solve_coefficients(spec)
+        m, y0 = spec_from_roots(roots, draw_symmetric_coeffs(rng, roots, 0.1, 0.4))
+        dec = solve_coefficients(m, y0)
         assert dec.decay_radius == 0.0
         ap_part, _ = split(dec)
-        z = recursion(spec, 200)
+        z = recursion(m, y0, 200)
         worst_unit = max(
             worst_unit, max(abs(z[t] - ap_part(t)) for t in range(201))
         )
@@ -453,16 +450,13 @@ def test_criterion_7_ap_convergence():
 # 8. classification vs observed boundedness
 # --------------------------------------------------------------------------
 
-def observe_bounded(spec, threshold=10.0, tmax=10_000):
-    hist = list(spec.initial)
-    if abs(hist[0]) > threshold:
+def observe_bounded(m, y0, threshold=10.0, tmax=10_000):
+    state = y0.coords
+    if abs(state[0]) > threshold:
         return False
     for _ in range(tmax):
-        z = 0.0
-        for l in range(spec.d):
-            z += spec.p[l] * hist[l]
-        hist = [z] + hist[:-1]
-        if abs(z) > threshold:
+        state = m.step(state)
+        if abs(state[0]) > threshold:
             return False
     return True
 
@@ -482,8 +476,8 @@ def test_criterion_8_classification():
                 roots += [(mu, 1), (mu.conjugate(), 1)]
             else:
                 roots.append((complex(rng.uniform(-0.85, 0.85)), 1))
-        spec = spec_from_roots(roots, draw_symmetric_coeffs(rng, roots, 0.05, 0.25))
-        cases.append((spec, True))
+        cases.append((spec_from_roots(roots, draw_symmetric_coeffs(rng, roots, 0.05, 0.25)),
+                      True))
     for _ in range(12):  # unbounded draws: a root at modulus >= 1.01
         d = int(rng.integers(1, 5))
         grow = complex(rng.uniform(1.01, 1.3) * (1 if rng.random() < 0.5 else -1))
@@ -498,11 +492,11 @@ def test_criterion_8_classification():
         ]
         cases.append((spec_from_roots(roots, coeffs), False))
     # the double-unit-root case with nonzero linear coefficient
-    cases.append((ARSpec(p=[2.0, -1.0], initial=[1.0, 0.0]), False))
-    for spec, expect_bounded in cases:
-        verdict = classify(characteristic_roots(spec))
-        observed = observe_bounded(spec)
-        assert (verdict == "bounded") == observed == expect_bounded, spec.p
+    cases.append(((ar_map([2.0, -1.0]), Point([1.0, 0.0])), False))
+    for (m, y0), expect_bounded in cases:
+        verdict = classify(characteristic_roots(m))
+        observed = observe_bounded(m, y0)
+        assert (verdict == "bounded") == observed == expect_bounded, m.trees[0]
     report("criterion 8 (classification)",
            f"{len(cases)} specs: classify matches observed |z|<=10 vs "
            f"escape within t<=10^4, incl. double unit root p=(2,-1)")

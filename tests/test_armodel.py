@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aporbit import (
-    ARSpec,
     Point,
     ar_map,
     characteristic_roots,
-    char_coefficients,
     classify,
     coefficients_from_roots,
+    delay_map,
     eval_terms,
+    expression_map,
     generate_orbit,
     recursion,
     solve_coefficients,
@@ -23,8 +23,10 @@ from aporbit import (
     split,
     verify_decomposition,
 )
-from aporbit.errors import OutOfRange, RefusedUnbounded
+from aporbit.armodel import _polynomial_roots
+from aporbit.errors import DimensionMismatch, OutOfRange, RefusedUnbounded, RootFindingFailed
 from aporbit.orbit import _random_stable_ar
+from oracles import ar_recursion, char_coefficients
 
 
 def poly_at(coeffs, z):
@@ -51,31 +53,31 @@ def sorted_roots(rs):
                   key=lambda rm: (rm[0].real, rm[0].imag))
 
 
-def test_arspec_validation():
-    spec = ARSpec(p=[0.5], initial=[1.0])
-    assert spec.d == 1
+def test_ar_map_and_initial_point_validation():
+    # the `ar` input form: the map ar_map(p) started at the point z0
+    assert ar_map([0.5]).d == 1 and ar_map([0.1, 0.2]).d == 2
     with pytest.raises(OutOfRange):
-        ARSpec(p=[0.5], initial=[1.5])
+        Point([1.5])
     with pytest.raises(OutOfRange):
-        ARSpec(p=[0.5, 0.1], initial=[math.nan, 0.1])
+        Point([math.nan, 0.1])
     with pytest.raises(OutOfRange):
-        ARSpec(p=[0.5, 0.1], initial=[0.1, math.nan])
-    assert ARSpec(p=[0.5], initial=[1.0 + 5e-13]).initial == (1.0 + 5e-13,)
-    assert ARSpec(p=[0.1, 0.2], initial=[0.5, -0.5]).d == 2
+        Point([0.1, math.nan])
+    # within CLAMP_BAND of the box z0 is clamped, as every point is
+    assert Point([1.0 + 5e-13]).coords == (1.0,)
     for p in ([math.nan, 0.1], [0.5, math.inf], [-math.inf]):
         with pytest.raises(ValueError, match="recurrence coefficient p_"):
-            ARSpec(p=p, initial=[0.1] * len(p))
-        with pytest.raises(ValueError, match="recurrence coefficient p_"):
             ar_map(p)
+    with pytest.raises(DimensionMismatch):
+        recursion(ar_map([0.5, 0.1]), Point([0.5]), 3)
 
 
 def test_recursion_values():
-    spec = ARSpec(p=[0.5], initial=[1.0])
-    z = recursion(spec, 5)
+    z = recursion(ar_map([0.5]), Point([1.0]), 5)
     assert z.tolist() == [1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125]
-    spec = ARSpec(p=[0.0, -1.0], initial=[1.0, 0.0])
-    z = recursion(spec, 6)
+    z = recursion(ar_map([0.0, -1.0]), Point([1.0, 0.0]), 6)
     assert z.tolist() == [1.0, 0.0, -1.0, 0.0, 1.0, 0.0, -1.0]
+    # no box policing: the recursion leaves the box where the orbit may not
+    assert recursion(ar_map([1.5]), Point([1.0]), 2).tolist() == [1.0, 1.5, 2.25]
 
 
 @settings(max_examples=100, deadline=None)
@@ -86,39 +88,39 @@ def test_map_and_recursion_iterate_one_step(d, seed, horizon):
     rng = np.random.default_rng(seed)
     p = _random_stable_ar(d, rng)
     z0 = rng.uniform(-1.0, 1.0, d)
-    peak = float(np.max(np.abs(recursion(ARSpec(p, z0), horizon))))
+    m = ar_map(p)
+    peak = float(np.max(np.abs(recursion(m, Point(z0), horizon))))
     z0 = z0 / max(1.0, 2.0 * peak)  # the whole orbit inside the box
-    want = recursion(ARSpec(p, z0), horizon)
-    got = generate_orbit(ar_map(p), Point(z0), horizon).values[:, 0]
+    want = recursion(m, Point(z0), horizon)
+    got = generate_orbit(m, Point(z0), horizon).values[:, 0]
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_characteristic_roots_rotation():
-    spec = ARSpec(p=[0.0, -1.0], initial=[1.0, 0.0])
-    rs = characteristic_roots(spec)
+    rs = characteristic_roots(ar_map([0.0, -1.0]))
     roots = sorted_roots(rs)
     assert roots == [((0 - 1j), 1), ((0 + 1j), 1)]
     assert rs.residual <= 1e-12
     # back-substitution oracle
-    coeffs = char_coefficients(spec)
+    coeffs = char_coefficients([0.0, -1.0])
     for mu, _ in roots:
         assert abs(poly_at(coeffs, mu)) <= 1e-12
 
 
 def test_characteristic_roots_scalar():
-    rs = characteristic_roots(ARSpec(p=[0.5], initial=[1.0]))
+    rs = characteristic_roots(ar_map([0.5]))
     assert sorted_roots(rs) == [((0.5 + 0j), 1)]
 
 
 def test_characteristic_roots_double():
-    rs = characteristic_roots(ARSpec(p=[2.0, -1.0], initial=[0.5, 0.0]))
+    rs = characteristic_roots(ar_map([2.0, -1.0]))
     assert sorted_roots(rs) == [((1.0 + 0j), 2)]
 
 
 def test_characteristic_roots_triple():
     # (mu - 0.5)^3 = mu^3 - 1.5 mu^2 + 0.75 mu - 0.125
     p = coefficients_from_roots([0.5, 0.5, 0.5])
-    rs = characteristic_roots(ARSpec(p=p, initial=[0.5, 0.25, 0.125]))
+    rs = characteristic_roots(ar_map(p))
     roots = sorted_roots(rs)
     assert len(roots) == 1
     mu, m = roots[0]
@@ -128,7 +130,7 @@ def test_characteristic_roots_triple():
 
 def test_characteristic_roots_zero_root():
     # p = (0.5, 0): mu^2 - 0.5 mu = mu (mu - 0.5)
-    rs = characteristic_roots(ARSpec(p=[0.5, 0.0], initial=[1.0, 1.0]))
+    rs = characteristic_roots(ar_map([0.5, 0.0]))
     roots = sorted_roots(rs)
     assert roots[0] == ((0 + 0j), 1)
     assert abs(roots[1][0] - 0.5) <= 1e-12 and roots[1][1] == 1
@@ -139,7 +141,7 @@ def test_conjugate_symmetry_bitwise():
     for _ in range(30):
         d = int(rng.integers(2, 7))
         p = rng.uniform(-0.4, 0.4, d)
-        rs = characteristic_roots(ARSpec(p=p, initial=np.zeros(d)))
+        rs = characteristic_roots(ar_map(p))
         complexes = [mu for mu, _ in rs.roots if mu.imag != 0]
         assert len(complexes) % 2 == 0
         ups = sorted((mu for mu in complexes if mu.imag > 0),
@@ -155,28 +157,22 @@ def test_root_residual_invariant():
     for _ in range(40):
         d = int(rng.integers(1, 9))
         p = rng.uniform(-0.9, 0.9, d) / d  # keep roots tame
-        spec = ARSpec(p=p, initial=np.zeros(d))
-        rs = characteristic_roots(spec)
-        coeffs = char_coefficients(spec)
+        rs = characteristic_roots(ar_map(p))
+        coeffs = char_coefficients(p)
         assert rs.total_multiplicity == d
         for mu, _ in rs.roots:
             assert abs(poly_at(coeffs, mu)) <= 1e-10 * (1 + abs(mu) ** d)
 
 
 def test_classify_cases():
-    assert classify(characteristic_roots(
-        ARSpec(p=[0.0, -1.0], initial=[1.0, 0.0]))) == "bounded"
-    assert classify(characteristic_roots(
-        ARSpec(p=[0.5], initial=[1.0]))) == "bounded"
-    assert classify(characteristic_roots(
-        ARSpec(p=[2.0, -1.0], initial=[1.0, 0.0]))) == "unbounded"
-    assert classify(characteristic_roots(
-        ARSpec(p=[1.5], initial=[1.0]))) == "unbounded"
+    assert classify(characteristic_roots(ar_map([0.0, -1.0]))) == "bounded"
+    assert classify(characteristic_roots(ar_map([0.5]))) == "bounded"
+    assert classify(characteristic_roots(ar_map([2.0, -1.0]))) == "unbounded"
+    assert classify(characteristic_roots(ar_map([1.5]))) == "unbounded"
 
 
 def test_solve_coefficients_rotation():
-    spec = ARSpec(p=[0.0, -1.0], initial=[1.0, 0.0])
-    dec = solve_coefficients(spec)
+    dec = solve_coefficients(ar_map([0.0, -1.0]), Point([1.0, 0.0]))
     # z(t) = cos(pi t / 2): coefficient 1/2 on each of +/- i
     assert dec.classification == "bounded"
     coeffs = sorted(dec.terms, key=lambda t: t.mu.imag)
@@ -187,7 +183,7 @@ def test_solve_coefficients_rotation():
 
 
 def test_solve_coefficients_scalar():
-    dec = solve_coefficients(ARSpec(p=[0.5], initial=[1.0]))
+    dec = solve_coefficients(ar_map([0.5]), Point([1.0]))
     assert dec.terms[0].coeff == pytest.approx(1.0 + 0j)
     for t in range(20):
         assert dec.evaluate(t) == pytest.approx(0.5 ** t, rel=1e-12)
@@ -197,17 +193,17 @@ def test_solve_coefficients_zero_root():
     # p=(0.5, 0) with z(0)=1, z(-1)=1: recursion z(1) = 0.5*1 + 0*1 = 0.5,
     # and z(t) = c * 0.5^t for t >= 1; the zero root contributes a
     # transient Kronecker term at t=0 only.
-    spec = ARSpec(p=[0.5, 0.0], initial=[1.0, 1.0])
-    dec = solve_coefficients(spec)
+    m, y0 = ar_map([0.5, 0.0]), Point([1.0, 1.0])
+    dec = solve_coefficients(m, y0)
     assert len(dec.transient_terms) == 1
-    z = recursion(spec, 50)
+    z = recursion(m, y0, 50)
     for t in range(51):
         assert dec.evaluate(t) == pytest.approx(z[t], abs=1e-12)
 
 
 def test_refuses_unbounded():
     with pytest.raises(RefusedUnbounded):
-        solve_coefficients(ARSpec(p=[2.0, -1.0], initial=[1.0, 0.0]))
+        solve_coefficients(ar_map([2.0, -1.0]), Point([1.0, 0.0]))
 
 
 def test_ill_conditioned_solve_refused():
@@ -217,12 +213,12 @@ def test_ill_conditioned_solve_refused():
     from aporbit.armodel import RootSet
     from aporbit.errors import IllConditioned
 
-    spec = ARSpec(p=[1.0, -0.25], initial=[0.5, 0.25])  # (mu-0.5)^2 truly
+    m = ar_map([1.0, -0.25])  # (mu-0.5)^2 truly
     fake = RootSet(
         roots=((0.5 + 0j, 1), (0.5 + 1e-13 + 0j, 1)), residual=0.0
     )
     with pytest.raises(IllConditioned) as info:
-        solve_coefficients(spec, fake)
+        solve_coefficients(m, Point([0.5, 0.25]), fake)
     assert info.value.condition > 1e12
 
 
@@ -231,7 +227,7 @@ def test_reported_roots_pairwise_separated():
     for _ in range(25):
         d = int(rng.integers(2, 7))
         p = rng.uniform(-0.9, 0.9, d) / d
-        rs = characteristic_roots(ARSpec(p=p, initial=np.zeros(d)))
+        rs = characteristic_roots(ar_map(p))
         mus = [mu for mu, _ in rs.roots]
         for i, a in enumerate(mus):
             for b in mus[i + 1:]:
@@ -244,14 +240,13 @@ def test_reality_of_closed_form():
         d = int(rng.integers(1, 5))
         p = rng.uniform(-0.9, 0.9, d) / d
         init = rng.uniform(-1, 1, d)
-        spec = ARSpec(p=p, initial=init)
-        dec = solve_coefficients(spec)
+        dec = solve_coefficients(ar_map(p), Point(init))
         val = eval_terms(*term_arrays(dec.terms), np.arange(0, 201, 7))
         assert np.max(np.abs(val.imag)) <= 1e-10
 
 
 def test_split_rotation():
-    dec = solve_coefficients(ARSpec(p=[0.0, -1.0], initial=[1.0, 0.0]))
+    dec = solve_coefficients(ar_map([0.0, -1.0]), Point([1.0, 0.0]))
     ap, rest = split(dec)
     for t in range(24):
         assert ap(t) == pytest.approx(math.cos(math.pi * t / 2), abs=1e-12)
@@ -261,7 +256,7 @@ def test_split_rotation():
 
 
 def test_split_pure_decay():
-    dec = solve_coefficients(ARSpec(p=[0.5], initial=[1.0]))
+    dec = solve_coefficients(ar_map([0.5]), Point([1.0]))
     ap, rest = split(dec)
     for t in range(10):
         assert ap(t) == 0.0
@@ -273,17 +268,17 @@ def test_split_mixed_irrational_frequency():
     # multiple of pi, so ap is genuinely non-periodic; the remainder decays
     # like 0.9^t.
     mu = cmath.exp(1j)
-    spec = spec_from_roots(
+    m, y0 = spec_from_roots(
         [(0.9, 1), (mu, 1), (mu.conjugate(), 1)],
         [0.25, 0.2 + 0.1j, 0.2 - 0.1j],
     )
-    dec = solve_coefficients(spec)
+    dec = solve_coefficients(m, y0)
     ap, rest = split(dec)
     assert len(dec.unit_terms) == 2
     assert len(dec.decay_terms) == 1
-    z = recursion(spec, 300)
+    z = recursion(m, y0, 300)
     C = abs(rest(0)) + 1e-12
-    for t in range(spec.d, 301):
+    for t in range(m.d, 301):
         assert abs(z[t] - ap(t)) <= C * 0.9 ** t + 1e-9
     # ap is not periodic with any small period on the sampled window
     vals = [ap(t) for t in range(200)]
@@ -297,26 +292,26 @@ def test_split_consistency_exact():
         d = int(rng.integers(1, 5))
         p = rng.uniform(-0.9, 0.9, d) / d
         init = rng.uniform(-1, 1, d)
-        dec = solve_coefficients(ARSpec(p=p, initial=init))
+        dec = solve_coefficients(ar_map(p), Point(init))
         ap, rest = split(dec)
         for t in range(0, 50, 3):
             assert ap(t) + rest(t) == pytest.approx(dec.evaluate(t), abs=1e-12)
 
 
 def test_verify_decomposition_rotation():
-    spec = ARSpec(p=[0.0, -1.0], initial=[1.0, 0.0])
-    report = verify_decomposition(spec, solve_coefficients(spec), horizon=100)
+    m, y0 = ar_map([0.0, -1.0]), Point([1.0, 0.0])
+    report = verify_decomposition(m, y0, solve_coefficients(m, y0), horizon=100)
     assert report.closed_form_max_error <= 1e-9
     assert report.decay_radius == 0.0
     assert report.convergence_ok
 
 
 def test_verify_decomposition_all_decay():
-    spec = ARSpec(p=[0.25], initial=[0.5])
-    report = verify_decomposition(spec, solve_coefficients(spec), horizon=100)
+    m, y0 = ar_map([0.25]), Point([0.5])
+    report = verify_decomposition(m, y0, solve_coefficients(m, y0), horizon=100)
     assert report.closed_form_max_error <= 1e-12
     assert report.convergence_ok
-    ap, _ = split(solve_coefficients(spec))
+    ap, _ = split(solve_coefficients(m, y0))
     assert all(ap(t) == 0.0 for t in range(5))
 
 
@@ -336,8 +331,7 @@ def test_coefficients_from_roots_inverse():
                 roots.append(complex(rng.uniform(-0.9, 0.9)))
                 remaining -= 1
         p = coefficients_from_roots(roots)
-        spec = ARSpec(p=p, initial=np.zeros(len(p)))
-        rs = characteristic_roots(spec)
+        rs = characteristic_roots(ar_map(p))
         found = sorted((complex(mu) for mu, _ in rs.roots),
                        key=lambda z: (z.real, z.imag))
         want = sorted(roots, key=lambda z: (z.real, z.imag))
@@ -346,19 +340,84 @@ def test_coefficients_from_roots_inverse():
 
 
 def test_spec_from_roots_round_trip():
-    spec = spec_from_roots([(0.5, 1), (-0.25, 1)], [0.4, 0.3])
-    z = recursion(spec, 60)
+    z = recursion(*spec_from_roots([(0.5, 1), (-0.25, 1)], [0.4, 0.3]), 60)
     for t in range(61):
         expected = 0.4 * 0.5 ** t + 0.3 * (-0.25) ** t
         assert z[t] == pytest.approx(expected, abs=1e-12)
 
 
-def remainder_bound_holds(spec, dec, horizon):
+# ------------------------------------------------- the map as the recurrence
+
+COEFFICIENTS = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, exponent: sign * 10.0 ** exponent,
+              st.sampled_from([-1.0, 1.0]), st.floats(-6.0, 0.0)),
+)
+
+
+def roots_or_failure(find, arg):
+    try:
+        return find(arg)
+    except RootFindingFailed as exc:
+        return exc.args
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_read_back_matches_the_coefficient_oracles(data):
+    # p read off the `ar` map's trees gives the roots of [1, -p], and the
+    # map's step gives the recursion from p and z0, bit for bit
+    d = data.draw(st.integers(1, 8))
+    p = data.draw(st.lists(COEFFICIENTS, min_size=d, max_size=d))
+    z0 = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d))
+    m = ar_map(p)
+    assert (repr(roots_or_failure(characteristic_roots, m))
+            == repr(roots_or_failure(_polynomial_roots, char_coefficients(p))))
+    got, want = recursion(m, Point(z0), 60), ar_recursion(p, z0, 60)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_a_negative_zero_coefficient_reads_as_positive_zero():
+    # the exact fold of the trees has no signed zero
+    for p in ([-0.0, 0.5], [0.3, -0.0, -0.2], [0.5, -0.0]):
+        plus = [0.0 if v == 0 else v for v in p]
+        assert repr(characteristic_roots(ar_map(p))) == repr(characteristic_roots(ar_map(plus)))
+
+
+@pytest.mark.parametrize("m, reason", [
+    (expression_map(["0.5*sin(x1)"]), "affine map"),
+    (delay_map("0.5*x1 - 0.25*x2 + 0.1", 2), "without offset"),
+    (expression_map(["0.6*x1 - 0.8*x2", "0.8*x1 + 0.6*x2"]), "companion matrix"),
+])
+def test_algebraic_route_refuses_a_map_that_runs_no_recurrence(m, reason):
+    with pytest.raises(ValueError, match=reason):
+        characteristic_roots(m)
+    with pytest.raises(ValueError, match=reason):
+        solve_coefficients(m, Point([0.5] * m.d))
+
+
+def test_delay_map_in_companion_form_has_the_ar_roots():
+    m = delay_map("0.5*x1 - 0.25*x2 + 0.125*x3", 3)
+    assert repr(characteristic_roots(m)) == repr(characteristic_roots(ar_map([0.5, -0.25, 0.125])))
+
+
+def test_verify_decomposition_keeps_its_curves():
+    m, y0 = spec_from_roots([(1j, 1), (-1j, 1), (0.5, 2), (0.0, 1)], [0.2, 0.2, 0.1, 0.5, 0.3])
+    dec = solve_coefficients(m, y0)
+    report = verify_decomposition(m, y0, dec, horizon=50)
+    ap, rest = split(dec)
+    ts = np.arange(51)
+    assert np.array_equal(report.z, recursion(m, y0, 50))
+    assert np.array_equal(report.ap, ap(ts)) and np.array_equal(report.R, rest(ts))
+    assert report.remainder_at_zero == abs(rest(0))
+
+
+def remainder_bound_holds(m, y0, dec, horizon):
     """Oracle: |z - ap| <= sum_j |a_j| t^k |mu_j|^t + 1e-9 for d <= t <= horizon."""
-    z = recursion(spec, horizon)
+    z = recursion(m, y0, horizon)
     ap, _ = split(dec)
     rest = dec.decay_terms + dec.transient_terms
-    for t in range(spec.d, horizon + 1):
+    for t in range(m.d, horizon + 1):
         allowed = sum(
             abs(term.coeff * basis_oracle(term.mu, term.power, term.kind, t))
             for term in rest
@@ -380,24 +439,24 @@ EXACT_REMAINDERS = pytest.mark.parametrize("roots, coeffs", [
 
 @EXACT_REMAINDERS
 def test_exact_decomposition_meets_true_remainder_bound(roots, coeffs):
-    spec = spec_from_roots(roots, coeffs)
-    dec = solve_coefficients(spec)
-    assert verify_decomposition(spec, dec, horizon=200).closed_form_max_error <= 1e-12
-    assert remainder_bound_holds(spec, dec, 200)
+    m, y0 = spec_from_roots(roots, coeffs)
+    dec = solve_coefficients(m, y0)
+    assert verify_decomposition(m, y0, dec, horizon=200).closed_form_max_error <= 1e-12
+    assert remainder_bound_holds(m, y0, dec, 200)
 
 
 @pytest.mark.xfail(strict=True, reason=(
     "known fault: convergence_ok tests |R(0)| rho^t, which is not a bound"))
 @EXACT_REMAINDERS
 def test_verify_decomposition_accepts_exact_remainders(roots, coeffs):
-    spec = spec_from_roots(roots, coeffs)
-    assert verify_decomposition(spec, solve_coefficients(spec), horizon=200).convergence_ok
+    m, y0 = spec_from_roots(roots, coeffs)
+    assert verify_decomposition(m, y0, solve_coefficients(m, y0), horizon=200).convergence_ok
 
 
 def test_verify_decomposition_flags_a_wrong_split():
     # shrink the decaying coefficients: ap + R no longer reproduces z
-    spec = spec_from_roots([(1j, 1), (-1j, 1), (0.9, 2)], [0.2, 0.2, 0.1, 0.5])
-    dec = solve_coefficients(spec)
+    m, y0 = spec_from_roots([(1j, 1), (-1j, 1), (0.9, 2)], [0.2, 0.2, 0.1, 0.5])
+    dec = solve_coefficients(m, y0)
     damped = type(dec)(
         terms=tuple(
             term if term.kind == "unit" else type(term)(
@@ -408,8 +467,8 @@ def test_verify_decomposition_flags_a_wrong_split():
         condition=dec.condition,
         solve_residual=dec.solve_residual,
     )
-    assert not remainder_bound_holds(spec, damped, 200)
-    assert not verify_decomposition(spec, damped, horizon=200).convergence_ok
+    assert not remainder_bound_holds(m, y0, damped, 200)
+    assert not verify_decomposition(m, y0, damped, horizon=200).convergence_ok
 
 
 # ------------------------------------------------------------ term evaluator
@@ -447,9 +506,8 @@ def test_eval_terms_matches_per_term_oracle(terms, ts):
 
 
 def test_array_calls_match_scalar_calls():
-    spec = spec_from_roots([(1j, 1), (-1j, 1), (0.5, 2), (0.0, 1)],
-                           [0.2, 0.2, 0.1, 0.5, 0.3])
-    dec = solve_coefficients(spec)
+    dec = solve_coefficients(*spec_from_roots([(1j, 1), (-1j, 1), (0.5, 2), (0.0, 1)],
+                                              [0.2, 0.2, 0.1, 0.5, 0.3]))
     ap, rest = split(dec)
     ts = np.arange(-3, 40)
     for f in (dec.evaluate, ap, rest):
@@ -465,7 +523,7 @@ def test_close_distinct_roots_stay_simple():
     # 0.5 and 0.502 lie within the merge radius, but their polished
     # midpoint fails the final residual test, so the merge is rejected
     p = coefficients_from_roots([0.5, 0.502, -0.3])
-    rs = characteristic_roots(ARSpec(p=p, initial=[0.5, 0.2, -0.1]))
+    rs = characteristic_roots(ar_map(p))
     roots = sorted_roots(rs)
     assert [m for _, m in roots] == [1, 1, 1]
     for (mu, _), want in zip(roots, [-0.3, 0.5, 0.502]):
@@ -526,10 +584,9 @@ def test_roots_match_mpmath_at_50_digits():
     mpmath = pytest.importorskip("mpmath")
     for roots in root_corpus():
         p = coefficients_from_roots([mu for mu, m in roots for _ in range(m)])
-        spec = ARSpec(p=p, initial=np.zeros(len(p)))
-        rs = characteristic_roots(spec)
+        rs = characteristic_roots(ar_map(p))
         with mpmath.workdps(50):
-            exact = mpmath.polyroots([float(c) for c in char_coefficients(spec)],
+            exact = mpmath.polyroots([float(c) for c in char_coefficients(p)],
                                      maxsteps=500, extraprec=200)
         exact = [complex(r) for r in exact]
         assert len(rs.roots) == len(roots), p
@@ -559,9 +616,9 @@ def test_newton_polish_stops_when_a_step_no_longer_lowers_the_residual(monkeypat
         return polyval(coeffs, z)
 
     rng = np.random.default_rng(12)
-    specs = [ARSpec(p=coefficients_from_roots(small_jobs_roots(rng, 12, 3, True)),
-                    initial=np.zeros(12)) for _ in range(100)]
+    maps = [ar_map(coefficients_from_roots(small_jobs_roots(rng, 12, 3, True)))
+            for _ in range(100)]
     monkeypatch.setattr(armodel, "_polyval", counted)
-    for spec in specs:
-        assert len(characteristic_roots(spec).roots) == 12
+    for m in maps:
+        assert len(characteristic_roots(m).roots) == 12
     assert calls <= 10_000

@@ -234,7 +234,7 @@ def test_ladder_refuses_bad_resolutions_before_any_work(tmp_path, capsys, monkey
     code = main(["ladder", "--map", ar_rotation, "--y0", "1,0", "--Ks", Ks,
                  "--horizon", "40", "--out", str(out)])
     assert code == 3
-    assert "--Ks must be >= 1 and strictly increasing" in capsys.readouterr().err
+    assert "resolutions must be >= 1 and strictly increasing" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -480,6 +480,7 @@ JSON_DOCS = st.recursive(
 @example(doc=[[1, 2], [], [True, None], [2**70]])  # an empty row: not one C-encoder call
 @example(doc=[[1, [2]], [1, "a, b"], [1.5, "], ["], [{}], [[]]])
 @example(doc={"": [0.1, 0.2], "x": {"y": [[0.5]]}})
+@example(doc={"flat": [i / 7 for i in range(600)], "rows": [[i, -i / 3] for i in range(600)]})
 @example(doc={1: 0, 1.5: 1, True: 2, None: 3, float("nan"): 4, -float("inf"): 5})
 def test_write_json_matches_json_dumps(doc):
     with tempfile.TemporaryDirectory() as directory:
@@ -519,6 +520,51 @@ def test_unencodable_json_leaves_no_partial_artifact(tmp_path, capsys, monkeypat
     assert sorted(os.listdir(out)) == ["chain.json"] + (["trig.json"] if old else [])
     if old:
         assert (out / "trig.json").read_text() == "old\n"
+
+
+def test_json_writing_holds_one_copy_of_the_text(tmp_path):
+    # the parts of the text are written as they are, never joined, and the
+    # C encoder takes a block of numbers at a time: a 185 KB trig.json once
+    # peaked 413 KB above its payload
+    rng = np.random.default_rng(0)
+    payload = fit_trig_samples(rng.uniform(-1.0, 1.0, (2690, 2)), 0, 2690).to_json()
+    out = _Out(str(tmp_path), True, [])
+    out.write_json("trig.json", payload, {"K": 4})
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        written = out.write_json("trig.json", payload, {"K": 4})
+        added = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    with open(written, "rb") as fh:
+        text = fh.read()
+    expected = json.dumps({"schema_version": cli.SCHEMA_VERSION, "config": {"K": 4}, **payload},
+                          indent=2)
+    assert text == (expected + "\n").encode()
+    assert added <= len(text) + 64 * 1024
+
+
+def test_ar_runs_one_recursion_and_one_split(tmp_path, monkeypatch):
+    # the curve is the report's: z, ap and R are not computed again
+    from aporbit import armodel
+
+    calls = []
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls.append(name if name == "split" else f"recursion to {args[-1]}")
+            return f(*args)
+        return wrapper
+
+    for name in ("recursion", "split"):
+        monkeypatch.setattr(armodel, name, counted(name, getattr(armodel, name)))
+    spec_path = tmp_path / "ar2.json"
+    spec_path.write_text(json.dumps({"p": [0.0, -1.0], "z0": [1.0, 0.0]}))
+    assert main(["ar", "--spec", str(spec_path), "--horizon", "100",
+                 "--out", str(tmp_path / "a")]) == 0
+    assert sorted(calls) == ["recursion to 1", "recursion to 100", "split"]
+    assert len(read_csv(tmp_path / "a" / "ar_curve.csv")) == 102
 
 
 def traced_peak(argv) -> int:
@@ -691,6 +737,9 @@ WRONGLY_TYPED_SPECS = [
     '{"p":[0.5],"z0":[null]}',
     '{"p":[true],"z0":[0.5]}',
     '{"p":[0.5],"z0":[false]}',
+    # a spec's faults once exited 2, as pipeline errors
+    '{"p":[0.5,0.2],"z0":[0.1]}',
+    '{"p":[],"z0":[]}',
 ]
 
 

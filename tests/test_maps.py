@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import math
 import pickle
 import tracemalloc
@@ -14,18 +15,15 @@ from hypothesis import strategies as st
 
 from aporbit import (
     BUILTIN_MAPS,
-    ARSpec,
     Point,
     ar_map,
     builtin_map,
     delay_map,
     estimate_lipschitz,
-    evaluate,
     expression_map,
     generate_orbit,
     map_from_json,
     recursion,
-    to_source,
     validate_range,
 )
 from aporbit.core import CLAMP_BAND, box_overshoot
@@ -38,27 +36,29 @@ from test_expressions import ast_nodes
 
 def test_ar_evaluate():
     m = ar_map([0.0, -1.0])
-    out = evaluate(m, Point([1.0, 0.0]))
-    assert out.coords == (0.0, 1.0)  # new z = 0*1 + (-1)*0, shift fills coord 2
+    assert m.step((1.0, 0.0)) == (0.0, 1.0)  # new z = 0*1 + (-1)*0, shift fills coord 2
+    assert generate_orbit(m, Point([1.0, 0.0]), 1).values[1].tolist() == [0.0, 1.0]
 
 
 def test_expression_evaluate():
     m = expression_map(["0.5*x1"])
-    assert evaluate(m, Point([0.8])).coords == (0.4,)
+    assert m.step((0.8,)) == (0.4,)
+    assert generate_orbit(m, Point([0.8]), 1).values[1].tolist() == [0.4]
 
 
 def test_range_violation():
     m = ar_map([1.5])
+    assert m.step((1.0,)) == (1.5,)  # the step polices nothing
     with pytest.raises(RangeViolation):
-        evaluate(m, Point([1.0]))
+        generate_orbit(m, Point([1.0]), 1)
 
 
 def test_nan_image_is_a_range_violation():
     m = expression_map(["0.5*x1", "x1*1e200*1e200*0"])
     with pytest.raises(RangeViolation):
-        evaluate(m, Point([0.3, 0.1]))
+        generate_orbit(m, Point([0.3, 0.1]), 1)
     # NaN only where x1 != 0: the center maps to (0, 0)
-    assert evaluate(m, Point([0.0, 0.1])).coords == (0.0, 0.0)
+    assert generate_orbit(m, Point([0.0, 0.1]), 1).values[1].tolist() == [0.0, 0.0]
 
 
 def test_validate_range_fails_on_nan():
@@ -81,7 +81,7 @@ def test_sampled_lipschitz_rejects_nan_images():
 def test_dimension_mismatch():
     m = ar_map([0.5, 0.25])
     with pytest.raises(DimensionMismatch):
-        evaluate(m, Point([0.5]))
+        generate_orbit(m, Point([0.5]), 1)
     with pytest.raises(DimensionMismatch):
         MapDefinition(())
     with pytest.raises(DimensionMismatch):  # once the constant map z -> 0.0
@@ -92,14 +92,12 @@ def test_shift_structure_bitwise():
     rng = np.random.default_rng(0)
     m = ar_map([0.2, -0.3, 0.1, 0.05])
     for _ in range(200):
-        coords = tuple(rng.uniform(-1, 1, 4))
-        out = evaluate(m, Point(coords))
-        assert out.coords[1:] == coords[:-1]
+        coords = tuple(rng.uniform(-1, 1, 4).tolist())
+        assert m.step(coords)[1:] == coords[:-1]
     md = delay_map("0.5*x1 - 0.25*x3", 3)
     for _ in range(100):
-        coords = tuple(rng.uniform(-1, 1, 3))
-        out = evaluate(md, Point(coords))
-        assert out.coords[1:] == coords[:-1]
+        coords = tuple(rng.uniform(-1, 1, 3).tolist())
+        assert md.step(coords)[1:] == coords[:-1]
 
 
 def test_builtins_stay_in_box():
@@ -108,7 +106,7 @@ def test_builtins_stay_in_box():
         m = builtin_map(name, 2)
         assert validate_range(m, samples=128, seed=0).passed, name
         for _ in range(50):
-            evaluate(m, Point(rng.uniform(-1, 1, 2)))  # must not raise
+            generate_orbit(m, Point(rng.uniform(-1, 1, 2)), 1)  # must not raise
 
 
 def test_validate_range_pass_and_fail():
@@ -315,17 +313,18 @@ def test_linear_map_stretch_bounded_by_analytic():
 
 
 def test_map_json_round_trip():
-    # any map is the `expr` form of its printed trees: the same step and gamma
+    # each input form read back from its JSON text is the map its builder
+    # makes: the same trees, step and gamma
     points = [tuple(row) for row in np.random.default_rng(4).uniform(-1, 1, (50, 3)).tolist()]
-    for m in (
-        ar_map([0.25, -0.5]),
-        delay_map("0.5*x1 - 0.25*x2", 2),
-        expression_map(["0.5*x1", "tanh(x2)"]),
-        builtin_map("tent", 3),
+    for definition, m in (
+        ({"kind": "ar", "p": [0.25, -0.5]}, ar_map([0.25, -0.5])),
+        ({"kind": "delay", "d": 2, "expr": "0.5*x1 - 0.25*x2"}, delay_map("0.5*x1 - 0.25*x2", 2)),
+        ({"kind": "expr", "exprs": ["0.5*x1", "tanh(x2)"]},
+         expression_map(["0.5*x1", "tanh(x2)"])),
+        ({"kind": "builtin", "d": 3, "name": "tent"}, builtin_map("tent", 3)),
     ):
-        sources = [to_source(tree) for tree in m.trees]
-        again = map_from_json({"d": m.d, "kind": "expr", "exprs": sources})
-        assert [to_source(tree) for tree in again.trees] == sources
+        again = map_from_json(json.loads(json.dumps(definition)))
+        assert again == m
         assert [again.step(c[:m.d]) for c in points] == [m.step(c[:m.d]) for c in points]
         assert estimate_lipschitz(again, samples=64) == estimate_lipschitz(m, samples=64)
 
@@ -402,4 +401,4 @@ def test_ar_map_of_high_order_compiles():
     m = ar_map(p)
     assert m.step(c) == ar_step(p)(c)
     orb = generate_orbit(m, Point(c), 30)
-    assert orb.values[1:, 0].tolist() == recursion(ARSpec(p, c), 30)[1:].tolist()
+    assert orb.values[1:, 0].tolist() == recursion(m, Point(c), 30)[1:].tolist()
