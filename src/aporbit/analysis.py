@@ -118,8 +118,7 @@ def verify_error_bound(
     if lipschitz is None:
         lipschitz = estimate_lipschitz(m)
     g = GridSpec(K=K, d=m.d)
-    orbit, shadow, table, chain = run_pipeline(m, y0, g, horizon)
-    del shadow  # only the orbit and the chain are compared
+    orbit, _, table, chain = run_pipeline(m, y0, g, horizon)
     actual = np.concatenate(list(_distances(chain, orbit.values, 0, horizon)))
     bound = bounds_for_horizon(lipschitz.gamma, m.d, K, horizon)
     worst = float(np.max(actual / bound))

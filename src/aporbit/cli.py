@@ -340,21 +340,33 @@ def cmd_run(args) -> int:
 
     orb, shadow, table, chain = orbit.run_pipeline(m, y0, g, horizon)
     form = spectral.fit_trig(chain)
+    summary = chain.summary()
+    summary["N"] = table.n_states
+    summary["conflicts"] = len(table.conflicts)
+    summary["shadow_periodic"] = orbit.shadow_periodicity(shadow)
 
     if not args.json_only:
-        ys = orb.values
+        # The shadow's nodes are read a span of four CSV blocks at a time,
+        # as most of what quantizing one CSV block costs is the quantizer's
+        # cost per call, and kept until the span's last block.
+        span, ys, ybar = 4 * CSV_BLOCK, orb.values, {}
+
+        def rows(a, b):
+            q = a - a % span  # the span that holds rows a..b-1
+            nodes = ybar.pop(q, None)
+            if nodes is None:
+                nodes = shadow[q : q + span].nodes()
+            if b - q < len(nodes):
+                ybar[q] = nodes
+            return np.hstack([ys[a:b], nodes[a - q : b - q], chain.values(a, b - 1)])
+
         header = (
             ["t"]
             + [f"y_{i+1}" for i in range(m.d)]
             + [f"ybar_{i+1}" for i in range(m.d)]
             + [f"ystar_{i+1}" for i in range(m.d)]
         )
-        out.write_csv("orbit.csv", header, 0, horizon + 1, lambda a, b: np.hstack(
-            [ys[a:b], shadow[a:b].nodes(), chain.values(a, b - 1)]))
-    summary = chain.summary()
-    summary["N"] = table.n_states
-    summary["conflicts"] = len(table.conflicts)
-    summary["shadow_periodic"] = orbit.shadow_periodicity(shadow)
+        out.write_csv("orbit.csv", header, 0, horizon + 1, rows)
     out.write_json("chain.json", summary, config)
     out.write_json("trig.json", form.to_json(), config)
     if args.emit_curve:

@@ -11,7 +11,9 @@ clamps within CLAMP_BAND.
 
 `Point` and `GridState` are the boundary types for single values.  Orbits
 and state sequences are stored as arrays: `OrbitSeries` holds an (H+1, d)
-float array, `GridStates` an (n, d) integer index array.
+float array, and `GridStates` either an (n, d) integer index array or a
+view of an orbit's float rows that quantizes the rows it is asked for,
+when it is asked, and keeps none of them.
 """
 
 from __future__ import annotations
@@ -130,16 +132,20 @@ class GridState:
 
 
 class GridStates(Sequence):
-    """A sequence of grid states stored as an (n, d) int64 index array.
+    """A sequence of grid states: (n, d) int64 index rows, or a view of an
+    orbit's (n, d) float rows.
 
-    The pipeline computes on `indices` and `codes()`; indexing yields
-    GridState objects (a slice yields GridStates).  Compares equal to
-    another GridStates on the same grid with the same indices.  `of`
-    builds one from GridState objects.
+    The view quantizes only the rows that are read, each time they are
+    read, so it holds no index array of its own; a slice of it is a view
+    of the same rows.  The pipeline computes on `indices` and `codes()`;
+    indexing yields GridState objects (a slice or an array of positions
+    yields GridStates).
+    Compares equal to another GridStates on the same grid with the same
+    indices.  `of` builds one from GridState objects.
     """
 
-    def __init__(self, indices: np.ndarray, grid: GridSpec):
-        self.indices = indices
+    def __init__(self, rows: np.ndarray, grid: GridSpec):
+        self._rows = rows
         self.grid = grid
 
     @classmethod
@@ -155,13 +161,19 @@ class GridStates(Sequence):
         indices = np.array([s.indices for s in states], dtype=np.int64)
         return cls(indices.reshape(len(states), grid.d), grid)
 
+    @property
+    def indices(self) -> np.ndarray:
+        """The (n, d) index rows; a view quantizes all of its rows again."""
+        rows = self._rows
+        return _quantize_rows(rows, self.grid) if rows.dtype.kind == "f" else rows
+
     def __len__(self) -> int:
-        return len(self.indices)
+        return len(self._rows)
 
     def __getitem__(self, t):
-        if isinstance(t, slice):
-            return GridStates(self.indices[t], self.grid)
-        return GridState(self.indices[t].tolist(), self.grid)
+        if isinstance(t, (slice, np.ndarray)):  # a slice, or an array of positions
+            return GridStates(self._rows[t], self.grid)
+        return GridState(GridStates(self._rows[t][None], self.grid).indices[0].tolist(), self.grid)
 
     def __eq__(self, other):
         if isinstance(other, GridStates):
@@ -182,17 +194,22 @@ class GridStates(Sequence):
         """One int64 per state, equal exactly where the states are equal.
 
         The mixed-radix code sum_i idx_i (K+1)^(d-1-i) when (K+1)^d fits in
-        int64; otherwise the rank of each index row among the distinct
-        rows, which is only comparable within this sequence.
+        int64, computed QUANTIZE_BLOCK rows at a time, so a view holds the
+        index rows of one block; otherwise the rank of each index row among
+        the distinct rows, which is only comparable within this sequence.
         """
         if self.grid.state_count > 2 ** 63:
             _, rank = np.unique(self.indices, axis=0, return_inverse=True)
             return rank.reshape(-1).astype(np.int64)
         radix = self.grid.K + 1
-        codes = self.indices[:, 0].copy()
-        for j in range(1, self.grid.d):
-            codes *= radix
-            codes += self.indices[:, j]
+        codes = np.empty(len(self), dtype=np.int64)
+        for a in range(0, len(self), QUANTIZE_BLOCK):
+            indices = self[a : a + QUANTIZE_BLOCK].indices
+            block = codes[a : a + QUANTIZE_BLOCK]
+            block[:] = indices[:, 0]
+            for j in range(1, self.grid.d):
+                block *= radix
+                block += indices[:, j]
         return codes
 
 
@@ -267,7 +284,9 @@ def _quantize_block(Y: np.ndarray, K: int, out, midpoints: dict) -> np.ndarray:
     frac = u
     with np.errstate(invalid="ignore"):  # inf - inf: a NaN, refused below
         frac -= k
-    tie = ~(np.abs(frac - 0.5) > 1e-9)  # NaN lands here too
+    tie = frac - 0.5
+    np.abs(tie, out=tie)  # in place: one block-sized temporary fewer
+    tie = ~(tie > 1e-9)  # NaN lands here too
     k_tie = k[tie]
     if len(k_tie) and not np.isfinite(k_tie).all():  # before the cast below
         raise ValueError(f"cannot quantize {Y[tie][~np.isfinite(k_tie)][0]!r}")

@@ -10,10 +10,12 @@ state repeats: with the repeat first seen at T and seen again at T + L,
 the chain is shadow[0..T+L-1], eventually periodic with pre-period T and
 period L.
 
-The orbit and the shadow are whole arrays, the only memory that grows
-with the horizon.  Every later stage works in blocks: the quantizer,
-the transition table (sorted codes with their successor codes,
-O(block + N) temporaries) and `shadow_periodicity` (an int64 window).
+The orbit is the one whole array, the only memory that grows with the
+horizon.  The shadow is a view of it that quantizes a block when the
+block is read.  `build_transition_table` reads it in one pass of blocks
+(sorted codes with their successor codes, O(block + N) temporaries) and
+finds the chain's first repeat on the way, `run_pipeline` takes both
+from that pass, and `shadow_periodicity` reads an int64 window.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .armodel import coefficients_from_roots, recursion
-from .core import (CLAMP_BAND, GridSpec, GridState, GridStates, OrbitSeries, Point,
-                   _quantize_rows, box_overshoot)
+from .core import CLAMP_BAND, GridSpec, GridState, GridStates, OrbitSeries, Point, box_overshoot
 from .errors import DanglingState, DimensionMismatch, NotPeriodic, RangeViolation
 from .maps import MapDefinition, ar_map
 
@@ -71,10 +72,10 @@ def generate_orbit(m: MapDefinition, y0: Point, horizon: int) -> OrbitSeries:
 
 
 def discretize_orbit(orbit: OrbitSeries, g: GridSpec) -> GridStates:
-    """Quantize every orbit sample."""
+    """The shadow: a view of the orbit's samples, each quantized when read."""
     if orbit.d != g.d:
         raise DimensionMismatch(f"point dimension {orbit.d} != grid dimension {g.d}")
-    return GridStates(_quantize_rows(orbit.values, g), g)
+    return GridStates(orbit.values, g)
 
 
 @dataclass(frozen=True)
@@ -92,31 +93,52 @@ class Conflicts:
 
 @dataclass(frozen=True)
 class TransitionTable:
-    """N, the states with an outgoing observation, and the conflicts."""
+    """N, the states with an outgoing observation, and the conflicts.
+
+    `chain` is the chain that the earliest-occurrence transitions run from
+    the shadow's first state, or None when they reach a state with no
+    outgoing observation; it takes no part in comparisons."""
 
     grid: GridSpec
     n_states: int
     conflicts: Conflicts = Conflicts()
+    chain: ChainResult | None = field(default=None, compare=False, repr=False)
 
 
 def build_transition_table(shadow: GridStates) -> TransitionTable:
-    """N and the conflicts of the shadow's earliest-occurrence transitions.
+    """N, the conflicts and the chain of the shadow's earliest-occurrence
+    transitions.
 
-    One pass over blocks of state codes, each ending with the next block's
-    first code.  The codes seen so far stay sorted, next to the code that
-    followed each one's earliest occurrence, and a block looks its distinct
-    codes up there once: O(block + N) temporaries, and as a block is
-    TABLE_BLOCK or N positions, O(1) per position to merge its new codes
-    in.  Above 2^63 grid states the codes are the whole shadow's ranks.
+    One pass over consecutive blocks of the shadow, each read once; a
+    block's codes follow the previous block's last code.  The codes seen
+    so far stay sorted, next to the code that followed each one's
+    earliest occurrence, and a block looks its distinct codes up there
+    once: O(block + N) temporaries, and as a block is TABLE_BLOCK or N
+    positions, O(1) per position to merge its new codes in.  Until the
+    first repeat, `_first_repeat` walks the codes and the blocks' index
+    rows are kept: the chain is their first T + L rows.  Above 2^63 grid
+    states the codes are ranks, comparable only within one array, so the
+    whole shadow is read into one index array and ranked once.
     """
-    n = len(shadow)
+    n, g = len(shadow), shadow.grid
     if n < 2:
         raise ValueError("need at least two shadow states to observe a transition")
-    ranks = shadow.codes() if shadow.grid.state_count > 2 ** 63 else None
-    a, count, times = 0, 0, []
-    while a < n - 1:
-        b = min(a + max(TABLE_BLOCK, len(known) if a else 0), n - 1)
-        codes = shadow[a : b + 1].codes() if ranks is None else ranks[a : b + 1]
+    ranks = None
+    if g.state_count > 2 ** 63:
+        shadow = GridStates(shadow.indices, g)
+        ranks = shadow.codes()
+    first, found, prefix = {}, None, []
+    count, times = 0, []
+    a, b = 0, min(max(TABLE_BLOCK, 2), n)  # the first block holds a transition
+    while a < n:
+        block = shadow[a:b] if found else GridStates(shadow[a:b].indices, g)
+        codes = block.codes() if ranks is None else ranks[a:b]
+        if found is None:
+            found = _first_repeat(codes.tolist(), first)
+            prefix.append(block.indices if found is None else block.indices[: sum(found) - a])
+        if a:  # the transition out of the previous block's last position
+            codes = np.concatenate((last, codes))
+        last = codes[-1:]
         src, dst = codes[:-1], codes[1:]
         uniq, j, inverse = np.unique(src, return_index=True, return_inverse=True)
         expect = dst[j]  # a new code's successor at its first position here
@@ -131,10 +153,18 @@ def build_transition_table(shadow: GridStates) -> TransitionTable:
                 succ = np.insert(succ, at[~seen], expect[~seen])
         bad = np.flatnonzero(expect[inverse] != dst)
         count += len(bad)
-        times += (bad[: CONFLICT_EXAMPLES - len(times)] + a).tolist()
-        a = b
-    examples = tuple((shadow[t], t, shadow[t + 1]) for t in times)
-    return TransitionTable(shadow.grid, len(known), Conflicts(count, examples))
+        times += (bad[: CONFLICT_EXAMPLES - len(times)] + max(a - 1, 0)).tolist()
+        a, b = b, min(b + max(TABLE_BLOCK, len(known)), n)
+    chain = None
+    if found is not None:
+        chain = ChainResult(grid=g, seq=GridStates(np.concatenate(prefix), g),
+                            pre_period=found[0], period=found[1])
+    states = []
+    if times:  # both states of every example, read at once
+        at = np.add.outer(times, [0, 1]).ravel()
+        states = [GridState(row, g) for row in shadow[at].indices.tolist()]
+    examples = tuple(zip(states[::2], times, states[1::2]))
+    return TransitionTable(g, len(known), Conflicts(count, examples), chain)
 
 
 @dataclass
@@ -195,45 +225,53 @@ class ChainResult:
         }
 
 
-def _first_repeat(items):
+def _first_repeat(items, first=None):
     # The one cycle walker: consume items up to the first repeated one and
     # return (T, L), where T is the position of the repeat's first
     # occurrence and L the distance; None if the items run out first.
-    first = {}
-    for t, s in enumerate(items):
+    # Passing the `first` dict of an earlier call resumes that walk.
+    first = {} if first is None else first
+    for s in items:
         if s in first:
-            return first[s], t - first[s]
-        first[s] = t
+            return first[s], len(first) - first[s]
+        first[s] = len(first)
     return None
 
 
-def build_chain(shadow: GridStates) -> ChainResult:
+def build_chain(shadow: GridStates, table: TransitionTable | None = None) -> ChainResult:
     """The chain of a shadow: the shadow up to its first repeated state.
 
     Running the earliest-occurrence transitions from shadow[0] retraces
     the shadow as long as every state is new, and closes its cycle at the
     first repeat: a state first seen at T and again at T + L gives
     pre-period T, period L and the states shadow[0..T+L-1] (a copy, so the
-    chain does not keep the shadow alive).  A shadow without a repeat
-    ends in a state with no outgoing observation, reported as
-    DanglingState (possible under horizon truncation, never patched over).
+    chain does not keep the shadow alive).  `table`, the shadow's
+    transition table, holds the chain its pass found; without it the
+    shadow is read a block at a time up to the repeat.  A shadow without
+    a repeat ends in a state with
+    no outgoing observation, reported as DanglingState (possible under
+    horizon truncation, never patched over).
     """
     if not len(shadow):
         raise ValueError("an empty shadow has no chain")
-    found = _first_repeat(row.tobytes() for row in shadow.indices)
-    if found is None:
+    chain = None if table is None else table.chain
+    if table is None:  # the walk of build_transition_table, on the rows' bytes
+        first, prefix, found, a = {}, [], None, 0
+        while found is None and a < len(shadow):
+            rows = shadow[a : a + TABLE_BLOCK].indices
+            found = _first_repeat((row.tobytes() for row in rows), first)
+            prefix.append(rows if found is None else rows[: sum(found) - a])
+            a += TABLE_BLOCK
+        if found is not None:
+            chain = ChainResult(grid=shadow.grid, seq=GridStates(np.concatenate(prefix), shadow.grid),
+                                pre_period=found[0], period=found[1])
+    if chain is None:
         raise DanglingState(
             f"chain reached a state with no outgoing edge at t={len(shadow)}",
             state=shadow[-1],
             t=len(shadow),
         )
-    pre_period, period = found
-    return ChainResult(
-        grid=shadow.grid,
-        seq=GridStates(shadow.indices[: pre_period + period].copy(), shadow.grid),
-        pre_period=pre_period,
-        period=period,
-    )
+    return chain
 
 
 def shadow_periodicity(shadow: GridStates):
@@ -279,7 +317,7 @@ def run_pipeline(m: MapDefinition, y0: Point, g: GridSpec, horizon: int):
     orbit = generate_orbit(m, y0, horizon)
     shadow = discretize_orbit(orbit, g)
     table = build_transition_table(shadow)
-    chain = build_chain(shadow)
+    chain = build_chain(shadow, table)
     return orbit, shadow, table, chain
 
 

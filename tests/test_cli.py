@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import struct
 import subprocess
@@ -14,9 +15,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aporbit import cli, spectral
+from aporbit import cli, orbit, spectral
 from aporbit.cli import CSV_BLOCK, _Out, main
 from aporbit.spectral import eval_trig_range, fit_trig_samples
+from test_orbit import count_quantized_rows
 
 
 @pytest.fixture
@@ -615,16 +617,97 @@ def test_curve_writing_adds_order_L_to_the_peak(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("csvs", [False, True], ids=["json-only", "csv"])
-def test_run_memory_is_the_orbit_and_the_shadow(tmp_path, capsys, csvs):
-    # Past the orbit (16 B a sample here) and the shadow (16 B), every
-    # stage works in blocks, so 2*10^5 samples peak at 40 B each or less.
+def test_run_memory_is_the_orbit(tmp_path, capsys, csvs):
+    # Past the orbit (16 B a sample here), every stage works in blocks and
+    # the shadow is a view of the orbit that quantizes a block when it is
+    # read, so 2*10^5 samples peak at 20 B each or less (about 33.4 when
+    # the shadow was a whole index array).
     H = 200_000
     argv = ["run", "--map", '{"kind": "ar", "d": 2, "p": [1.5297, -1.0]}',
             "--y0=0.9,0.688", "--K", "64", "--force"] + ([] if csvs else ["--json-only"])
     traced_peak(argv + ["--horizon", "1000", "--out", str(tmp_path / "warm")])
     peak = traced_peak(argv + ["--horizon", str(H), "--out", str(tmp_path / "run")])
     assert (tmp_path / "run" / "orbit.csv").exists() == csvs
-    assert peak / (H + 1) <= 40
+    assert peak / (H + 1) <= 20
+
+
+# The longest run job of bench/'s long_orbit workload: a 2-d spiral at
+# K = 64 whose chain is (T, L) = (94, 16), over 14,001 samples.
+SPIRAL = ["--map", '{"kind": "ar", "d": 2, "p": [1.823054, -0.980595]}',
+          "--y0=-0.8016876785707332,-0.5216423999399237", "--K", "64"]
+
+
+def test_long_orbit_run_peaks_at_34_bytes_a_sample(tmp_path, capsys):
+    # The orbit is 16.5 B a sample; the pass over the shadow, the
+    # periodicity window and the CSV blocks each add a fixed amount on
+    # top.  With the shadow as a whole index array this read 45.5.
+    argv = ["run", *SPIRAL, "--horizon", "14000", "--force"]
+    traced_peak(argv + ["--out", str(tmp_path / "warm")])
+    peak = traced_peak(argv + ["--out", str(tmp_path / "run")])
+    assert (tmp_path / "run" / "orbit.csv").exists()
+    assert peak / 14001 <= 34
+
+
+# A rotation by 1.1 rad: its 3-level ladder below needs an orbit longer
+# than the horizon, T'_1 + lcm(L_1, L_2) = 9 + 680 steps.
+ROTATION = json.dumps({"kind": "ar", "d": 2, "p": [2.0 * math.cos(1.1), -1.0]})
+ROTATION_Y0 = f"--y0=0.8,{0.8 * math.cos(1.1)!r}"
+
+
+def pipeline_argv(command, H, out):
+    if command == "ladder":
+        return ["ladder", "--map", ROTATION, ROTATION_Y0, "--Ks", "16,32,64",
+                "--horizon", str(H), "--out", out]
+    return [command, *SPIRAL, "--horizon", str(H), "--out", out]
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "ladder"])
+def test_orbit_samples_are_those_the_traced_bench_counts(tmp_path, capsys, monkeypatch, command):
+    # bench/'s traced runs sum len(result.samples) over every generate_orbit
+    # call, through each module binding that holds it, and require H + 1
+    # for run and verify and len(Ks)*(H + 1) + t_long + 1 for a ladder,
+    # where t_long = max(max_j T'_j + lcm_j, H).
+    from aporbit import analysis
+
+    samples = []
+
+    def counted(generate_orbit):
+        def wrapper(*args):
+            result = generate_orbit(*args)
+            samples.append(len(result.samples))
+            return result
+        return wrapper
+
+    for module in (orbit, analysis):
+        monkeypatch.setattr(module, "generate_orbit", counted(module.generate_orbit))
+    H = 400
+    assert main(pipeline_argv(command, H, str(tmp_path))) == 0
+    if command != "ladder":
+        assert samples == [H + 1]
+        return
+    plan = read_json(tmp_path / "ladder.json")["plan"]
+    t_long = max(max(t + w for t, w in zip(plan["T_prime"], plan["lcms"])), H)
+    assert t_long == 689
+    assert sum(samples) == 3 * (H + 1) + t_long + 1
+
+
+@pytest.mark.parametrize("command,csvs", [("run", False), ("run", True), ("verify", False),
+                                          ("ladder", False)])
+def test_each_sample_is_quantized_once_per_reader(tmp_path, capsys, monkeypatch, command, csvs):
+    # The pipeline quantizes each of its H + 1 samples once, plus one row
+    # for each state of a conflict example (5 at most, 2 states each);
+    # shadow_periodicity reads its window once more (run and each ladder
+    # level), and orbit.csv's ybar columns once more.  verify and the
+    # ladder read nothing else.
+    rows = count_quantized_rows(monkeypatch)
+    H = orbit.SHADOW_WINDOW + 1808
+    argv = pipeline_argv(command, H, str(tmp_path)) + ([] if csvs else ["--json-only"])
+    assert main(argv) == 0
+    levels = 3 if command == "ladder" else 1
+    least = levels * (H + 1) + (H + 1) * csvs
+    if command != "verify":
+        least += levels * orbit.SHADOW_WINDOW
+    assert least <= rows[0] <= least + levels * 2 * orbit.CONFLICT_EXAMPLES
 
 
 def test_census_deterministic(tmp_path):

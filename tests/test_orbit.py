@@ -33,8 +33,8 @@ from aporbit.errors import (AporbitError, DanglingState, DimensionMismatch, Eval
                             RangeViolation)
 from aporbit.expressions import Var, parse_expression
 from aporbit.maps import MapDefinition
-from aporbit import orbit
-from aporbit.orbit import CONFLICT_EXAMPLES, TABLE_BLOCK
+from aporbit import core, orbit
+from aporbit.orbit import CONFLICT_EXAMPLES, SHADOW_WINDOW, TABLE_BLOCK
 from oracles import (BUILTIN_STEPS, NoCycleWithinHorizon, ar_step, detect_cycle, per_step_orbit,
                      scan_shadow_periodicity, whole_transition_table)
 from test_expressions import ast_nodes, evaluate_ast
@@ -581,6 +581,92 @@ def test_pipeline_deterministic():
     assert a[2].n_states <= g.state_count    # N <= (K+1)^d
 
 
+EXACT_NODES = (-1.0, -0.5, 0.0, 0.5, 1.0)  # nodes of both grids below
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_shadow_view_at_block_edges_equals_the_materialized_shadow(data):
+    # orbits over a few exact node values, read through small quantizer
+    # blocks, table blocks and windows, so that block edges fall on first
+    # sightings, conflicts, the first repeat and the window's start
+    g = data.draw(st.sampled_from([GridSpec(K=4, d=1), GridSpec(K=4, d=2), GRIDS[3]]))
+    quantize_block, table_block = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    window = data.draw(st.integers(2, 12))
+    alphabet = data.draw(st.lists(st.lists(st.sampled_from(EXACT_NODES), min_size=g.d,
+                                           max_size=g.d), min_size=1, max_size=6, unique_by=tuple))
+    n = data.draw(st.integers(2, 30))
+    picks = data.draw(st.lists(st.integers(0, len(alphabet) - 1), min_size=n, max_size=n))
+    values = np.array([alphabet[i] for i in picks])
+    view = discretize_orbit(OrbitSeries(values), g)
+    whole = GridStates(view.indices, g)
+    assert whole.indices.dtype == np.int64
+    assert np.array_equal(whole.nodes(), values)  # each sample is its own node
+    with mock.patch.object(core, "QUANTIZE_BLOCK", quantize_block), \
+            mock.patch.object(orbit, "TABLE_BLOCK", table_block), \
+            mock.patch.object(orbit, "SHADOW_WINDOW", window):
+        assert view == whole and len(view) == n and list(view) == list(whole)
+        assert np.array_equal(view.codes(), whole.codes())
+        assert np.array_equal(view.nodes(), whole.nodes())
+        for t in (0, -1, -n, n // 2, -(n // 2) - 1):
+            assert view[t] == whole[t]
+        at = np.array([n - 1, 0, n // 2, n - 1])
+        assert view[at] == whole[at] == GridStates.of([whole[t] for t in at], g)
+        for cut in (slice(None, None, 2), slice(-7, None), slice(1, -1, 3), slice(None, None, -1),
+                    slice(-3, 2, -2)):
+            assert view[cut] == whole[cut] and len(view[cut]) == len(whole[cut])
+        table = build_transition_table(view)
+        assert table == whole_transition_table(whole)
+        want = chain_or_dangling(oracle_table_walk, whole)
+        assert chain_or_dangling(build_chain, view) == want  # read up to the repeat
+        assert chain_or_dangling(lambda shadow: build_chain(shadow, table), view) == want
+        assert orbit.shadow_periodicity(view) == scan_shadow_periodicity(whole, window)
+
+
+def test_pipeline_beyond_int64_codes_ranks_the_whole_shadow():
+    # (K+1)^d > 2^63: ranks of one block are not comparable with those of
+    # another, so blocks two positions long must still find N = 2
+    with mock.patch.object(core, "QUANTIZE_BLOCK", 2), mock.patch.object(orbit, "TABLE_BLOCK", 2):
+        _, shadow, table, chain = run_pipeline(expression_map(["-x1", "-x2"]), Point([0.3, 0.7]),
+                                               GRIDS[3], 20)
+    assert table == TransitionTable(GRIDS[3], 2)
+    assert (chain.pre_period, chain.period) == (0, 2)
+    assert chain.seq == shadow[:2]
+
+
+def count_quantized_rows(monkeypatch) -> list:
+    """A one-item list that counts the rows reaching the quantizer's blocks."""
+    rows = [0]
+    quantize_block = core._quantize_block
+
+    def counted(Y, *args):
+        rows[0] += len(Y)
+        return quantize_block(Y, *args)
+
+    monkeypatch.setattr(core, "_quantize_block", counted)
+    return rows
+
+
+@pytest.mark.parametrize("block", [64, TABLE_BLOCK])
+def test_each_sample_is_quantized_once(monkeypatch, block):
+    # The pipeline reads the shadow in one pass, which also gives the
+    # chain: H + 1 rows, and one row each for a conflict example's two
+    # states.  The periodicity window reads its own rows once more.  At
+    # block 64 the chain (T, L) = (94, 16) spans two table blocks.
+    rows = count_quantized_rows(monkeypatch)
+    H = SHADOW_WINDOW + 1808
+    with mock.patch.object(orbit, "TABLE_BLOCK", block):
+        _, shadow, table, chain = run_pipeline(ar_map([1.823054, -0.980595]),
+                                               Point([-0.8016876785707332, -0.5216423999399237]),
+                                               GridSpec(K=64, d=2), H)
+    assert (chain.pre_period, chain.period) == (94, 16)
+    assert len(table.conflicts.examples) == CONFLICT_EXAMPLES
+    assert H + 1 <= rows[0] <= H + 1 + 2 * CONFLICT_EXAMPLES
+    rows[0] = 0
+    orbit.shadow_periodicity(shadow)
+    assert rows[0] == SHADOW_WINDOW
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_shadow_periodicity_equals_the_pair_by_pair_scan(data):
@@ -614,7 +700,9 @@ def test_shadow_periodicity_of_pipeline_shadows():
 
 
 def test_pipeline_memory_per_sample():
-    # orbit, shadow, table and chain at 2*10^5 samples of a 2-d map
+    # orbit, shadow, table and chain at 2*10^5 samples of a 2-d map: the
+    # orbit is 16 B a sample, and the shadow, a view of it, is read a
+    # block at a time (33.4 B a sample when the shadow was an index array)
     H = 200_000
     tracemalloc.start()
     try:
@@ -622,7 +710,7 @@ def test_pipeline_memory_per_sample():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (H + 1) <= 150
+    assert peak / (H + 1) <= 20
 
 
 @pytest.mark.parametrize("kind", ["ar", "uniform"])
