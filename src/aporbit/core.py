@@ -233,7 +233,9 @@ class OrbitSeries:
 
     Built from an (H+1, d) float array that the series takes over: the
     samples live in the read-only array `values`, and `samples` views its
-    rows as Points.
+    rows as Points.  `values` may be a strided view: a shift map's orbit
+    reads every row from one sequence of first coordinates
+    (`orbit.generate_orbit`).
     """
 
     d: int

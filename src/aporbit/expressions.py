@@ -9,7 +9,8 @@ of an infinite intermediate, which raise EvaluationError.
 Every map is a tuple of such trees, one per output coordinate, and
 one source generator turns them into Python: `compile_coords` gives the
 per-point step, `compile_orbit_loop` the loop that iterates it over a
-whole orbit.  Both do each tree's float operations in the tree's order.
+whole orbit, which for a shift map (`is_shift`) stores only the first
+coordinate.  Both do each tree's float operations in the tree's order.
 `linear_part` reads the matrix and the offset of a map whose trees are
 affine.
 """
@@ -372,28 +373,38 @@ def compile_coords(nodes):
     return _factory(source, "step", len(consts))(*consts)
 
 
+def is_shift(nodes) -> bool:
+    """Whether the map whose output trees are `nodes` is a shift map:
+    d >= 2 and trees 2..d are the variables x1..x(d-1), so each sample's
+    coordinates after the first are the first coordinates of the d - 1
+    samples before it."""
+    return len(nodes) >= 2 and all(node == Var(i) for i, node in enumerate(nodes[1:], start=1))
+
+
 def compile_orbit_loop(nodes):
     """The orbit loop of the map whose output trees are `nodes`, one per
     coordinate: `run(c1, ..., cd, t, stop, append) -> t`.
 
     From the sample (c1, ..., cd) at time t it computes the samples at
     t+1, ..., stop, each with the float operations of
-    `compile_coords(nodes)`, and passes every coordinate of every sample
-    to `append`.  It returns the time of the first sample with a
-    coordinate outside [-1, 1] or NaN, or `stop` when there is none.
+    `compile_coords(nodes)`.  It returns the time of the first sample
+    with a coordinate outside [-1, 1] or NaN, or `stop` when there is
+    none.  A non-shift map passes every coordinate of every sample to
+    `append`.  A shift map (`is_shift`) passes and checks only c1, as
+    its other coordinates are earlier values of c1, already checked.
     """
     consts = []
     cs = [f"c{i}" for i in range(1, len(nodes) + 1)]
     parts = [_python_source(n, "c{}".format, consts) for n in nodes]
-    inside = " and ".join(f"-1.0 <= {c} <= 1.0" for c in cs)
+    new = cs[:1] if is_shift(nodes) else cs
+    inside = " and ".join(f"-1.0 <= {c} <= 1.0" for c in new)
     source = "".join([
         f"def run({', '.join(cs)}, t, stop, append):\n",
         "    for t in range(t + 1, stop + 1):\n",
         f"        {', '.join(cs)}, = {', '.join(parts)},\n",
-        *(f"        append({c})\n" for c in cs),
+        *(f"        append({c})\n" for c in new),
         f"        if not ({inside}):\n",
         "            return t\n",
         "    return stop\n",
     ])
     return _factory(source, "run", len(consts))(*consts)
-

@@ -57,24 +57,29 @@ class MapDefinition:
     to the raw output tuple, before any range policing, and `loop` is the
     orbit loop `loop(c1, ..., cd, t, stop, append) -> t` that
     `generate_orbit` runs (see `expressions.compile_orbit_loop`).
+    `shift` is read off the trees once too: whether trees 2..d are
+    x1..x(d-1) (`expressions.is_shift`), so that the loop appends only
+    x1 of each sample.  Every `ar` and `delay` map of d >= 2 is one.
     """
 
     trees: tuple
     step: Callable = field(init=False, repr=False, compare=False)
     loop: Callable = field(init=False, repr=False, compare=False)
+    shift: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.trees:
             raise DimensionMismatch("a map needs at least one output tree")
         object.__setattr__(self, "step", expressions.compile_coords(self.trees))
         object.__setattr__(self, "loop", expressions.compile_orbit_loop(self.trees))
+        object.__setattr__(self, "shift", expressions.is_shift(self.trees))
 
     @property
     def d(self) -> int:
         return len(self.trees)
 
     def __reduce__(self):
-        # pickled as its definition; step and loop are built again on loading
+        # pickled as its definition; step, loop and shift are built again on loading
         return (MapDefinition, (self.trees,))
 
 

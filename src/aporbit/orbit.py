@@ -11,11 +11,13 @@ the chain is shadow[0..T+L-1], eventually periodic with pre-period T and
 period L.
 
 The orbit is the one whole array, the only memory that grows with the
-horizon.  The shadow is a view of it that quantizes a block when the
-block is read.  `build_transition_table` reads it in one pass of blocks
-(sorted codes with their successor codes, O(block + N) temporaries) and
-finds the chain's first repeat on the way, `run_pipeline` takes both
-from that pass, and `shadow_periodicity` reads an int64 window.
+horizon: 8 B a sample for a shift map, whose orbit is a strided view of
+its first coordinates, and 8*d B for any other map.  The shadow is a
+view of it that quantizes a block when the block is read.
+`build_transition_table` reads it in one pass of blocks (sorted codes
+with their successor codes, O(block + N) temporaries) and finds the
+chain's first repeat on the way, `run_pipeline` takes both from that
+pass, and `shadow_periodicity` reads an int64 window.
 """
 
 from __future__ import annotations
@@ -53,22 +55,30 @@ def generate_orbit(m: MapDefinition, y0: Point, horizon: int) -> OrbitSeries:
     The map's compiled `loop` runs the steps and stops at a sample outside
     the box or NaN.  A sample within CLAMP_BAND of the box is clamped onto
     it and the loop resumes from there; any other raises RangeViolation.
+
+    A non-shift map's loop appends every coordinate, and the orbit is the
+    buffer read as (H+1, d) rows.  A shift map's loop appends only x1, so
+    the buffer holds z(-d+1), ..., z(H): y0 reversed as the history, then
+    one value a step.  The orbit is then a strided view of it whose row t
+    reads (z(t), ..., z(t-d+1)) backwards from z(t), 8 B a sample.
     """
     if y0.d != m.d:
         raise DimensionMismatch(f"y0 dimension {y0.d} != map dimension {m.d}")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     d = m.d
-    buf = array("d", y0.coords)
+    order = slice(None, None, -1) if m.shift else slice(None)  # buffer order of a sample
+    buf = array("d", y0.coords[order])
     t, current = 0, y0.coords
     while t < horizon:
         t = m.loop(*current, t, horizon, buf.append)
-        current = tuple(buf[-d:])
+        current = tuple(buf[-d:])[order]
         if box_overshoot(current) > CLAMP_BAND:
             raise RangeViolation(f"orbit left the box at t={t}: {list(current)}", t=t)
         current = Point(current).coords  # clamped onto the box
-        buf[-d:] = array("d", current)
-    return OrbitSeries(np.frombuffer(buf).reshape(-1, d))
+        buf[-d:] = array("d", current[order])
+    offset, strides = (8 * (d - 1), (8, -8)) if m.shift else (0, (8 * d, 8))
+    return OrbitSeries(np.ndarray((horizon + 1, d), float, buf, offset, strides))
 
 
 def discretize_orbit(orbit: OrbitSeries, g: GridSpec) -> GridStates:

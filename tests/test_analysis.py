@@ -492,10 +492,12 @@ def test_distances_walked_in_blocks_equal_the_whole_window_norm(monkeypatch):
 
 
 def test_verify_memory_per_sample():
-    # Past the orbit (16 B a sample here) and the distances and bounds
-    # (8 B each), verify walks in blocks and drops the shadow: 2*10^5
-    # samples peak at about 41 B each, 57 with either whole-horizon
-    # distance arrays or the shadow kept, and once peaked at 96.7.
+    # Past the orbit (8 B a sample for this shift map) and the distances
+    # and bounds (8 B each), verify walks in blocks, takes the ratio to the
+    # bound a block at a time and drops the shadow: 2*10^5 samples peak at
+    # about 27 B each.  With the orbit at 16 B a sample, the distances
+    # concatenated from a list of blocks and a whole ratio array this read
+    # 40.7, and it once peaked at 96.7.
     m, y0, H = ar_map([0.3, -0.5]), Point([0.6, 0.2]), 200_000
     verify_error_bound(m, y0, K=64, horizon=1000)
     tracemalloc.start()
@@ -505,4 +507,4 @@ def test_verify_memory_per_sample():
     finally:
         tracemalloc.stop()
     assert report.passed
-    assert peak / (H + 1) < 48
+    assert peak / (H + 1) < 28

@@ -618,17 +618,18 @@ def test_curve_writing_adds_order_L_to_the_peak(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("csvs", [False, True], ids=["json-only", "csv"])
 def test_run_memory_is_the_orbit(tmp_path, capsys, csvs):
-    # Past the orbit (16 B a sample here), every stage works in blocks and
-    # the shadow is a view of the orbit that quantizes a block when it is
-    # read, so 2*10^5 samples peak at 20 B each or less (about 33.4 when
-    # the shadow was a whole index array).
+    # Past the orbit (8 B a sample for this shift map), every stage works
+    # in blocks and the shadow is a view of the orbit that quantizes a
+    # block when it is read, so 2*10^5 samples peak at 11 B each or less
+    # (about 17.7 when the orbit held both coordinates of each sample, and
+    # 33.4 when the shadow was a whole index array too).
     H = 200_000
     argv = ["run", "--map", '{"kind": "ar", "d": 2, "p": [1.5297, -1.0]}',
             "--y0=0.9,0.688", "--K", "64", "--force"] + ([] if csvs else ["--json-only"])
     traced_peak(argv + ["--horizon", "1000", "--out", str(tmp_path / "warm")])
     peak = traced_peak(argv + ["--horizon", str(H), "--out", str(tmp_path / "run")])
     assert (tmp_path / "run" / "orbit.csv").exists() == csvs
-    assert peak / (H + 1) <= 20
+    assert peak / (H + 1) <= 11
 
 
 # The longest run job of bench/'s long_orbit workload: a 2-d spiral at
@@ -637,15 +638,17 @@ SPIRAL = ["--map", '{"kind": "ar", "d": 2, "p": [1.823054, -0.980595]}',
           "--y0=-0.8016876785707332,-0.5216423999399237", "--K", "64"]
 
 
-def test_long_orbit_run_peaks_at_34_bytes_a_sample(tmp_path, capsys):
-    # The orbit is 16.5 B a sample; the pass over the shadow, the
-    # periodicity window and the CSV blocks each add a fixed amount on
-    # top.  With the shadow as a whole index array this read 45.5.
+def test_long_orbit_run_peaks_at_26_bytes_a_sample(tmp_path, capsys):
+    # The orbit of this shift map is 8.5 B a sample; the pass over the
+    # shadow, the periodicity window and the CSV blocks each add a fixed
+    # amount on top, about 24.5 B a sample in all.  With both coordinates
+    # of each sample stored this read 32.6, and with the shadow as a whole
+    # index array too, 45.5.
     argv = ["run", *SPIRAL, "--horizon", "14000", "--force"]
     traced_peak(argv + ["--out", str(tmp_path / "warm")])
     peak = traced_peak(argv + ["--out", str(tmp_path / "run")])
     assert (tmp_path / "run" / "orbit.csv").exists()
-    assert peak / 14001 <= 34
+    assert peak / 14001 <= 26
 
 
 # A rotation by 1.1 rad: its 3-level ladder below needs an orbit longer

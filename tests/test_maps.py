@@ -347,18 +347,21 @@ def test_map_from_json_refuses_a_bad_d(data):
 
 
 def test_map_pickles_and_rebuilds_its_step():
-    for m in (
-        ar_map([0.25, -0.5]),
-        delay_map("0.5*x1 / (1.5 + x2)", 2),
-        expression_map(["0.5*x1", "tanh(x2)"]),
-        builtin_map("tent", 2),
+    # a shift map's loop appends x1 alone, one value a step; any other
+    # map's appends all d coordinates
+    for m, shift in (
+        (ar_map([0.25, -0.5]), True),
+        (delay_map("0.5*x1 / (1.5 + x2)", 2), True),
+        (expression_map(["0.5*x1", "tanh(x2)"]), False),
+        (builtin_map("tent", 2), False),
     ):
         again = pickle.loads(pickle.dumps(m))
         assert again == m
+        assert again.shift == m.shift == shift
         assert again.step((0.3, -0.7)) == m.step((0.3, -0.7))
         got, want = array("d"), array("d")
         assert again.loop(0.3, -0.7, 0, 50, got.append) == m.loop(0.3, -0.7, 0, 50, want.append)
-        assert got == want and len(got) == 2 * 50
+        assert got == want and len(got) == (1 if shift else 2) * 50
 
 
 SPECIAL = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324]

@@ -35,8 +35,8 @@ from aporbit.expressions import Var, parse_expression
 from aporbit.maps import MapDefinition
 from aporbit import core, orbit
 from aporbit.orbit import CONFLICT_EXAMPLES, SHADOW_WINDOW, TABLE_BLOCK
-from oracles import (BUILTIN_STEPS, NoCycleWithinHorizon, ar_step, detect_cycle, per_step_orbit,
-                     scan_shadow_periodicity, whole_transition_table)
+from oracles import (BUILTIN_STEPS, NoCycleWithinHorizon, ar_recursion, ar_step, detect_cycle,
+                     per_step_orbit, scan_shadow_periodicity, whole_transition_table)
 from test_expressions import ast_nodes, evaluate_ast
 
 
@@ -134,11 +134,15 @@ def edge_nodes(d):
                      st.sampled_from(sources), st.integers(1, d))
 
 
-def drawn_map(data, d):
+def drawn_map(data):
     """A map of each kind, with the step its orbit was iterated by before
     the compiled loop: the old builtin and `ar` step functions, and the
-    tree interpreter for expression trees."""
-    kind = data.draw(st.sampled_from(["ar", "delay", "expr", "builtin"]))
+    tree interpreter for expression trees.  The shift maps (`ar`, `delay`
+    and an `expr` map in shift form, any first tree followed by
+    x1..x(d-1)) draw d up to 12, the others up to 4."""
+    kind = data.draw(st.sampled_from(["ar", "delay", "shift", "expr", "builtin"]))
+    d = data.draw(st.integers(2 if kind == "shift" else 1,
+                              12 if kind in ("ar", "delay", "shift") else 4))
     if kind == "ar":
         near_one = st.sampled_from([1.0 + 4e-13, -1.0 - 4e-13, 1.0, -1.0, 0.0, -0.0, 1.5])
         p = data.draw(st.lists(st.one_of(st.floats(-1.2, 1.2), near_one),
@@ -153,17 +157,57 @@ def drawn_map(data, d):
     else:
         nodes = data.draw(st.lists(st.one_of(ast_nodes(d), edge_nodes(d)),
                                    min_size=d, max_size=d))
-    return MapDefinition(tuple(nodes)), lambda c: tuple(evaluate_ast(n, c) for n in nodes)
+        if kind == "shift":
+            nodes[1:] = [Var(i) for i in range(1, d)]
+    m = MapDefinition(tuple(nodes))
+    assert kind == "expr" or m.shift == (d >= 2)
+    return m, lambda c: tuple(evaluate_ast(n, c) for n in nodes)
 
 
-@settings(max_examples=250, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_generate_orbit_matches_the_per_step_loop(data):
-    d = data.draw(st.integers(1, 4))
-    m, step = drawn_map(data, d)
+    m, step = drawn_map(data)
     y0 = data.draw(st.lists(st.one_of(st.floats(-1.0, 1.0), st.sampled_from(EDGE_COORDS)),
-                            min_size=d, max_size=d))
+                            min_size=m.d, max_size=m.d))
     assert_matches_per_step(m, step, Point(y0), data.draw(st.integers(0, 200)))
+
+
+@pytest.mark.parametrize("p, z0", [([0.5, -0.9], [0.3, -0.2]),
+                                   ([0.3, -0.2, 0.1, 0.05, -0.4], [0.5, 0.2, -0.1, 0.9, -1.0])])
+@pytest.mark.parametrize("H", [0, 1, 2, 50])
+def test_a_shift_orbit_is_a_view_of_its_first_coordinates(p, z0, H):
+    # row t of a shift map's orbit is (z(t), ..., z(t-d+1)), read from one
+    # sequence z(-d+1), ..., z(H) that holds each value once
+    d = len(p)
+    m = ar_map(p)
+    assert m.shift
+    values = generate_orbit(m, Point(z0), H).values
+    assert values.shape == (H + 1, d)
+    assert not values.flags.writeable
+    z = np.concatenate([z0[:0:-1], ar_recursion(p, z0, H)])  # z(-d+1..H)
+    want = np.array([z[t + d - 1 :: -1][:d] for t in range(H + 1)])
+    assert np.array_equal(values.view(np.int64), want.view(np.int64))
+    assert np.shares_memory(values[:, 0], values[:, -1]) == (H >= d - 1)
+
+
+@pytest.mark.parametrize("sources, shift", [
+    (["0.5*x1", "x1 + 0.0"], False),
+    (["0.5*x1", "-x1"], False),
+    (["x1", "x1", "x1"], False),
+    (["x1 - 0.5*x2 + 0.25*x3", "x1", "x1"], False),
+    (["x2", "x1"], True),
+    (["0.9*x1 - 0.5*x3", "x1", "x2"], True),
+])
+def test_near_shift_maps_keep_the_general_loop(sources, shift):
+    # only trees 2..d that are exactly x1..x(d-1) make a shift map; its
+    # orbit and any other's match the per-step loop bit for bit
+    m = expression_map(sources)
+    assert m.shift == shift
+    y0 = Point([0.3, -0.7, 0.9][: m.d])
+    for H in (0, 1, 60):
+        assert_matches_per_step(m, m.step, y0, H)
+        assert generate_orbit(m, y0, H).values.shape == (H + 1, m.d)
 
 
 def ar_case(p):
@@ -700,9 +744,10 @@ def test_shadow_periodicity_of_pipeline_shadows():
 
 
 def test_pipeline_memory_per_sample():
-    # orbit, shadow, table and chain at 2*10^5 samples of a 2-d map: the
-    # orbit is 16 B a sample, and the shadow, a view of it, is read a
-    # block at a time (33.4 B a sample when the shadow was an index array)
+    # orbit, shadow, table and chain at 2*10^5 samples of a 2-d shift map:
+    # the orbit is 8 B a sample, and the shadow, a view of it, is read a
+    # block at a time (17.7 B a sample when the orbit stored both
+    # coordinates, 33.4 when the shadow was an index array too)
     H = 200_000
     tracemalloc.start()
     try:
@@ -710,7 +755,7 @@ def test_pipeline_memory_per_sample():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (H + 1) <= 20
+    assert peak / (H + 1) <= 11
 
 
 @pytest.mark.parametrize("kind", ["ar", "uniform"])
