@@ -194,11 +194,12 @@ class GridStates(Sequence):
         """One int64 per state, equal exactly where the states are equal.
 
         The mixed-radix code sum_i idx_i (K+1)^(d-1-i) when (K+1)^d fits in
-        int64, computed QUANTIZE_BLOCK rows at a time, so a view holds the
-        index rows of one block; otherwise the rank of each index row among
-        the distinct rows, which is only comparable within this sequence.
+        int64 (and so in a numpy shape), computed QUANTIZE_BLOCK rows at a
+        time, so a view holds the index rows of one block; otherwise the
+        rank of each index row among the distinct rows, which is only
+        comparable within this sequence.
         """
-        if self.grid.state_count > 2 ** 63:
+        if self.grid.state_count >= 2 ** 63:
             _, rank = np.unique(self.indices, axis=0, return_inverse=True)
             return rank.reshape(-1).astype(np.int64)
         radix = self.grid.K + 1

@@ -10,13 +10,13 @@ state repeats: with the repeat first seen at T and seen again at T + L,
 the chain is shadow[0..T+L-1], eventually periodic with pre-period T and
 period L.
 
-The orbit is the one whole array, the only memory that grows with the
-horizon: 8 B a sample for a shift map, whose orbit is a strided view of
-its first coordinates, and 8*d B for any other map.  The shadow is a
-view of it that quantizes a block when the block is read.
-`build_transition_table` reads it in one pass of blocks (sorted codes
-with their successor codes, O(block + N) temporaries) and finds the
-chain's first repeat on the way, `run_pipeline` takes both from that
+The orbit is the one whole array that grows with the horizon: 8 B a
+sample for a shift map, whose orbit is a strided view of its first
+coordinates, and 8*d B for any other map.  The shadow is a view of it
+that quantizes a block when the block is read.  `build_transition_table`
+reads it in one pass of blocks, keeping the distinct codes seen so far
+sorted with their successors and first positions, and one search there
+finds the chain's first repeat; `run_pipeline` takes both from that
 pass, and `shadow_periodicity` reads an int64 window.
 """
 
@@ -115,45 +115,44 @@ class TransitionTable:
     chain: ChainResult | None = field(default=None, compare=False, repr=False)
 
 
-def build_transition_table(shadow: GridStates) -> TransitionTable:
+def build_transition_table(shadow: GridStates, *, _until_chain: bool = False) -> TransitionTable:
     """N, the conflicts and the chain of the shadow's earliest-occurrence
     transitions.
 
     One pass over consecutive blocks of the shadow, each read once; a
     block's codes follow the previous block's last code.  The codes seen
-    so far stay sorted, next to the code that followed each one's
-    earliest occurrence, and a block looks its distinct codes up there
-    once: O(block + N) temporaries, and as a block is TABLE_BLOCK or N
-    positions, O(1) per position to merge its new codes in.  Until the
-    first repeat, `_first_repeat` walks the codes and the blocks' index
-    rows are kept: the chain is their first T + L rows.  Above 2^63 grid
-    states the codes are ranks, comparable only within one array, so the
-    whole shadow is read into one index array and ranked once.
+    so far stay sorted, each next to the code that followed its earliest
+    occurrence and that occurrence's position, and a block looks its
+    distinct codes up there once: O(block + N) temporaries, and as a block
+    is TABLE_BLOCK or N positions, O(1) per position to merge its new
+    codes in.  Until the chain closes, one search of the block's successor
+    codes there finds the first repeated state; the states before it are
+    distinct, so the chain is the codes in order of first position.  From
+    2^63 grid states on the codes are ranks, comparable only within one
+    array, so the whole shadow is read into one index array, ranked once,
+    and the chain is its first rows.  `_until_chain` stops after the block
+    where the chain closes and counts no conflicts (for `build_chain`).
     """
     n, g = len(shadow), shadow.grid
     if n < 2:
         raise ValueError("need at least two shadow states to observe a transition")
     ranks = None
-    if g.state_count > 2 ** 63:
+    if g.state_count >= 2 ** 63:
         shadow = GridStates(shadow.indices, g)
         ranks = shadow.codes()
-    first, found, prefix = {}, None, []
-    count, times = 0, []
+    chain, count, times = None, 0, []
     a, b = 0, min(max(TABLE_BLOCK, 2), n)  # the first block holds a transition
-    while a < n:
-        block = shadow[a:b] if found else GridStates(shadow[a:b].indices, g)
-        codes = block.codes() if ranks is None else ranks[a:b]
-        if found is None:
-            found = _first_repeat(codes.tolist(), first)
-            prefix.append(block.indices if found is None else block.indices[: sum(found) - a])
+    while a < n and (chain is None or not _until_chain):
+        codes = shadow[a:b].codes() if ranks is None else ranks[a:b]
         if a:  # the transition out of the previous block's last position
             codes = np.concatenate((last, codes))
         last = codes[-1:]
         src, dst = codes[:-1], codes[1:]
-        uniq, j, inverse = np.unique(src, return_index=True, return_inverse=True)
+        t0 = max(a - 1, 0)  # the position of src[0]
+        uniq, j, *inverse = np.unique(src, return_index=True, return_inverse=not _until_chain)
         expect = dst[j]  # a new code's successor at its first position here
         if not a:  # every code of the first block is new
-            known, succ = uniq, expect
+            known, succ, first = uniq, expect, j
         else:
             at = np.searchsorted(known, uniq)
             seen = known[np.minimum(at, len(known) - 1)] == uniq
@@ -161,14 +160,20 @@ def build_transition_table(shadow: GridStates) -> TransitionTable:
             if not seen.all():
                 known = np.insert(known, at[~seen], uniq[~seen])
                 succ = np.insert(succ, at[~seen], expect[~seen])
-        bad = np.flatnonzero(expect[inverse] != dst)
-        count += len(bad)
-        times += (bad[: CONFLICT_EXAMPLES - len(times)] + max(a - 1, 0)).tolist()
+                first = np.insert(first, at[~seen], j[~seen] + t0)
+        if chain is None:  # dst[i], at position t0 + 1 + i, seen before it?
+            at = np.minimum(np.searchsorted(known, dst), len(known) - 1)
+            again = np.flatnonzero((known[at] == dst) & (first[at] <= np.arange(t0, t0 + len(dst))))
+            if len(again):
+                t, T = t0 + 1 + int(again[0]), int(first[at[again[0]]])
+                seq = shadow.indices[:t].copy() if ranks is not None else np.stack(
+                    np.unravel_index(known[np.argsort(first)[:t]], (g.K + 1,) * g.d), axis=1)
+                chain = ChainResult(grid=g, seq=GridStates(seq, g), pre_period=T, period=t - T)
+        if inverse:  # a stopping pass counts no conflicts
+            bad = np.flatnonzero(expect[inverse[0]] != dst)
+            count += len(bad)
+            times += (bad[: CONFLICT_EXAMPLES - len(times)] + t0).tolist()
         a, b = b, min(b + max(TABLE_BLOCK, len(known)), n)
-    chain = None
-    if found is not None:
-        chain = ChainResult(grid=g, seq=GridStates(np.concatenate(prefix), g),
-                            pre_period=found[0], period=found[1])
     states = []
     if times:  # both states of every example, read at once
         at = np.add.outer(times, [0, 1]).ravel()
@@ -235,12 +240,12 @@ class ChainResult:
         }
 
 
-def _first_repeat(items, first=None):
-    # The one cycle walker: consume items up to the first repeated one and
-    # return (T, L), where T is the position of the repeat's first
-    # occurrence and L the distance; None if the items run out first.
-    # Passing the `first` dict of an earlier call resumes that walk.
-    first = {} if first is None else first
+def _first_repeat(items):
+    # The census's walker over a lazily drawn random map: consume items up
+    # to the first repeated one and return (T, L), where T is the position
+    # of the repeat's first occurrence and L the distance; None if the
+    # items run out first.
+    first = {}
     for s in items:
         if s in first:
             return first[s], len(first) - first[s]
@@ -257,31 +262,23 @@ def build_chain(shadow: GridStates, table: TransitionTable | None = None) -> Cha
     pre-period T, period L and the states shadow[0..T+L-1] (a copy, so the
     chain does not keep the shadow alive).  `table`, the shadow's
     transition table, holds the chain its pass found; without it the
-    shadow is read a block at a time up to the repeat.  A shadow without
-    a repeat ends in a state with
-    no outgoing observation, reported as DanglingState (possible under
-    horizon truncation, never patched over).
+    table's pass runs up to the block where the chain closes, over at
+    most the first (K+1)^d + 1 states, which must repeat one.  A shadow
+    without a repeat ends in a state with no outgoing observation,
+    reported as DanglingState (possible under horizon truncation, never
+    patched over).
     """
     if not len(shadow):
         raise ValueError("an empty shadow has no chain")
-    chain = None if table is None else table.chain
-    if table is None:  # the walk of build_transition_table, on the rows' bytes
-        first, prefix, found, a = {}, [], None, 0
-        while found is None and a < len(shadow):
-            rows = shadow[a : a + TABLE_BLOCK].indices
-            found = _first_repeat((row.tobytes() for row in rows), first)
-            prefix.append(rows if found is None else rows[: sum(found) - a])
-            a += TABLE_BLOCK
-        if found is not None:
-            chain = ChainResult(grid=shadow.grid, seq=GridStates(np.concatenate(prefix), shadow.grid),
-                                pre_period=found[0], period=found[1])
-    if chain is None:
+    if table is None and len(shadow) > 1:  # its first (K+1)^d + 1 states hold a repeat
+        table = build_transition_table(shadow[: shadow.grid.state_count + 1], _until_chain=True)
+    if table is None or table.chain is None:
         raise DanglingState(
             f"chain reached a state with no outgoing edge at t={len(shadow)}",
             state=shadow[-1],
             t=len(shadow),
         )
-    return chain
+    return table.chain
 
 
 def shadow_periodicity(shadow: GridStates):

@@ -1,7 +1,8 @@
 """Computations kept for the tests only.
 
 `detect_cycle`, `parseval_gap` and `quantization_error` check library
-results and have no caller in the library, and `companion_matrix` and
+results and have no caller in the library, `oracle_first_repeat` is the
+brute-force first repeat that `detect_cycle` is held to, and `companion_matrix` and
 `char_coefficients` are the matrix and the characteristic polynomial of
 an `ar` map that the library reads off its trees.  `ar_recursion` is
 the recursion from the coefficients that the algebraic route replaced
@@ -53,6 +54,15 @@ def detect_cycle(seq) -> tuple[int, int]:
                 "sequence is not an iterated-function trace"
             )
     return pre_period, period
+
+
+def oracle_first_repeat(seq):
+    """Brute-force first repetition by linear list scanning."""
+    for t in range(len(seq)):
+        first = seq.index(seq[t])
+        if first < t:
+            return first, t - first
+    return None
 
 
 def parseval_gap(form, values) -> float:

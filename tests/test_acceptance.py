@@ -39,7 +39,7 @@ from aporbit import (
     validate_range,
     verify_error_bound,
 )
-from oracles import detect_cycle, parseval_gap, quantization_error
+from oracles import detect_cycle, oracle_first_repeat, parseval_gap, quantization_error
 
 
 def report(name, detail):
@@ -193,14 +193,6 @@ def test_criterion_2_error_bound_corpus():
 # --------------------------------------------------------------------------
 # 3. chain periodicity and (T, L) against the brute-force oracle
 # --------------------------------------------------------------------------
-
-def oracle_first_repeat(seq):
-    for t in range(len(seq)):
-        first = seq.index(seq[t])
-        if first < t:
-            return first, t - first
-    return None
-
 
 def test_criterion_3_chain_periodicity_and_cycle_oracle():
     start = time.time()

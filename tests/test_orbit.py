@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aporbit import (
@@ -36,7 +36,8 @@ from aporbit.maps import MapDefinition
 from aporbit import core, orbit
 from aporbit.orbit import CONFLICT_EXAMPLES, SHADOW_WINDOW, TABLE_BLOCK
 from oracles import (BUILTIN_STEPS, NoCycleWithinHorizon, ar_recursion, ar_step, detect_cycle,
-                     per_step_orbit, scan_shadow_periodicity, whole_transition_table)
+                     oracle_first_repeat, per_step_orbit, scan_shadow_periodicity,
+                     whole_transition_table)
 from test_expressions import ast_nodes, evaluate_ast
 
 
@@ -447,6 +448,8 @@ def test_build_chain_examples():
     assert [chain.state_at(t).indices[0] for t in range(8)] == [0, 1, 0, 1, 0, 1, 0, 1]
     chain = build_chain(GridStates.of([A, B, C, B, C]))
     assert (chain.pre_period, chain.period) == (1, 2)
+    chain = build_chain(GridStates.of([A, B, C, B]))  # the repeat is at the last position
+    assert (chain.pre_period, chain.period) == (1, 2)
     chain = build_chain(GridStates.of([A, A, A]))
     assert (chain.pre_period, chain.period) == (0, 1)
 
@@ -527,15 +530,16 @@ def test_build_chain_matches_table_walk():
         dangling += got[0] == "dangling"
         conflicted += len(build_transition_table(shadow).conflicts) > 0
     assert dangling >= 100 and conflicted >= 1000
-    # (K+1)^d beyond int64: the rows themselves tell the states apart
-    g = GridSpec(K=2 ** 40, d=2)
-    outcomes = set()
-    for _ in range(50):
-        shadow = random_shadow(rng, g, int(rng.integers(2, 20)))
-        got = chain_or_dangling(build_chain, shadow)
-        assert got == chain_or_dangling(oracle_table_walk, shadow)
-        outcomes.add(got[0] == "dangling")
-    assert outcomes == {True, False}
+    # (K+1)^d beyond int64, or exactly 2^63, too many for a numpy shape:
+    # the rows themselves tell the states apart
+    for g in (GridSpec(K=2 ** 40, d=2), GridSpec(K=2 ** 21 - 1, d=3)):
+        outcomes = set()
+        for _ in range(50):
+            shadow = random_shadow(rng, g, int(rng.integers(2, 20)))
+            got = chain_or_dangling(build_chain, shadow)
+            assert got == chain_or_dangling(oracle_table_walk, shadow)
+            outcomes.add(got[0] == "dangling")
+        assert outcomes == {True, False}
 
 
 def test_build_chain_copies_the_shadow_prefix():
@@ -554,15 +558,6 @@ def test_detect_cycle_examples():
     with pytest.raises(NoCycleWithinHorizon):
         detect_cycle([1, 2, 3])
     assert detect_cycle([1, 2, 1]) == (0, 2)
-
-
-def oracle_first_repeat(seq):
-    """Brute-force first repetition by linear list scanning."""
-    for t in range(len(seq)):
-        first = seq.index(seq[t])
-        if first < t:
-            return first, t - first
-    return None
 
 
 def test_detect_cycle_matches_bruteforce_oracle():
@@ -628,20 +623,30 @@ def test_pipeline_deterministic():
 EXACT_NODES = (-1.0, -0.5, 0.0, 0.5, 1.0)  # nodes of both grids below
 
 
+@st.composite
+def exact_node_orbits(draw):
+    """A grid and 2 to 30 orbit samples over a few of its exact nodes."""
+    g = draw(st.sampled_from([GridSpec(K=4, d=1), GridSpec(K=4, d=2), GRIDS[3]]))
+    alphabet = draw(st.lists(st.lists(st.sampled_from(EXACT_NODES), min_size=g.d, max_size=g.d),
+                             min_size=1, max_size=6, unique_by=tuple))
+    n = draw(st.integers(2, 30))
+    picks = draw(st.lists(st.integers(0, len(alphabet) - 1), min_size=n, max_size=n))
+    return g, np.array([alphabet[i] for i in picks])
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_shadow_view_at_block_edges_equals_the_materialized_shadow(data):
+@given(case=exact_node_orbits(), quantize_block=st.integers(1, 5), table_block=st.integers(1, 5),
+       window=st.integers(2, 12))
+# table blocks [0, 2), [2, 3) and [3, 5): the first repeat is at a block's first position
+@example(case=(GridSpec(K=4, d=1), np.array([[-1.0], [-0.5], [0.0], [-0.5], [0.0]])),
+         quantize_block=1, table_block=1, window=2)
+def test_shadow_view_at_block_edges_equals_the_materialized_shadow(case, quantize_block,
+                                                                   table_block, window):
     # orbits over a few exact node values, read through small quantizer
     # blocks, table blocks and windows, so that block edges fall on first
     # sightings, conflicts, the first repeat and the window's start
-    g = data.draw(st.sampled_from([GridSpec(K=4, d=1), GridSpec(K=4, d=2), GRIDS[3]]))
-    quantize_block, table_block = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
-    window = data.draw(st.integers(2, 12))
-    alphabet = data.draw(st.lists(st.lists(st.sampled_from(EXACT_NODES), min_size=g.d,
-                                           max_size=g.d), min_size=1, max_size=6, unique_by=tuple))
-    n = data.draw(st.integers(2, 30))
-    picks = data.draw(st.lists(st.integers(0, len(alphabet) - 1), min_size=n, max_size=n))
-    values = np.array([alphabet[i] for i in picks])
+    g, values = case
+    n = len(values)
     view = discretize_orbit(OrbitSeries(values), g)
     whole = GridStates(view.indices, g)
     assert whole.indices.dtype == np.int64
@@ -711,6 +716,19 @@ def test_each_sample_is_quantized_once(monkeypatch, block):
     assert rows[0] == SHADOW_WINDOW
 
 
+@pytest.mark.parametrize("K, most", [(128, TABLE_BLOCK), (2, 3 ** 2 + 1)])
+def test_build_chain_without_a_table_stops_at_the_repeat(monkeypatch, K, most):
+    # The rotation's 4-cycle closes in the first of six table blocks, and
+    # build_chain reads no block after it (the census's early stop), nor
+    # more than the first (K+1)^d + 1 states, which must repeat one.
+    shadow = discretize_orbit(generate_orbit(ar_map([0.0, -1.0]), Point([1.0, 0.0]),
+                                             5 * TABLE_BLOCK + 16), GridSpec(K=K, d=2))
+    rows = count_quantized_rows(monkeypatch)
+    chain = build_chain(shadow)
+    assert (chain.pre_period, chain.period) == (0, 4) and len(shadow) == 5 * TABLE_BLOCK + 17
+    assert rows[0] <= most
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_shadow_periodicity_equals_the_pair_by_pair_scan(data):
@@ -756,6 +774,22 @@ def test_pipeline_memory_per_sample():
     finally:
         tracemalloc.stop()
     assert peak / (H + 1) <= 11
+
+
+def test_pipeline_memory_without_a_repeat():
+    # a 2-d rotation at K = 2^20 repeats no state in 2*10^5 samples: the
+    # table's pass keeps H codes, each with its successor and first
+    # position, and its blocks grow to N (191.2 B a sample when a dict
+    # walked every position before the repeat)
+    H = 200_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(DanglingState):
+            run_pipeline(ar_map([1.5297, -1.0]), Point([0.9, 0.688]), GridSpec(K=2 ** 20, d=2), H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (H + 1) <= 80
 
 
 @pytest.mark.parametrize("kind", ["ar", "uniform"])
