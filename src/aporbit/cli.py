@@ -65,6 +65,19 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+def _int_at_least(low: int):
+    """An argparse `type=`: an integer of at least `low`, so that a count
+    out of range is refused before a command makes its output directory."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _parse_vector(text: str) -> list[float]:
     try:
         return [float(x) for x in text.split(",") if x.strip() != ""]
@@ -507,24 +520,24 @@ def build_parser() -> argparse.ArgumentParser:
                        help="orbit -> shadow -> chain -> trig form")
     p.add_argument("--map", required=True)
     p.add_argument("--y0", required=True, help="comma-separated initial point")
-    p.add_argument("--K", type=int, required=True)
-    p.add_argument("--horizon", type=int, default=None)
+    p.add_argument("--K", type=_int_at_least(1), required=True)
+    p.add_argument("--horizon", type=_int_at_least(1), default=None)
     p.add_argument("--emit-curve", dest="emit_curve", action="store_true")
 
     p = sub.add_parser("verify", parents=[seeded],
                        help="check the chain approximation error bound")
     p.add_argument("--map", required=True)
     p.add_argument("--y0", required=True)
-    p.add_argument("--K", type=int, required=True)
-    p.add_argument("--horizon", type=int, default=200)
-    p.add_argument("--samples", type=int, default=4096)
+    p.add_argument("--K", type=_int_at_least(1), required=True)
+    p.add_argument("--horizon", type=_int_at_least(1), default=200)
+    p.add_argument("--samples", type=_int_at_least(1), default=4096)
 
     p = sub.add_parser("ladder", parents=[seeded],
                        help="multi-resolution convergence diagnostics")
     p.add_argument("--map", required=True)
     p.add_argument("--y0", required=True)
     p.add_argument("--Ks", required=True, help="comma-separated resolutions")
-    p.add_argument("--horizon", type=int, default=200)
+    p.add_argument("--horizon", type=_int_at_least(1), default=200)
     p.add_argument("--budget", type=float, default=1e6,
                    help="partial-sum budget for the summability condition")
     p.add_argument("--tolerance", type=float, default=1e-6)
@@ -532,20 +545,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ar", parents=[common],
                        help="decompose a linear-recurrence orbit")
     p.add_argument("--spec", required=True)
-    p.add_argument("--horizon", type=int, default=200)
+    p.add_argument("--horizon", type=_int_at_least(0), default=200)
 
     p = sub.add_parser("census", parents=[seeded],
                        help="period statistics over a random ensemble")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--K", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--d", type=_int_at_least(1), required=True)
+    p.add_argument("--K", type=_int_at_least(1), required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--generator", default="random_map",
                    choices=("random_map", "random_ar"))
 
     p = sub.add_parser("validate-map", parents=[seeded],
                        help="probe that a map sends the box into itself")
     p.add_argument("--map", required=True)
-    p.add_argument("--samples", type=int, default=256)
+    p.add_argument("--samples", type=_int_at_least(0), default=256)
     return parser
 
 

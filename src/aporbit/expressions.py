@@ -10,7 +10,9 @@ Every map is a tuple of such trees, one per output coordinate, and
 one source generator turns them into Python: `compile_coords` gives the
 per-point step, `compile_orbit_loop` the loop that iterates it over a
 whole orbit, which for a shift map (`is_shift`) stores only the first
-coordinate.  Both do each tree's float operations in the tree's order.
+coordinate, and `compile_batch` the step of an array of points, with
+one numpy operation per tree node over all of them.  All three do each
+tree's float operations in the tree's order, so they agree bit for bit.
 `linear_part` reads the matrix and the offset of a map whose trees are
 affine.
 """
@@ -338,8 +340,67 @@ def _left_chain(node, var, consts) -> str:
     return text
 
 
+def _elementwise(fn, x):
+    # fn of each entry of x by `math`, whose results do not depend on the
+    # CPU, as numpy's SIMD kernels (np.tanh among them) may
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+class _BatchFunctions:
+    """The functions of the language over arrays of n points, for one call
+    of a `compile_batch` function, with the points at which `step` raises.
+
+    Each value is a Python float (a constant subtree) or an array of n
+    entries.  A point fails where a division meets a denominator of
+    magnitude below _DIV_FLOOR or sin/cos meets an infinite argument; its
+    value there is whatever comes out, and sin/cos are given 0.0 in place
+    of the infinity.  min and max keep the first argument unless the second
+    is strictly smaller (larger), as Python's do, NaN and signed zeros
+    included.
+    """
+
+    def __init__(self, n: int):
+        self.failed = np.zeros(n, dtype=bool)
+
+    def _div(self, a, b):
+        self.failed |= np.abs(b) < _DIV_FLOOR
+        return np.divide(a, b)
+
+    def _trig(self, fn, x):
+        infinite = np.isinf(x)
+        self.failed |= infinite
+        return _elementwise(fn, np.where(infinite, 0.0, x))
+
+    def sin(self, x):
+        return self._trig(math.sin, x)
+
+    def cos(self, x):
+        return self._trig(math.cos, x)
+
+    @staticmethod
+    def tanh(x):
+        return _elementwise(math.tanh, x)
+
+    abs = staticmethod(np.abs)
+
+    @staticmethod
+    def min(a, b):
+        return np.where(b < a, b, a)
+
+    @staticmethod
+    def max(a, b):
+        return np.where(b > a, b, a)
+
+    def first_failure(self) -> int:
+        """The index of the first failed point, or n when none failed."""
+        failed = np.flatnonzero(self.failed)
+        return int(failed[0]) if len(failed) else len(self.failed)
+
+
 _COMPILE_NAMES = {name: fn for name, (_, fn) in FUNCTIONS.items()}
-_COMPILE_NAMES.update(_div=_div, range=range)
+_COMPILE_NAMES.update(_div=_div, range=range, _BatchFunctions=_BatchFunctions,
+                      _empty=np.empty, _errstate=np.errstate)
 
 
 @functools.lru_cache(maxsize=256)
@@ -408,3 +469,34 @@ def compile_orbit_loop(nodes):
         "    return stop\n",
     ])
     return _factory(source, "run", len(consts))(*consts)
+
+
+def compile_batch(nodes):
+    """The step of the map whose output trees are `nodes` over a batch of
+    points: `batch(points) -> (images, first)`.
+
+    `points` is an (n, d) float64 array.  Row i of the (n, d) array
+    `images` is `compile_coords(nodes)` of row i, bit for bit, at every
+    row where that step does not raise; `first` is the index of the first
+    row where it raises, or n.  Each + - * / node is one numpy float64
+    operation over the rows, in the tree's order, whose IEEE result is
+    Python's; a constant subtree stays a Python float, and a constant
+    output tree fills its column.  sin, cos and tanh run `math`'s function
+    on each entry (see `_BatchFunctions`).  Nothing raises here: which
+    error a row raises is for `step` to tell.
+    """
+    consts = []
+    cs = [f"c{i}" for i in range(1, len(nodes) + 1)]
+    parts = [_python_source(n, "c{}".format, consts) for n in nodes]
+    names = ["_div", *FUNCTIONS]
+    source = "".join([
+        "def batch(points):\n",
+        "    functions = _BatchFunctions(points.shape[0])\n",
+        f"    {', '.join(names)} = {', '.join(f'functions.{f}' for f in names)}\n",
+        f"    {', '.join(cs)}, = points.T\n",
+        "    images = _empty(points.shape)\n",
+        "    with _errstate(all='ignore'):\n",
+        *(f"        images[:, {i}] = {part}\n" for i, part in enumerate(parts)),
+        "    return images, functions.first_failure()\n",
+    ])
+    return _factory(source, "batch", len(consts))(*consts)

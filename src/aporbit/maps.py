@@ -8,8 +8,9 @@ shift, an `expr` map its parsed trees, and a builtin map the coordinate
 expressions in BUILTIN_MAPS.  The `ar` input form, with the checks on
 its coefficients, lives here, so that `armodel` runs the algebraic
 route on the map it builds.  A map definition compiles its
-trees once into a per-point `step` and an orbit `loop`, and is expected
-to send the box into itself; `validate_range` probes that claim.
+trees once into a per-point `step` and an orbit `loop`, and on first use
+into `batch`, the step of an array of points, and is expected to send
+the box into itself; `validate_range` probes that claim.
 `estimate_lipschitz` gives the stretching ratio used by the error-bound
 machinery, by a method that the trees decide: the spectral norm of the
 linear part for an affine map (`expressions.linear_part`), a sampled
@@ -18,6 +19,7 @@ estimate for any other.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import expressions
 from .core import CLAMP_BAND, box_overshoot
-from .errors import AporbitError, DimensionMismatch, RangeViolation
+from .errors import DimensionMismatch, RangeViolation
 from .expressions import BinOp, Num, Var
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -60,6 +62,9 @@ class MapDefinition:
     `shift` is read off the trees once too: whether trees 2..d are
     x1..x(d-1) (`expressions.is_shift`), so that the loop appends only
     x1 of each sample.  Every `ar` and `delay` map of d >= 2 is one.
+    `batch`, the step of an (n, d) array of points with the index of the
+    first point where `step` raises (see `expressions.compile_batch`), is
+    compiled on first use, as most maps never need it.
     """
 
     trees: tuple
@@ -73,6 +78,10 @@ class MapDefinition:
         object.__setattr__(self, "step", expressions.compile_coords(self.trees))
         object.__setattr__(self, "loop", expressions.compile_orbit_loop(self.trees))
         object.__setattr__(self, "shift", expressions.is_shift(self.trees))
+
+    @functools.cached_property
+    def batch(self) -> Callable:
+        return expressions.compile_batch(self.trees)
 
     @property
     def d(self) -> int:
@@ -183,23 +192,20 @@ def validate_range(m: MapDefinition, samples: int = 256, seed: int = 0) -> Range
     """Probe whether the map sends [-1,1]^d into itself.
 
     Checks all corners, the center and `samples` quasi-random interior
-    points; passes iff the worst overshoot stays within the clamp band.
+    points, all stepped at once by `m.batch`; passes iff the worst
+    overshoot stays within the clamp band.  A probe where `step` raises
+    is an infinite overshoot, and the first such probe is the worst point.
     """
     if samples < 0:
         raise ValueError("samples must be >= 0")
     probes = _probe_points(m.d, samples, seed)
-    outs = []
-    for row in probes.tolist():
-        try:
-            outs.append(m.step(tuple(row)))
-        except AporbitError:
-            # Treat evaluation failure (e.g. division blow-up) as a
-            # range failure at this probe.
-            break
-    if len(outs) < len(probes):
-        worst_at, worst = len(outs), math.inf
+    images, first = m.batch(probes)
+    if first < len(probes):
+        # an evaluation failure (e.g. division blow-up) is a range failure
+        # at the first probe where `step` raises
+        worst_at, worst = first, math.inf
     else:
-        over = box_overshoot(np.array(outs, dtype=float))
+        over = box_overshoot(images)
         worst_at = int(np.argmax(over))
         worst = float(max(over[worst_at], 0.0))
     worst_point = probes[worst_at]
@@ -258,9 +264,12 @@ def _sampled_block(m: MapDefinition, rng, n: int) -> float:
     what `uniform` and `normal` compute, so the stream and the points are
     those of one `uniform`/`normal` call per point.  Distances are taken
     by `vecdot`, the dot product that `np.linalg.norm` takes of a vector.
-    Pairs closer than 1e-6 are skipped; the rest are stepped in sample
-    order, and the first failure in that order is raised: a step's own
-    error, or RangeViolation for images with no finite distance.
+    Pairs closer than 1e-6 are skipped; the points of the rest are
+    stepped in one `m.batch` call, whose images are `step`'s bit for bit.
+    The first failure in sample order is raised, as a loop of `step` would
+    meet it: RangeViolation for a pair whose images have no finite
+    distance, or the error that `step` raises at the first point where
+    it fails, the one point stepped again.
     """
     d = m.d
     pairs, odd = divmod(n, 2)
@@ -283,23 +292,16 @@ def _sampled_block(m: MapDefinition, rng, n: int) -> float:
     dist = np.sqrt(np.vecdot(diff, diff))
     kept = ~(dist < 1e-6)
     points = np.stack((w[kept], wp[kept]), axis=1).reshape(-1, d)  # w_i, w'_i, w_i+1, ...
-    step = m.step
-    images = []
-    error = None
-    try:
-        for row in points.tolist():
-            images.append(step(tuple(row)))
-    except Exception as exc:  # raised below, unless a NaN pair comes before it
-        error = exc
-    f = np.array(images[:len(images) // 2 * 2], dtype=float).reshape(-1, 2, d)
+    images, first = m.batch(points)
+    f = images[:first // 2 * 2].reshape(-1, 2, d)
     diff = f[:, 0] - f[:, 1]
     ratios = np.sqrt(np.vecdot(diff, diff)) / dist[kept][:len(f)]
     bad = np.flatnonzero(np.isnan(ratios))
     if len(bad):
         fw, fwp = f[bad[0]]
         raise RangeViolation(f"images {fw.tolist()}, {fwp.tolist()} have no finite distance")
-    if error is not None:
-        raise error
+    if first < len(points):
+        m.step(tuple(points[first].tolist()))  # raises that point's error
     return float(np.max(ratios, initial=0.0))
 
 

@@ -288,6 +288,7 @@ HALF = '{"kind": "ar", "d": 1, "p": [0.5]}'
 SIN_OF_INF = '{"kind": "expr", "d": 1, "exprs": ["sin(x1*1e200*1e200)"]}'
 COS_OF_INF = '{"kind": "expr", "d": 1, "exprs": ["cos(x1*1e200*1e200)"]}'
 DELAY_SIN_OF_INF = '{"kind": "delay", "d": 2, "expr": "0.5*sin(x2*1e200*1e200)"}'
+CURVED = '{"kind": "expr", "d": 1, "exprs": ["0.5*sin(x1)"]}'  # its gamma is sampled
 
 
 def test_validate_map_fails_on_nan(tmp_path):
@@ -380,6 +381,16 @@ def test_verify_steps_the_map_on_python_floats(tmp_path):
     (["verify", "--map", HALF, "--y0=0.3", "--K", "4", "--samples", "0"], "samples"),
     (["verify", "--map", '{"kind": "expr", "d": 1, "exprs": ["0.5*x1"]}', "--y0=0.3",
       "--K", "4", "--samples", "-2"], "samples"),
+    # the parser refuses these before a sampled gamma is drawn
+    (["verify", "--map", CURVED, "--y0=0.3", "--K", "0"], "K"),
+    (["ladder", "--map", CURVED, "--y0=0.3", "--Ks", "4,8", "--horizon", "-1"], "horizon"),
+    *(([command, "--map", HALF, "--y0=0.3", "--K", "4", "--horizon", horizon], "horizon")
+      for command in ("run", "verify") for horizon in ("0", "-1")),
+    (["ladder", "--map", HALF, "--y0=0.3", "--Ks", "4,8", "--horizon", "0"], "horizon"),
+    (["census", "--d", "0", "--K", "4", "--n", "3"], "--d"),
+    (["census", "--d", "1", "--K", "0", "--n", "3"], "--K"),
+    (["census", "--d", "1", "--K", "4", "--n", "0"], "--n"),
+    (["validate-map", "--map", HALF, "--samples", "-1"], "samples"),
 ])
 def test_negative_counts_are_config_errors(tmp_path, capsys, argv, option):
     if argv[0] == "ar":
@@ -388,6 +399,7 @@ def test_negative_counts_are_config_errors(tmp_path, capsys, argv, option):
         argv = argv + ["--spec", str(spec_path)]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 3
     assert option in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()  # refused before the output directory is made
 
 
 def csv_writer_oracle(path, header, start, rows):

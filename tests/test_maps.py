@@ -21,6 +21,7 @@ from aporbit import (
     delay_map,
     estimate_lipschitz,
     expression_map,
+    expressions,
     generate_orbit,
     map_from_json,
     recursion,
@@ -29,7 +30,13 @@ from aporbit import (
 from aporbit.core import CLAMP_BAND, box_overshoot
 from aporbit.errors import DimensionMismatch, EvaluationError, RangeViolation
 from aporbit.expressions import BinOp, Call, Num, Var, linear_part
-from aporbit.maps import LIPSCHITZ_BLOCK, LipschitzEstimate, MapDefinition, _probe_points
+from aporbit.maps import (
+    LIPSCHITZ_BLOCK,
+    LipschitzEstimate,
+    MapDefinition,
+    RangeReport,
+    _probe_points,
+)
 from oracles import BUILTIN_STEPS, ar_step, companion_matrix, probe_points, sampled_lipschitz
 from test_expressions import ast_nodes
 
@@ -281,6 +288,87 @@ def test_validate_range_reports_the_oracle_probes():
     assert report.worst_point == tuple(probes[worst].tolist())
     assert report.max_overshoot == max(float(over[worst]), 0.0) > CLAMP_BAND
     assert not report.passed
+
+
+def first_raise(m: MapDefinition, points) -> int:
+    """The index of the first point at which `m.step` raises, or len(points)."""
+    for i, p in enumerate(points.tolist()):
+        try:
+            m.step(tuple(p))
+        except EvaluationError:
+            return i
+    return len(points)
+
+
+@pytest.mark.parametrize("sources, failing_probe", [
+    (["0.5*x1", "1e-9/max(abs(x2 - 0.123) - 0.01, 1e-310)"], 40),  # a Halton probe
+    (["0.5*sin(x1*1e308*10)"], 0),  # the corner -1
+])
+def test_validate_range_reports_the_first_failing_probe(sources, failing_probe):
+    m = expression_map(sources)
+    probes = probe_points(m.d, 300, 4)
+    assert first_raise(m, probes) == failing_probe
+    assert validate_range(m, samples=300, seed=4) == RangeReport(
+        passed=False, max_overshoot=math.inf,
+        worst_point=tuple(probes[failing_probe].tolist()), points_checked=len(probes))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_batch_equals_a_loop_of_step(data):
+    d = data.draw(st.integers(1, 4))
+    m = MapDefinition(tuple(data.draw(st.lists(ast_nodes(d), min_size=d, max_size=d))))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
+    points = rng.uniform(-1.0, 1.0, (data.draw(st.integers(0, 64)), d))
+    special = rng.random(points.shape) < 0.2
+    points[special] = rng.choice(SPECIAL, int(special.sum()))
+    images, first = m.batch(points)
+    assert images.shape == points.shape
+    assert first == first_raise(m, points)
+    want = [m.step(tuple(p)) for p in points[:first].tolist()]
+    assert np.array_equal(bits(images[:first]), bits(want).reshape(-1, d))
+
+
+def test_batch_tanh_is_maths_not_numpys():
+    # numpy picks its tanh kernel by CPU, and on some CPUs it differs from
+    # math.tanh on about a third of all inputs; those inputs are the test
+    x = np.random.default_rng(0).uniform(-3.0, 3.0, 20_000)
+    want = np.array([math.tanh(v) for v in x.tolist()])
+    differ = np.tanh(x) != want
+    if differ.any():
+        x, want = x[differ], want[differ]
+    images, first = expression_map(["tanh(x1)"]).batch(x[:, None])
+    assert first == len(x)
+    assert np.array_equal(bits(images[:, 0]), bits(want))
+
+
+def test_batch_min_max_keep_the_first_argument():
+    # Python's min and max return the first argument unless the second is
+    # strictly smaller (larger): min(0.0, -0.0) is 0.0, min(1.0, nan) is 1.0
+    points = np.array(list(itertools.product([0.0, -0.0, 1.0, math.nan], repeat=2)))
+    m = expression_map(["min(x1, x2)", "max(x1, x2)"])
+    images, first = m.batch(points)
+    assert first == len(points)
+    assert np.array_equal(bits(images), bits([m.step(tuple(p)) for p in points.tolist()]))
+
+
+@pytest.mark.parametrize("first_use", [
+    lambda m: estimate_lipschitz(m, samples=64),
+    lambda m: validate_range(m, samples=16),
+], ids=["estimate_lipschitz", "validate_range"])
+def test_batch_compiles_on_first_use(monkeypatch, first_use):
+    # a census builds one map per sample: building one compiles step and loop alone
+    compiled = []
+    factory = expressions._factory
+    monkeypatch.setattr(expressions, "_factory",
+                        lambda source, name, n: compiled.append(name) or factory(source, name, n))
+    m = expression_map(["0.9*cos(3*x1)*x2", "0.5*tanh(x1 + x2)"])
+    assert compiled == ["step", "run"]
+    first_use(m)
+    assert compiled == ["step", "run", "batch"]
+    estimate_lipschitz(m, samples=64)
+    validate_range(m, samples=16)
+    assert compiled == ["step", "run", "batch"]
 
 
 def with_a_call(m: MapDefinition) -> MapDefinition:
