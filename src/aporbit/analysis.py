@@ -6,7 +6,8 @@ condition on ladder terms, and sup-difference diagnostics.
 Every comparison of a chain with the true orbit or with another chain
 takes its distances from one walker, `_distances`, which works in blocks
 of SUP_BLOCK steps: no chain-value, position or difference array is
-longer than one block, and each distance is the plain sum of squares
+longer than one block (about 40 B a step at d = 2), however long the lcm
+window, and each distance is the plain sum of squares
 (`np.linalg.norm(axis=1)`), with no BLAS call.
 """
 
@@ -24,8 +25,10 @@ from .orbit import ChainResult, generate_orbit, run_pipeline, shadow_periodicity
 
 _LCM_LIMIT = 2 ** 63 - 1
 
-# Steps per block of every chain distance walk.
-SUP_BLOCK = 2 ** 16
+# Steps per block of every chain distance walk: small enough that a
+# ladder's peak is its orbits, not its lcm window, and no slower than
+# larger blocks.
+SUP_BLOCK = 2 ** 11
 
 
 def _distances(chain: ChainResult, other, lo: int, hi: int):

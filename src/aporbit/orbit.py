@@ -201,13 +201,18 @@ class ChainResult:
 
     def _positions(self, t_start: int, t_end: int) -> np.ndarray:
         # Positions in seq of t_start..t_end: t itself within the stored
-        # prefix, folded into the period beyond it.
+        # prefix, and (t - T) mod L + T beyond it.  That fold is exact for
+        # every t >= T (it leaves T <= t < T + L where they are), so it runs
+        # in place on the part of the one position array from T on.
         if t_start < 0:
             raise ValueError("t must be >= 0")
         ts = np.arange(t_start, t_end + 1, dtype=np.int64)
         T = self.pre_period
         if t_end >= len(self.seq):
-            ts = np.where(ts < len(self.seq), ts, T + (ts - T) % self.period)
+            tail = ts[max(T - t_start, 0):]
+            tail -= T
+            tail %= self.period
+            tail += T
         return ts
 
     def check_certificate(self) -> None:
@@ -225,7 +230,7 @@ class ChainResult:
 
     def values(self, t_start: int, t_end: int) -> np.ndarray:
         """Decoded chain values for t_start..t_end inclusive, shape (n, d)."""
-        return self._nodes[self._positions(t_start, t_end)]
+        return self._nodes.take(self._positions(t_start, t_end), axis=0)
 
     @property
     def d(self) -> int:

@@ -663,6 +663,29 @@ def test_long_orbit_run_peaks_at_26_bytes_a_sample(tmp_path, capsys):
     assert peak / 14001 <= 26
 
 
+# A rotation just short of a quarter turn, whose ladder's first lcm window
+# (25,806 steps) is far longer than its horizon.
+NEAR_QUARTER = math.pi / 2 - 0.031
+
+
+def test_ladder_peaks_at_its_orbits_not_its_lcm_window(tmp_path, capsys):
+    # Ks 128,192,256 at H = 3000 give lcms [25806, 253] and t_long 25,843,
+    # so the job generates 3 * 3001 + 25,844 = 34,847 samples.  Its peak
+    # is the long orbit and the level pipelines; the chain and orbit sups
+    # walk the window in blocks of SUP_BLOCK steps.  With blocks of 2^16
+    # steps this read 32.2 B a sample, and with 2^11 about 10.4.
+    argv = ["ladder", "--map", json.dumps({"kind": "ar", "d": 2,
+                                           "p": [2.0 * math.cos(NEAR_QUARTER), -1.0]}),
+            f"--y0=0.8,{0.8 * math.cos(NEAR_QUARTER)!r}", "--Ks", "128,192,256",
+            "--horizon", "3000", "--force"]
+    traced_peak(argv + ["--out", str(tmp_path / "warm")])
+    peak = traced_peak(argv + ["--out", str(tmp_path / "ladder")])
+    plan = read_json(tmp_path / "ladder" / "ladder.json")["plan"]
+    assert plan["lcms"] == [25806, 253]
+    assert max(t + w for t, w in zip(plan["T_prime"], plan["lcms"])) == 25843
+    assert peak / 34847 <= 14
+
+
 # A rotation by 1.1 rad: its 3-level ladder below needs an orbit longer
 # than the horizon, T'_1 + lcm(L_1, L_2) = 9 + 680 steps.
 ROTATION = json.dumps({"kind": "ar", "d": 2, "p": [2.0 * math.cos(1.1), -1.0]})

@@ -550,6 +550,38 @@ def test_build_chain_copies_the_shadow_prefix():
     assert not np.shares_memory(chain.seq.indices, shadow.indices)
 
 
+@pytest.mark.parametrize("T,L", [(0, 1), (0, 7), (5, 1), (4, 9), (3, 2500)])
+def test_chain_values_read_the_periodic_extension(T, L):
+    # Oracle, per t in plain Python: row t of seq within the stored states,
+    # and T + (t - T) % L beyond them.
+    from aporbit.analysis import SUP_BLOCK
+
+    g = GridSpec(K=1000, d=2)
+    rng = np.random.default_rng(T * 10007 + L)
+    indices = rng.integers(0, g.K + 1, (T + L, g.d))
+    chain = ChainResult(grid=g, seq=GridStates(indices, g), pre_period=T, period=L)
+    end = T + L - 1
+    windows = [
+        (0, 0), (0, end), (T, T), (end, end), (end + 1, end + 1),
+        (0, T + L // 2),                      # from before T into the first period
+        (max(T - 2, 0), end + 3),             # across T + L
+        (T + 1, T + 3 * L + 2),               # several periods from inside the first
+        (1, SUP_BLOCK + T + L + 5),           # past one SUP_BLOCK
+        (T + 5 * L + 3, T + 5 * L + SUP_BLOCK + 9),
+    ]
+    for a, b in windows:
+        at = [t if t < T + L else T + (t - T) % L for t in range(a, b + 1)]
+        expected = 2.0 * indices[at] / g.K - 1.0
+        got = chain.values(a, b)
+        assert got.shape == (b - a + 1, g.d)
+        assert np.array_equal(got, expected)
+        for t in (a, b):
+            assert np.array_equal(chain.value_at(t), expected[t - a])
+            assert chain.state_at(t).indices == tuple(indices[at[t - a]])
+    with pytest.raises(ValueError):
+        chain.values(-1, 3)
+
+
 def test_detect_cycle_examples():
     assert detect_cycle([5, 3, 7, 3, 7, 3]) == (1, 2)
     assert detect_cycle([9, 9, 9]) == (0, 1)
