@@ -7,11 +7,11 @@ tanh, abs, min, max.  Deliberately small: every expression is total on
 of an infinite intermediate, which raise EvaluationError.
 
 Every map is a tuple of such trees, one per output coordinate, and
-one source generator turns them into Python: `compile_coords` gives the
-per-point step, `compile_orbit_loop` the loop that iterates it over a
-whole orbit, which for a shift map (`is_shift`) stores only the first
+one source generator turns them into Python in two forms, one per access
+pattern: `compile_orbit_loop` gives the loop that iterates the map over
+a whole orbit, which for a shift map (`is_shift`) stores only the first
 coordinate, and `compile_batch` the step of an array of points, with
-one numpy operation per tree node over all of them.  All three do each
+one numpy operation per tree node over all of them.  Both do each
 tree's float operations in the tree's order, so they agree bit for bit.
 `linear_part` reads the matrix and the offset of a map whose trees are
 affine.
@@ -349,7 +349,7 @@ def _elementwise(fn, x):
 
 class _BatchFunctions:
     """The functions of the language over arrays of n points, for one call
-    of a `compile_batch` function, with the points at which `step` raises.
+    of a `compile_batch` function, with the points at which a step raises.
 
     Each value is a Python float (a constant subtree) or an array of n
     entries.  A point fails where a division meets a denominator of
@@ -419,21 +419,6 @@ def _factory(source: str, name: str, n_consts: int):
     return namespace["make"]
 
 
-def compile_coords(nodes):
-    """One Python function of a coordinate tuple `c` returning the tuple
-    (node(c) for each node).
-
-    Each operation runs in the tree's order on Python floats, so the
-    result is the tree's value bit for bit; a near-zero denominator or
-    sin/cos of an infinite value raises EvaluationError.  The trees are
-    walked once here instead of on every call.
-    """
-    consts = []
-    parts = [_python_source(n, lambda i: f"c[{i - 1}]", consts) for n in nodes]
-    source = f"def step(c):\n    return ({', '.join(parts)},)\n"
-    return _factory(source, "step", len(consts))(*consts)
-
-
 def is_shift(nodes) -> bool:
     """Whether the map whose output trees are `nodes` is a shift map:
     d >= 2 and trees 2..d are the variables x1..x(d-1), so each sample's
@@ -444,23 +429,26 @@ def is_shift(nodes) -> bool:
 
 def compile_orbit_loop(nodes):
     """The orbit loop of the map whose output trees are `nodes`, one per
-    coordinate: `run(c1, ..., cd, t, stop, append) -> t`.
+    coordinate: `run(c1, ..., cd, t, stop, append, lo, hi) -> t`.
 
     From the sample (c1, ..., cd) at time t it computes the samples at
-    t+1, ..., stop, each with the float operations of
-    `compile_coords(nodes)`.  It returns the time of the first sample
-    with a coordinate outside [-1, 1] or NaN, or `stop` when there is
-    none.  A non-shift map passes every coordinate of every sample to
-    `append`.  A shift map (`is_shift`) passes and checks only c1, as
-    its other coordinates are earlier values of c1, already checked.
+    t+1, ..., stop, each output coordinate by its tree's float operations
+    in the tree's order, left to right over the trees, so the first
+    failing tree raises: EvaluationError at a near-zero denominator or
+    sin/cos of an infinite value.  It returns the time of the first
+    sample with a checked coordinate outside [lo, hi] or NaN, or `stop`
+    when there is none.  A non-shift map passes every coordinate of every
+    sample to `append` and checks them all.  A shift map (`is_shift`)
+    passes and checks only c1, as its other coordinates are earlier
+    values of c1, already checked.
     """
     consts = []
     cs = [f"c{i}" for i in range(1, len(nodes) + 1)]
     parts = [_python_source(n, "c{}".format, consts) for n in nodes]
     new = cs[:1] if is_shift(nodes) else cs
-    inside = " and ".join(f"-1.0 <= {c} <= 1.0" for c in new)
+    inside = " and ".join(f"lo <= {c} <= hi" for c in new)
     source = "".join([
-        f"def run({', '.join(cs)}, t, stop, append):\n",
+        f"def run({', '.join(cs)}, t, stop, append, lo, hi):\n",
         "    for t in range(t + 1, stop + 1):\n",
         f"        {', '.join(cs)}, = {', '.join(parts)},\n",
         *(f"        append({c})\n" for c in new),
@@ -476,14 +464,15 @@ def compile_batch(nodes):
     points: `batch(points) -> (images, first)`.
 
     `points` is an (n, d) float64 array.  Row i of the (n, d) array
-    `images` is `compile_coords(nodes)` of row i, bit for bit, at every
-    row where that step does not raise; `first` is the index of the first
-    row where it raises, or n.  Each + - * / node is one numpy float64
-    operation over the rows, in the tree's order, whose IEEE result is
-    Python's; a constant subtree stays a Python float, and a constant
-    output tree fills its column.  sin, cos and tanh run `math`'s function
-    on each entry (see `_BatchFunctions`).  Nothing raises here: which
-    error a row raises is for `step` to tell.
+    `images` is the image of row i by one step of `compile_orbit_loop`'s
+    loop, bit for bit, at every row where that step does not raise;
+    `first` is the index of the first row where it raises, or n.  Each
+    + - * / node is one numpy float64 operation over the rows, in the
+    tree's order, whose IEEE result is Python's; a constant subtree stays
+    a Python float, and a constant output tree fills its column.  sin,
+    cos and tanh run `math`'s function on each entry (see
+    `_BatchFunctions`).  Nothing raises here: which error a row raises is
+    for one step of the loop to tell.
     """
     consts = []
     cs = [f"c{i}" for i in range(1, len(nodes) + 1)]

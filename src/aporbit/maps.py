@@ -8,9 +8,9 @@ shift, an `expr` map its parsed trees, and a builtin map the coordinate
 expressions in BUILTIN_MAPS.  The `ar` input form, with the checks on
 its coefficients, lives here, so that `armodel` runs the algebraic
 route on the map it builds.  A map definition compiles its
-trees once into a per-point `step` and an orbit `loop`, and on first use
-into `batch`, the step of an array of points, and is expected to send
-the box into itself; `validate_range` probes that claim.
+trees once into an orbit `loop`, the only per-point evaluator, and on
+first use into `batch`, the step of an array of points, and is expected
+to send the box into itself; `validate_range` probes that claim.
 `estimate_lipschitz` gives the stretching ratio used by the error-bound
 machinery, by a method that the trees decide: the spectral norm of the
 linear part for an affine map (`expressions.linear_part`), a sampled
@@ -55,27 +55,26 @@ class MapDefinition:
 
     The trees are the map's only field; whether the map is affine is read
     off them (`expressions.linear_part`).  `expressions` compiles the
-    trees once, here, into two functions: `step` maps a coordinate tuple
-    to the raw output tuple, before any range policing, and `loop` is the
-    orbit loop `loop(c1, ..., cd, t, stop, append) -> t` that
-    `generate_orbit` runs (see `expressions.compile_orbit_loop`).
-    `shift` is read off the trees once too: whether trees 2..d are
-    x1..x(d-1) (`expressions.is_shift`), so that the loop appends only
-    x1 of each sample.  Every `ar` and `delay` map of d >= 2 is one.
-    `batch`, the step of an (n, d) array of points with the index of the
-    first point where `step` raises (see `expressions.compile_batch`), is
-    compiled on first use, as most maps never need it.
+    trees once, here, into `loop`, the orbit loop
+    `loop(c1, ..., cd, t, stop, append, lo, hi) -> t` that stops at the
+    first sample outside [lo, hi] or NaN (see
+    `expressions.compile_orbit_loop`): `generate_orbit` runs it on the
+    box [-1, 1], and `armodel.recursion` on [-inf, inf].  `shift` is read
+    off the trees once too: whether trees 2..d are x1..x(d-1)
+    (`expressions.is_shift`), so that the loop appends only x1 of each
+    sample.  Every `ar` and `delay` map of d >= 2 is one.  `batch`, the
+    step of an (n, d) array of points with the index of the first point
+    where a step raises (see `expressions.compile_batch`), is compiled on
+    first use, as most maps never need it.
     """
 
     trees: tuple
-    step: Callable = field(init=False, repr=False, compare=False)
     loop: Callable = field(init=False, repr=False, compare=False)
     shift: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.trees:
             raise DimensionMismatch("a map needs at least one output tree")
-        object.__setattr__(self, "step", expressions.compile_coords(self.trees))
         object.__setattr__(self, "loop", expressions.compile_orbit_loop(self.trees))
         object.__setattr__(self, "shift", expressions.is_shift(self.trees))
 
@@ -88,7 +87,7 @@ class MapDefinition:
         return len(self.trees)
 
     def __reduce__(self):
-        # pickled as its definition; step, loop and shift are built again on loading
+        # pickled as its definition; loop and shift are built again on loading
         return (MapDefinition, (self.trees,))
 
 
@@ -193,7 +192,7 @@ def validate_range(m: MapDefinition, samples: int = 256, seed: int = 0) -> Range
 
     Checks all corners, the center and `samples` quasi-random interior
     points, all stepped at once by `m.batch`; passes iff the worst
-    overshoot stays within the clamp band.  A probe where `step` raises
+    overshoot stays within the clamp band.  A probe where a step raises
     is an infinite overshoot, and the first such probe is the worst point.
     """
     if samples < 0:
@@ -202,7 +201,7 @@ def validate_range(m: MapDefinition, samples: int = 256, seed: int = 0) -> Range
     images, first = m.batch(probes)
     if first < len(probes):
         # an evaluation failure (e.g. division blow-up) is a range failure
-        # at the first probe where `step` raises
+        # at the first probe where a step raises
         worst_at, worst = first, math.inf
     else:
         over = box_overshoot(images)
@@ -265,11 +264,12 @@ def _sampled_block(m: MapDefinition, rng, n: int) -> float:
     those of one `uniform`/`normal` call per point.  Distances are taken
     by `vecdot`, the dot product that `np.linalg.norm` takes of a vector.
     Pairs closer than 1e-6 are skipped; the points of the rest are
-    stepped in one `m.batch` call, whose images are `step`'s bit for bit.
-    The first failure in sample order is raised, as a loop of `step` would
-    meet it: RangeViolation for a pair whose images have no finite
-    distance, or the error that `step` raises at the first point where
-    it fails, the one point stepped again.
+    stepped in one `m.batch` call, whose images are those of one step of
+    `m.loop`, bit for bit.  The first failure in sample order is raised,
+    as stepping the points one at a time would meet it: RangeViolation
+    for a pair whose images have no finite distance, or the error raised
+    at the first point where a step fails, by one step of `m.loop` from
+    that point.
     """
     d = m.d
     pairs, odd = divmod(n, 2)
@@ -300,8 +300,8 @@ def _sampled_block(m: MapDefinition, rng, n: int) -> float:
     if len(bad):
         fw, fwp = f[bad[0]]
         raise RangeViolation(f"images {fw.tolist()}, {fwp.tolist()} have no finite distance")
-    if first < len(points):
-        m.step(tuple(points[first].tolist()))  # raises that point's error
+    if first < len(points):  # one step from that point raises its error
+        m.loop(*points[first].tolist(), 0, 1, [].append, -math.inf, math.inf)
     return float(np.max(ratios, initial=0.0))
 
 

@@ -71,7 +71,7 @@ def generate_orbit(m: MapDefinition, y0: Point, horizon: int) -> OrbitSeries:
     buf = array("d", y0.coords[order])
     t, current = 0, y0.coords
     while t < horizon:
-        t = m.loop(*current, t, horizon, buf.append)
+        t = m.loop(*current, t, horizon, buf.append, -1.0, 1.0)
         current = tuple(buf[-d:])[order]
         if box_overshoot(current) > CLAMP_BAND:
             raise RangeViolation(f"orbit left the box at t={t}: {list(current)}", t=t)
@@ -245,19 +245,6 @@ class ChainResult:
         }
 
 
-def _first_repeat(items):
-    # The census's walker over a lazily drawn random map: consume items up
-    # to the first repeated one and return (T, L), where T is the position
-    # of the repeat's first occurrence and L the distance; None if the
-    # items run out first.
-    first = {}
-    for s in items:
-        if s in first:
-            return first[s], len(first) - first[s]
-        first[s] = len(first)
-    return None
-
-
 def build_chain(shadow: GridStates, table: TransitionTable | None = None) -> ChainResult:
     """The chain of a shadow: the shadow up to its first repeated state.
 
@@ -373,21 +360,16 @@ class CensusReport:
 
 
 def _census_random_map(d: int, K: int, rng) -> tuple[int, int]:
-    # Lazy random next-first-coordinate function respecting the shift
-    # structure; only visited states draw randomness.
-    memo = {}
-
-    def step(s):
-        if s not in memo:
-            memo[s] = (int(rng.integers(0, K + 1)),) + s[:-1]
-        return memo[s]
-
-    def walk(state):
-        while True:
-            yield state
-            state = step(state)
-
-    return _first_repeat(walk(tuple(int(i) for i in rng.integers(0, K + 1, d))))
+    # A random next-first-coordinate function respecting the shift
+    # structure, drawn lazily: the walk stops at its first repeated state,
+    # so each state before it is new and draws its successor once.  T is
+    # the position of the repeat's first occurrence and L the distance.
+    first = {}
+    state = tuple(int(i) for i in rng.integers(0, K + 1, d))
+    while state not in first:
+        first[state] = len(first)
+        state = (int(rng.integers(0, K + 1)),) + state[:-1]
+    return first[state], len(first) - first[state]
 
 
 def _random_stable_ar(d: int, rng):

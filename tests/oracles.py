@@ -1,21 +1,25 @@
 """Computations kept for the tests only.
 
 `detect_cycle`, `parseval_gap` and `quantization_error` check library
-results and have no caller in the library, `oracle_first_repeat` is the
-brute-force first repeat that `detect_cycle` is held to, and `companion_matrix` and
+results and have no caller in the library.  `detect_cycle` finds its
+candidate with the dict walker `first_repeat`, and `oracle_first_repeat`
+is the brute-force first repeat it is held to.  `companion_matrix` and
 `char_coefficients` are the matrix and the characteristic polynomial of
 an `ar` map that the library reads off its trees.  `ar_recursion` is
 the recursion from the coefficients that the algebraic route replaced
-with the map's own step.  The old builtin and `ar`
-step functions and the per-step orbit loop are the forms that the
-compiled expression trees replaced, the per-pair Lipschitz sampler and
-scalar Halton probes are the forms that the blocked array passes of
-`maps` replaced, `whole_transition_table` counts the states and
-conflicts of the earliest-occurrence table over the whole array, as the
-blocked `orbit.build_transition_table` does over sorted codes, and
-`scan_shadow_periodicity` is the pair-by-pair scan over a list of codes
-that `orbit.shadow_periodicity` replaced; the tests hold the library
-equal to them.
+with the map's own loop.  `evaluate_ast` is a tree-walking interpreter,
+and `tree_step` the per-point step of a map's trees built on it, the
+reference for both compiled forms of the trees; `loop_step` is one step
+of a map's compiled loop, the library's only per-point evaluator.  The
+old builtin and `ar` step functions and the per-step orbit loop are the
+forms that the compiled expression trees replaced, the per-pair
+Lipschitz sampler and scalar Halton probes are the forms that the
+blocked array passes of `maps` replaced, `whole_transition_table` counts
+the states and conflicts of the earliest-occurrence table over the whole
+array, as the blocked `orbit.build_transition_table` does over sorted
+codes, and `scan_shadow_periodicity` is the pair-by-pair scan over a
+list of codes that `orbit.shadow_periodicity` replaced; the tests hold
+the library equal to them.
 """
 
 from __future__ import annotations
@@ -27,23 +31,34 @@ import numpy as np
 
 from aporbit.core import CLAMP_BAND, Point, box_overshoot, quantize
 from aporbit.errors import AporbitError, RangeViolation
+from aporbit.expressions import FUNCTIONS, BinOp, Call, Neg, Num, Var, _div
 from aporbit.maps import _PRIMES
-from aporbit.orbit import (CONFLICT_EXAMPLES, SHADOW_WINDOW, Conflicts, TransitionTable,
-                           _first_repeat)
+from aporbit.orbit import CONFLICT_EXAMPLES, SHADOW_WINDOW, Conflicts, TransitionTable
 
 
 class NoCycleWithinHorizon(AporbitError):
     """The observed window is too short to certify an eventual cycle."""
 
 
+def first_repeat(items):
+    """(T, L) of the first repeated item: T the position of its first
+    occurrence and L the distance; None if the items run out first."""
+    first = {}
+    for s in items:
+        if s in first:
+            return first[s], len(first) - first[s]
+        first[s] = len(first)
+    return None
+
+
 def detect_cycle(seq) -> tuple[int, int]:
     """Minimal (pre-period, period) of an eventually periodic sequence.
 
-    The library's first-repeat walker finds the candidate, which is then
-    checked against the periodicity definition on the whole window.
+    `first_repeat` finds the candidate, which is then checked against the
+    periodicity definition on the whole window.
     """
     seq = list(seq)
-    found = _first_repeat(seq)
+    found = first_repeat(seq)
     if found is None:
         raise NoCycleWithinHorizon(f"no state repeats within the {len(seq)}-step window")
     pre_period, period = found
@@ -82,6 +97,50 @@ def quantization_error(p: Point, g) -> float:
     """l2 distance from p to its quantized state; always <= sqrt(d)/K."""
     q = np.array(quantize(p, g).decode().coords)
     return float(np.linalg.norm(np.array(p.coords) - q))
+
+
+def evaluate_ast(node, coords) -> float:
+    """Evaluate an AST at the coordinate vector (indexing is 1-based),
+    with the library's FUNCTIONS and `_div`."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        return coords[node.index - 1]
+    if isinstance(node, Neg):
+        return -evaluate_ast(node.arg, coords)
+    if isinstance(node, BinOp):
+        a = evaluate_ast(node.left, coords)
+        b = evaluate_ast(node.right, coords)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        return _div(a, b)
+    if isinstance(node, Call):
+        fn = FUNCTIONS[node.func][1]
+        return fn(*(evaluate_ast(a, coords) for a in node.args))
+    raise TypeError(f"not an AST node: {node!r}")
+
+
+def tree_step(trees):
+    """The step of the map whose output trees are `trees`, by the
+    interpreter: a coordinate tuple to the raw output tuple, with no
+    range policing; the first failing tree, left to right, raises."""
+    return lambda coords: tuple(evaluate_ast(tree, coords) for tree in trees)
+
+
+def loop_step(m):
+    """One step of the map's compiled loop, on [-inf, inf]: a coordinate
+    tuple to the raw output tuple.  A shift map's loop appends x1 alone,
+    and the rest of the output is the input shifted down."""
+    def step(coords):
+        out = []
+        m.loop(*coords, 0, 1, out.append, -math.inf, math.inf)
+        return (out[0],) + tuple(coords[:-1]) if m.shift else tuple(out)
+
+    return step
 
 
 # The step functions that the builtin maps and the `ar` map had before
@@ -187,6 +246,7 @@ def sampled_lipschitz(m, samples: int, seed: int) -> float:
     replaced: one uniform pair, or one point and a small normal offset,
     per iteration, with the ratio taken by `np.linalg.norm`."""
     rng = np.random.default_rng(seed)
+    step = tree_step(m.trees)
     gamma = 0.0
     for i in range(samples):
         w = rng.uniform(-1.0, 1.0, m.d)
@@ -197,8 +257,8 @@ def sampled_lipschitz(m, samples: int, seed: int) -> float:
         dist = float(np.linalg.norm(w - wp))
         if dist < 1e-6:
             continue
-        fw = np.array(m.step(tuple(w.tolist())))
-        fwp = np.array(m.step(tuple(wp.tolist())))
+        fw = np.array(step(tuple(w.tolist())))
+        fwp = np.array(step(tuple(wp.tolist())))
         ratio = float(np.linalg.norm(fw - fwp)) / dist
         if math.isnan(ratio):
             raise RangeViolation(f"images {fw.tolist()}, {fwp.tolist()} have no finite distance")

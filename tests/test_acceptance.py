@@ -39,7 +39,7 @@ from aporbit import (
     validate_range,
     verify_error_bound,
 )
-from oracles import detect_cycle, oracle_first_repeat, parseval_gap, quantization_error
+from oracles import detect_cycle, loop_step, oracle_first_repeat, parseval_gap, quantization_error
 
 
 def report(name, detail):
@@ -443,11 +443,11 @@ def test_criterion_7_ap_convergence():
 # --------------------------------------------------------------------------
 
 def observe_bounded(m, y0, threshold=10.0, tmax=10_000):
-    state = y0.coords
+    step, state = loop_step(m), y0.coords
     if abs(state[0]) > threshold:
         return False
     for _ in range(tmax):
-        state = m.step(state)
+        state = step(state)
         if abs(state[0]) > threshold:
             return False
     return True

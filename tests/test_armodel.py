@@ -24,9 +24,13 @@ from aporbit import (
     verify_decomposition,
 )
 from aporbit.armodel import _polynomial_roots
-from aporbit.errors import DimensionMismatch, OutOfRange, RefusedUnbounded, RootFindingFailed
+from aporbit.errors import (DimensionMismatch, EvaluationError, OutOfRange, RangeViolation,
+                            RefusedUnbounded, RootFindingFailed)
+from aporbit.expressions import Var
+from aporbit.maps import MapDefinition
 from aporbit.orbit import _random_stable_ar
-from oracles import ar_recursion, char_coefficients
+from oracles import ar_recursion, char_coefficients, tree_step
+from test_expressions import ast_nodes
 
 
 def poly_at(coeffs, z):
@@ -94,6 +98,99 @@ def test_map_and_recursion_iterate_one_step(d, seed, horizon):
     want = recursion(m, Point(z0), horizon)
     got = generate_orbit(m, Point(z0), horizon).values[:, 0]
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def tree_recursion(m, y0, horizon):
+    """z(0)..z(horizon): the first coordinate of the interpreter's step
+    of the map's trees, iterated from y0; or the error type and message
+    of the step that raises."""
+    step, state = tree_step(m.trees), tuple(y0)
+    out = [state[0]]
+    try:
+        for _ in range(horizon):
+            state = step(state)
+            out.append(state[0])
+    except EvaluationError as exc:
+        return type(exc), str(exc)
+    return np.array(out)
+
+
+def recursion_outcome(m, y0, horizon):
+    try:
+        return recursion(m, Point(y0), horizon)
+    except EvaluationError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_bits(got, want):
+    """Equal bit for bit where not NaN, and NaN at the same places."""
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+# Maps whose recursion leaves the box and comes back, or turns NaN
+RECURSION_CASES = [
+    # overflows to inf at t = 2, then inf - inf is NaN from t = 3 on
+    (ar_map([1e300, -1e300]), [1.0, 0.5]),
+    # a rotation of radius sqrt(2): the shift orbit leaves and re-enters the box
+    (ar_map([2 * math.cos(0.3), -1.0]), [1.0, 1.0]),
+    # a non-shift rotation of radius sqrt(2)
+    (expression_map(["0.6*x1 - 0.8*x2", "0.8*x1 + 0.6*x2"]), [1.0, 1.0]),
+    # x2 is NaN at every step while x1 stays finite
+    (expression_map(["0.5*x1", "x1*1e200*1e200*0"]), [0.3, 0.1]),
+    # x1 is NaN while |x2| > 0.18 (x2*1e309 overflows, and inf*0 is NaN),
+    # from t = 1 to 5, then max(0.0, NaN) is 0.0 and x1 is finite again
+    (expression_map(["max(x2*1e308*10*0, 0.5*x1) + 0.1*x2", "0.8*x2"]), [0.3, 0.5]),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_recursion_is_the_first_coordinate_of_the_tree_step(data):
+    # the loop on [-inf, inf] stops only at NaN and resumes from there, so
+    # recursion is the step iterated from y0, out of the box and NaN included
+    kind = data.draw(st.sampled_from(["ar", "delay", "expr", "case"]))
+    if kind == "case":
+        m, y0 = data.draw(st.sampled_from(RECURSION_CASES))
+    else:
+        d = data.draw(st.integers(1 if kind == "ar" else 2, 6 if kind == "ar" else 4))
+        if kind == "ar":
+            big = st.sampled_from([1e300, -1e300, 1.5, -1.5])
+            m = ar_map(data.draw(st.lists(st.one_of(st.floats(-1.5, 1.5), big),
+                                          min_size=d, max_size=d)))
+        elif kind == "delay":
+            m = MapDefinition((data.draw(ast_nodes(d)),) + tuple(Var(i) for i in range(1, d)))
+        else:
+            m = MapDefinition(tuple(data.draw(st.lists(ast_nodes(d), min_size=d, max_size=d))))
+        y0 = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d))
+    horizon = data.draw(st.integers(0, 300))
+    assert_same_bits(recursion_outcome(m, y0, horizon), tree_recursion(m, y0, horizon))
+
+
+@pytest.mark.parametrize("m, y0", RECURSION_CASES,
+                         ids=["inf_then_nan", "ar_rotation", "rotation", "nan_x2", "nan_x1_then_finite"])
+def test_recursion_cases_leave_the_box(m, y0):
+    # each orbit leaves the box or turns NaN, so the loop's bounds matter
+    with pytest.raises(RangeViolation):
+        generate_orbit(m, Point(y0), 300)
+    assert_same_bits(recursion(m, Point(y0), 300), tree_recursion(m, y0, 300))
+
+
+def test_recursion_calls_the_loop_once_out_of_the_box():
+    # the bounds are arguments: an orbit that leaves the box and stays out
+    # runs in one call of the loop, not one call per sample
+    m = ar_map([1.01])
+    loop, calls = m.loop, []
+    object.__setattr__(m, "loop", lambda *args: calls.append(args[-2:]) or loop(*args))
+    z = recursion(m, Point([1.0]), 1000)
+    assert calls == [(-math.inf, math.inf)]
+    assert z[0] == 1.0 and z[-1] > 1e4
+    assert_same_bits(z, tree_recursion(m, [1.0], 1000))
 
 
 def test_characteristic_roots_rotation():

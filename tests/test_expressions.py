@@ -1,7 +1,7 @@
 """Expression parser, evaluation and the affine read-back.
 
-`evaluate_ast` below is a tree-walking interpreter kept only as the
-oracle for the compiled evaluator; it shares FUNCTIONS and `_div` with it.
+`oracles.evaluate_ast`, a tree-walking interpreter, is the oracle for the
+compiled orbit loop; it shares FUNCTIONS and `_div` with it.
 """
 
 import math
@@ -13,42 +13,23 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aporbit.expressions import (
-    FUNCTIONS,
     BinOp,
     Call,
     Neg,
     Num,
     Var,
     _div,
-    compile_coords,
     linear_part,
     parse_expression,
 )
 from aporbit.errors import ArityError, EvaluationError, ParseError, UnknownIdentifier
+from aporbit.maps import MapDefinition
+from oracles import evaluate_ast, loop_step
 
 
-def evaluate_ast(node, coords) -> float:
-    """Evaluate an AST at the coordinate vector (indexing is 1-based)."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return coords[node.index - 1]
-    if isinstance(node, Neg):
-        return -evaluate_ast(node.arg, coords)
-    if isinstance(node, BinOp):
-        a = evaluate_ast(node.left, coords)
-        b = evaluate_ast(node.right, coords)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        return _div(a, b)
-    if isinstance(node, Call):
-        fn = FUNCTIONS[node.func][1]
-        return fn(*(evaluate_ast(a, coords) for a in node.args))
-    raise TypeError(f"not an AST node: {node!r}")
+def compiled_step(trees):
+    """One step of the compiled loop of the map whose output trees are `trees`."""
+    return loop_step(MapDefinition(tuple(trees)))
 
 
 def test_parse_shapes():
@@ -151,12 +132,12 @@ def ast_nodes(d):
 @given(st.data())
 def test_compiled_matches_evaluate_ast(data):
     d = data.draw(st.integers(1, 4))
-    nodes = data.draw(st.lists(ast_nodes(d), min_size=1, max_size=3))
+    nodes = data.draw(st.lists(ast_nodes(d), min_size=d, max_size=d))
     if data.draw(st.booleans()):
         # delay-shaped: one update, then the shifted coordinates x1..x(d-1)
         nodes = nodes[:1] + [Var(i) for i in range(1, d)]
     coords = tuple(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
-    got = outcome(compile_coords(nodes), coords)
+    got = outcome(compiled_step(nodes), coords)
     want = [outcome(lambda c, n=n: evaluate_ast(n, c), coords) for n in nodes]
     errors = [w for w in want if isinstance(w, tuple)]
     if errors:
@@ -168,29 +149,29 @@ def test_compiled_matches_evaluate_ast(data):
 def test_tree_too_deep_to_compile_is_a_value_error():
     # 300 nested negations print as 300 nested parentheses, past Python's limit
     with pytest.raises(ValueError, match="too deeply nested"):
-        compile_coords([parse_expression("-" * 300 + "x1", 1)])
+        MapDefinition((parse_expression("-" * 300 + "x1", 1),))
 
 
 def test_compiled_division_guard():
-    step = compile_coords([parse_expression("x1 / (x2 - x2)", 2)])
+    step = compiled_step([parse_expression("x1 / (x2 - x2)", 2), Var(2)])
     with pytest.raises(EvaluationError, match="near-zero denominator 0.0"):
         step((1.0, 0.5))
-    step = compile_coords([parse_expression("1 / x1", 1)])
+    step = compiled_step([parse_expression("1 / x1", 1)])
     with pytest.raises(EvaluationError):
         step((1e-301,))
     assert step((1e-299,)) == (1e299,)
     # a literal that overflows to inf compiles to the same value
-    assert compile_coords([parse_expression("1e999 * x1", 1)])((-0.5,)) == (-math.inf,)
+    assert compiled_step([parse_expression("1e999 * x1", 1)])((-0.5,)) == (-math.inf,)
 
 
 def test_trig_of_infinity_is_an_evaluation_error():
     for source in ("sin(x1 * 1e200 * 1e200)", "cos(-x1 * 1e200 * 1e200)"):
         ast = parse_expression(source, 1)
-        for evaluate in (compile_coords([ast]), lambda c: evaluate_ast(ast, c)):
+        for evaluate in (compiled_step([ast]), lambda c: evaluate_ast(ast, c)):
             with pytest.raises(EvaluationError, match="non-finite argument"):
                 evaluate((0.3,))
     # NaN is not an error here: it passes through to the orbit's box rule
-    assert math.isnan(compile_coords([parse_expression("sin(x1)", 1)])((math.nan,))[0])
+    assert math.isnan(compiled_step([parse_expression("sin(x1)", 1)])((math.nan,))[0])
 
 
 @pytest.mark.parametrize("source", ["(" * 300 + "x1" + ")" * 300, "-" * 2000 + "x1"],
@@ -301,7 +282,7 @@ def test_linear_part_is_the_matrix_of_an_affine_map(data):
     assert A.shape == (d, d) and b.shape == (d,)
     x, y = (tuple(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
             for _ in range(2))
-    step = compile_coords(trees)
+    step = compiled_step(trees)
     try:
         fx, fy = step(x), step(y)
     except EvaluationError:  # a divisor that rounds below _DIV_FLOOR

@@ -37,25 +37,27 @@ from aporbit.maps import (
     RangeReport,
     _probe_points,
 )
-from oracles import BUILTIN_STEPS, ar_step, companion_matrix, probe_points, sampled_lipschitz
+from oracles import (BUILTIN_STEPS, ar_step, companion_matrix, loop_step, probe_points,
+                     sampled_lipschitz, tree_step)
 from test_expressions import ast_nodes
 
 
 def test_ar_evaluate():
     m = ar_map([0.0, -1.0])
-    assert m.step((1.0, 0.0)) == (0.0, 1.0)  # new z = 0*1 + (-1)*0, shift fills coord 2
+    # new z = 0*1 + (-1)*0, shift fills coord 2
+    assert tree_step(m.trees)((1.0, 0.0)) == loop_step(m)((1.0, 0.0)) == (0.0, 1.0)
     assert generate_orbit(m, Point([1.0, 0.0]), 1).values[1].tolist() == [0.0, 1.0]
 
 
 def test_expression_evaluate():
     m = expression_map(["0.5*x1"])
-    assert m.step((0.8,)) == (0.4,)
+    assert tree_step(m.trees)((0.8,)) == loop_step(m)((0.8,)) == (0.4,)
     assert generate_orbit(m, Point([0.8]), 1).values[1].tolist() == [0.4]
 
 
 def test_range_violation():
     m = ar_map([1.5])
-    assert m.step((1.0,)) == (1.5,)  # the step polices nothing
+    assert loop_step(m)((1.0,)) == (1.5,)  # a step on [-inf, inf] polices nothing
     with pytest.raises(RangeViolation):
         generate_orbit(m, Point([1.0]), 1)
 
@@ -100,11 +102,11 @@ def test_shift_structure_bitwise():
     m = ar_map([0.2, -0.3, 0.1, 0.05])
     for _ in range(200):
         coords = tuple(rng.uniform(-1, 1, 4).tolist())
-        assert m.step(coords)[1:] == coords[:-1]
+        assert tree_step(m.trees)(coords)[1:] == coords[:-1]
     md = delay_map("0.5*x1 - 0.25*x3", 3)
     for _ in range(100):
         coords = tuple(rng.uniform(-1, 1, 3).tolist())
-        assert md.step(coords)[1:] == coords[:-1]
+        assert tree_step(md.trees)(coords)[1:] == coords[:-1]
 
 
 def test_builtins_stay_in_box():
@@ -282,7 +284,8 @@ def test_validate_range_reports_the_oracle_probes():
     m = expression_map(["1.02*cos(3*x1)*x2", "0.5*sin(x1+x2)"])
     report = validate_range(m, samples=300, seed=4)
     probes = probe_points(2, 300, 4)
-    over = box_overshoot(np.array([m.step(tuple(p)) for p in probes.tolist()]))
+    step = tree_step(m.trees)
+    over = box_overshoot(np.array([step(tuple(p)) for p in probes.tolist()]))
     worst = int(np.argmax(over))
     assert report.points_checked == len(probes)
     assert report.worst_point == tuple(probes[worst].tolist())
@@ -291,10 +294,12 @@ def test_validate_range_reports_the_oracle_probes():
 
 
 def first_raise(m: MapDefinition, points) -> int:
-    """The index of the first point at which `m.step` raises, or len(points)."""
+    """The index of the first point at which a step of the map raises, or
+    len(points)."""
+    step = tree_step(m.trees)
     for i, p in enumerate(points.tolist()):
         try:
-            m.step(tuple(p))
+            step(tuple(p))
         except EvaluationError:
             return i
     return len(points)
@@ -325,7 +330,8 @@ def test_batch_equals_a_loop_of_step(data):
     images, first = m.batch(points)
     assert images.shape == points.shape
     assert first == first_raise(m, points)
-    want = [m.step(tuple(p)) for p in points[:first].tolist()]
+    step = tree_step(m.trees)
+    want = [step(tuple(p)) for p in points[:first].tolist()]
     assert np.array_equal(bits(images[:first]), bits(want).reshape(-1, d))
 
 
@@ -349,7 +355,8 @@ def test_batch_min_max_keep_the_first_argument():
     m = expression_map(["min(x1, x2)", "max(x1, x2)"])
     images, first = m.batch(points)
     assert first == len(points)
-    assert np.array_equal(bits(images), bits([m.step(tuple(p)) for p in points.tolist()]))
+    step = tree_step(m.trees)
+    assert np.array_equal(bits(images), bits([step(tuple(p)) for p in points.tolist()]))
 
 
 @pytest.mark.parametrize("first_use", [
@@ -357,18 +364,18 @@ def test_batch_min_max_keep_the_first_argument():
     lambda m: validate_range(m, samples=16),
 ], ids=["estimate_lipschitz", "validate_range"])
 def test_batch_compiles_on_first_use(monkeypatch, first_use):
-    # a census builds one map per sample: building one compiles step and loop alone
+    # a census builds one map per sample: building one compiles its loop alone
     compiled = []
     factory = expressions._factory
     monkeypatch.setattr(expressions, "_factory",
                         lambda source, name, n: compiled.append(name) or factory(source, name, n))
     m = expression_map(["0.9*cos(3*x1)*x2", "0.5*tanh(x1 + x2)"])
-    assert compiled == ["step", "run"]
+    assert compiled == ["run"]
     first_use(m)
-    assert compiled == ["step", "run", "batch"]
+    assert compiled == ["run", "batch"]
     estimate_lipschitz(m, samples=64)
     validate_range(m, samples=16)
-    assert compiled == ["step", "run", "batch"]
+    assert compiled == ["run", "batch"]
 
 
 def with_a_call(m: MapDefinition) -> MapDefinition:
@@ -402,7 +409,7 @@ def test_linear_map_stretch_bounded_by_analytic():
 
 def test_map_json_round_trip():
     # each input form read back from its JSON text is the map its builder
-    # makes: the same trees, step and gamma
+    # makes: the same trees, loop and gamma
     points = [tuple(row) for row in np.random.default_rng(4).uniform(-1, 1, (50, 3)).tolist()]
     for definition, m in (
         ({"kind": "ar", "p": [0.25, -0.5]}, ar_map([0.25, -0.5])),
@@ -413,7 +420,8 @@ def test_map_json_round_trip():
     ):
         again = map_from_json(json.loads(json.dumps(definition)))
         assert again == m
-        assert [again.step(c[:m.d]) for c in points] == [m.step(c[:m.d]) for c in points]
+        assert ([loop_step(again)(c[:m.d]) for c in points]
+                == [loop_step(m)(c[:m.d]) for c in points])
         assert estimate_lipschitz(again, samples=64) == estimate_lipschitz(m, samples=64)
 
 
@@ -446,9 +454,10 @@ def test_map_pickles_and_rebuilds_its_step():
         again = pickle.loads(pickle.dumps(m))
         assert again == m
         assert again.shift == m.shift == shift
-        assert again.step((0.3, -0.7)) == m.step((0.3, -0.7))
+        assert loop_step(again)((0.3, -0.7)) == tree_step(m.trees)((0.3, -0.7))
         got, want = array("d"), array("d")
-        assert again.loop(0.3, -0.7, 0, 50, got.append) == m.loop(0.3, -0.7, 0, 50, want.append)
+        assert (again.loop(0.3, -0.7, 0, 50, got.append, -1.0, 1.0)
+                == m.loop(0.3, -0.7, 0, 50, want.append, -1.0, 1.0))
         assert got == want and len(got) == (1 if shift else 2) * 50
 
 
@@ -462,7 +471,7 @@ def bits(values):
 @pytest.mark.parametrize("d", [1, 3])
 @pytest.mark.parametrize("name", sorted(BUILTIN_MAPS))
 def test_builtin_trees_equal_the_old_builtin_steps(name, d):
-    step = builtin_map(name, d).step
+    step = loop_step(builtin_map(name, d))
     rng = np.random.default_rng(d)
     points = [tuple(c) for c in itertools.product(SPECIAL, repeat=d)]
     points += [tuple(row) for row in rng.uniform(-1.0, 1.0, (20_000, d)).tolist()]
@@ -476,7 +485,7 @@ def test_ar_tree_step_equals_the_old_ar_step():
         for _ in range(50):
             p = np.where(rng.random(d) < 0.3, rng.choice([0.0, -0.0, 1.0], d),
                          rng.uniform(-1.5, 1.5, d)).tolist()
-            step, old = ar_map(p).step, ar_step(p)
+            step, old = loop_step(ar_map(p)), ar_step(p)
             points = [tuple(row) for row in rng.uniform(-1.0, 1.0, (40, d)).tolist()]
             points += [tuple(rng.choice(SPECIAL, d).tolist()) for _ in range(40)]
             assert np.array_equal(bits([step(c) for c in points]), bits([old(c) for c in points]))
@@ -490,6 +499,6 @@ def test_ar_map_of_high_order_compiles():
     p = [0.5 / 400] * 400
     c = tuple(np.linspace(-1.0, 1.0, 400).tolist())
     m = ar_map(p)
-    assert m.step(c) == ar_step(p)(c)
+    assert loop_step(m)(c) == ar_step(p)(c)
     orb = generate_orbit(m, Point(c), 30)
     assert orb.values[1:, 0].tolist() == recursion(m, Point(c), 30)[1:].tolist()

@@ -36,9 +36,9 @@ from aporbit.maps import MapDefinition
 from aporbit import core, orbit
 from aporbit.orbit import CONFLICT_EXAMPLES, SHADOW_WINDOW, TABLE_BLOCK
 from oracles import (BUILTIN_STEPS, NoCycleWithinHorizon, ar_recursion, ar_step, detect_cycle,
-                     oracle_first_repeat, per_step_orbit, scan_shadow_periodicity,
+                     oracle_first_repeat, per_step_orbit, scan_shadow_periodicity, tree_step,
                      whole_transition_table)
-from test_expressions import ast_nodes, evaluate_ast
+from test_expressions import ast_nodes
 
 
 def states(g, *index_vectors):
@@ -162,7 +162,7 @@ def drawn_map(data):
             nodes[1:] = [Var(i) for i in range(1, d)]
     m = MapDefinition(tuple(nodes))
     assert kind == "expr" or m.shift == (d >= 2)
-    return m, lambda c: tuple(evaluate_ast(n, c) for n in nodes)
+    return m, tree_step(nodes)
 
 
 @settings(max_examples=300, deadline=None)
@@ -207,7 +207,7 @@ def test_near_shift_maps_keep_the_general_loop(sources, shift):
     assert m.shift == shift
     y0 = Point([0.3, -0.7, 0.9][: m.d])
     for H in (0, 1, 60):
-        assert_matches_per_step(m, m.step, y0, H)
+        assert_matches_per_step(m, tree_step(m.trees), y0, H)
         assert generate_orbit(m, y0, H).values.shape == (H + 1, m.d)
 
 
@@ -217,8 +217,8 @@ def ar_case(p):
 
 
 def tree_case(m):
-    """A map of trees and its own compiled step."""
-    return m, m.step
+    """A map of trees and the interpreter's step of its trees."""
+    return m, tree_step(m.trees)
 
 
 # each m is a map and the step that the per-step loop iterates
@@ -254,30 +254,22 @@ def test_generate_orbit_stops_at_a_nan_the_per_step_loop_went_past():
     # The per-step loop missed the NaN in x2 and raised at t = 2; the
     # compiled loop reports the NaN sample.
     m = expression_map(["0.5*x1", "x1*1e200*1e200*0 + 1/max(0, x2)"])
-    _, error = per_step_orbit(m.step, Point([0.3, 0.5]), 10)
+    _, error = per_step_orbit(tree_step(m.trees), Point([0.3, 0.5]), 10)
     assert isinstance(error, EvaluationError)
     with pytest.raises(RangeViolation) as info:
         generate_orbit(m, Point([0.3, 0.5]), 10)
     assert info.value.t == 1
 
 
-def test_generate_orbit_never_calls_the_step():
-    def refuse(coords):
-        raise AssertionError("generate_orbit called the per-point step")
-
-    for m, y0 in (
-        (ar_map([1.0 + 4e-13, 0.0]), [1.0, 0.5]),  # clamps at every step
-        (delay_map("0.5*x1 - 0.3*sin(x2)", 2), [0.3, -0.7]),
-        (expression_map(["0.5*x1", "tanh(x2)"]), [0.3, -0.7]),
-        (builtin_map("doubling", 3), [0.3, -0.7, 0.9]),
-    ):
-        want = generate_orbit(m, Point(y0), 100).values
-        object.__setattr__(m, "step", refuse)
-        assert np.array_equal(generate_orbit(m, Point(y0), 100).values, want)
-    m = ar_map([1.5])
-    object.__setattr__(m, "step", refuse)
-    with pytest.raises(RangeViolation):
-        generate_orbit(m, Point([0.9]), 10)
+@pytest.mark.parametrize("m, y0", [
+    (ar_case([1.0 + 4e-13, 0.0]), [1.0, 0.5]),  # clamps at every step
+    (tree_case(delay_map("0.5*x1 - 0.3*sin(x2)", 2)), [0.3, -0.7]),
+    (tree_case(expression_map(["0.5*x1", "tanh(x2)"])), [0.3, -0.7]),
+    ((builtin_map("doubling", 3), BUILTIN_STEPS["doubling"]), [0.3, -0.7, 0.9]),
+], ids=["ar_clamped", "delay", "expr", "builtin"])
+def test_generate_orbit_matches_the_per_step_loop_over_100_steps(m, y0):
+    m, step = m
+    assert_matches_per_step(m, step, Point(y0), 100)
 
 
 def test_discretize_orbit():
