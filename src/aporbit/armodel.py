@@ -4,7 +4,8 @@ The algebraic route runs on a map and an initial point y0.  The map must
 be x -> A x with A a companion matrix, as an `ar` map (`maps.ar_map`) is:
 its first coordinate z then runs the recurrence whose coefficients p are
 row 1 of A, read off the map's trees by `expressions.linear_part`, and
-y0 = (z(0), z(-1), ..., z(-d+1)).  `recursion` runs the map's orbit loop.
+y0 = (z(0), z(-1), ..., z(-d+1)).  `recursion` iterates the map off the
+box (`MapDefinition.iterate`).
 
 For z(t) = sum_l p_l z(t-l) the characteristic polynomial
 mu^d - sum_l p_l mu^(d-l) factors over C; with roots mu_j of multiplicity
@@ -31,8 +32,6 @@ interpolation matrix of the coefficient solve, and the initial data of
 from __future__ import annotations
 
 import cmath
-import math
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,23 +57,9 @@ _NEWTON_STEPS = 50
 
 def recursion(m: MapDefinition, y0: Point, horizon: int) -> np.ndarray:
     """The first coordinate of y(0)..y(horizon), iterating the map from y0
-    by its orbit loop.  Nothing polices the box: a bounded recurrence may
-    leave it.  The loop runs on [-inf, inf], so only a NaN sample stops
-    it, and it resumes from that sample.  Its buffer is laid out as
-    `generate_orbit`'s: z(-d+1), ..., z(horizon) for a shift map, every
-    coordinate of every sample for any other."""
-    if y0.d != m.d:
-        raise DimensionMismatch(f"y0 dimension {y0.d} != map dimension {m.d}")
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    d = m.d
-    order = slice(None, None, -1) if m.shift else slice(None)  # buffer order of a sample
-    buf = array("d", y0.coords[order])
-    t = 0
-    while t < horizon:
-        t = m.loop(*tuple(buf[-d:])[order], t, horizon, buf.append, -math.inf, math.inf)
-    z = np.frombuffer(buf)
-    return z[d - 1:] if m.shift else z[::d]
+    off the box (`MapDefinition.iterate`): nothing polices it, as a
+    bounded recurrence may leave the box."""
+    return m.iterate(y0, horizon, box=False)[:, 0]
 
 
 def _char_coefficients(m: MapDefinition) -> np.ndarray:

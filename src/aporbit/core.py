@@ -236,7 +236,7 @@ class OrbitSeries:
     samples live in the read-only array `values`, and `samples` views its
     rows as Points.  `values` may be a strided view: a shift map's orbit
     reads every row from one sequence of first coordinates
-    (`orbit.generate_orbit`).
+    (`maps.MapDefinition.iterate`).
     """
 
     d: int

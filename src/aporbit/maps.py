@@ -8,9 +8,10 @@ shift, an `expr` map its parsed trees, and a builtin map the coordinate
 expressions in BUILTIN_MAPS.  The `ar` input form, with the checks on
 its coefficients, lives here, so that `armodel` runs the algebraic
 route on the map it builds.  A map definition compiles its
-trees once into an orbit `loop`, the only per-point evaluator, and on
-first use into `batch`, the step of an array of points, and is expected
-to send the box into itself; `validate_range` probes that claim.
+trees once into an orbit `loop`, the only per-point evaluator, which its
+`iterate` alone runs, and on first use into `batch`, the step of an
+array of points.  It is expected to send the box into itself;
+`validate_range` probes that claim.
 `estimate_lipschitz` gives the stretching ratio used by the error-bound
 machinery, by a method that the trees decide: the spectral norm of the
 linear part for an affine map (`expressions.linear_part`), a sampled
@@ -22,14 +23,15 @@ from __future__ import annotations
 import functools
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import expressions
-from .core import CLAMP_BAND, box_overshoot
-from .errors import DimensionMismatch, RangeViolation
+from .core import CLAMP_BAND, Point, box_overshoot
+from .errors import DimensionMismatch, OutOfRange, RangeViolation
 from .expressions import BinOp, Num, Var
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -58,14 +60,13 @@ class MapDefinition:
     trees once, here, into `loop`, the orbit loop
     `loop(c1, ..., cd, t, stop, append, lo, hi) -> t` that stops at the
     first sample outside [lo, hi] or NaN (see
-    `expressions.compile_orbit_loop`): `generate_orbit` runs it on the
-    box [-1, 1], and `armodel.recursion` on [-inf, inf].  `shift` is read
-    off the trees once too: whether trees 2..d are x1..x(d-1)
-    (`expressions.is_shift`), so that the loop appends only x1 of each
-    sample.  Every `ar` and `delay` map of d >= 2 is one.  `batch`, the
-    step of an (n, d) array of points with the index of the first point
-    where a step raises (see `expressions.compile_batch`), is compiled on
-    first use, as most maps never need it.
+    `expressions.compile_orbit_loop`); `iterate` is its one caller.
+    `shift` is read off the trees once too: whether trees 2..d are
+    x1..x(d-1) (`expressions.is_shift`), so that the loop appends only x1
+    of each sample.  Every `ar` and `delay` map of d >= 2 is one.
+    `batch`, the step of an (n, d) array of points with the index of the
+    first point where a step raises (see `expressions.compile_batch`), is
+    compiled on first use, as most maps never need it.
     """
 
     trees: tuple
@@ -77,6 +78,45 @@ class MapDefinition:
             raise DimensionMismatch("a map needs at least one output tree")
         object.__setattr__(self, "loop", expressions.compile_orbit_loop(self.trees))
         object.__setattr__(self, "shift", expressions.is_shift(self.trees))
+
+    def iterate(self, y0: Point, horizon: int, *, box: bool) -> np.ndarray:
+        """The samples y(0)..y(horizon) of the orbit from y0, as (H+1, d) rows.
+
+        The loop runs the steps.  With `box` it runs on [-1, 1] and stops
+        at a sample outside the box or NaN: a sample within CLAMP_BAND of
+        the box is clamped onto it (`Point`) and the loop resumes from
+        there; any other raises RangeViolation.  Without `box` it runs on
+        [-inf, inf], so only a NaN sample stops it, and it resumes from
+        that sample: nothing polices the orbit.
+
+        A non-shift map's loop appends every coordinate, and the rows are
+        the buffer read as (H+1, d).  A shift map's loop appends only x1,
+        so the buffer holds z(-d+1), ..., z(H): y0 reversed as the
+        history, then one value a step.  The rows are then a strided view
+        of it whose row t reads (z(t), ..., z(t-d+1)) backwards from
+        z(t), 8 B a sample.
+        """
+        if y0.d != self.d:
+            raise DimensionMismatch(f"y0 dimension {y0.d} != map dimension {self.d}")
+        if horizon < 0:
+            raise ValueError("horizon must be >= 0")
+        d = self.d
+        order = slice(None, None, -1) if self.shift else slice(None)  # buffer order of a sample
+        buf = array("d", y0.coords[order])
+        lo, hi = (-1.0, 1.0) if box else (-math.inf, math.inf)
+        t, current = 0, y0.coords
+        while t < horizon:
+            t = self.loop(*current, t, horizon, buf.append, lo, hi)
+            current = tuple(buf[-d:])[order]
+            if box:
+                try:
+                    current = Point(current).coords  # clamped onto the box
+                except OutOfRange:
+                    raise RangeViolation(f"orbit left the box at t={t}: {list(current)}",
+                                         t=t) from None
+                buf[-d:] = array("d", current[order])
+        offset, strides = (8 * (d - 1), (8, -8)) if self.shift else (0, (8 * d, 8))
+        return np.ndarray((horizon + 1, d), float, buf, offset, strides)
 
     @functools.cached_property
     def batch(self) -> Callable:
@@ -149,10 +189,7 @@ def _probe_points(d: int, samples: int, seed: int) -> np.ndarray:
     Each axis takes the radical inverse of the indices 1..samples digit
     by digit; an index whose digits have run out adds exactly 0.0.
     """
-    corners = np.array(
-        [[1.0 if (i >> axis) & 1 else -1.0 for axis in range(d)]
-         for i in range(2 ** d)]
-    )
+    corners = np.where((np.arange(2 ** d)[:, None] >> np.arange(d)) & 1, 1.0, -1.0)
     center = np.zeros((1, d))
     rng = np.random.default_rng(seed)
     shift = rng.random(d)
@@ -265,11 +302,11 @@ def _sampled_block(m: MapDefinition, rng, n: int) -> float:
     by `vecdot`, the dot product that `np.linalg.norm` takes of a vector.
     Pairs closer than 1e-6 are skipped; the points of the rest are
     stepped in one `m.batch` call, whose images are those of one step of
-    `m.loop`, bit for bit.  The first failure in sample order is raised,
-    as stepping the points one at a time would meet it: RangeViolation
-    for a pair whose images have no finite distance, or the error raised
-    at the first point where a step fails, by one step of `m.loop` from
-    that point.
+    the orbit loop, bit for bit.  The first failure in sample order is
+    raised, as stepping the points one at a time would meet it:
+    RangeViolation for a pair whose images have no finite distance, or
+    the error raised at the first point where a step fails, by one step
+    of the orbit from that point.
     """
     d = m.d
     pairs, odd = divmod(n, 2)
@@ -301,7 +338,7 @@ def _sampled_block(m: MapDefinition, rng, n: int) -> float:
         fw, fwp = f[bad[0]]
         raise RangeViolation(f"images {fw.tolist()}, {fwp.tolist()} have no finite distance")
     if first < len(points):  # one step from that point raises its error
-        m.loop(*points[first].tolist(), 0, 1, [].append, -math.inf, math.inf)
+        m.iterate(Point(points[first].tolist()), 1, box=False)
     return float(np.max(ratios, initial=0.0))
 
 

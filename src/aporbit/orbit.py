@@ -1,14 +1,14 @@
 """Orbit generation, grid shadowing, transition tables and periodic chains.
 
-The pipeline: iterate a map to get an orbit (the map's compiled loop
-runs the steps, and `generate_orbit` polices each sample where it stops),
-snap each sample to the grid (the "shadow"), and count the states and
-the conflicts of the table where the earliest occurrence of a state
-fixes its successor.  The chain runs those earliest successors from the
-shadow's first state, so it is the shadow itself up to the first time a
-state repeats: with the repeat first seen at T and seen again at T + L,
-the chain is shadow[0..T+L-1], eventually periodic with pre-period T and
-period L.
+The pipeline: iterate a map to get an orbit (`MapDefinition.iterate`
+runs the map's compiled loop on the box and polices each sample where
+it stops), snap each sample to the grid (the "shadow"), and count the
+states and the conflicts of the table where the earliest occurrence of
+a state fixes its successor.  The chain runs those earliest successors
+from the shadow's first state, so it is the shadow itself up to the
+first time a state repeats: with the repeat first seen at T and seen
+again at T + L, the chain is shadow[0..T+L-1], eventually periodic with
+pre-period T and period L.
 
 The orbit is the one whole array that grows with the horizon: 8 B a
 sample for a shift map, whose orbit is a strided view of its first
@@ -23,18 +23,14 @@ pass, and `shadow_periodicity` reads an int64 window.
 from __future__ import annotations
 
 import statistics
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .armodel import coefficients_from_roots, recursion
-from .core import CLAMP_BAND, GridSpec, GridState, GridStates, OrbitSeries, Point, box_overshoot
-from .errors import DanglingState, DimensionMismatch, NotPeriodic, RangeViolation
+from .core import GridSpec, GridState, GridStates, OrbitSeries, Point
+from .errors import DanglingState, DimensionMismatch, NotPeriodic
 from .maps import MapDefinition, ar_map
-
-# Conflicting observations kept as examples; the rest are only counted.
-CONFLICT_EXAMPLES = 5
 
 # Trailing shadow states examined by shadow_periodicity, and the pairs it
 # compares one at a time for a candidate period before it compares the
@@ -50,35 +46,11 @@ STABLE_RADIUS = 0.9
 
 
 def generate_orbit(m: MapDefinition, y0: Point, horizon: int) -> OrbitSeries:
-    """Iterate the map from y0 for `horizon` steps; errors if the orbit escapes or is NaN.
-
-    The map's compiled `loop` runs the steps and stops at a sample outside
-    the box or NaN.  A sample within CLAMP_BAND of the box is clamped onto
-    it and the loop resumes from there; any other raises RangeViolation.
-
-    A non-shift map's loop appends every coordinate, and the orbit is the
-    buffer read as (H+1, d) rows.  A shift map's loop appends only x1, so
-    the buffer holds z(-d+1), ..., z(H): y0 reversed as the history, then
-    one value a step.  The orbit is then a strided view of it whose row t
-    reads (z(t), ..., z(t-d+1)) backwards from z(t), 8 B a sample.
-    """
-    if y0.d != m.d:
-        raise DimensionMismatch(f"y0 dimension {y0.d} != map dimension {m.d}")
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    d = m.d
-    order = slice(None, None, -1) if m.shift else slice(None)  # buffer order of a sample
-    buf = array("d", y0.coords[order])
-    t, current = 0, y0.coords
-    while t < horizon:
-        t = m.loop(*current, t, horizon, buf.append, -1.0, 1.0)
-        current = tuple(buf[-d:])[order]
-        if box_overshoot(current) > CLAMP_BAND:
-            raise RangeViolation(f"orbit left the box at t={t}: {list(current)}", t=t)
-        current = Point(current).coords  # clamped onto the box
-        buf[-d:] = array("d", current[order])
-    offset, strides = (8 * (d - 1), (8, -8)) if m.shift else (0, (8 * d, 8))
-    return OrbitSeries(np.ndarray((horizon + 1, d), float, buf, offset, strides))
+    """Iterate the map from y0 for `horizon` steps on the box
+    (`MapDefinition.iterate`): a sample within CLAMP_BAND of it is clamped
+    onto it, and any other, or NaN, raises RangeViolation.  A shift map's
+    orbit is a strided view of its first coordinates, 8 B a sample."""
+    return OrbitSeries(m.iterate(y0, horizon, box=True))
 
 
 def discretize_orbit(orbit: OrbitSeries, g: GridSpec) -> GridStates:
@@ -90,12 +62,10 @@ def discretize_orbit(orbit: OrbitSeries, g: GridSpec) -> GridStates:
 
 @dataclass(frozen=True)
 class Conflicts:
-    """Later occurrences of a state whose successor disagrees with the
-    successor at its earliest occurrence: their number, and the first few
-    as (state, t, observed successor) in time order."""
+    """The number of later occurrences of a state whose successor
+    disagrees with the successor at its earliest occurrence."""
 
     count: int = 0
-    examples: tuple = ()
 
     def __len__(self) -> int:
         return self.count
@@ -140,7 +110,7 @@ def build_transition_table(shadow: GridStates, *, _until_chain: bool = False) ->
     if g.state_count >= 2 ** 63:
         shadow = GridStates(shadow.indices, g)
         ranks = shadow.codes()
-    chain, count, times = None, 0, []
+    chain, count = None, 0
     a, b = 0, min(max(TABLE_BLOCK, 2), n)  # the first block holds a transition
     while a < n and (chain is None or not _until_chain):
         codes = shadow[a:b].codes() if ranks is None else ranks[a:b]
@@ -170,16 +140,9 @@ def build_transition_table(shadow: GridStates, *, _until_chain: bool = False) ->
                     np.unravel_index(known[np.argsort(first)[:t]], (g.K + 1,) * g.d), axis=1)
                 chain = ChainResult(grid=g, seq=GridStates(seq, g), pre_period=T, period=t - T)
         if inverse:  # a stopping pass counts no conflicts
-            bad = np.flatnonzero(expect[inverse[0]] != dst)
-            count += len(bad)
-            times += (bad[: CONFLICT_EXAMPLES - len(times)] + t0).tolist()
+            count += int(np.count_nonzero(expect[inverse[0]] != dst))
         a, b = b, min(b + max(TABLE_BLOCK, len(known)), n)
-    states = []
-    if times:  # both states of every example, read at once
-        at = np.add.outer(times, [0, 1]).ravel()
-        states = [GridState(row, g) for row in shadow[at].indices.tolist()]
-    examples = tuple(zip(states[::2], times, states[1::2]))
-    return TransitionTable(g, len(known), Conflicts(count, examples), chain)
+    return TransitionTable(g, len(known), Conflicts(count), chain)
 
 
 @dataclass

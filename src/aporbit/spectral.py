@@ -54,6 +54,8 @@ def fit_trig_samples(values: np.ndarray, pre_period: int, period: int) -> TrigFo
     values = np.asarray(values, dtype=float)
     L = period
     T = pre_period
+    if L < 1:
+        raise ValueError(f"period must be >= 1, got {L}")
     if values.ndim != 2 or values.shape[0] != L:
         raise ValueError(f"need samples of shape (L, d), got {values.shape}")
     M = L // 2

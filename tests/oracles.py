@@ -33,7 +33,7 @@ from aporbit.core import CLAMP_BAND, Point, box_overshoot, quantize
 from aporbit.errors import AporbitError, RangeViolation
 from aporbit.expressions import FUNCTIONS, BinOp, Call, Neg, Num, Var, _div
 from aporbit.maps import _PRIMES
-from aporbit.orbit import CONFLICT_EXAMPLES, SHADOW_WINDOW, Conflicts, TransitionTable
+from aporbit.orbit import SHADOW_WINDOW, Conflicts, TransitionTable
 
 
 class NoCycleWithinHorizon(AporbitError):
@@ -300,9 +300,8 @@ def whole_transition_table(shadow) -> TransitionTable:
         raise ValueError("need at least two shadow states to observe a transition")
     codes = shadow.codes()
     uniq, first, inverse = np.unique(codes[:-1], return_index=True, return_inverse=True)
-    times = np.flatnonzero(codes[first + 1][inverse] != codes[1:])
-    examples = tuple((shadow[t], t, shadow[t + 1]) for t in times[:CONFLICT_EXAMPLES].tolist())
-    return TransitionTable(shadow.grid, len(uniq), Conflicts(len(times), examples))
+    count = int(np.count_nonzero(codes[first + 1][inverse] != codes[1:]))
+    return TransitionTable(shadow.grid, len(uniq), Conflicts(count))
 
 
 def scan_shadow_periodicity(shadow, window: int = SHADOW_WINDOW):

@@ -732,8 +732,7 @@ def test_orbit_samples_are_those_the_traced_bench_counts(tmp_path, capsys, monke
 @pytest.mark.parametrize("command,csvs", [("run", False), ("run", True), ("verify", False),
                                           ("ladder", False)])
 def test_each_sample_is_quantized_once_per_reader(tmp_path, capsys, monkeypatch, command, csvs):
-    # The pipeline quantizes each of its H + 1 samples once, plus one row
-    # for each state of a conflict example (5 at most, 2 states each);
+    # The pipeline quantizes each of its H + 1 samples once;
     # shadow_periodicity reads its window once more (run and each ladder
     # level), and orbit.csv's ybar columns once more.  verify and the
     # ladder read nothing else.
@@ -745,7 +744,7 @@ def test_each_sample_is_quantized_once_per_reader(tmp_path, capsys, monkeypatch,
     least = levels * (H + 1) + (H + 1) * csvs
     if command != "verify":
         least += levels * orbit.SHADOW_WINDOW
-    assert least <= rows[0] <= least + levels * 2 * orbit.CONFLICT_EXAMPLES
+    assert rows[0] == least
 
 
 def test_census_deterministic(tmp_path):

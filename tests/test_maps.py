@@ -1,5 +1,6 @@
 """Map kinds, range validation and Lipschitz estimation."""
 
+import ast
 import dataclasses
 import itertools
 import json
@@ -7,12 +8,14 @@ import math
 import pickle
 import tracemalloc
 from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aporbit
 from aporbit import (
     BUILTIN_MAPS,
     Point,
@@ -502,3 +505,24 @@ def test_ar_map_of_high_order_compiles():
     assert loop_step(m)(c) == ar_step(p)(c)
     orb = generate_orbit(m, Point(c), 30)
     assert orb.values[1:, 0].tolist() == recursion(m, Point(c), 30)[1:].tolist()
+
+
+def test_only_iterate_runs_a_maps_loop():
+    # The loop's calling convention and buffer layout are known only to
+    # `expressions.compile_orbit_loop`, which writes it, and to
+    # `MapDefinition.iterate`, which runs it; no other library code reads
+    # a map's `.loop`.
+    readers = []
+
+    def walk(node, scope, module):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Attribute) and child.attr == "loop":
+                readers.append(f"{module}:{scope}")
+            walk(child, inner, module)
+
+    for path in sorted(Path(aporbit.__file__).parent.glob("*.py")):
+        walk(ast.parse(path.read_text()), "", path.stem)
+    assert readers == ["maps:MapDefinition.iterate"]

@@ -147,6 +147,12 @@ def test_not_periodic_guard():
         fit_trig("not a chain")
 
 
+@pytest.mark.parametrize("period", [0, -1])
+def test_fit_trig_samples_refuses_a_period_below_one(period):
+    with pytest.raises(ValueError, match="period must be >= 1"):
+        fit_trig_samples(np.zeros((0, 1)), 0, period)
+
+
 def test_large_period_reconstruction():
     rng = np.random.default_rng(21)
     L = 2000
