@@ -59,7 +59,7 @@ def recursion(m: MapDefinition, y0: Point, horizon: int) -> np.ndarray:
     """The first coordinate of y(0)..y(horizon), iterating the map from y0
     off the box (`MapDefinition.iterate`): nothing polices it, as a
     bounded recurrence may leave the box."""
-    return m.iterate(y0, horizon, box=False)[:, 0]
+    return m.iterate(y0, horizon, box=False).values[:, 0]
 
 
 def _char_coefficients(m: MapDefinition) -> np.ndarray:

@@ -7,9 +7,12 @@ statistics), `validate-map` (range check).  Reports are JSON-first with
 CSV side channels for plotting; `_Out.write_csv` writes every CSV in
 blocks of CSV_BLOCK rows, printing each distinct value of a block once
 and formatting the block with one `%`, so a CSV adds a fixed amount to a
-command's peak memory.  `_Out.write_periodic_csv` writes the trig curve,
-whose 3L+1 rows repeat one period: it prints the L row texts of the
-period once and cycles through them.  `_Out.write_json` builds every part
+command's peak memory.  A CSV whose rows repeat from some row on is
+given that periodic tail: the row texts of one period are printed once
+and cycled.  The trig curve's 3L+1 rows repeat its L-row period, and
+orbit.csv's rows repeat from the row where the orbit has reached an exact
+cycle of P samples, with period lcm(P, L) for the chain's period L,
+when that is at most CSV_BLOCK rows.  `_Out.write_json` builds every part
 of the text of `json.dumps(document, indent=2)` before it touches the
 file, with each list of numbers encoded by the C encoder a block at a
 time, and then writes the parts, so the text is never joined into one
@@ -178,12 +181,21 @@ class _Out:
             fh.writelines(map(str.encode, parts))  # the text is ASCII
         return fh.name
 
-    def write_csv(self, name: str, header, start: int, stop: int, block) -> str:
+    def write_csv(self, name: str, header, start: int, stop: int, block, tail=None) -> str:
         """Write `header`, then the rows [t, *block(a, b)[t - a]] for
         t = start..stop-1, where block(a, b) returns the rows for t = a..b-1
-        as a 2-d float64 or int64 array.  A value prints as the repr of its
-        Python float or int, in csv.writer's format (see `_printed`), and
-        each block's bytes are one `%` of a flat tuple of its cells."""
+        as a 2-d float64 or int64 array; a..b-1 lie within one block of
+        CSV_BLOCK rows counted from `start`.  A value prints as the repr of
+        its Python float or int, in csv.writer's format (see `_printed`),
+        and each block's bytes are one `%` of a flat tuple of its cells.
+
+        `tail` = (t0, L), t0 >= start, says that the rows from t0 on repeat
+        with period L.  Rows t0..t0+L-1 are printed once, each to its own text, as
+        their blocks come, and every row from t0 on is written from those
+        texts: past them, writing holds one block."""
+        t0, L = tail if tail is not None else (stop, 1)
+        texts = []  # the texts of rows t0.., without t
+
         def text(a, b):
             printed = _printed(block(a, b))
             n, width = printed.shape
@@ -193,37 +205,26 @@ class _Out:
             del printed  # the cells hold what is printed
             return (b"%d" + b",%s" * width + b"\r\n") * n % tuple(cells.ravel())
 
-        return self._write_blocks(name, header, start, stop, text)
-
-    def write_periodic_csv(self, name: str, header, start: int, stop: int,
-                           period: np.ndarray) -> str:
-        """Write what `write_csv` writes for the rows [t, *period[(t - start) % L]],
-        t = start..stop-1, of an (L, width) array `period`.  The period's
-        row texts are printed once, in blocks as `write_csv` prints them, and
-        the file's blocks cycle through them: past the L row texts, writing
-        holds one block."""
-        L, width = period.shape
-        rows = []
-        for a in range(0, L, CSV_BLOCK):
-            cells = _printed(period[a : a + CSV_BLOCK])
-            rows += ((b",%s" * width + b"\r\n") * len(cells)
-                     % tuple(cells.ravel())).splitlines(keepends=True)
-
-        def text(a, b):
-            n, offset = b - a, (a - start) % L
+        def cycled(a, b):
+            if len(texts) < min(L, b - t0):  # this block's rows of the first period
+                printed = _printed(block(t0 + len(texts), min(b, t0 + L)))
+                n, width = printed.shape
+                texts.extend(((b",%s" * width + b"\r\n") * n
+                              % tuple(printed.ravel())).splitlines(keepends=True))
+            n, offset = b - a, (a - t0) % L
             cells = [None] * (2 * n)
             cells[0::2] = range(a, b)
-            cells[1::2] = itertools.islice(itertools.cycle(rows), offset, offset + n)
+            cells[1::2] = itertools.islice(itertools.cycle(texts), offset, offset + n)
             return b"%d%s" * n % tuple(cells)
 
-        return self._write_blocks(name, header, start, stop, text)
-
-    def _write_blocks(self, name: str, header, start: int, stop: int, text) -> str:
-        # text(a, b) gives the bytes of rows a..b-1, at most CSV_BLOCK of them
         with self._create(name, "xb") as fh:
             fh.write((",".join(header) + "\r\n").encode())
             for a in range(start, stop, CSV_BLOCK):
-                fh.write(text(a, min(a + CSV_BLOCK, stop)))
+                b = min(a + CSV_BLOCK, stop)
+                if a < t0:
+                    fh.write(text(a, min(b, t0)))
+                if b > t0:
+                    fh.write(cycled(max(a, t0), b))
         return fh.name
 
 
@@ -379,13 +380,20 @@ def cmd_run(args) -> int:
             + [f"ybar_{i+1}" for i in range(m.d)]
             + [f"ystar_{i+1}" for i in range(m.d)]
         )
-        out.write_csv("orbit.csv", header, 0, horizon + 1, rows)
+        # From t_p the orbit repeats its last P rows bit for bit, and so does
+        # the shadow, whose state at t_p is thus a repeat: the chain has
+        # closed by then and repeats its period L.
+        period, tail = math.lcm(orb.lag or 1, chain.period), None
+        if orb.lag is not None and period <= CSV_BLOCK:
+            tail = (orb.repeats_from(), period)
+        out.write_csv("orbit.csv", header, 0, horizon + 1, rows, tail)
     out.write_json("chain.json", summary, config)
     out.write_json("trig.json", form.to_json(), config)
     if args.emit_curve:
         T, L = chain.pre_period, chain.period
-        out.write_periodic_csv("trig_curve.csv", ["t"] + [f"v_{i+1}" for i in range(m.d)],
-                               T, T + 3 * L + 1, spectral.eval_trig_range(form, T, T + L - 1))
+        curve = spectral.eval_trig_range(form, T, T + L - 1)
+        out.write_csv("trig_curve.csv", ["t"] + [f"v_{i+1}" for i in range(m.d)],
+                      T, T + 3 * L + 1, lambda a, b: curve[a - T : b - T], (T, L))
     print(f"run: T={chain.pre_period} L={chain.period} N={table.n_states} "
           f"conflicts={len(table.conflicts)} -> {args.out}")
     return EXIT_OK

@@ -11,9 +11,11 @@ clamps within CLAMP_BAND.
 
 `Point` and `GridState` are the boundary types for single values.  Orbits
 and state sequences are stored as arrays: `OrbitSeries` holds an (H+1, d)
-float array, and `GridStates` either an (n, d) integer index array or a
-view of an orbit's float rows that quantizes the rows it is asked for,
-when it is asked, and keeps none of them.
+float array, with the lag at which its rows end up repeating when one is
+known, and `GridStates` either an (n, d) integer index array or a view of
+an orbit's float rows that quantizes the rows it is asked for, when it is
+asked, and keeps none of them.  `_repeat_lag` is the one search for a
+repeated state, by its bytes.
 """
 
 from __future__ import annotations
@@ -43,6 +45,21 @@ def _clamp_coord(x: float) -> float:
     if not abs(x) - 1.0 <= CLAMP_BAND:  # beyond the band, or NaN
         raise OutOfRange(f"coordinate {x!r} outside [-1,1]")
     return math.copysign(1.0, x)
+
+
+def _repeat_lag(data: bytes, size: int, stride: int) -> int:
+    """The smallest lag P >= 1 at which the state in the last `size` bytes
+    of `data` starts again P*stride bytes earlier, bit for bit, or 0.
+
+    States start every `stride` bytes, so a match that straddles two of
+    them is skipped.  Bytes tell apart what `==` would not: 0.0 and -0.0,
+    and NaNs of different payloads.
+    """
+    end = len(data) - size
+    at = data.rfind(data[end:], 0, len(data) - 1)
+    while at >= 0 and (end - at) % stride:
+        at = data.rfind(data[end:], 0, at + size - 1)
+    return (end - at) // stride if at >= 0 else 0
 
 
 def box_overshoot(coords):
@@ -236,14 +253,18 @@ class OrbitSeries:
     samples live in the read-only array `values`, and `samples` views its
     rows as Points.  `values` may be a strided view: a shift map's orbit
     reads every row from one sequence of first coordinates
-    (`maps.MapDefinition.iterate`).
+    (`maps.MapDefinition.iterate`).  `lag`, when not None, is the smallest
+    P such that the rows from some t_p on equal, bit for bit, the rows P
+    before them (`MapDefinition.iterate` finds it); `repeats_from` finds
+    t_p.
     """
 
     d: int
     horizon: int
     values: np.ndarray = field(repr=False)
+    lag: int | None = None
 
-    def __init__(self, values: np.ndarray):
+    def __init__(self, values: np.ndarray, lag: int | None = None):
         values = np.asarray(values, dtype=float)
         if values.ndim != 2 or values.shape[1] < 1:
             raise DimensionMismatch(f"orbit array of shape {values.shape}, need (H+1, d)")
@@ -253,10 +274,28 @@ class OrbitSeries:
         object.__setattr__(self, "d", values.shape[1])
         object.__setattr__(self, "horizon", len(values) - 1)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "lag", lag)
 
     @property
     def samples(self) -> Sequence:
         return _PointRows(self.values)
+
+    def repeats_from(self) -> int | None:
+        """t_p, the first row that equals the row `lag` before it bit for
+        bit, or None without a lag.  An orbit's next row is a function of
+        its row, so every row after t_p repeats too, and the rows from
+        `lag` to H are unequal, then equal: a bisection finds t_p."""
+        P, rows = self.lag, self.values
+        if P is None:
+            return None
+        lo, hi = P, self.horizon
+        while lo < hi:
+            t = (lo + hi) // 2
+            if _repeat_lag(rows[[t - P, t]].tobytes(), 8 * self.d, 8 * self.d):
+                hi = t
+            else:
+                lo = t + 1
+        return lo
 
 
 def _quantize_rows(Y: np.ndarray, g: GridSpec) -> np.ndarray:

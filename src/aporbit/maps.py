@@ -9,8 +9,12 @@ expressions in BUILTIN_MAPS.  The `ar` input form, with the checks on
 its coefficients, lives here, so that `armodel` runs the algebraic
 route on the map it builds.  A map definition compiles its
 trees once into an orbit `loop`, the only per-point evaluator, which its
-`iterate` alone runs, and on first use into `batch`, the step of an
-array of points.  It is expected to send the box into itself;
+`iterate` alone runs, ORBIT_BLOCK steps a call, and on first use into
+`batch`, the step of an array of points.  The loop is a function of the
+state, so once `iterate` finds the state it has reached, bit for bit,
+among the last REPEAT_WINDOW states, it copies the cycle up to the
+horizon instead of running the loop.  A map is expected to send the box
+into itself;
 `validate_range` probes that claim.
 `estimate_lipschitz` gives the stretching ratio used by the error-bound
 machinery, by a method that the trees decide: the spectral norm of the
@@ -30,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from . import expressions
-from .core import CLAMP_BAND, Point, box_overshoot
+from .core import CLAMP_BAND, OrbitSeries, Point, _repeat_lag, box_overshoot
 from .errors import DimensionMismatch, OutOfRange, RangeViolation
 from .expressions import BinOp, Num, Var
 
@@ -39,6 +43,11 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Samples per block of the sampled Lipschitz estimate (even, so that each
 # block holds whole pairs of samples).
 LIPSCHITZ_BLOCK = 1024
+
+# Steps per call of a map's orbit loop in `MapDefinition.iterate`, and the
+# earlier states among which it looks for the state each call ends on.
+ORBIT_BLOCK = 1024
+REPEAT_WINDOW = 64
 
 
 # The builtin maps, each as the expression of coordinate i in x1..xd.
@@ -79,22 +88,29 @@ class MapDefinition:
         object.__setattr__(self, "loop", expressions.compile_orbit_loop(self.trees))
         object.__setattr__(self, "shift", expressions.is_shift(self.trees))
 
-    def iterate(self, y0: Point, horizon: int, *, box: bool) -> np.ndarray:
-        """The samples y(0)..y(horizon) of the orbit from y0, as (H+1, d) rows.
+    def iterate(self, y0: Point, horizon: int, *, box: bool) -> OrbitSeries:
+        """The orbit y(0)..y(horizon) from y0, as a series of (H+1, d) rows.
 
-        The loop runs the steps.  With `box` it runs on [-1, 1] and stops
-        at a sample outside the box or NaN: a sample within CLAMP_BAND of
-        the box is clamped onto it (`Point`) and the loop resumes from
-        there; any other raises RangeViolation.  Without `box` it runs on
-        [-inf, inf], so only a NaN sample stops it, and it resumes from
-        that sample: nothing polices the orbit.
+        The loop runs the steps, at most ORBIT_BLOCK a call.  With `box` it
+        runs on [-1, 1] and stops at a sample outside the box or NaN: a
+        sample within CLAMP_BAND of the box is clamped onto it (`Point`)
+        and the loop resumes from there; any other raises RangeViolation.
+        Without `box` it runs on [-inf, inf], so only a NaN sample stops
+        it, and it resumes from that sample: nothing polices the orbit.
+
+        After each call the bytes of the state reached are looked for among
+        the REPEAT_WINDOW states before it.  At a repeat with lag P the
+        loop would only write the last P samples again, the same bytes
+        with the same checks passed, so they are copied up to the horizon,
+        ORBIT_BLOCK steps or one cycle at a time, and the series carries
+        the lag (`OrbitSeries.lag`).
 
         A non-shift map's loop appends every coordinate, and the rows are
         the buffer read as (H+1, d).  A shift map's loop appends only x1,
         so the buffer holds z(-d+1), ..., z(H): y0 reversed as the
-        history, then one value a step.  The rows are then a strided view
-        of it whose row t reads (z(t), ..., z(t-d+1)) backwards from
-        z(t), 8 B a sample.
+        history, then one value a step, and a state is any d values in a
+        row.  The rows are then a strided view of it whose row t reads
+        (z(t), ..., z(t-d+1)) backwards from z(t), 8 B a sample.
         """
         if y0.d != self.d:
             raise DimensionMismatch(f"y0 dimension {y0.d} != map dimension {self.d}")
@@ -102,11 +118,12 @@ class MapDefinition:
             raise ValueError("horizon must be >= 0")
         d = self.d
         order = slice(None, None, -1) if self.shift else slice(None)  # buffer order of a sample
+        step = 1 if self.shift else d  # values a step appends
         buf = array("d", y0.coords[order])
         lo, hi = (-1.0, 1.0) if box else (-math.inf, math.inf)
-        t, current = 0, y0.coords
-        while t < horizon:
-            t = self.loop(*current, t, horizon, buf.append, lo, hi)
+        t, current, lag = 0, y0.coords, 0
+        while t < horizon and not lag:
+            t = self.loop(*current, t, min(t + ORBIT_BLOCK, horizon), buf.append, lo, hi)
             current = tuple(buf[-d:])[order]
             if box:
                 try:
@@ -115,8 +132,13 @@ class MapDefinition:
                     raise RangeViolation(f"orbit left the box at t={t}: {list(current)}",
                                          t=t) from None
                 buf[-d:] = array("d", current[order])
+            lag = _repeat_lag(buf[-(REPEAT_WINDOW * step + d):].tobytes(), 8 * d, 8 * step)
+        if t < horizon:  # stopped at a repeat: whole cycles, about a block of them at a time
+            cycle = buf[-lag * step:] * max(1, ORBIT_BLOCK // lag)
+            for a in range(t, horizon, len(cycle) // step):
+                buf.extend(cycle[:(horizon - a) * step])
         offset, strides = (8 * (d - 1), (8, -8)) if self.shift else (0, (8 * d, 8))
-        return np.ndarray((horizon + 1, d), float, buf, offset, strides)
+        return OrbitSeries(np.ndarray((horizon + 1, d), float, buf, offset, strides), lag or None)
 
     @functools.cached_property
     def batch(self) -> Callable:

@@ -49,8 +49,10 @@ def generate_orbit(m: MapDefinition, y0: Point, horizon: int) -> OrbitSeries:
     """Iterate the map from y0 for `horizon` steps on the box
     (`MapDefinition.iterate`): a sample within CLAMP_BAND of it is clamped
     onto it, and any other, or NaN, raises RangeViolation.  A shift map's
-    orbit is a strided view of its first coordinates, 8 B a sample."""
-    return OrbitSeries(m.iterate(y0, horizon, box=True))
+    orbit is a strided view of its first coordinates, 8 B a sample.  An
+    orbit that reaches an exact cycle has its rows copied from there, and
+    the cycle's length is the series' `lag`."""
+    return m.iterate(y0, horizon, box=True)
 
 
 def discretize_orbit(orbit: OrbitSeries, g: GridSpec) -> GridStates:

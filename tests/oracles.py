@@ -10,7 +10,9 @@ the recursion from the coefficients that the algebraic route replaced
 with the map's own loop.  `evaluate_ast` is a tree-walking interpreter,
 and `tree_step` the per-point step of a map's trees built on it, the
 reference for both compiled forms of the trees; `loop_step` is one step
-of a map's compiled loop, the library's only per-point evaluator.  The
+of a map's compiled loop, the library's only per-point evaluator, and
+`loop_orbit` the orbit of that loop run to the horizon, as
+`MapDefinition.iterate` ran it before it copied the cycles it finds.  The
 old builtin and `ar` step functions and the per-step orbit loop are the
 forms that the compiled expression trees replaced, the per-pair
 Lipschitz sampler and scalar Halton probes are the forms that the
@@ -30,7 +32,7 @@ from array import array
 import numpy as np
 
 from aporbit.core import CLAMP_BAND, Point, box_overshoot, quantize
-from aporbit.errors import AporbitError, RangeViolation
+from aporbit.errors import AporbitError, OutOfRange, RangeViolation
 from aporbit.expressions import FUNCTIONS, BinOp, Call, Neg, Num, Var, _div
 from aporbit.maps import _PRIMES
 from aporbit.orbit import SHADOW_WINDOW, Conflicts, TransitionTable
@@ -141,6 +143,33 @@ def loop_step(m):
         return (out[0],) + tuple(coords[:-1]) if m.shift else tuple(out)
 
     return step
+
+
+def loop_orbit(m, y0: Point, horizon: int, box: bool) -> np.ndarray:
+    """The (H+1, d) rows of the orbit from y0, the map's loop run to the
+    horizon in one call, resumed only where it stops: with `box` on
+    [-1, 1], clamping a stop sample within CLAMP_BAND and raising
+    RangeViolation at any other, and otherwise on [-inf, inf], resuming
+    at each NaN sample.  A shift map's loop appends x1 alone."""
+    d = m.d
+    order = slice(None, None, -1) if m.shift else slice(None)
+    buf = array("d", y0.coords[order])
+    lo, hi = (-1.0, 1.0) if box else (-math.inf, math.inf)
+    t, current = 0, y0.coords
+    while t < horizon:
+        t = m.loop(*current, t, horizon, buf.append, lo, hi)
+        current = tuple(buf[-d:])[order]
+        if box:
+            try:
+                current = Point(current).coords
+            except OutOfRange:
+                raise RangeViolation(f"orbit left the box at t={t}: {list(current)}",
+                                     t=t) from None
+            buf[-d:] = array("d", current[order])
+    if not m.shift:
+        return np.frombuffer(buf).reshape(-1, d)
+    z = np.frombuffer(buf)  # z(-d+1), ..., z(H)
+    return np.array([z[t : t + d][::-1] for t in range(horizon + 1)]).reshape(-1, d)
 
 
 # The step functions that the builtin maps and the `ar` map had before

@@ -29,7 +29,7 @@ from aporbit.errors import (DimensionMismatch, EvaluationError, OutOfRange, Rang
 from aporbit.expressions import Var
 from aporbit.maps import MapDefinition
 from aporbit.orbit import _random_stable_ar
-from oracles import ar_recursion, char_coefficients, tree_step
+from oracles import ar_recursion, char_coefficients, loop_orbit, tree_step
 from test_expressions import ast_nodes
 
 
@@ -191,6 +191,20 @@ def test_recursion_calls_the_loop_once_out_of_the_box():
     assert calls == [(-math.inf, math.inf)]
     assert z[0] == 1.0 and z[-1] > 1e4
     assert_same_bits(z, tree_recursion(m, [1.0], 1000))
+
+
+def test_recursion_stops_calling_the_loop_at_a_repeated_nan():
+    # inf at t = 2 and NaN from t = 3 on: the loop returns at every NaN
+    # sample, until the state (NaN, NaN) repeats its bits and the rest of
+    # the orbit is copied from it (it once took 998 calls)
+    want = loop_orbit(ar_map([1e300, -1e300]), Point([1.0, 0.5]), 1000, False)[:, 0]
+    m = ar_map([1e300, -1e300])
+    loop, calls = m.loop, []
+    object.__setattr__(m, "loop", lambda *args: calls.append(args) or loop(*args))
+    z = recursion(m, Point([1.0, 0.5]), 1000)
+    assert len(calls) <= 4
+    assert np.isinf(z[2]) and np.isnan(z[3:]).all()
+    assert np.array_equal(z.view(np.int64), want.view(np.int64))
 
 
 def test_characteristic_roots_rotation():

@@ -456,6 +456,34 @@ def test_write_csv_matches_csv_writer(use_ints, pool, ints, n, width, start, see
             assert fh.read() == expected.read()
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([0, 1, 9, CSV_BLOCK, 2 * CSV_BLOCK + 3]),
+    t0=st.integers(0, 2 * CSV_BLOCK + 5),
+    L=st.sampled_from([1, 2, 3, 7, CSV_BLOCK - 1, CSV_BLOCK + 1]),
+    start=st.integers(0, 10**6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_write_csv_with_a_periodic_tail_matches_csv_writer(n, t0, L, start, seed):
+    # rows start + t0 on repeat with period L; t0 falls before, inside, on
+    # the edge of or past the blocks, and the period may span blocks
+    rng = np.random.default_rng(seed)
+    values = np.array(SPECIAL_FLOATS)[rng.integers(0, len(SPECIAL_FLOATS), (n, 2))]
+    fresh = rng.random((n, 2)) < 0.5
+    values[fresh] = rng.standard_normal(int(fresh.sum()))
+    for t in range(t0 + L, n):
+        values[t] = values[t - L]
+    header = ["t", "a", "b"]
+    with tempfile.TemporaryDirectory() as directory:
+        written = _Out(directory, False, []).write_csv(
+            "tail.csv", header, start, start + n, lambda a, b: values[a - start : b - start],
+            (start + t0, L))
+        oracle = os.path.join(directory, "oracle.csv")
+        csv_writer_oracle(oracle, header, start, values)
+        with open(written, "rb") as fh, open(oracle, "rb") as expected:
+            assert fh.read() == expected.read()
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("T", [0, 7, 10**5])
 @pytest.mark.parametrize("L", [1, 2, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1, 1500])
@@ -463,8 +491,9 @@ def test_curve_cycled_from_one_period_is_the_whole_curve(tmp_path, L, T, d):
     # run --emit-curve writes rows T..T+3L from the row texts of one period
     form = fit_trig_samples(np.random.default_rng([L, T, d]).standard_normal((L, d)), T, L)
     header = ["t"] + [f"v_{i+1}" for i in range(d)]
-    written = _Out(str(tmp_path), False, []).write_periodic_csv(
-        "curve.csv", header, T, T + 3 * L + 1, eval_trig_range(form, T, T + L - 1))
+    curve = eval_trig_range(form, T, T + L - 1)
+    written = _Out(str(tmp_path), False, []).write_csv(
+        "curve.csv", header, T, T + 3 * L + 1, lambda a, b: curve[a - T : b - T], (T, L))
     csv_writer_oracle(tmp_path / "oracle.csv", header, T, eval_trig_range(form, T, T + 3 * L))
     assert (tmp_path / "curve.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
     assert written == str(tmp_path / "curve.csv")
@@ -607,7 +636,7 @@ def test_curve_writing_adds_order_L_to_the_peak(tmp_path, capsys, monkeypatch):
     # block by block: writing adds those texts and one block to the peak.
     # Written as one block it added about 520 B a period row here.
     added = []
-    write = _Out.write_periodic_csv
+    write = _Out.write_csv
 
     def traced_write(self, *args):
         live = tracemalloc.get_traced_memory()[0]
@@ -616,7 +645,7 @@ def test_curve_writing_adds_order_L_to_the_peak(tmp_path, capsys, monkeypatch):
         added.append(tracemalloc.get_traced_memory()[1] - live)
         return result
 
-    monkeypatch.setattr(_Out, "write_periodic_csv", traced_write)
+    monkeypatch.setattr(_Out, "write_csv", traced_write)  # trig_curve.csv's, under --json-only
     argv = ["run", "--map", '{"kind": "ar", "d": 2, "p": [1.2, -1.0]}', "--y0=0.6,0.2",
             "--K", "4096", "--horizon", "6000", "--json-only", "--emit-curve", "--force"]
     traced_peak(argv + ["--out", str(tmp_path / "warm")])
@@ -648,6 +677,67 @@ def test_run_memory_is_the_orbit(tmp_path, capsys, csvs):
 # K = 64 whose chain is (T, L) = (94, 16), over 14,001 samples.
 SPIRAL = ["--map", '{"kind": "ar", "d": 2, "p": [1.823054, -0.980595]}',
           "--y0=-0.8016876785707332,-0.5216423999399237", "--K", "64"]
+
+
+TENT = '{"kind": "builtin", "d": 2, "name": "tent"}'
+NEG = '{"kind": "expr", "d": 1, "exprs": ["-x1"]}'
+QUARTER = '{"kind": "ar", "d": 2, "p": [0.0, -1.0]}'
+
+# Runs whose orbit reaches an exact cycle of P samples at row t_p, with
+# the chain's (T, L): from t_p the rows of orbit.csv repeat with period
+# lcm(P, L), as the chain closes before t_p (T + L <= t_p): the shadow
+# repeats a state there at the latest.
+ORBIT_REPEATS = [
+    # P = 1, L = 10: the tail's phase differs from one CSV block to the next
+    (TENT, "0.3,-0.71", 9, 5000, (57, 1), (4, 10)),
+    (NEG, "0.0", 4, 1500, (2, 2), (0, 1)),  # 0.0, -0.0, ...: a cycle of bits
+    (QUARTER, "1,0", 64, 2000, (4, 4), (0, 4)),
+    (HALF, "0.3", 1024, 3000, (1074, 1), (7, 1)),  # onto 0.0 in the third block
+    (SPIRAL[1], SPIRAL[2][5:], 64, 2000, None, (94, 16)),  # never repeats
+]
+
+
+@pytest.mark.parametrize("block", [CSV_BLOCK, 57, 3])  # 57: t_p on a block edge
+@pytest.mark.parametrize("map_json, y0, K, H, repeat, chain", ORBIT_REPEATS,
+                         ids=["tent", "signed_zero", "quarter", "half", "spiral"])
+def test_orbit_csv_with_its_periodic_tail_is_the_block_written_csv(
+        tmp_path, capsys, monkeypatch, block, map_json, y0, K, H, repeat, chain):
+    # the block writer with no tail is the oracle; a tail longer than a
+    # block is not given, and the whole file is written in blocks
+    monkeypatch.setattr(cli, "CSV_BLOCK", block)
+    write, tails = _Out.write_csv, []
+
+    def recorded(keep):
+        def write_csv(self, name, header, start, stop, rows, tail=None):
+            tails.append(tail)
+            return write(self, name, header, start, stop, rows, tail if keep else None)
+        return write_csv
+
+    argv = ["run", "--map", map_json, f"--y0={y0}", "--K", str(K), "--horizon", str(H)]
+    for keep in (True, False):
+        monkeypatch.setattr(_Out, "write_csv", recorded(keep))
+        assert main(argv + ["--out", str(tmp_path / str(keep))]) == 0
+    summary = read_json(tmp_path / "True" / "chain.json")
+    assert (summary["T"], summary["L"]) == chain
+    want = None
+    if repeat is not None:
+        (t_p, P), (T, L) = repeat, chain
+        assert T + L <= t_p
+        if math.lcm(P, L) <= block:
+            want = (t_p, math.lcm(P, L))
+    assert tails == [want, want]  # the second run writes without it
+    written = (tmp_path / "True" / "orbit.csv").read_bytes()
+    assert written == (tmp_path / "False" / "orbit.csv").read_bytes()
+    assert written.count(b"\r\n") == H + 2
+
+
+def test_run_of_a_sign_flip_from_zero_keeps_both_zeros(tmp_path, capsys):
+    # the orbit repeats its bits at lag 2, not at lag 1, where 0.0 == -0.0
+    assert main(["run", "--map", NEG, "--y0=0.0", "--K", "4", "--horizon", "1500",
+                 "--out", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path / "orbit.csv")[1:]
+    assert [row[1] for row in rows] == ["0.0", "-0.0"] * 750 + ["0.0"]
+
 
 
 def test_long_orbit_run_peaks_at_26_bytes_a_sample(tmp_path, capsys):

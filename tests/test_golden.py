@@ -43,10 +43,17 @@ CONFIGS = {
     "run_delay_long": ["run", "--map", DELAY, "--y0=0.7,-0.3,0.2", "--K", "32",
                        "--horizon", "3000"],
     "run_builtin": ["run", "--map", TENT, "--y0=0.3,-0.71", "--K", "9", "--horizon", "300"],
+    # the orbit sits on the fixed point (-1, -1) from t = 56 and the chain
+    # has period 10, so orbit.csv's rows repeat with period 10 across many
+    # CSV blocks
+    "run_tent_long": ["run", "--map", TENT, "--y0=0.3,-0.71", "--K", "9",
+                      "--horizon", "5000"],
     # K=1 merges distinct orbit points: a conflicted table
     "run_conflicts": ["run", "--map", QUARTER, "--y0=1,0", "--K", "1", "--horizon", "40"],
     # +-0.25 are exact midpoints of the K=4 grid: every sample is an exact tie
     "run_tie": ["run", "--map", NEG, "--y0=0.25", "--K", "4", "--horizon", "20"],
+    # 0.0, -0.0, 0.0, ...: equal values at lag 1, equal bits only at lag 2
+    "run_signed_zero": ["run", "--map", NEG, "--y0=0.0", "--K", "4", "--horizon", "1500"],
     # decays through tiny positive values onto 0, the midpoint of the odd K=3 grid
     "run_decay_tie": ["run", "--map", HALF, "--y0=0.3", "--K", "3", "--horizon", "1200"],
     "run_curve": ["run", "--map", ROT, "--y0=-0.5,0.45", "--K", "24", "--horizon", "800",
@@ -163,6 +170,16 @@ GOLDEN = {
         'chain.json': '9e116c3bbb60f0a06f25b09b6e5396fb38c33e5b232954f2cbae08a44dc59c72',
         'orbit.csv': 'c73dec1487a135090fea9b6d36de9137d4c473cca53b0f590eb399e6f63c33e8',
         'trig.json': '85c3b4e2dd78d07434d7c84c73f8eff0f8af0ed75cc3c36ddf37190b32b3a6df',
+    },
+    'run_signed_zero': {
+        'chain.json': '368339f6084a796b4aaf0c697b16e5cf5e5192dec0e4b7d5e716c1908241b105',
+        'orbit.csv': 'cc841b33447fba1c07244bad26c360f79adb0163b5b0a3578683e0f0c9532cb3',
+        'trig.json': 'f055cfb117ac6c3a716904b1aa1e7b8e9d61b09959955f74b7d9a04b232ad6ab',
+    },
+    'run_tent_long': {
+        'chain.json': '9d2944b7b5e154e1639aeab962e6915565e5bce5bc3caa542c69d29b8f09f02d',
+        'orbit.csv': 'e52d1290ffa55c53b2a530baf6a846e8e7c087ad05c253a56a00806bffb7867b',
+        'trig.json': '2309e2718c5626283fc9ed587f3db5ac68fb89717c44ec948449dfc602a78df5',
     },
     'run_tie': {
         'chain.json': 'c2f385c5a42159473b76a6a8f78317193687bd8155b698a6abf141946ff225dc',

@@ -9,6 +9,7 @@ import pickle
 import tracemalloc
 from array import array
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,15 +34,17 @@ from aporbit import (
 from aporbit.core import CLAMP_BAND, box_overshoot
 from aporbit.errors import DimensionMismatch, EvaluationError, RangeViolation
 from aporbit.expressions import BinOp, Call, Num, Var, linear_part
+from aporbit import maps
 from aporbit.maps import (
     LIPSCHITZ_BLOCK,
+    ORBIT_BLOCK,
     LipschitzEstimate,
     MapDefinition,
     RangeReport,
     _probe_points,
 )
-from oracles import (BUILTIN_STEPS, ar_step, companion_matrix, loop_step, probe_points,
-                     sampled_lipschitz, tree_step)
+from oracles import (BUILTIN_STEPS, ar_step, companion_matrix, loop_orbit, loop_step,
+                     probe_points, sampled_lipschitz, tree_step)
 from test_expressions import ast_nodes
 
 
@@ -526,3 +529,119 @@ def test_only_iterate_runs_a_maps_loop():
     for path in sorted(Path(aporbit.__file__).parent.glob("*.py")):
         walk(ast.parse(path.read_text()), "", path.stem)
     assert readers == ["maps:MapDefinition.iterate"]
+
+
+def first_repeat_row(values, lag):
+    """By brute force: the first row t that equals row t - lag bit for bit,
+    where every later row does too; None if the last row does not."""
+    rows = [row.tobytes() for row in values]
+    t = len(rows) - 1
+    if t < lag or rows[t] != rows[t - lag]:
+        return None
+    while t - 1 >= lag and rows[t - 1] == rows[t - 1 - lag]:
+        t -= 1
+    return t
+
+
+def iterate_outcome(iterate, m, y0, horizon, box):
+    """What iterate(m, Point(y0), horizon, box) returns, or the error
+    type, message and t."""
+    try:
+        return iterate(m, Point(y0), horizon, box)
+    except (RangeViolation, EvaluationError) as exc:
+        return type(exc), str(exc), getattr(exc, "t", None)
+
+
+# Trees whose orbits reach an exact cycle soon: a fixed point (0.0, -1.0,
+# 0.25), a flip of sign (of 0.0 too, so a cycle of 0.0 and -0.0), NaN, or
+# a clamp onto the box at every step.
+CYCLING = ["-x{i}", "x{i}*x{i}", "1 - 2*abs(x{i})", "min(x{i}, 0.25)", "0.5*x{i}",
+           "x{i}*0.1", "x1*1e200*1e200*0", "x{i} * 1.0000000000005", "-x{i} - 1e-13"]
+
+
+def cycling_nodes(d):
+    return st.builds(lambda src, i: expressions.parse_expression(src.format(i=i), d),
+                     st.sampled_from(CYCLING), st.integers(1, d))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_iterate_equals_the_loop_run_to_the_horizon(data):
+    # Blocks of a few steps and a short window, so that the horizon spans
+    # many blocks and a cycle is found after one of them, or missed when
+    # it is longer than the window.  Copying the cycle gives the bytes the
+    # loop writes, NaN payloads and signed zeros included, or the same error.
+    kind = data.draw(st.sampled_from(["ar", "delay", "expr"]))
+    d = data.draw(st.integers(1, 5 if kind == "ar" else 3))
+    nodes = st.one_of(ast_nodes(d), cycling_nodes(d))
+    if kind == "ar":
+        coefficient = st.one_of(st.floats(-1.2, 1.2),
+                                st.sampled_from([0.0, -1.0, 0.5, 0.1, 1e300, -1e300]))
+        m = ar_map(data.draw(st.lists(coefficient, min_size=d, max_size=d)))
+    elif kind == "delay":
+        m = MapDefinition((data.draw(nodes),) + tuple(Var(i) for i in range(1, d)))
+    else:
+        m = MapDefinition(tuple(data.draw(st.lists(nodes, min_size=d, max_size=d))))
+    y0 = data.draw(st.lists(st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0, 1.0])),
+                            min_size=d, max_size=d))
+    horizon, box = data.draw(st.integers(0, 400)), data.draw(st.booleans())
+    block, window = data.draw(st.sampled_from([1, 2, 7, 64])), data.draw(st.integers(1, 8))
+    with mock.patch.object(maps, "ORBIT_BLOCK", block), \
+            mock.patch.object(maps, "REPEAT_WINDOW", window):
+        got = iterate_outcome(lambda m, y0, H, box: m.iterate(y0, H, box=box), m, y0, horizon, box)
+    want = iterate_outcome(loop_orbit, m, y0, horizon, box)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert got.values.shape == want.shape == (horizon + 1, d)
+    assert np.array_equal(got.values.view(np.int64), want.view(np.int64))
+    if got.lag is not None:  # the rows repeat with that lag from t_p to the end
+        assert 1 <= got.lag <= window
+        assert got.repeats_from() == first_repeat_row(want, got.lag)
+
+
+@pytest.mark.parametrize("m, y0, lag, t_p", [
+    (builtin_map("tent", 2), [0.3, -0.71], 1, 57),  # onto (-1, -1)
+    (expression_map(["-x1"]), [0.0], 2, 2),  # 0.0, -0.0, 0.0, ...
+    (ar_map([0.0, -1.0]), [1.0, 0.0], 4, 4),  # a quarter turn
+    (ar_map([0.5]), [0.3], 1, 1074),  # 0.3 * 2^-t, onto 0.0 at t = 1073
+    (ar_map([1.823054, -0.980595]), [-0.8, -0.52], None, None),  # a spiral: no repeat
+])
+def test_iterate_copies_the_cycle_over_many_blocks(m, y0, lag, t_p):
+    H = 3 * ORBIT_BLOCK + 5
+    for box in (True, False):
+        series = m.iterate(Point(y0), H, box=box)
+        want = loop_orbit(m, Point(y0), H, box)
+        assert np.array_equal(series.values.view(np.int64), want.view(np.int64))
+        assert (series.lag, series.repeats_from()) == (lag, t_p)
+
+
+def test_iterate_finds_a_repeat_by_its_bits():
+    # 0.0 == -0.0, but the orbit of -x1 from 0.0 repeats its bits at lag 2
+    series = generate_orbit(expression_map(["-x1"]), Point([0.0]), 9)
+    assert series.values[:, 0].tolist() == [0.0, -0.0] * 5
+    assert [math.copysign(1.0, v) for v in series.values[:, 0]] == [1.0, -1.0] * 5
+    assert (series.lag, series.repeats_from()) == (2, 2)
+
+
+def test_iterate_copies_the_cycle_in_blocks():
+    # 0.3 * 2^-t lands on 0.0 at t = 1073 and stays; the copies are appended
+    # a block at a time, so the orbit peaks no higher than one that never
+    # repeats.  Resizing the whole tail at once peaked at 39 B a sample.
+    H = 200_000
+
+    def peak(m):
+        m.iterate(Point([0.3]), 1000, box=True)
+        tracemalloc.start()
+        try:
+            series = m.iterate(Point([0.3]), H, box=True)
+            return series, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    series, repeating = peak(ar_map([0.5]))
+    plain, never = peak(ar_map([0.99999]))
+    assert (series.lag, series.repeats_from(), plain.lag) == (1, 1074, None)
+    assert series.values[1073:].tolist() == [[0.0]] * (H - 1072)
+    assert repeating <= never
+    assert never / (H + 1) <= 8.6
