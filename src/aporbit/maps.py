@@ -19,7 +19,8 @@ into itself;
 `estimate_lipschitz` gives the stretching ratio used by the error-bound
 machinery, by a method that the trees decide: the spectral norm of the
 linear part for an affine map (`expressions.linear_part`), a sampled
-estimate for any other.
+estimate for any other, whose random points are drawn and stepped
+LIPSCHITZ_BLOCK samples at a time.
 """
 
 from __future__ import annotations
@@ -296,7 +297,9 @@ def estimate_lipschitz(m: MapDefinition, samples: int = 4096, seed: int = 0) -> 
     Lipschitz constant; for an `ar` map A is the companion matrix.  Any
     other map gets the max ratio over `samples` random pairs, a lower
     bound; half of the pairs use a small offset to probe local
-    stretching.  `samples` and `seed` act only on a sampled estimate.
+    stretching.  The pairs are drawn and stepped in blocks of
+    LIPSCHITZ_BLOCK samples (`_sampled_block`), at most three Generator
+    calls a block.  `samples` and `seed` act only on a sampled estimate.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -316,45 +319,39 @@ def _sampled_block(m: MapDefinition, rng, n: int) -> float:
 
     Sample i is a point w_i and a partner w'_i: for even i another
     uniform point, for odd i w_i plus a normal offset of scale 1e-3,
-    clipped to the box.  Each pair of samples draws rng.random(3d)
-    (w_i, w'_i, w_i+1) and then rng.standard_normal(d), and a last odd
-    sample draws rng.random(2d); `-1.0 + 2.0*u` and `0.0 + 1e-3*z` are
-    what `uniform` and `normal` compute, so the stream and the points are
-    those of one `uniform`/`normal` call per point.  Distances are taken
-    by `vecdot`, the dot product that `np.linalg.norm` takes of a vector.
+    clipped to the box.  The block draws rng.random((n // 2, 3d)), whose
+    row k holds w_2k, w'_2k and w_2k+1 as `-1.0 + 2.0*u`, then
+    rng.standard_normal((n // 2, d)), whose row k is the offset of
+    sample 2k+1, and for odd n rng.random(2d) for the last sample.
     Pairs closer than 1e-6 are skipped; the points of the rest are
     stepped in one `m.batch` call, whose images are those of one step of
-    the orbit loop, bit for bit.  The first failure in sample order is
-    raised, as stepping the points one at a time would meet it:
+    the orbit loop, bit for bit.  A distance is the square root of the
+    row's sum of squares, the bits of `np.linalg.norm(axis=1)`, and an
+    image distance that overflows is inf.  The first failure in sample
+    order is raised, as stepping the points one at a time would meet it:
     RangeViolation for a pair whose images have no finite distance, or
     the error raised at the first point where a step fails, by one step
     of the orbit from that point.
     """
     d = m.d
     pairs, odd = divmod(n, 2)
-    u = np.empty((pairs, 3 * d))
-    z = np.empty((pairs, d))
-    draw_uniform, draw_normal = rng.random, rng.standard_normal
-    for u_row, z_row in zip(u, z):
-        draw_uniform(out=u_row)
-        draw_normal(out=z_row)
-    v = (-1.0 + 2.0 * u).reshape(pairs, 3, d)
-    w = np.empty((n, d))
-    wp = np.empty((n, d))
-    w[0:2 * pairs:2] = v[:, 0]
-    wp[0:2 * pairs:2] = v[:, 1]
-    w[1::2] = v[:, 2]
-    wp[1::2] = np.clip(w[1::2] + (0.0 + 1e-3 * z), -1.0, 1.0)
+    u = -1.0 + 2.0 * rng.random((pairs, 3 * d))
+    z = rng.standard_normal((pairs, d))
+    pts = np.empty((n, 2, d))  # row i: w_i, w'_i
+    pts[0:2 * pairs:2] = u[:, :2 * d].reshape(pairs, 2, d)
+    pts[1::2, 0] = u[:, 2 * d:]
+    pts[1::2, 1] = np.clip(pts[1::2, 0] + 1e-3 * z, -1.0, 1.0)
     if odd:
-        w[-1], wp[-1] = (-1.0 + 2.0 * draw_uniform(2 * d)).reshape(2, d)
-    diff = w - wp
-    dist = np.sqrt(np.vecdot(diff, diff))
+        pts[-1] = (-1.0 + 2.0 * rng.random(2 * d)).reshape(2, d)
+    diff = pts[:, 0] - pts[:, 1]
+    dist = np.sqrt((diff * diff).sum(axis=1))
     kept = ~(dist < 1e-6)
-    points = np.stack((w[kept], wp[kept]), axis=1).reshape(-1, d)  # w_i, w'_i, w_i+1, ...
+    points = pts[kept].reshape(-1, d)  # w_i, w'_i, w_i+1, ...
     images, first = m.batch(points)
     f = images[:first // 2 * 2].reshape(-1, 2, d)
-    diff = f[:, 0] - f[:, 1]
-    ratios = np.sqrt(np.vecdot(diff, diff)) / dist[kept][:len(f)]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or a NaN refused below
+        diff = f[:, 0] - f[:, 1]
+        ratios = np.sqrt((diff * diff).sum(axis=1)) / dist[kept][:len(f)]
     bad = np.flatnonzero(np.isnan(ratios))
     if len(bad):
         fw, fwp = f[bad[0]]

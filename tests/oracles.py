@@ -34,7 +34,7 @@ import numpy as np
 from aporbit.core import CLAMP_BAND, Point, box_overshoot, quantize
 from aporbit.errors import AporbitError, OutOfRange, RangeViolation
 from aporbit.expressions import FUNCTIONS, BinOp, Call, Neg, Num, Var, _div
-from aporbit.maps import _PRIMES
+from aporbit.maps import LIPSCHITZ_BLOCK, _PRIMES
 from aporbit.orbit import SHADOW_WINDOW, Conflicts, TransitionTable
 
 
@@ -271,28 +271,42 @@ def per_step_orbit(step, y0: Point, horizon: int):
 
 
 def sampled_lipschitz(m, samples: int, seed: int) -> float:
-    """The per-pair sampled Lipschitz loop that `maps.estimate_lipschitz`
-    replaced: one uniform pair, or one point and a small normal offset,
-    per iteration, with the ratio taken by `np.linalg.norm`."""
+    """The sampled Lipschitz estimate one pair at a time.  Each block of
+    LIPSCHITZ_BLOCK samples draws the layout that `maps._sampled_block`
+    documents; each point is then stepped by `tree_step`, and each ratio
+    is taken by `np.linalg.norm`, an overflowing distance as inf."""
     rng = np.random.default_rng(seed)
     step = tree_step(m.trees)
+    d = m.d
     gamma = 0.0
-    for i in range(samples):
-        w = rng.uniform(-1.0, 1.0, m.d)
-        if i % 2 == 0:
-            wp = rng.uniform(-1.0, 1.0, m.d)
-        else:
-            wp = np.clip(w + rng.normal(scale=1e-3, size=m.d), -1.0, 1.0)
-        dist = float(np.linalg.norm(w - wp))
-        if dist < 1e-6:
-            continue
-        fw = np.array(step(tuple(w.tolist())))
-        fwp = np.array(step(tuple(wp.tolist())))
-        ratio = float(np.linalg.norm(fw - fwp)) / dist
-        if math.isnan(ratio):
-            raise RangeViolation(f"images {fw.tolist()}, {fwp.tolist()} have no finite distance")
-        gamma = max(gamma, ratio)
+    for a in range(0, samples, LIPSCHITZ_BLOCK):
+        n = min(LIPSCHITZ_BLOCK, samples - a)
+        u = -1.0 + 2.0 * rng.random((n // 2, 3 * d))
+        z = rng.standard_normal((n // 2, d))
+        block = []
+        for row, offset in zip(u, z):
+            w = row[2 * d:]
+            block += [(row[:d], row[d:2 * d]), (w, np.clip(w + 1e-3 * offset, -1.0, 1.0))]
+        if n % 2:
+            last = -1.0 + 2.0 * rng.random(2 * d)
+            block.append((last[:d], last[d:]))
+        for w, wp in block:
+            dist = _norm(w - wp)
+            if dist < 1e-6:
+                continue
+            fw = np.array(step(tuple(w.tolist())))
+            fwp = np.array(step(tuple(wp.tolist())))
+            with np.errstate(over="ignore", invalid="ignore"):  # inf, or a NaN refused below
+                ratio = _norm(fw - fwp) / dist
+            if math.isnan(ratio):
+                raise RangeViolation(f"images {fw.tolist()}, {fwp.tolist()} have no finite distance")
+            gamma = max(gamma, ratio)
     return gamma
+
+
+def _norm(x) -> float:
+    """The Euclidean norm of the vector x by `np.linalg.norm(axis=1)`."""
+    return float(np.linalg.norm(x[None], axis=1)[0])
 
 
 def halton(index: int, base: int) -> float:

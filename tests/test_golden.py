@@ -33,6 +33,8 @@ NEG = '{"kind": "expr", "d": 1, "exprs": ["-x1"]}'
 NEAR_QUARTER = '{"kind": "ar", "d": 2, "p": [0.1, -1.0]}'
 HALF = '{"kind":"ar","d":1,"p":[0.5]}'
 TURN = '{"kind": "ar", "d": 2, "p": [0.3, -1.0]}'
+CONTRACT = ('{"kind": "expr", "d": 2, "exprs": '
+            '["0.4*x1 - 0.35*sin(x2)", "0.5*tanh(x1 + 0.3*x2)"]}')
 
 CONFIGS = {
     "run_ar": ["run", "--map", ROT, "--y0=0.6,0.2", "--K", "16", "--horizon", "600"],
@@ -68,12 +70,18 @@ CONFIGS = {
                         "--horizon", "5000"],
     "verify_sampled": ["verify", "--map", EXPR, "--y0=0.7,-0.3", "--K", "16",
                        "--horizon", "300", "--samples", "512", "--seed", "5"],
+    # three blocks of the sampled gamma, the last with an odd sample
+    "verify_sampled_blocks": ["verify", "--map", EXPR, "--y0=0.7,-0.3", "--K", "16",
+                              "--horizon", "300", "--samples", "2049", "--seed", "5"],
     "ladder": ["ladder", "--map", NEAR_QUARTER, "--y0=0.8,0.1", "--Ks", "4,8,16",
                "--horizon", "300"],
     # odd grids: the chain sups are where a fused multiply-add and the plain
     # sum of squares round apart, so this pins the distance kernel
     "ladder_odd": ["ladder", "--map", NEAR_QUARTER, "--y0=0.8,0.1", "--Ks", "7,21,63",
                    "--horizon", "300"],
+    # a contracting map with a call: the ladder's gamma is sampled
+    "ladder_sampled": ["ladder", "--map", CONTRACT, "--y0=0.8,-0.6", "--Ks", "7,21,63",
+                       "--horizon", "300", "--seed", "2"],
     "census_ar": ["census", "--d", "2", "--K", "5", "--n", "25", "--seed", "3",
                   "--generator", "random_ar"],
     # the default generator: a lazily drawn random map on the grid states
@@ -118,6 +126,9 @@ GOLDEN = {
     },
     'ladder_odd': {
         'ladder.json': 'd512e6e0c5f3b42e7351b0902d0a804dd80eca6feb46e02db1ca8a241ff31486',
+    },
+    'ladder_sampled': {
+        'ladder.json': '82999fc262cb7381ca593ed93ddc874611f5962bb605f86c0e88ec1b6673655f',
     },
     'run_ar': {
         'chain.json': '8b52e7c7736ead6243c2f33102bca8486fbaf1f608fb3dacd2ed1814293350ff',
@@ -194,8 +205,12 @@ GOLDEN = {
         'verify.json': '069b1900dcd98b42675407cd5cdb79504c067967bdb32870b039e55bac3ff1fa',
     },
     'verify_sampled': {
-        'verify.csv': '27dc4033b6c7154bc73be203776f2a5852d0a91a2316e3e3396152ad77714533',
-        'verify.json': 'aee17cf17af9e4c4d779c4cf36a53ed2f6bb1855af4ea70831c195cb3d188737',
+        'verify.csv': 'cb4caebd385083d42b97bc0a0f0e4380ecea63b7e4828783cfce36c8a7f68a59',
+        'verify.json': '8c625b7648408f9e9c3a599ea90afe5f43b46991f21bf6758bd596364d6c35ac',
+    },
+    'verify_sampled_blocks': {
+        'verify.csv': 'eb820401bc7f3b330cf0bc97533bf9a4d2bbae9769a38f28e6db3d5f0bbebad4',
+        'verify.json': '4eb28c597224ebcbfe08a2149cd516ea44583ee277377d6a434f151bdb38a4fe',
     },
 }
 

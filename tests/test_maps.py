@@ -246,6 +246,44 @@ def test_sampled_lipschitz_matches_per_pair_oracle(data):
 
 
 @pytest.mark.parametrize("sources, outcome", [
+    # image distances past the largest float: gamma is inf, not a RuntimeWarning
+    (["x1*max(0.0, 1e300)"], "inf"),
+    # images at +inf: inf - inf is no finite distance, not a RuntimeWarning
+    (["abs(x1)*1e300*1e300"], RangeViolation),
+])
+def test_sampled_lipschitz_matches_oracle_on_fixed_cases(sources, outcome):
+    got = assert_sampled_matches_oracle(expression_map(sources), samples=1, seed=0)
+    assert got == outcome if isinstance(outcome, str) else got[0] is outcome
+
+
+class CountingGenerator:
+    """A Generator that counts the calls of its methods in `calls`."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self._calls.append(name)
+            return method(*args, **kwargs)
+        return counted
+
+
+@pytest.mark.parametrize("samples", [1, LIPSCHITZ_BLOCK, 2 * LIPSCHITZ_BLOCK + 1, 4096])
+def test_sampled_lipschitz_draws_scale_with_blocks(monkeypatch, samples):
+    m = expression_map(["0.4*x1 - 0.35*sin(x2)", "x1"])
+    expected = estimate_lipschitz(m, samples=samples, seed=3)
+    calls = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: CountingGenerator(default_rng(seed), calls))
+    assert estimate_lipschitz(m, samples=samples, seed=3) == expected
+    assert 0 < len(calls) <= 3 * -(-samples // LIPSCHITZ_BLOCK)
+
+
+@pytest.mark.parametrize("sources, outcome", [
     # NaN images on half the box
     (["0.5*x1 + max(x1,0)*1e200*1e200*0"], RangeViolation),
     # a division by a near-zero value where x2 < 0.3
