@@ -83,14 +83,14 @@ def _int_at_least(low: int):
 
 def _parse_vector(text: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
+        return [float(x) for x in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"bad vector {text!r}: {exc}") from exc
 
 
 def _parse_int_list(text: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
+        return [int(x) for x in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"bad integer list {text!r}: {exc}") from exc
 

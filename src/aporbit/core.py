@@ -291,7 +291,7 @@ class OrbitSeries:
         lo, hi = P, self.horizon
         while lo < hi:
             t = (lo + hi) // 2
-            if _repeat_lag(rows[[t - P, t]].tobytes(), 8 * self.d, 8 * self.d):
+            if rows[t - P].tobytes() == rows[t].tobytes():
                 hi = t
             else:
                 lo = t + 1

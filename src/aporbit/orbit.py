@@ -15,9 +15,9 @@ sample for a shift map, whose orbit is a strided view of its first
 coordinates, and 8*d B for any other map.  The shadow is a view of it
 that quantizes a block when the block is read.  `build_transition_table`
 reads it in one pass of blocks, keeping the distinct codes seen so far
-sorted with their successors and first positions, and one search there
-finds the chain's first repeat; `run_pipeline` takes both from that
-pass, and `shadow_periodicity` reads an int64 window.
+sorted with their successors and first positions, and reads the chain
+off those first positions after the pass; `run_pipeline` takes both
+from that pass, and `shadow_periodicity` reads an int64 window.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ class TransitionTable:
     chain: ChainResult | None = field(default=None, compare=False, repr=False)
 
 
-def build_transition_table(shadow: GridStates, *, _until_chain: bool = False) -> TransitionTable:
+def build_transition_table(shadow: GridStates) -> TransitionTable:
     """N, the conflicts and the chain of the shadow's earliest-occurrence
     transitions.
 
@@ -97,13 +97,13 @@ def build_transition_table(shadow: GridStates, *, _until_chain: bool = False) ->
     occurrence and that occurrence's position, and a block looks its
     distinct codes up there once: O(block + N) temporaries, and as a block
     is TABLE_BLOCK or N positions, O(1) per position to merge its new
-    codes in.  Until the chain closes, one search of the block's successor
-    codes there finds the first repeated state; the states before it are
-    distinct, so the chain is the codes in order of first position.  From
-    2^63 grid states on the codes are ranks, comparable only within one
-    array, so the whole shadow is read into one index array, ranked once,
-    and the chain is its first rows.  `_until_chain` stops after the block
-    where the chain closes and counts no conflicts (for `build_chain`).
+    codes in.  After the pass, the chain is read off the first positions:
+    when they start 0, 1, ..., t-1 the states there are distinct, the
+    state at t is the successor of the one first seen at t-1, and the
+    cycle closes at t if that state is known.  From 2^63 grid states on
+    the codes are ranks, comparable only within one array, so the whole
+    shadow is read into one index array, ranked once, and the chain is its
+    first rows.
     """
     n, g = len(shadow), shadow.grid
     if n < 2:
@@ -112,16 +112,15 @@ def build_transition_table(shadow: GridStates, *, _until_chain: bool = False) ->
     if g.state_count >= 2 ** 63:
         shadow = GridStates(shadow.indices, g)
         ranks = shadow.codes()
-    chain, count = None, 0
+    count = 0
     a, b = 0, min(max(TABLE_BLOCK, 2), n)  # the first block holds a transition
-    while a < n and (chain is None or not _until_chain):
+    while a < n:
         codes = shadow[a:b].codes() if ranks is None else ranks[a:b]
         if a:  # the transition out of the previous block's last position
             codes = np.concatenate((last, codes))
         last = codes[-1:]
         src, dst = codes[:-1], codes[1:]
-        t0 = max(a - 1, 0)  # the position of src[0]
-        uniq, j, *inverse = np.unique(src, return_index=True, return_inverse=not _until_chain)
+        uniq, j, inverse = np.unique(src, return_index=True, return_inverse=True)
         expect = dst[j]  # a new code's successor at its first position here
         if not a:  # every code of the first block is new
             known, succ, first = uniq, expect, j
@@ -132,18 +131,19 @@ def build_transition_table(shadow: GridStates, *, _until_chain: bool = False) ->
             if not seen.all():
                 known = np.insert(known, at[~seen], uniq[~seen])
                 succ = np.insert(succ, at[~seen], expect[~seen])
-                first = np.insert(first, at[~seen], j[~seen] + t0)
-        if chain is None:  # dst[i], at position t0 + 1 + i, seen before it?
-            at = np.minimum(np.searchsorted(known, dst), len(known) - 1)
-            again = np.flatnonzero((known[at] == dst) & (first[at] <= np.arange(t0, t0 + len(dst))))
-            if len(again):
-                t, T = t0 + 1 + int(again[0]), int(first[at[again[0]]])
-                seq = shadow.indices[:t].copy() if ranks is not None else np.stack(
-                    np.unravel_index(known[np.argsort(first)[:t]], (g.K + 1,) * g.d), axis=1)
-                chain = ChainResult(grid=g, seq=GridStates(seq, g), pre_period=T, period=t - T)
-        if inverse:  # a stopping pass counts no conflicts
-            count += int(np.count_nonzero(expect[inverse[0]] != dst))
+                first = np.insert(first, at[~seen], j[~seen] + a - 1)  # src[0] is at a - 1
+        count += int(np.count_nonzero(expect[inverse] != dst))
         a, b = b, min(b + max(TABLE_BLOCK, len(known)), n)
+    order = np.argsort(first)
+    t = int(np.count_nonzero(first[order] == np.arange(len(order))))  # 0..t-1 are new
+    close = succ[order[t - 1]]  # the state at t
+    at = min(int(np.searchsorted(known, close)), len(known) - 1)
+    chain = None
+    if known[at] == close:
+        T = int(first[at])
+        seq = shadow.indices[:t].copy() if ranks is not None else np.stack(
+            np.unravel_index(known[order[:t]], (g.K + 1,) * g.d), axis=1)
+        chain = ChainResult(grid=g, seq=GridStates(seq, g), pre_period=T, period=t - T)
     return TransitionTable(g, len(known), Conflicts(count), chain)
 
 
@@ -219,16 +219,15 @@ def build_chain(shadow: GridStates, table: TransitionTable | None = None) -> Cha
     pre-period T, period L and the states shadow[0..T+L-1] (a copy, so the
     chain does not keep the shadow alive).  `table`, the shadow's
     transition table, holds the chain its pass found; without it the
-    table's pass runs up to the block where the chain closes, over at
-    most the first (K+1)^d + 1 states, which must repeat one.  A shadow
-    without a repeat ends in a state with no outgoing observation,
-    reported as DanglingState (possible under horizon truncation, never
-    patched over).
+    table's pass runs over the first (K+1)^d + 1 states, which must repeat
+    one.  A shadow without a repeat ends in a state with no outgoing
+    observation, reported as DanglingState (possible under horizon
+    truncation, never patched over).
     """
     if not len(shadow):
         raise ValueError("an empty shadow has no chain")
     if table is None and len(shadow) > 1:  # its first (K+1)^d + 1 states hold a repeat
-        table = build_transition_table(shadow[: shadow.grid.state_count + 1], _until_chain=True)
+        table = build_transition_table(shadow[: shadow.grid.state_count + 1])
     if table is None or table.chain is None:
         raise DanglingState(
             f"chain reached a state with no outgoing edge at t={len(shadow)}",

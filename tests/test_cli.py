@@ -1001,6 +1001,21 @@ def test_bad_vector_is_config_error(tmp_path, ar_contracting):
 
 
 @pytest.mark.parametrize("argv", [
+    ["run", "--map", HALF, "--y0=1,,", "--K", "4", "--horizon", "5"],
+    ["verify", "--map", HALF, "--y0=,0.5", "--K", "4", "--horizon", "5"],
+    ["ladder", "--map", QUARTER, "--y0=1,0", "--Ks", "4,,8"],
+    ["ladder", "--map", QUARTER, "--y0=1,0", "--Ks", "4,8,"],
+], ids=["run-y0", "verify-y0", "ladder-Ks", "ladder-Ks-trailing"])
+def test_empty_list_items_are_config_errors(tmp_path, capsys, argv):
+    # an empty item between commas is refused, not dropped
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["run", "--map", HALF, "--y0=0.3", "--K", "abc"],
     ["run", "--map", HALF, "--K", "4"],
     ["census", "--d", "2", "--K", "3", "--n", "4", "--generator", "foo"],

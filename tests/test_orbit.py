@@ -509,26 +509,37 @@ def random_shadow(rng, g, n):
 
 
 def test_build_chain_matches_table_walk():
+    # The chain read off the table pass, with and without a given table, at
+    # the library's table block and at blocks of 1, 2 and 7 positions, so
+    # that the first repeat falls in a later block than the first.
     rng = np.random.default_rng(2310)
-    dangling = conflicted = 0
+    shadows = []
     for _ in range(3000):
         g = GridSpec(K=int(rng.integers(1, 6)), d=int(rng.integers(1, 4)))
-        shadow = random_shadow(rng, g, int(rng.integers(2, 60)))
-        got = chain_or_dangling(build_chain, shadow)
-        assert got == chain_or_dangling(oracle_table_walk, shadow)
-        dangling += got[0] == "dangling"
-        conflicted += len(build_transition_table(shadow).conflicts) > 0
-    assert dangling >= 100 and conflicted >= 1000
+        shadows.append(random_shadow(rng, g, int(rng.integers(2, 60))))
     # (K+1)^d beyond int64, or exactly 2^63, too many for a numpy shape:
     # the rows themselves tell the states apart
-    for g in (GridSpec(K=2 ** 40, d=2), GridSpec(K=2 ** 21 - 1, d=3)):
-        outcomes = set()
-        for _ in range(50):
-            shadow = random_shadow(rng, g, int(rng.integers(2, 20)))
-            got = chain_or_dangling(build_chain, shadow)
-            assert got == chain_or_dangling(oracle_table_walk, shadow)
-            outcomes.add(got[0] == "dangling")
-        assert outcomes == {True, False}
+    ranked = [GridSpec(K=2 ** 40, d=2), GridSpec(K=2 ** 21 - 1, d=3)]
+    for g in ranked:
+        shadows += [random_shadow(rng, g, int(rng.integers(2, 20))) for _ in range(50)]
+    # sources all distinct: the last state repeats one, or is new
+    for g in [GridSpec(K=9, d=2)] + ranked:
+        for rows in (list(range(9)) + [3], list(range(10))):
+            shadows.append(GridStates(np.repeat(np.array(rows)[:, None], g.d, axis=1), g))
+    want = [chain_or_dangling(oracle_table_walk, shadow) for shadow in shadows]
+    dangling = [chain[0] == "dangling" for chain in want]
+    assert sum(dangling[:3000]) >= 100
+    assert set(dangling[3000:3050]) == set(dangling[3050:3100]) == {True, False}
+    assert dangling[3100:] == [False, True] * 3
+    for block in (TABLE_BLOCK, 1, 2, 7):
+        conflicted = 0
+        with mock.patch.object(orbit, "TABLE_BLOCK", block):
+            for shadow, chain in zip(shadows, want):
+                table = build_transition_table(shadow)
+                assert chain_or_dangling(build_chain, shadow) == chain
+                assert chain_or_dangling(lambda s: build_chain(s, table), shadow) == chain
+                conflicted += len(table.conflicts) > 0
+        assert conflicted >= 1000
 
 
 def test_build_chain_copies_the_shadow_prefix():
@@ -737,17 +748,16 @@ def test_each_sample_is_quantized_once(monkeypatch, block):
     assert rows[0] == SHADOW_WINDOW
 
 
-@pytest.mark.parametrize("K, most", [(128, TABLE_BLOCK), (2, 3 ** 2 + 1)])
-def test_build_chain_without_a_table_stops_at_the_repeat(monkeypatch, K, most):
-    # The rotation's 4-cycle closes in the first of six table blocks, and
-    # build_chain reads no block after it (the census's early stop), nor
-    # more than the first (K+1)^d + 1 states, which must repeat one.
+def test_build_chain_without_a_table_reads_at_most_state_count_plus_one_rows(monkeypatch):
+    # A shadow of six table blocks on the K = 2 grid: build_chain reads no
+    # more than its first (K+1)^d + 1 states, which must repeat one.
+    g = GridSpec(K=2, d=2)
     shadow = discretize_orbit(generate_orbit(ar_map([0.0, -1.0]), Point([1.0, 0.0]),
-                                             5 * TABLE_BLOCK + 16), GridSpec(K=K, d=2))
+                                             5 * TABLE_BLOCK + 16), g)
     rows = count_quantized_rows(monkeypatch)
     chain = build_chain(shadow)
     assert (chain.pre_period, chain.period) == (0, 4) and len(shadow) == 5 * TABLE_BLOCK + 17
-    assert rows[0] <= most
+    assert rows[0] <= g.state_count + 1
 
 
 @settings(max_examples=300, deadline=None)
