@@ -84,6 +84,9 @@ class BoundReport:
     conflicts: int
     pre_period: int
     period: int
+    # the last t at which the bound is finite, when it overflows to inf
+    # within the horizon: `passed` says nothing of the steps after it
+    last_finite_t: int | None = None
 
     @property
     def gamma_is_lower_bound(self) -> bool:
@@ -102,6 +105,8 @@ class BoundReport:
             "T": self.pre_period,
             "L": self.period,
         }
+        if self.last_finite_t is not None:
+            out["last_finite_t"] = self.last_finite_t
         if self.gamma_is_lower_bound:
             out["caveat"] = (
                 "gamma is a sampled lower bound; a true-bound violation "
@@ -120,7 +125,10 @@ def verify_error_bound(
     """Run the full pipeline and compare |y*(t) - y(t)| with the bound.
 
     Uses the analytic Lipschitz constant when available, else a sampled
-    lower bound (flagged, since it can produce false violations).
+    lower bound (flagged, since it can produce false violations).  A bound
+    that overflows to inf within the horizon certifies nothing from then
+    on: the report names the last t at which it is finite, and `passed`
+    covers only the steps up to that t.
     """
     if lipschitz is None:
         lipschitz = estimate_lipschitz(m)
@@ -136,6 +144,8 @@ def verify_error_bound(
     bound = bounds_for_horizon(lipschitz.gamma, m.d, K, horizon)
     worst = float(np.max([np.max(actual[a : a + SUP_BLOCK] / bound[a : a + SUP_BLOCK])
                           for a in blocks]))
+    # the bound does not decrease, so its finite entries come first
+    finite = int(np.count_nonzero(np.isfinite(bound)))
     return BoundReport(
         K=K,
         d=m.d,
@@ -149,6 +159,7 @@ def verify_error_bound(
         conflicts=len(table.conflicts),
         pre_period=chain.pre_period,
         period=chain.period,
+        last_finite_t=finite - 1 if finite <= horizon else None,
     )
 
 

@@ -12,11 +12,12 @@ given that periodic tail: the row texts of one period are printed once
 and cycled.  The trig curve's 3L+1 rows repeat its L-row period, and
 orbit.csv's rows repeat from the row where the orbit has reached an exact
 cycle of P samples, with period lcm(P, L) for the chain's period L,
-when that is at most CSV_BLOCK rows.  `_Out.write_json` builds every part
-of the text of `json.dumps(document, indent=2)` before it touches the
-file, with each list of numbers encoded by the C encoder a block at a
-time, and then writes the parts, so the text is never joined into one
-more copy.
+when that is at most CSV_BLOCK rows.  `_Out.write_json` writes the text
+of `json.dumps(document, indent=2)`, built in full before it touches the
+file.  The standard library encodes all of it but a top-level list of
+number rows (trig.json's `a` and `b`), which the C encoder takes
+JSON_BLOCK rows at a time and whose text is spliced in block by block,
+so a large trig.json is held in memory once.
 `_Out` refuses an existing artifact without --force; with it, the old
 file (or symlink) is unlinked and a new one created.
 Exit codes: 0 ok, 2 pipeline failure, 3 configuration error, which
@@ -169,14 +170,27 @@ class _Out:
     def write_json(self, name: str, payload: dict, config: dict) -> str:
         """Write `json.dumps(document, indent=2)` plus a newline, where the
         document is the schema version, the config and then the payload.
-        Every part of the text is built before the file is touched, so a
-        payload that cannot be encoded raises and leaves what was at the
-        path alone; the parts are then written one by one, never joined."""
+
+        The document is encoded with its top-level number rows set to None,
+        and each such value's text, built a block at a time by `_rows_parts`,
+        takes the place of its `\\n  "<key>": null`: an encoded string holds
+        no raw newline and a nested line is indented deeper, so that text
+        occurs once.  The parts are written one by one, never joined, and
+        all of them are built before the file is touched, so a payload that
+        cannot be encoded raises and leaves what was at the path alone."""
         document = {"schema_version": SCHEMA_VERSION, "config": config}
         document.update(payload)
+        rows = {}
+        if all(isinstance(key, str) for key in document):  # a key 1 would print as "1"
+            rows = {key: value for key, value in document.items() if _is_rows(value)}
+        text = json.dumps({**document, **dict.fromkeys(rows)}, indent=2)
         parts = []
-        _json_parts(document, parts, "\n")
-        parts.append("\n")
+        for key, value in rows.items():
+            line = f"\n  {json.dumps(key)}: "
+            head, _, text = text.partition(line + "null")
+            parts += head, line
+            _rows_parts(value, parts)
+        parts += text, "\n"
         with self._create(name, "xb") as fh:
             fh.writelines(map(str.encode, parts))  # the text is ASCII
         return fh.name
@@ -237,104 +251,35 @@ def _printed(values: np.ndarray) -> np.ndarray:
     return np.array(texts.split(b","), dtype=object)[inverse.reshape(values.shape)]
 
 
-# JSON text as `json.dumps(..., indent=2)` writes it.  A list of scalars
-# other than strings, and a list of such non-empty lists (the `a`/`b`
-# arrays of trig.json), goes through the C encoder (`json.dumps` without
-# indent) JSON_BLOCK items at a time, and each block's compact text is then
+# A top-level value of number rows (`_is_rows`: the `a` and `b` arrays of
+# trig.json) goes through the C encoder (`json.dumps` without indent)
+# JSON_BLOCK rows at a time, and each block's compact text is then
 # re-indented: no number token holds ", " or "], [".  The encoder holds a
 # string for every token until it joins them, so whole arrays in one call
 # once more than doubled the peak of writing trig.json.
 JSON_BLOCK = 256
 _FLAT = frozenset({int, float, bool, type(None)})
 _ROWS = frozenset({list, tuple})
-_encode_str = json.encoder.encode_basestring_ascii
 
 
-def _scalar(o) -> str | None:
-    """The JSON text of a scalar other than a string, else None."""
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o == math.inf:
-            return "Infinity"
-        if o == -math.inf:
-            return "-Infinity"
-        return float.__repr__(o)
-    return None
+def _is_rows(o) -> bool:
+    """Whether `o` is a non-empty list or tuple of non-empty lists or
+    tuples of numbers, bools and None."""
+    return (type(o) in _ROWS and bool(o) and _ROWS.issuperset(map(type, o)) and all(o)
+            and _FLAT.issuperset(map(type, itertools.chain.from_iterable(o))))
 
 
-def _encoded(o, strip: int, replacements, separator: str, parts: list) -> None:
-    """Append the text of `json.dumps(o)[strip:-strip]` with each (old, new)
-    of `replacements` made, as one part per JSON_BLOCK items of o; between
-    two blocks goes `separator`, the text that replaces the one between
-    two items."""
+def _rows_parts(o, parts: list) -> None:
+    """Append the text that `json.dumps(..., indent=2)` gives the number
+    rows `o` as a top-level value, one part per JSON_BLOCK rows."""
+    row_separator = "\n    ],\n    [\n      "
+    parts.append("[\n    [\n      ")
     for a in range(0, len(o), JSON_BLOCK):
-        text = json.dumps(o[a:a + JSON_BLOCK])[strip:-strip]
-        for old, new in replacements:
-            text = text.replace(old, new)
         if a:
-            parts.append(separator)
-        parts.append(text)
-
-
-def _json_parts(o, parts: list, newline: str) -> None:
-    """Append the text of `o` to `parts`; `newline` is a line break and the
-    indent of the line that `o` starts on."""
-    if isinstance(o, str):
-        parts.append(_encode_str(o))
-        return
-    text = _scalar(o)
-    if text is not None:
-        parts.append(text)
-        return
-    inner = newline + "  "
-    if isinstance(o, (list, tuple)):
-        if not o:
-            parts.append("[]")
-        elif _FLAT.issuperset(map(type, o)):
-            parts += "[", inner
-            _encoded(o, 1, [(", ", "," + inner)], "," + inner, parts)
-            parts += newline, "]"
-        elif (_ROWS.issuperset(map(type, o)) and all(o)
-              and _FLAT.issuperset(map(type, itertools.chain.from_iterable(o)))):
-            deeper = inner + "  "
-            row_separator = inner + "]," + inner + "[" + deeper
-            parts += "[", inner, "[", deeper
-            _encoded(o, 2, [("], [", row_separator), (", ", "," + deeper)], row_separator, parts)
-            parts += inner, "]", newline, "]"
-        else:
-            separator = "[" + inner
-            for item in o:
-                parts.append(separator)
-                _json_parts(item, parts, inner)
-                separator = "," + inner
-            parts += newline, "]"
-    elif isinstance(o, dict):
-        if not o:
-            parts.append("{}")
-            return
-        separator = "{" + inner
-        for key, value in o.items():
-            if not isinstance(key, str):
-                text = _scalar(key)
-                if text is None:
-                    raise TypeError(f"keys must be str, int, float, bool or None, "
-                                    f"not {key.__class__.__name__}")
-                key = text
-            parts += separator, _encode_str(key), ": "
-            _json_parts(value, parts, inner)
-            separator = "," + inner
-        parts += newline, "}"
-    else:
-        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+            parts.append(row_separator)
+        text = json.dumps(o[a:a + JSON_BLOCK])[2:-2]
+        parts.append(text.replace("], [", row_separator).replace(", ", ",\n      "))
+    parts.append("\n    ]\n  ]")
 
 
 def _resolved_config(args, keys) -> dict:
@@ -414,6 +359,8 @@ def cmd_verify(args) -> int:
         out.write_csv("verify.csv", ["t", "actual", "bound"], 0, args.horizon + 1,
                       lambda a, b: np.column_stack([report.actual[a:b], report.bound[a:b]]))
     status = "pass" if report.passed else "VIOLATION"
+    if report.last_finite_t is not None:
+        status += f" through t={report.last_finite_t} (the bound is inf after it)"
     print(f"verify: {status} worst_ratio={report.worst_ratio:.3e} "
           f"gamma={report.gamma:.6g} ({report.gamma_method}) "
           f"conflicts={report.conflicts}")

@@ -353,7 +353,7 @@ def _random_stable_ar(d: int, rng):
     return coefficients_from_roots(roots)
 
 
-def _census_random_ar(d: int, K: int, rng, horizon: int) -> tuple[int, int] | None:
+def _census_random_ar(d: int, K: int, rng, horizon: int) -> tuple[int, int]:
     p = _random_stable_ar(d, rng)
     m = ar_map(p)
     z0 = rng.uniform(-1.0, 1.0, d)
@@ -365,10 +365,7 @@ def _census_random_ar(d: int, K: int, rng, horizon: int) -> tuple[int, int] | No
     if peak > 1.0:
         z0 = z0 / (2.0 * peak)
     g = GridSpec(K=K, d=d)
-    try:
-        chain = build_chain(discretize_orbit(generate_orbit(m, Point(z0), horizon), g))
-    except DanglingState:
-        return None
+    chain = build_chain(discretize_orbit(generate_orbit(m, Point(z0), horizon), g))
     return chain.pre_period, chain.period
 
 
@@ -392,21 +389,21 @@ def period_census(
         raise ValueError(f"unknown generator {generator!r}")
     horizon = default_horizon(GridSpec(K=K, d=d))
     rng = np.random.default_rng(seed)
-    pairs = []
-    redraws = 0
-    attempts_left = 10 * ensemble
+    pairs, redraws, failure = [], 0, None
     while len(pairs) < ensemble:
-        if attempts_left <= 0:
-            raise RuntimeError("census generator kept failing; giving up")
-        attempts_left -= 1
-        if generator == "random_map":
-            result = _census_random_map(d, K, rng)
-        else:
-            result = _census_random_ar(d, K, rng, horizon)
-        if result is None:
+        if len(pairs) + redraws == 10 * ensemble:
+            raise DanglingState(
+                f"census generator kept failing: {redraws} of {10 * ensemble} draws "
+                f"gave no chain; the last: {failure}", failure.state, failure.t
+            ) from failure
+        try:
+            if generator == "random_map":
+                pairs.append(_census_random_map(d, K, rng))
+            else:
+                pairs.append(_census_random_ar(d, K, rng, horizon))
+        except DanglingState as exc:  # a chain that did not close: redraw
             redraws += 1
-            continue
-        pairs.append(result)
+            failure = exc
     return CensusReport(
         d=d,
         K=K,

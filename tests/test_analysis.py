@@ -108,7 +108,31 @@ def test_verify_error_bound_contracting_ar():
     assert report.conflicts >= 0
     assert report.worst_ratio <= 1.0 + 1e-12
     assert "closed_form_gap" not in report.to_json()
+    assert report.last_finite_t is None and "last_finite_t" not in report.to_json()
     np.testing.assert_array_equal(report.bound, bounds_for_horizon(report.gamma, 1, 8, 50))
+
+
+@pytest.mark.parametrize("t, passed", [(1004, False), (1005, True), (5000, True)])
+def test_verify_error_bound_passes_only_up_to_its_last_finite_step(monkeypatch, t, passed):
+    # gamma = 2.02: the bound is about 5e305 at t = 1004 and inf from 1005,
+    # so an error of 1e308 fails at 1004 and passes at any later t, and the
+    # report names 1004 as the last step that `passed` covers
+    from aporbit import analysis
+
+    walk = analysis._distances
+
+    def corrupted(chain, other, lo, hi):
+        for a, block in zip(range(lo, hi + 1, SUP_BLOCK), walk(chain, other, lo, hi)):
+            if a <= t < a + len(block):
+                block[t - a] = 1e308
+            yield block
+
+    monkeypatch.setattr(analysis, "_distances", corrupted)
+    report = verify_error_bound(ar_map([2 * math.cos(0.7), -1.0]), Point([0.6, 0.2]),
+                                K=64, horizon=5000)
+    assert report.passed is passed
+    assert report.last_finite_t == 1004 and report.to_json()["last_finite_t"] == 1004
+    assert np.isfinite(report.bound[1004]) and np.isinf(report.bound[1005])
 
 
 def test_verify_error_bound_constant_map():

@@ -183,8 +183,9 @@ def test_ladder_config_records_a_seed_only_for_a_sampled_gamma(tmp_path, map_jso
                                       "tolerance", "out"]
 
 
-def test_verify_bound_beyond_float_range(tmp_path):
-    # gamma ~ 2.02: gamma^t overflows a float past t ~ 1008, the bound is inf
+def test_verify_bound_beyond_float_range(tmp_path, capsys):
+    # gamma ~ 2.02: gamma^t overflows a float past t = 1004, the bound is inf,
+    # and the report says that `passed` covers the steps up to 1004 only
     out = tmp_path / "v"
     code = main([
         "verify", "--map", '{"kind":"ar","d":2,"p":[1.5297,-1.0]}',
@@ -193,8 +194,20 @@ def test_verify_bound_beyond_float_range(tmp_path):
     assert code == 0
     report = read_json(out / "verify.json")
     assert report["passed"] is True
+    assert report["last_finite_t"] == 1004
     rows = read_csv(out / "verify.csv")
+    assert rows[1005][2] != "inf" and rows[1006][2] == "inf"
     assert rows[-1][0] == "1100" and rows[-1][2] == "inf"
+    assert capsys.readouterr().out.startswith(
+        "verify: pass through t=1004 (the bound is inf after it) worst_ratio=")
+
+
+def test_verify_json_names_no_last_finite_step_for_a_finite_bound(tmp_path):
+    out = tmp_path / "v"
+    assert main(["verify", "--map", '{"kind":"ar","d":2,"p":[1.5297,-1.0]}',
+                 "--y0", "0.9,0.688", "--K", "512", "--horizon", "1004",
+                 "--out", str(out)]) == 0
+    assert "last_finite_t" not in read_json(out / "verify.json")
 
 
 def test_ladder(tmp_path, ar_rotation):
@@ -505,7 +518,7 @@ TRICKY_STRINGS = [", ", "], [", "[1, 2]", "\x00", "é", "\u2028", "\U0001f600", 
 JSON_FLOATS = st.floats() | st.sampled_from(SPECIAL_FLOATS)
 JSON_INTS = (st.integers(-(2**100), 2**100)
              | st.sampled_from(INT64_EDGES + [2**63, -(2**63) - 1, 2**64]))
-# what the writer hands to the C encoder in one piece: numbers, bools and None
+# what a row of a top-level number rows value holds: numbers, bools and None
 JSON_FLAT = JSON_FLOATS | JSON_INTS | st.booleans() | st.none()
 JSON_STRINGS = st.text() | st.sampled_from(TRICKY_STRINGS)
 JSON_KEYS = JSON_STRINGS | JSON_INTS | JSON_FLOATS | st.booleans() | st.none()
@@ -517,20 +530,28 @@ JSON_DOCS = st.recursive(
 )
 
 
+# str keys let top-level number rows take the block path; other keys, the
+# standard library's alone
 @settings(max_examples=300, deadline=None)
-@given(doc=JSON_DOCS)
-@example(doc=[[1.0, -0.0], [float("nan"), float("inf"), 5e-324]])  # ragged number rows
-@example(doc=[[1, 2], [], [True, None], [2**70]])  # an empty row: not one C-encoder call
-@example(doc=[[1, [2]], [1, "a, b"], [1.5, "], ["], [{}], [[]]])
-@example(doc={"": [0.1, 0.2], "x": {"y": [[0.5]]}})
-@example(doc={"flat": [i / 7 for i in range(600)], "rows": [[i, -i / 3] for i in range(600)]})
-@example(doc={1: 0, 1.5: 1, True: 2, None: 3, float("nan"): 4, -float("inf"): 5})
-def test_write_json_matches_json_dumps(doc):
+@given(payload=st.dictionaries(JSON_STRINGS, JSON_DOCS, max_size=4)
+       | st.dictionaries(JSON_KEYS, JSON_DOCS, max_size=4))
+@example(payload={"doc": [[1.0, -0.0], [float("nan"), float("inf"), 5e-324]]})  # ragged rows
+@example(payload={"doc": [[1, 2], [], [True, None], [2**70]]})  # an empty row: not number rows
+@example(payload={"doc": [[1, [2]], [1, "a, b"], [1.5, "], ["], [{}], [[]]]})
+@example(payload={"doc": {"": [0.1, 0.2], "x": {"y": [[0.5]]}}})
+@example(payload={"flat": [i / 7 for i in range(600)], "rows": [[i, -i / 3] for i in range(600)]})
+@example(payload={"doc": {1: 0, 1.5: 1, True: 2, None: 3, float("nan"): 4, -float("inf"): 5}})
+@example(payload={"a": [[0.5, 1]], "none": None, "b": ([2], (3, None))})  # rows next to a null
+@example(payload={"x": {"a": None, "y": [{"a": None}]}, "a": [[1.5, -2]]})  # a nested "a": null
+@example(payload={"a": [[0.25], [None], [True]] * 300})  # rows of width 1, over a block
+@example(payload={"x": [[[1, 2], [3]]], "y": {"rows": [[1.0, 2.0]]}})  # nested number rows
+@example(payload={1: None, "1": [[2]]})  # two top-level keys that print alike
+def test_write_json_matches_json_dumps(payload):
     with tempfile.TemporaryDirectory() as directory:
-        written = _Out(directory, False, []).write_json("doc.json", {"doc": doc}, {"K": 4})
+        written = _Out(directory, False, []).write_json("doc.json", payload, {"K": 4})
         with open(written, "rb") as fh:
             text = fh.read()
-    expected = json.dumps({"schema_version": cli.SCHEMA_VERSION, "config": {"K": 4}, "doc": doc},
+    expected = json.dumps({"schema_version": cli.SCHEMA_VERSION, "config": {"K": 4}, **payload},
                           indent=2)
     assert text == (expected + "\n").encode()
 
@@ -851,6 +872,23 @@ def test_census_deterministic(tmp_path):
     j1["config"].pop("out"), j2["config"].pop("out")
     assert j1 == j2
     assert j1["mean_L"] < j1["state_count"]
+
+
+def test_census_whose_generator_keeps_failing_is_a_pipeline_error(tmp_path, capsys,
+                                                                  monkeypatch):
+    from aporbit.errors import DanglingState
+
+    def fails(d, K, rng, horizon):
+        raise DanglingState("state (1, 2) has no outgoing transition", (1, 2), 7)
+
+    monkeypatch.setattr(orbit, "_census_random_ar", fails)
+    out = tmp_path / "c"
+    assert main(["census", "--d", "2", "--K", "3", "--n", "4", "--generator", "random_ar",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: census generator kept failing: 40 of 40 draws gave no chain; "
+                   "the last: state (1, 2) has no outgoing transition\n")
+    assert os.listdir(out) == []
 
 
 def test_validate_map(tmp_path):
