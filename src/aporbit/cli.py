@@ -305,19 +305,8 @@ def cmd_run(args) -> int:
     summary["shadow_periodic"] = orbit.shadow_periodicity(shadow)
 
     if not args.json_only:
-        # The shadow's nodes are read a span of four CSV blocks at a time,
-        # as most of what quantizing one CSV block costs is the quantizer's
-        # cost per call, and kept until the span's last block.
-        span, ys, ybar = 4 * CSV_BLOCK, orb.values, {}
-
         def rows(a, b):
-            q = a - a % span  # the span that holds rows a..b-1
-            nodes = ybar.pop(q, None)
-            if nodes is None:
-                nodes = shadow[q : q + span].nodes()
-            if b - q < len(nodes):
-                ybar[q] = nodes
-            return np.hstack([ys[a:b], nodes[a - q : b - q], chain.values(a, b - 1)])
+            return np.hstack([orb.values[a:b], shadow[a:b].nodes(), chain.values(a, b - 1)])
 
         header = (
             ["t"]

@@ -14,8 +14,10 @@ and state sequences are stored as arrays: `OrbitSeries` holds an (H+1, d)
 float array, with the lag at which its rows end up repeating when one is
 known, and `GridStates` either an (n, d) integer index array or a view of
 an orbit's float rows that quantizes the rows it is asked for, when it is
-asked, and keeps none of them.  `_repeat_lag` is the one search for a
-repeated state, by its bytes.
+asked, and keeps none of them.  Its `codes()` are the one state key:
+int64 mixed-radix codes, or on grids of 2^63 states or more, void keys
+of each index row's bytes; `of_codes` decodes either.  `_repeat_lag` is
+the one search for a repeated state, by its bytes.
 """
 
 from __future__ import annotations
@@ -208,27 +210,36 @@ class GridStates(Sequence):
         return 2.0 * self.indices / self.grid.K - 1.0
 
     def codes(self) -> np.ndarray:
-        """One int64 per state, equal exactly where the states are equal.
+        """One key per state, equal exactly where the states are equal, in
+        any slice of any sequence on the grid.
 
-        The mixed-radix code sum_i idx_i (K+1)^(d-1-i) when (K+1)^d fits in
-        int64 (and so in a numpy shape), computed QUANTIZE_BLOCK rows at a
-        time, so a view holds the index rows of one block; otherwise the
-        rank of each index row among the distinct rows, which is only
-        comparable within this sequence.
+        The int64 mixed-radix code sum_i idx_i (K+1)^(d-1-i) when (K+1)^d
+        fits in int64 (and so in a numpy shape), otherwise the index row's
+        8*d bytes as one numpy void (`V{8d}`).  Computed QUANTIZE_BLOCK
+        rows at a time, so a view holds the index rows of one block.
+        `of_codes` turns keys back into states.
         """
-        if self.grid.state_count >= 2 ** 63:
-            _, rank = np.unique(self.indices, axis=0, return_inverse=True)
-            return rank.reshape(-1).astype(np.int64)
-        radix = self.grid.K + 1
-        codes = np.empty(len(self), dtype=np.int64)
+        g = self.grid
+        wide = g.state_count >= 2 ** 63
+        codes = np.empty(len(self), dtype=f"V{8 * g.d}" if wide else np.int64)
         for a in range(0, len(self), QUANTIZE_BLOCK):
             indices = self[a : a + QUANTIZE_BLOCK].indices
             block = codes[a : a + QUANTIZE_BLOCK]
+            if wide:
+                block.view(np.int64).reshape(indices.shape)[...] = indices
+                continue
             block[:] = indices[:, 0]
-            for j in range(1, self.grid.d):
-                block *= radix
+            for j in range(1, g.d):
+                block *= g.K + 1
                 block += indices[:, j]
         return codes
+
+    @classmethod
+    def of_codes(cls, codes: np.ndarray, grid: GridSpec) -> GridStates:
+        """The states on `grid` whose keys, as `codes()` gives them, are `codes`."""
+        if codes.dtype.kind == "V":
+            return cls(np.ascontiguousarray(codes).view(np.int64).reshape(len(codes), grid.d), grid)
+        return cls(np.stack(np.unravel_index(codes, (grid.K + 1,) * grid.d), axis=1), grid)
 
 
 class _PointRows(Sequence):

@@ -17,7 +17,9 @@ that quantizes a block when the block is read.  `build_transition_table`
 reads it in one pass of blocks, keeping the distinct codes seen so far
 sorted with their successors and first positions, and reads the chain
 off those first positions after the pass; `run_pipeline` takes both
-from that pass, and `shadow_periodicity` reads an int64 window.
+from that pass, and `shadow_periodicity` reads a window of keys.  The
+keys are `GridStates.codes()`, whatever their format: this module only
+compares them, and `GridStates.of_codes` decodes the chain's.
 """
 
 from __future__ import annotations
@@ -100,22 +102,16 @@ def build_transition_table(shadow: GridStates) -> TransitionTable:
     codes in.  After the pass, the chain is read off the first positions:
     when they start 0, 1, ..., t-1 the states there are distinct, the
     state at t is the successor of the one first seen at t-1, and the
-    cycle closes at t if that state is known.  From 2^63 grid states on
-    the codes are ranks, comparable only within one array, so the whole
-    shadow is read into one index array, ranked once, and the chain is its
-    first rows.
+    cycle closes at t if that state is known.  The chain's states are the
+    keys of those first positions, decoded.
     """
     n, g = len(shadow), shadow.grid
     if n < 2:
         raise ValueError("need at least two shadow states to observe a transition")
-    ranks = None
-    if g.state_count >= 2 ** 63:
-        shadow = GridStates(shadow.indices, g)
-        ranks = shadow.codes()
     count = 0
     a, b = 0, min(max(TABLE_BLOCK, 2), n)  # the first block holds a transition
     while a < n:
-        codes = shadow[a:b].codes() if ranks is None else ranks[a:b]
+        codes = shadow[a:b].codes()
         if a:  # the transition out of the previous block's last position
             codes = np.concatenate((last, codes))
         last = codes[-1:]
@@ -141,9 +137,8 @@ def build_transition_table(shadow: GridStates) -> TransitionTable:
     chain = None
     if known[at] == close:
         T = int(first[at])
-        seq = shadow.indices[:t].copy() if ranks is not None else np.stack(
-            np.unravel_index(known[order[:t]], (g.K + 1,) * g.d), axis=1)
-        chain = ChainResult(grid=g, seq=GridStates(seq, g), pre_period=T, period=t - T)
+        chain = ChainResult(grid=g, seq=GridStates.of_codes(known[order[:t]], g),
+                            pre_period=T, period=t - T)
     return TransitionTable(g, len(known), Conflicts(count), chain)
 
 
@@ -245,7 +240,7 @@ def shadow_periodicity(shadow: GridStates):
     periods directly and requires at least two full tail periods in view.
     Only the periods L at which the last code recurs L steps back are
     tried, each pair by pair for SCAN_STEPS pairs and then in one array
-    comparison over the int64 codes of the window.  Diagnostic only: a
+    comparison over the state keys of the window.  Diagnostic only: a
     longer window could still refute the verdict.  Long sequences are
     examined over their trailing SHADOW_WINDOW entries; the reported T is
     then the earliest time within that suffix, an upper bound for the true
@@ -253,13 +248,12 @@ def shadow_periodicity(shadow: GridStates):
     """
     offset = max(0, len(shadow) - SHADOW_WINDOW)
     codes = shadow[offset:].codes()
-    seq = memoryview(codes)  # the int64 codes, read one at a time as Python ints
-    n = len(seq)
+    n = len(codes)
     back = codes[n - 1 - n // 2 : n - 1][::-1]  # back[L - 1] is codes[n - 1 - L]
-    for L in memoryview(np.flatnonzero(back == codes[n - 1 :]) + 1):  # the last code recurs
+    for L in map(int, np.flatnonzero(back == codes[n - 1 :]) + 1):  # the last code recurs
         t = n - 1 - L
         stop = t - SCAN_STEPS
-        while t > stop and t >= 0 and seq[t + L] == seq[t]:
+        while t > stop and t >= 0 and codes[t + L] == codes[t]:
             t -= 1
         if t == stop >= 0:  # a long match: one array comparison finds where it ends
             differ = np.flatnonzero(codes[L : t + 1 + L] != codes[: t + 1])

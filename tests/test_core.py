@@ -298,11 +298,29 @@ def test_grid_states_codes_and_boundary():
     assert states != list(states)  # no comparison with lists of GridState
     assert states == GridStates(states.indices.copy(), g)
     assert states != GridStates(states.indices, GridSpec(K=4, d=2))
-    # beyond int64 mixed-radix codes: ranks among the distinct rows
+    assert GridStates.of_codes(states.codes(), g) == states
+    # beyond int64 mixed-radix codes: the index rows' bytes
     big = GridSpec(K=2 ** 40, d=2)
     rows = np.array([[5, 2 ** 40], [0, 0], [5, 2 ** 40]], dtype=np.int64)
     codes = GridStates(rows, big).codes()
     assert codes[0] == codes[2] != codes[1]
+
+
+def test_wide_grid_keys_compare_across_slices():
+    # (K+1)^d > 2^63: each key is its index row's 16 bytes, so the keys of
+    # one slice, or of another sequence, compare with those of any other
+    big = GridSpec(K=2 ** 40, d=2)
+    rows = np.array([[0, 0], [5, 2 ** 40], [2 ** 40, 5], [0, 0], [5, 2 ** 40]], dtype=np.int64)
+    states = GridStates(rows, big)
+    codes = states.codes()
+    assert codes.dtype == np.dtype("V16")
+    assert states[:1].codes()[0] != states[1:2].codes()[0] != states[2:3].codes()[0]
+    assert states[3:].codes().tolist() == states[:2].codes().tolist() == codes[:2].tolist()
+    for a, b in ((0, 5), (1, 4), (2, 5), (4, 5)):
+        assert np.array_equal(states[a:b].codes(), codes[a:b])
+        assert np.array_equal(GridStates(rows[a:b].copy(), big).codes(), codes[a:b])
+    assert GridStates.of_codes(codes[1:4], big) == states[1:4]
+    assert GridStates.of_codes(codes[::2], big) == states[::2]
 
 
 def test_orbit_series_validation():

@@ -348,7 +348,7 @@ def assert_table_is_the_whole_array_table(shadow, block=TABLE_BLOCK):
 
 
 GRIDS = [GridSpec(K=1, d=1), GridSpec(K=3, d=2), GridSpec(K=6, d=3),
-         GridSpec(K=2 ** 40, d=2)]  # the last: (K+1)^d > 2^63, codes are ranks
+         GridSpec(K=2 ** 40, d=2)]  # the last: (K+1)^d > 2^63, keys are row bytes
 
 
 @settings(max_examples=300, deadline=None)
@@ -396,7 +396,7 @@ def test_blocked_transition_table_on_a_long_shadow():
 
 
 def test_transition_table_beyond_int64_codes():
-    # (K+1)^d > 2^63: states are told apart by their rows, not by codes
+    # (K+1)^d > 2^63: states are told apart by their index rows' bytes
     g = GridSpec(K=2 ** 40, d=2)
     A, B, C = states(g, [0, 2 ** 40], [2 ** 40, 0], [7, 7])
     assert build_transition_table(GridStates.of([A, B, C, B, C, B])) == TransitionTable(g, 3)
@@ -704,8 +704,8 @@ def test_shadow_view_at_block_edges_equals_the_materialized_shadow(case, quantiz
         assert orbit.shadow_periodicity(view) == scan_shadow_periodicity(whole, window)
 
 
-def test_pipeline_beyond_int64_codes_ranks_the_whole_shadow():
-    # (K+1)^d > 2^63: ranks of one block are not comparable with those of
+def test_pipeline_beyond_int64_codes_compares_keys_across_blocks():
+    # (K+1)^d > 2^63: the byte keys of one block compare with those of
     # another, so blocks two positions long must still find N = 2
     with mock.patch.object(core, "QUANTIZE_BLOCK", 2), mock.patch.object(orbit, "TABLE_BLOCK", 2):
         _, shadow, table, chain = run_pipeline(expression_map(["-x1", "-x2"]), Point([0.3, 0.7]),
@@ -765,7 +765,9 @@ def test_build_chain_without_a_table_reads_at_most_state_count_plus_one_rows(mon
 def test_shadow_periodicity_equals_the_pair_by_pair_scan(data):
     # a transient, then a cycle repeated with a few entries changed, so
     # that candidate periods match for short and for long runs, over
-    # windows shorter and longer than the shadow
+    # windows shorter and longer than the shadow, on an int64-code grid
+    # and on one whose keys are row bytes
+    g = data.draw(st.sampled_from([GridSpec(K=5, d=1), GRIDS[3]]))
     window = data.draw(st.integers(2, 120))
     scan = data.draw(st.integers(1, 8))
     transient = data.draw(st.lists(st.integers(0, 5), max_size=40))
@@ -774,7 +776,7 @@ def test_shadow_periodicity_equals_the_pair_by_pair_scan(data):
     for _ in range(data.draw(st.integers(0, 3))):
         if body:
             body[data.draw(st.integers(0, len(body) - 1))] = data.draw(st.integers(0, 5))
-    shadow = GridStates(np.array(body, dtype=np.int64).reshape(-1, 1), GridSpec(K=5, d=1))
+    shadow = GridStates(np.outer(np.array(body, dtype=np.int64), [g.K // 5] * g.d), g)
     with mock.patch.object(orbit, "SHADOW_WINDOW", window), \
             mock.patch.object(orbit, "SCAN_STEPS", scan):
         got = orbit.shadow_periodicity(shadow)
@@ -805,6 +807,23 @@ def test_pipeline_memory_per_sample():
     finally:
         tracemalloc.stop()
     assert peak / (H + 1) <= 11
+
+
+def test_pipeline_memory_beyond_int64_codes():
+    # an order-8 recurrence at K = 300, (K+1)^8 > 2^63 grid states: the
+    # shadow's byte keys are read a block at a time like int64 codes
+    # (225 B a sample when the whole shadow was read and ranked at once)
+    H = 200_000
+    tracemalloc.start()
+    try:
+        _, _, table, chain = run_pipeline(ar_map([0.0] * 7 + [0.9]),
+                                          Point([0.5, -0.3, 0.2, 0.1, -0.4, 0.3, 0.0, 0.25]),
+                                          GridSpec(K=300, d=8), H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (chain.pre_period, chain.period, table.n_states) == (180, 8, 309)
+    assert peak / (H + 1) <= 14
 
 
 def test_pipeline_memory_without_a_repeat():
