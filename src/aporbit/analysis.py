@@ -5,10 +5,10 @@ condition on ladder terms, and sup-difference diagnostics.
 
 Every comparison of a chain with the true orbit or with another chain
 takes its distances from one walker, `_distances`, which works in blocks
-of SUP_BLOCK steps: no chain-value, position or difference array is
+of `core.BLOCK` steps: no chain-value, position or difference array is
 longer than one block (about 40 B a step at d = 2), however long the lcm
-window, and each distance is the plain sum of squares
-(`np.linalg.norm(axis=1)`), with no BLAS call.
+window, and each distance is `core._row_norms`, the plain sum of squares
+under one square root.
 """
 
 from __future__ import annotations
@@ -18,31 +18,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GridSpec, Point
+from . import core
+from .core import GridSpec, Point, _row_norms
 from .errors import DimensionMismatch, Overflow
 from .maps import LipschitzEstimate, MapDefinition, estimate_lipschitz
 from .orbit import ChainResult, generate_orbit, run_pipeline, shadow_periodicity
 
 _LCM_LIMIT = 2 ** 63 - 1
 
-# Steps per block of every chain distance walk: small enough that a
-# ladder's peak is its orbits, not its lcm window, and no slower than
-# larger blocks.
-SUP_BLOCK = 2 ** 11
-
 
 def _distances(chain: ChainResult, other, lo: int, hi: int):
-    """|chain(t) - other(t)| for t = lo..hi, one block of at most SUP_BLOCK
-    steps at a time; `other` is a second chain or an orbit's values array."""
-    for a in range(lo, hi + 1, SUP_BLOCK):
-        b = min(a + SUP_BLOCK, hi + 1) - 1
+    """|chain(t) - other(t)| for t = lo..hi, one block of at most
+    `core.BLOCK` steps at a time; `other` is a second chain or an orbit's
+    values array."""
+    block = core.BLOCK
+    for a in range(lo, hi + 1, block):
+        b = min(a + block, hi + 1) - 1
         theirs = other[a : b + 1] if isinstance(other, np.ndarray) else other.values(a, b)
         diff = chain.values(a, b)  # a new array, taken over in place
         diff -= theirs
-        diff *= diff
-        dist = diff.sum(axis=1)
+        dist = _row_norms(diff)
         del theirs, diff  # not held while the caller reads the block
-        yield np.sqrt(dist, out=dist)  # the bits of np.linalg.norm(chain - theirs, axis=1)
+        yield dist
 
 
 def _sup(chain: ChainResult, other, lo: int, hi: int) -> float:
@@ -138,11 +135,12 @@ def verify_error_bound(
     # block at a time: the largest of the blocks' largest ratios (NaN if
     # any is) is the largest ratio.
     actual = np.empty(horizon + 1)
-    blocks = range(0, horizon + 1, SUP_BLOCK)
+    block = core.BLOCK
+    blocks = range(0, horizon + 1, block)
     for a, dist in zip(blocks, _distances(chain, orbit.values, 0, horizon)):
-        actual[a : a + SUP_BLOCK] = dist
+        actual[a : a + block] = dist
     bound = bounds_for_horizon(lipschitz.gamma, m.d, K, horizon)
-    worst = float(np.max([np.max(actual[a : a + SUP_BLOCK] / bound[a : a + SUP_BLOCK])
+    worst = float(np.max([np.max(actual[a : a + block] / bound[a : a + block])
                           for a in blocks]))
     # the bound does not decrease, so its finite entries come first
     finite = int(np.count_nonzero(np.isfinite(bound)))

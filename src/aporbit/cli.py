@@ -82,18 +82,12 @@ def _int_at_least(low: int):
     return parse
 
 
-def _parse_vector(text: str) -> list[float]:
+def _parse_list(text: str, convert, noun: str) -> list:
+    # comma-separated values, each converted; a bad one names the `noun`
     try:
-        return [float(x) for x in text.split(",")]
+        return [convert(x) for x in text.split(",")]
     except ValueError as exc:
-        raise ConfigError(f"bad vector {text!r}: {exc}") from exc
-
-
-def _parse_int_list(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"bad integer list {text!r}: {exc}") from exc
+        raise ConfigError(f"bad {noun} {text!r}: {exc}") from exc
 
 
 def _load_map(path: str) -> maps.MapDefinition:
@@ -112,7 +106,7 @@ def _load_map(path: str) -> maps.MapDefinition:
 
 
 def _initial_point(args, m: maps.MapDefinition) -> Point:
-    coords = _parse_vector(args.y0)
+    coords = _parse_list(args.y0, float, "vector")
     if len(coords) != m.d:
         raise ConfigError(f"--y0 needs d={m.d} coordinates, got {len(coords)}")
     return Point(coords)
@@ -359,7 +353,7 @@ def cmd_verify(args) -> int:
 def cmd_ladder(args) -> int:
     m = _load_map(args.map)
     y0 = _initial_point(args, m)
-    Ks = _parse_int_list(args.Ks)
+    Ks = _parse_list(args.Ks, int, "integer list")
     if len(Ks) < 2:
         raise ConfigError("need at least two resolutions in --Ks")
     analysis.check_resolutions(Ks)

@@ -3,11 +3,11 @@
 The grid on each axis has K+1 nodes a_k = 2k/K - 1 (k = 0..K), spacing 2/K.
 Quantization snaps each coordinate to the nearest node, resolving exact
 midpoints toward the larger node; the resulting l2 error never exceeds
-sqrt(d)/K.  `_quantize_rows` is the one quantizer; it fills its result in
-blocks of QUANTIZE_BLOCK rows, so its working memory does not grow with
-the orbit, and settles exact ties once per distinct midpoint.  The box
-rule is `box_overshoot` (NaN is infinitely far out) and `Point`, which
-clamps within CLAMP_BAND.
+sqrt(d)/K.  `_quantize_rows` is the one quantizer: one pass over the
+rows it is given, settling exact ties once per distinct midpoint.  Every
+pass over a shadow or a chain goes BLOCK rows at a time, so its working
+memory does not grow with the orbit.  The box rule is `box_overshoot`
+(NaN is infinitely far out) and `Point`, which clamps within CLAMP_BAND.
 
 `Point` and `GridState` are the boundary types for single values.  Orbits
 and state sequences are stored as arrays: `OrbitSeries` holds an (H+1, d)
@@ -17,7 +17,8 @@ an orbit's float rows that quantizes the rows it is asked for, when it is
 asked, and keeps none of them.  Its `codes()` are the one state key:
 int64 mixed-radix codes, or on grids of 2^63 states or more, void keys
 of each index row's bytes; `of_codes` decodes either.  `_repeat_lag` is
-the one search for a repeated state, by its bytes.
+the one search for a repeated state, by its bytes, and `_row_norms` the
+one distance kernel.
 """
 
 from __future__ import annotations
@@ -35,9 +36,15 @@ from .errors import DimensionMismatch, OutOfRange
 # farther is rejected.  Tolerates floating-point overshoot of map evaluation.
 CLAMP_BAND = 1e-12
 
-# Rows per block of `_quantize_rows`: its temporaries are a few arrays of
-# this many rows, whatever the length of the orbit.
-QUANTIZE_BLOCK = 2048
+# Rows per block of every pass over a shadow or a chain: `codes()`, the
+# transition table's pass and the chain distance walker each hold a few
+# arrays of this many rows, whatever the length of the orbit.  Read at call
+# time.  The size was measured: a round of the benchmark's ten
+# ladder_period ladder jobs (seed 9) took no longer with distance blocks
+# of 2^11 than of 2^12 or 2^16, and about 2 % longer with 2^10; the
+# longest job's peak fell from 28.9 B a sample with blocks of 2^16 to
+# 10.7, which is its orbits and level pipelines, no longer its window.
+BLOCK = 2048
 
 
 def _clamp_coord(x: float) -> float:
@@ -62,6 +69,16 @@ def _repeat_lag(data: bytes, size: int, stride: int) -> int:
     while at >= 0 and (end - at) % stride:
         at = data.rfind(data[end:], 0, at + size - 1)
     return (end - at) // stride if at >= 0 else 0
+
+
+def _row_norms(diff: np.ndarray) -> np.ndarray:
+    """The l2 norm of each row of a 2-d float array, which is squared in
+    place: the square root of the row's plain sum of squares, the bits of
+    `np.linalg.norm(diff, axis=1)`, with no BLAS call, so they do not
+    depend on the CPU or the BLAS build."""
+    diff *= diff
+    dist = diff.sum(axis=1)
+    return np.sqrt(dist, out=dist)
 
 
 def box_overshoot(coords):
@@ -182,7 +199,8 @@ class GridStates(Sequence):
 
     @property
     def indices(self) -> np.ndarray:
-        """The (n, d) index rows; a view quantizes all of its rows again."""
+        """The (n, d) index rows; a view quantizes all of its rows again,
+        in one pass (`codes()` reads a view BLOCK rows at a time)."""
         rows = self._rows
         return _quantize_rows(rows, self.grid) if rows.dtype.kind == "f" else rows
 
@@ -215,16 +233,16 @@ class GridStates(Sequence):
 
         The int64 mixed-radix code sum_i idx_i (K+1)^(d-1-i) when (K+1)^d
         fits in int64 (and so in a numpy shape), otherwise the index row's
-        8*d bytes as one numpy void (`V{8d}`).  Computed QUANTIZE_BLOCK
-        rows at a time, so a view holds the index rows of one block.
+        8*d bytes as one numpy void (`V{8d}`).  Computed BLOCK rows at a
+        time, so a view holds the index rows of one block.
         `of_codes` turns keys back into states.
         """
         g = self.grid
         wide = g.state_count >= 2 ** 63
         codes = np.empty(len(self), dtype=f"V{8 * g.d}" if wide else np.int64)
-        for a in range(0, len(self), QUANTIZE_BLOCK):
-            indices = self[a : a + QUANTIZE_BLOCK].indices
-            block = codes[a : a + QUANTIZE_BLOCK]
+        for a in range(0, len(self), BLOCK):
+            indices = self[a : a + BLOCK].indices
+            block = codes[a : a + BLOCK]
             if wide:
                 block.view(np.int64).reshape(indices.shape)[...] = indices
                 continue
@@ -310,26 +328,14 @@ class OrbitSeries:
 
 
 def _quantize_rows(Y: np.ndarray, g: GridSpec) -> np.ndarray:
-    # Nearest node index of every entry, exact midpoints going up.  The
-    # rows go through in blocks of QUANTIZE_BLOCK, each into its slice of
-    # one result array, so the temporaries are the size of one block.
-    if len(Y) <= QUANTIZE_BLOCK:
-        return _quantize_block(Y, g.K, None, {})
-    idx = np.empty(Y.shape, dtype=np.int64)
-    midpoints = {}
-    for a in range(0, len(Y), QUANTIZE_BLOCK):
-        _quantize_block(Y[a : a + QUANTIZE_BLOCK], g.K, idx[a : a + QUANTIZE_BLOCK], midpoints)
-    return idx
-
-
-def _quantize_block(Y: np.ndarray, K: int, out, midpoints: dict) -> np.ndarray:
-    # One block, written into `out` (a new array when None).  The float
-    # u = (c+1)K/2 decides unless it lies within 1e-9 of k + 1/2; such an
-    # entry is compared with the exact midpoint m_k = (2k+1)/K - 1.  No
-    # double lies strictly between m_k and the double q nearest it, so
-    # c >= m_k exactly when c > q, or c == q >= m_k.  `midpoints` keeps
-    # (q, q >= m_k) by k across the blocks of one call, so each distinct
-    # midpoint costs one Fraction pass.
+    # Nearest node index of every entry, exact midpoints going up, in one
+    # pass over the rows given.  The float u = (c+1)K/2 decides unless it
+    # lies within 1e-9 of k + 1/2; such an entry is compared with the
+    # exact midpoint m_k = (2k+1)/K - 1.  No double lies strictly between
+    # m_k and the double q nearest it, so c >= m_k exactly when c > q, or
+    # c == q >= m_k: each distinct midpoint of the call costs one Fraction
+    # pass.
+    K = g.K
     u = Y + 1.0
     u *= K
     u /= 2.0
@@ -338,26 +344,19 @@ def _quantize_block(Y: np.ndarray, K: int, out, midpoints: dict) -> np.ndarray:
     with np.errstate(invalid="ignore"):  # inf - inf: a NaN, refused below
         frac -= k
     tie = frac - 0.5
-    np.abs(tie, out=tie)  # in place: one block-sized temporary fewer
+    np.abs(tie, out=tie)  # in place: one temporary fewer
     tie = ~(tie > 1e-9)  # NaN lands here too
     k_tie = k[tie]
     if len(k_tie) and not np.isfinite(k_tie).all():  # before the cast below
         raise ValueError(f"cannot quantize {Y[tie][~np.isfinite(k_tie)][0]!r}")
-    if out is None:
-        out = k.astype(np.int64)
-    else:
-        out[...] = k
+    out = k.astype(np.int64)
     del k
     out += frac > 0.5
     if len(k_tie):
         mids, which = np.unique(k_tie, return_inverse=True)
-        mids = mids.astype(np.int64).tolist()
-        for kk in mids:
-            if kk not in midpoints:
-                mk = Fraction(2 * kk + 1 - K, K)
-                midpoints[kk] = (float(mk), Fraction(float(mk)) >= mk)
-        q = np.array([midpoints[kk][0] for kk in mids])[which]
-        q_up = np.array([midpoints[kk][1] for kk in mids])[which]
+        midpoints = [Fraction(2 * kk + 1 - K, K) for kk in mids.astype(np.int64).tolist()]
+        q = np.array([float(mk) for mk in midpoints])[which]
+        q_up = np.array([Fraction(float(mk)) >= mk for mk in midpoints])[which]
         c = Y[tie]
         out[tie] = k_tie.astype(np.int64) + ((c > q) | ((c == q) & q_up))
     np.maximum(out, 0, out=out)

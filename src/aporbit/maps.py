@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from . import expressions
-from .core import CLAMP_BAND, OrbitSeries, Point, _repeat_lag, box_overshoot
+from .core import CLAMP_BAND, OrbitSeries, Point, _repeat_lag, _row_norms, box_overshoot
 from .errors import DimensionMismatch, OutOfRange, RangeViolation
 from .expressions import BinOp, Num, Var
 
@@ -155,9 +155,11 @@ class MapDefinition:
 
 
 def _number(v, name: str) -> float:
-    """v as a float; a boolean is refused, though float(True) is 1.0."""
-    if isinstance(v, bool):
-        raise ValueError(f"{name} = {v!r} is a boolean, not a number")
+    """v as a float; a boolean or a string is refused, though float(True)
+    is 1.0 and float("5") is 5.0."""
+    if isinstance(v, (bool, str)):
+        kind = "boolean" if isinstance(v, bool) else "string"
+        raise ValueError(f"{name} = {v!r} is a {kind}, not a number")
     return float(v)
 
 
@@ -325,8 +327,7 @@ def _sampled_block(m: MapDefinition, rng, n: int) -> float:
     sample 2k+1, and for odd n rng.random(2d) for the last sample.
     Pairs closer than 1e-6 are skipped; the points of the rest are
     stepped in one `m.batch` call, whose images are those of one step of
-    the orbit loop, bit for bit.  A distance is the square root of the
-    row's sum of squares, the bits of `np.linalg.norm(axis=1)`, and an
+    the orbit loop, bit for bit.  A distance is `core._row_norms`, and an
     image distance that overflows is inf.  The first failure in sample
     order is raised, as stepping the points one at a time would meet it:
     RangeViolation for a pair whose images have no finite distance, or
@@ -343,15 +344,13 @@ def _sampled_block(m: MapDefinition, rng, n: int) -> float:
     pts[1::2, 1] = np.clip(pts[1::2, 0] + 1e-3 * z, -1.0, 1.0)
     if odd:
         pts[-1] = (-1.0 + 2.0 * rng.random(2 * d)).reshape(2, d)
-    diff = pts[:, 0] - pts[:, 1]
-    dist = np.sqrt((diff * diff).sum(axis=1))
+    dist = _row_norms(pts[:, 0] - pts[:, 1])
     kept = ~(dist < 1e-6)
     points = pts[kept].reshape(-1, d)  # w_i, w'_i, w_i+1, ...
     images, first = m.batch(points)
     f = images[:first // 2 * 2].reshape(-1, 2, d)
     with np.errstate(over="ignore", invalid="ignore"):  # inf, or a NaN refused below
-        diff = f[:, 0] - f[:, 1]
-        ratios = np.sqrt((diff * diff).sum(axis=1)) / dist[kept][:len(f)]
+        ratios = _row_norms(f[:, 0] - f[:, 1]) / dist[kept][:len(f)]
     bad = np.flatnonzero(np.isnan(ratios))
     if len(bad):
         fw, fwp = f[bad[0]]
@@ -373,6 +372,8 @@ def map_from_json(data: dict) -> MapDefinition:
     elif kind == "delay":
         m = delay_map(data["expr"], data["d"])
     elif kind == "expr":
+        if not isinstance(data["exprs"], list):
+            raise ValueError(f"map expressions exprs must be a JSON array, got {data['exprs']!r}")
         m = expression_map(data["exprs"])
     elif kind == "builtin":
         m = builtin_map(data["name"], data["d"])

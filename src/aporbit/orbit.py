@@ -13,11 +13,13 @@ pre-period T and period L.
 The orbit is the one whole array that grows with the horizon: 8 B a
 sample for a shift map, whose orbit is a strided view of its first
 coordinates, and 8*d B for any other map.  The shadow is a view of it
-that quantizes a block when the block is read.  `build_transition_table`
-reads it in one pass of blocks, keeping the distinct codes seen so far
-sorted with their successors and first positions, and reads the chain
-off those first positions after the pass; `run_pipeline` takes both
-from that pass, and `shadow_periodicity` reads a window of keys.  The
+that quantizes a block when the block is read, in one pass of
+`core._quantize_rows`.  `build_transition_table` reads it in one pass
+of blocks of `core.BLOCK` positions (or N), keeping the distinct codes
+seen so far sorted with their successors and first positions, and reads
+the chain off those first positions after the pass; `run_pipeline`
+takes both from that pass, and `shadow_periodicity` reads a window of
+keys.  The
 keys are `GridStates.codes()`, whatever their format: this module only
 compares them, and `GridStates.of_codes` decodes the chain's.
 """
@@ -29,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import core
 from .armodel import coefficients_from_roots, recursion
 from .core import GridSpec, GridState, GridStates, OrbitSeries, Point
 from .errors import DanglingState, DimensionMismatch, NotPeriodic
@@ -39,9 +42,6 @@ from .maps import MapDefinition, ar_map
 # rest of the window in one array operation.
 SHADOW_WINDOW = 8192
 SCAN_STEPS = 32
-
-# Shadow positions per block of build_transition_table (at least N).
-TABLE_BLOCK = 2048
 
 # Largest root modulus of the census's random stable recurrences.
 STABLE_RADIUS = 0.9
@@ -98,7 +98,7 @@ def build_transition_table(shadow: GridStates) -> TransitionTable:
     so far stay sorted, each next to the code that followed its earliest
     occurrence and that occurrence's position, and a block looks its
     distinct codes up there once: O(block + N) temporaries, and as a block
-    is TABLE_BLOCK or N positions, O(1) per position to merge its new
+    is `core.BLOCK` or N positions, O(1) per position to merge its new
     codes in.  After the pass, the chain is read off the first positions:
     when they start 0, 1, ..., t-1 the states there are distinct, the
     state at t is the successor of the one first seen at t-1, and the
@@ -109,7 +109,7 @@ def build_transition_table(shadow: GridStates) -> TransitionTable:
     if n < 2:
         raise ValueError("need at least two shadow states to observe a transition")
     count = 0
-    a, b = 0, min(max(TABLE_BLOCK, 2), n)  # the first block holds a transition
+    a, b = 0, min(max(core.BLOCK, 2), n)  # the first block holds a transition
     while a < n:
         codes = shadow[a:b].codes()
         if a:  # the transition out of the previous block's last position
@@ -129,7 +129,7 @@ def build_transition_table(shadow: GridStates) -> TransitionTable:
                 succ = np.insert(succ, at[~seen], expect[~seen])
                 first = np.insert(first, at[~seen], j[~seen] + a - 1)  # src[0] is at a - 1
         count += int(np.count_nonzero(expect[inverse] != dst))
-        a, b = b, min(b + max(TABLE_BLOCK, len(known)), n)
+        a, b = b, min(b + max(core.BLOCK, len(known)), n)
     order = np.argsort(first)
     t = int(np.count_nonzero(first[order] == np.arange(len(order))))  # 0..t-1 are new
     close = succ[order[t - 1]]  # the state at t

@@ -30,7 +30,7 @@ from aporbit import (
     tail_convergence,
     verify_error_bound,
 )
-from aporbit.analysis import SUP_BLOCK
+from aporbit import core
 from aporbit.errors import DimensionMismatch, NotPeriodic, Overflow
 
 
@@ -122,7 +122,7 @@ def test_verify_error_bound_passes_only_up_to_its_last_finite_step(monkeypatch, 
     walk = analysis._distances
 
     def corrupted(chain, other, lo, hi):
-        for a, block in zip(range(lo, hi + 1, SUP_BLOCK), walk(chain, other, lo, hi)):
+        for a, block in zip(range(lo, hi + 1, core.BLOCK), walk(chain, other, lo, hi)):
             if a <= t < a + len(block):
                 block[t - a] = 1e308
             yield block
@@ -460,7 +460,7 @@ def test_sup_difference_equals_stepwise_walk(d):
 def test_sup_difference_across_a_block_boundary():
     rng = np.random.default_rng(257)
     c_j, c_jp1, T_j, T_jp1 = aligned_pair(rng, 512, 2, 257, 263)
-    assert math.lcm(257, 263) == 67591 > SUP_BLOCK
+    assert math.lcm(257, 263) == 67591 > core.BLOCK
     assert sup_difference(c_j, c_jp1, T_j, T_jp1) == stepwise_sup(c_j, c_jp1, T_jp1)
 
 
@@ -483,7 +483,7 @@ def test_sup_difference_long_window_time_and_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 ** 20  # blocks of SUP_BLOCK steps, whatever the window
+    assert peak < 2 ** 20  # blocks of core.BLOCK steps, whatever the window
     # every pair of cycle positions meets in a coprime window
     nodes_j = c_j.values(T_j, T_j + 996)
     nodes_jp1 = c_jp1.values(T_jp1, T_jp1 + 1008)
@@ -498,7 +498,7 @@ def whole_window_sup(chain, ys, lo, hi):
 
 def test_distances_walked_in_blocks_equal_the_whole_window_norm(monkeypatch):
     # blocks of 5 steps split every window, with a short last block
-    monkeypatch.setattr("aporbit.analysis.SUP_BLOCK", 5)
+    monkeypatch.setattr(core, "BLOCK", 5)
     m, y0, Ks = ar_map([0.1, -1.0]), Point([0.8, 0.1]), [7, 21, 63]
     report = tail_convergence(m, y0, Ks, horizon=300)
     plan = report.plan

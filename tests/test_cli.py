@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aporbit import cli, orbit, spectral
+from aporbit import cli, core, orbit, spectral
 from aporbit.cli import CSV_BLOCK, _Out, main
 from aporbit.spectral import eval_trig_range, fit_trig_samples
 from test_orbit import count_quantized_rows
@@ -783,7 +783,7 @@ def test_ladder_peaks_at_its_orbits_not_its_lcm_window(tmp_path, capsys):
     # Ks 128,192,256 at H = 3000 give lcms [25806, 253] and t_long 25,843,
     # so the job generates 3 * 3001 + 25,844 = 34,847 samples.  Its peak
     # is the long orbit and the level pipelines; the chain and orbit sups
-    # walk the window in blocks of SUP_BLOCK steps.  With blocks of 2^16
+    # walk the window in blocks of core.BLOCK steps.  With blocks of 2^16
     # steps this read 32.2 B a sample, and with 2^11 about 10.4.
     argv = ["ladder", "--map", json.dumps({"kind": "ar", "d": 2,
                                            "p": [2.0 * math.cos(NEAR_QUARTER), -1.0]}),
@@ -856,6 +856,21 @@ def test_each_sample_is_quantized_once_per_reader(tmp_path, capsys, monkeypatch,
     if command != "verify":
         least += levels * orbit.SHADOW_WINDOW
     assert rows[0] == least
+
+
+def test_no_reader_quantizes_more_than_a_block_at_once(tmp_path, capsys, monkeypatch):
+    # `_quantize_rows` takes what it is given in one pass, with temporaries
+    # of that size, so every reader of a long shadow must hand it at most
+    # core.BLOCK rows: the pipeline, the periodicity window, run's ybar
+    # columns, the ladder's levels and sups, and the census's chains.
+    rows = count_quantized_rows(monkeypatch)
+    H = 3 * core.BLOCK + 17
+    for command in ("run", "verify", "ladder"):
+        assert main(pipeline_argv(command, H, str(tmp_path / command))) == 0
+    # K = 64, d = 2: the chain reads up to 4,226 of 42,250 states
+    assert main(["census", "--d", "2", "--K", "64", "--n", "2", "--generator", "random_ar",
+                 "--out", str(tmp_path / "census")]) == 0
+    assert rows[0] > H and rows[1] <= core.BLOCK
 
 
 def test_census_deterministic(tmp_path):
@@ -977,6 +992,10 @@ WRONGLY_TYPED_MAPS = [
     '{"kind":"ar","p":[]}',
     # a JSON boolean once ran as the number 1.0 or 0.0
     '{"kind":"ar","p":[true]}',
+    # a JSON string once ran as the numbers or expressions it spells
+    '{"kind":"ar","p":"12"}',
+    '{"kind":"ar","p":["0.5"]}',
+    '{"kind":"expr","exprs":"00"}',
 ]
 WRONGLY_TYPED_SPECS = [
     '{"p":5,"z0":[0.1]}',
@@ -985,6 +1004,7 @@ WRONGLY_TYPED_SPECS = [
     '{"p":[0.5],"z0":[null]}',
     '{"p":[true],"z0":[0.5]}',
     '{"p":[0.5],"z0":[false]}',
+    '{"p":"5","z0":"0"}',
     # a spec's faults once exited 2, as pipeline errors
     '{"p":[0.5,0.2],"z0":[0.1]}',
     '{"p":[],"z0":[]}',

@@ -34,7 +34,7 @@ from aporbit.errors import (AporbitError, DanglingState, DimensionMismatch, Eval
 from aporbit.expressions import Var, parse_expression
 from aporbit.maps import MapDefinition
 from aporbit import core, orbit
-from aporbit.orbit import SHADOW_WINDOW, TABLE_BLOCK
+from aporbit.orbit import SHADOW_WINDOW
 from oracles import (BUILTIN_STEPS, NoCycleWithinHorizon, ar_recursion, ar_step, detect_cycle,
                      oracle_first_repeat, per_step_orbit, scan_shadow_periodicity, tree_step,
                      whole_transition_table)
@@ -335,9 +335,9 @@ def test_transition_table_counts_conflicts():
     assert len(table.conflicts) == 8
 
 
-def assert_table_is_the_whole_array_table(shadow, block=TABLE_BLOCK):
-    # equal N and conflict count, or the same refusal
-    with mock.patch.object(orbit, "TABLE_BLOCK", block):
+def assert_table_is_the_whole_array_table(shadow, block):
+    # equal N and conflict count, or the same refusal, with blocks of `block`
+    with mock.patch.object(core, "BLOCK", block):
         try:
             got = build_transition_table(shadow)
         except ValueError as exc:
@@ -389,10 +389,10 @@ def test_blocked_transition_table_at_block_edges(g, block):
 
 def test_blocked_transition_table_on_a_long_shadow():
     # many blocks at the library's own block size, conflicted and not
-    H = 5 * TABLE_BLOCK + 17
+    H = 5 * core.BLOCK + 17
     for y0, K in (([0.9, 0.688], 64), ([0.9, 0.688], 4), ([0.3, 0.2], 4096)):
         _, shadow, _, _ = run_pipeline(ar_map([1.5297, -1.0]), Point(y0), GridSpec(K=K, d=2), H)
-        assert_table_is_the_whole_array_table(shadow)
+        assert_table_is_the_whole_array_table(shadow, core.BLOCK)
 
 
 def test_transition_table_beyond_int64_codes():
@@ -531,9 +531,9 @@ def test_build_chain_matches_table_walk():
     assert sum(dangling[:3000]) >= 100
     assert set(dangling[3000:3050]) == set(dangling[3050:3100]) == {True, False}
     assert dangling[3100:] == [False, True] * 3
-    for block in (TABLE_BLOCK, 1, 2, 7):
+    for block in (core.BLOCK, 1, 2, 7):
         conflicted = 0
-        with mock.patch.object(orbit, "TABLE_BLOCK", block):
+        with mock.patch.object(core, "BLOCK", block):
             for shadow, chain in zip(shadows, want):
                 table = build_transition_table(shadow)
                 assert chain_or_dangling(build_chain, shadow) == chain
@@ -554,8 +554,6 @@ def test_build_chain_copies_the_shadow_prefix():
 def test_chain_values_read_the_periodic_extension(T, L):
     # Oracle, per t in plain Python: row t of seq within the stored states,
     # and T + (t - T) % L beyond them.
-    from aporbit.analysis import SUP_BLOCK
-
     g = GridSpec(K=1000, d=2)
     rng = np.random.default_rng(T * 10007 + L)
     indices = rng.integers(0, g.K + 1, (T + L, g.d))
@@ -566,8 +564,8 @@ def test_chain_values_read_the_periodic_extension(T, L):
         (0, T + L // 2),                      # from before T into the first period
         (max(T - 2, 0), end + 3),             # across T + L
         (T + 1, T + 3 * L + 2),               # several periods from inside the first
-        (1, SUP_BLOCK + T + L + 5),           # past one SUP_BLOCK
-        (T + 5 * L + 3, T + 5 * L + SUP_BLOCK + 9),
+        (1, core.BLOCK + T + L + 5),          # past one block
+        (T + 5 * L + 3, T + 5 * L + core.BLOCK + 9),
     ]
     for a, b in windows:
         at = [t if t < T + L else T + (t - T) % L for t in range(a, b + 1)]
@@ -667,24 +665,21 @@ def exact_node_orbits(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=exact_node_orbits(), quantize_block=st.integers(1, 5), table_block=st.integers(1, 5),
-       window=st.integers(2, 12))
+@given(case=exact_node_orbits(), block=st.integers(1, 5), window=st.integers(2, 12))
 # table blocks [0, 2), [2, 3) and [3, 5): the first repeat is at a block's first position
 @example(case=(GridSpec(K=4, d=1), np.array([[-1.0], [-0.5], [0.0], [-0.5], [0.0]])),
-         quantize_block=1, table_block=1, window=2)
-def test_shadow_view_at_block_edges_equals_the_materialized_shadow(case, quantize_block,
-                                                                   table_block, window):
-    # orbits over a few exact node values, read through small quantizer
-    # blocks, table blocks and windows, so that block edges fall on first
-    # sightings, conflicts, the first repeat and the window's start
+         block=1, window=2)
+def test_shadow_view_at_block_edges_equals_the_materialized_shadow(case, block, window):
+    # orbits over a few exact node values, read through small blocks and
+    # windows, so that block edges fall on first sightings, conflicts, the
+    # first repeat and the window's start
     g, values = case
     n = len(values)
     view = discretize_orbit(OrbitSeries(values), g)
     whole = GridStates(view.indices, g)
     assert whole.indices.dtype == np.int64
     assert np.array_equal(whole.nodes(), values)  # each sample is its own node
-    with mock.patch.object(core, "QUANTIZE_BLOCK", quantize_block), \
-            mock.patch.object(orbit, "TABLE_BLOCK", table_block), \
+    with mock.patch.object(core, "BLOCK", block), \
             mock.patch.object(orbit, "SHADOW_WINDOW", window):
         assert view == whole and len(view) == n and list(view) == list(whole)
         assert np.array_equal(view.codes(), whole.codes())
@@ -707,7 +702,7 @@ def test_shadow_view_at_block_edges_equals_the_materialized_shadow(case, quantiz
 def test_pipeline_beyond_int64_codes_compares_keys_across_blocks():
     # (K+1)^d > 2^63: the byte keys of one block compare with those of
     # another, so blocks two positions long must still find N = 2
-    with mock.patch.object(core, "QUANTIZE_BLOCK", 2), mock.patch.object(orbit, "TABLE_BLOCK", 2):
+    with mock.patch.object(core, "BLOCK", 2):
         _, shadow, table, chain = run_pipeline(expression_map(["-x1", "-x2"]), Point([0.3, 0.7]),
                                                GRIDS[3], 20)
     assert table == TransitionTable(GRIDS[3], 2)
@@ -716,19 +711,21 @@ def test_pipeline_beyond_int64_codes_compares_keys_across_blocks():
 
 
 def count_quantized_rows(monkeypatch) -> list:
-    """A one-item list that counts the rows reaching the quantizer's blocks."""
-    rows = [0]
-    quantize_block = core._quantize_block
+    """A list [rows, largest]: the rows reaching the quantizer, and the
+    most rows that one of its calls took."""
+    rows = [0, 0]
+    quantize_rows = core._quantize_rows
 
-    def counted(Y, *args):
+    def counted(Y, g):
         rows[0] += len(Y)
-        return quantize_block(Y, *args)
+        rows[1] = max(rows[1], len(Y))
+        return quantize_rows(Y, g)
 
-    monkeypatch.setattr(core, "_quantize_block", counted)
+    monkeypatch.setattr(core, "_quantize_rows", counted)
     return rows
 
 
-@pytest.mark.parametrize("block", [64, TABLE_BLOCK])
+@pytest.mark.parametrize("block", [64, core.BLOCK])
 def test_each_sample_is_quantized_once(monkeypatch, block):
     # The pipeline reads the shadow in one pass, which also gives the
     # chain and counts the conflicts: H + 1 rows.  The periodicity window
@@ -736,7 +733,7 @@ def test_each_sample_is_quantized_once(monkeypatch, block):
     # (94, 16) spans two table blocks.
     rows = count_quantized_rows(monkeypatch)
     H = SHADOW_WINDOW + 1808
-    with mock.patch.object(orbit, "TABLE_BLOCK", block):
+    with mock.patch.object(core, "BLOCK", block):
         _, shadow, table, chain = run_pipeline(ar_map([1.823054, -0.980595]),
                                                Point([-0.8016876785707332, -0.5216423999399237]),
                                                GridSpec(K=64, d=2), H)
@@ -753,10 +750,10 @@ def test_build_chain_without_a_table_reads_at_most_state_count_plus_one_rows(mon
     # more than its first (K+1)^d + 1 states, which must repeat one.
     g = GridSpec(K=2, d=2)
     shadow = discretize_orbit(generate_orbit(ar_map([0.0, -1.0]), Point([1.0, 0.0]),
-                                             5 * TABLE_BLOCK + 16), g)
+                                             5 * core.BLOCK + 16), g)
     rows = count_quantized_rows(monkeypatch)
     chain = build_chain(shadow)
-    assert (chain.pre_period, chain.period) == (0, 4) and len(shadow) == 5 * TABLE_BLOCK + 17
+    assert (chain.pre_period, chain.period) == (0, 4) and len(shadow) == 5 * core.BLOCK + 17
     assert rows[0] <= g.state_count + 1
 
 
